@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -58,6 +59,11 @@ class FactorizationTarget:
     def r_a(self) -> int:
         return self.sigma.size
 
+    @cached_property
+    def a2(self) -> float:
+        """||A||_F^2, the constant term of the expanded loss."""
+        return float(np.sum(self.A * self.A))
+
 
 @dataclass(frozen=True)
 class SymTarget:
@@ -75,6 +81,11 @@ class SymTarget:
     @property
     def r_a(self) -> int:
         return self.sigma.size
+
+    @cached_property
+    def b2(self) -> float:
+        """||B||_F^2, the constant term of the expanded loss."""
+        return float(np.sum(self.B * self.B))
 
 
 def _spaced_spectrum(r_a: int, kappa: float, spacing: str, normalize: bool) -> np.ndarray:
@@ -278,17 +289,20 @@ def euclid_grad_sym(target: SymTarget, f: SymFactors) -> np.ndarray:
     return resid @ (f.X @ f.Theta.T) + resid.T @ (f.X @ f.Theta)
 
 
-def _asym_iteration(
-    target: FactorizationTarget, f: PolarFactors, eta: float, gamma: float
-) -> tuple[PolarFactors, float, float]:
-    """One Theta refresh + RGD step. Returns (new factors, loss at refreshed state, grad norm^2)."""
+def _asym_directions(
+    target: FactorizationTarget, f: PolarFactors, gamma: float
+) -> tuple[np.ndarray, float, float, np.ndarray, np.ndarray]:
+    """Theta refresh and the descent directions of X and Y.
+
+    Returns (Theta, loss at the refreshed state, grad norm^2, E, F); the
+    step itself is the retraction of X along E and of Y along F.
+    """
     AY = target.A @ f.Y
     AtX = target.A.T @ f.X
     M = f.X.T @ AY
     Theta = M if gamma == 1.0 else (1.0 - gamma) * f.Theta + gamma * M
     # 0.5||X Theta Y^T - A||^2 expanded under X^T X = Y^T Y = I
-    a2 = float(np.sum(target.A * target.A))
-    loss = 0.5 * (a2 - 2.0 * float(np.sum(Theta * M)) + float(np.sum(Theta * Theta)))
+    loss = 0.5 * (target.a2 - 2.0 * float(np.sum(Theta * M)) + float(np.sum(Theta * Theta)))
     if gamma == 1.0:
         T1 = AY @ Theta.T
         E = f.X @ (f.X.T @ T1) - T1
@@ -301,16 +315,14 @@ def _asym_iteration(
         E = tangent_project(f.X, gX)
         F = tangent_project(f.Y, gY)
     grad_sq = float(np.sum(E * E) + np.sum(F * F))
-    X_new = polar_retract(f.X, E, eta)
-    Y_new = polar_retract(f.Y, F, eta)
-    return PolarFactors(X=X_new, Theta=Theta, Y=Y_new), max(loss, 0.0), grad_sq
+    return Theta, max(loss, 0.0), grad_sq, E, F
 
 
 def rgd_step_asym(target: FactorizationTarget, f: PolarFactors, eta: float, gamma: float = 1.0) -> PolarFactors:
     """One full step of the asymmetric algorithm: Theta refresh, then
     simultaneous retraction updates of X and Y from that same Theta."""
-    new_f, _, _ = _asym_iteration(target, f, eta, gamma)
-    return new_f
+    Theta, _, _, E, F = _asym_directions(target, f, gamma)
+    return PolarFactors(X=polar_retract(f.X, E, eta), Theta=Theta, Y=polar_retract(f.Y, F, eta))
 
 
 def gd_step_bm(target: FactorizationTarget, f: BMFactors, eta: float) -> BMFactors:
@@ -321,12 +333,12 @@ def gd_step_bm(target: FactorizationTarget, f: BMFactors, eta: float) -> BMFacto
     return BMFactors(Z1=Z1, Z2=Z2)
 
 
-def _sym_iteration(target: SymTarget, f: SymFactors, eta: float, gamma: float) -> tuple[SymFactors, float, float]:
+def _sym_directions(target: SymTarget, f: SymFactors, gamma: float) -> tuple[np.ndarray, float, float, np.ndarray]:
+    """Theta refresh and the descent direction of X: (Theta, loss, grad norm^2, G)."""
     BX = target.B @ f.X
     M = f.X.T @ BX
     Theta = M if gamma == 1.0 else (1.0 - gamma) * f.Theta + gamma * M
-    b2 = float(np.sum(target.B * target.B))
-    loss = 0.5 * (b2 - 2.0 * float(np.sum(Theta * M)) + float(np.sum(Theta * Theta)))
+    loss = 0.5 * (target.b2 - 2.0 * float(np.sum(Theta * M)) + float(np.sum(Theta * Theta)))
     if gamma == 1.0:
         P = BX @ M
         G = f.X @ (f.X.T @ P) - P
@@ -335,14 +347,13 @@ def _sym_iteration(target: SymTarget, f: SymFactors, eta: float, gamma: float) -
         gX = f.X @ (Theta @ Theta.T + Theta.T @ Theta) - BX @ (Theta.T + Theta)
         G = tangent_project(f.X, gX)
     grad_sq = float(np.sum(G * G))
-    X_new = polar_retract(f.X, G, eta)
-    return SymFactors(X=X_new, Theta=Theta), max(loss, 0.0), grad_sq
+    return Theta, max(loss, 0.0), grad_sq, G
 
 
 def rgd_step_sym(target: SymTarget, f: SymFactors, eta: float, gamma: float = 1.0) -> SymFactors:
     """One Theta refresh + retraction step of the symmetric algorithm."""
-    new_f, _, _ = _sym_iteration(target, f, eta, gamma)
-    return new_f
+    Theta, _, _, G = _sym_directions(target, f, gamma)
+    return SymFactors(X=polar_retract(f.X, G, eta), Theta=Theta)
 
 
 # ---------------------------------------------------------------------------
@@ -496,24 +507,23 @@ def run_polar_rgd(
     converged = False
     steps = 0
     for it in range(max_iters):
-        f_next, loss, grad_sq = _asym_iteration(target, f, eta, gamma)
+        Theta, loss, grad_sq, E, F = _asym_directions(target, f, gamma)
         _check_divergence(loss, "polar-rgd", it)
+        # the refreshed-Theta state the step is computed from
+        f = PolarFactors(X=f.X, Theta=Theta, Y=f.Y)
         hit = loss <= loss_threshold
         if it % record_every == 0 or hit:
-            # report the refreshed-Theta state the step was computed from
-            probe = PolarFactors(X=f.X, Theta=f_next.Theta, Y=f.Y)
-            _record_asym(trace, target, probe, it, loss, grad_sq, t0)
+            _record_asym(trace, target, f, it, loss, grad_sq, t0)
         if hit:
             converged = True
             steps = it
-            f = PolarFactors(X=f.X, Theta=f_next.Theta, Y=f.Y)
             break
-        f = f_next
+        f = PolarFactors(X=polar_retract(f.X, E, eta), Theta=Theta, Y=polar_retract(f.Y, F, eta))
     else:
         # budget exhausted: evaluate and record the state after the last step
-        f_next, loss, grad_sq = _asym_iteration(target, f, eta, gamma)
+        Theta, loss, grad_sq, _, _ = _asym_directions(target, f, gamma)
         _check_divergence(loss, "polar-rgd", max_iters)
-        f = PolarFactors(X=f.X, Theta=f_next.Theta, Y=f.Y)
+        f = PolarFactors(X=f.X, Theta=Theta, Y=f.Y)
         _record_asym(trace, target, f, max_iters, loss, grad_sq, t0)
         steps = max_iters
     trace.metadata["converged"] = converged
@@ -612,7 +622,7 @@ def run_sym_rgd(
     converged = False
     steps = 0
     for it in range(max_iters):
-        f_next, loss, grad_sq = _sym_iteration(target, f, eta, gamma)
+        Theta, loss, grad_sq, G = _sym_directions(target, f, gamma)
         _check_divergence(loss, "polar-rgd-sym", it)
         hit = loss <= loss_threshold
         if it % record_every == 0 or hit:
@@ -620,13 +630,13 @@ def run_sym_rgd(
         if hit:
             converged = True
             steps = it
-            f = SymFactors(X=f.X, Theta=f_next.Theta)
+            f = SymFactors(X=f.X, Theta=Theta)
             break
-        f = f_next
+        f = SymFactors(X=polar_retract(f.X, G, eta), Theta=Theta)
     else:
-        f_next, loss, grad_sq = _sym_iteration(target, f, eta, gamma)
+        Theta, loss, grad_sq, _ = _sym_directions(target, f, gamma)
         _check_divergence(loss, "polar-rgd-sym", max_iters)
-        f = SymFactors(X=f.X, Theta=f_next.Theta)
+        f = SymFactors(X=f.X, Theta=Theta)
         _record_sym(trace, target, f, max_iters, loss, grad_sq, t0)
         steps = max_iters
     trace.metadata["converged"] = converged

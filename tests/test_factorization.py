@@ -9,6 +9,7 @@ semantics.
 import numpy as np
 import pytest
 
+from polarlab import factorization as fx
 from polarlab.exceptions import DivergenceError
 from polarlab.factorization import (
     BMFactors,
@@ -40,7 +41,7 @@ from polarlab.factorization import (
     theta_update,
     theta_update_sym,
 )
-from polarlab.stiefel import orthogonal_complement, stiefel_error
+from polarlab.stiefel import orthogonal_complement, polar_retract, stiefel_error
 
 SEEDS = [0, 1, 2, 3]
 
@@ -548,6 +549,47 @@ def test_run_sym_converges_and_equals_stepper():
     assert tr.metadata["converged"] is True
     assert loss_sym(ts, f) <= 2e-10
     assert stiefel_error(f.X) <= 1e-8
+
+
+def _count_retractions(monkeypatch):
+    calls = []
+
+    def counting(X, D, eta):
+        calls.append(eta)
+        return polar_retract(X, D, eta)
+
+    monkeypatch.setattr(fx, "polar_retract", counting)
+    return calls
+
+
+@pytest.mark.parametrize("gamma", [1.0, 0.5])
+def test_runners_retract_only_steps_they_take(monkeypatch, gamma):
+    # a budget of N steps retracts each factor N times: the final evaluation
+    # and the iteration that hits the threshold take no step
+    t = make_target(10, 8, 2, 2.0, np.random.default_rng(2))
+    ts = make_sym_target(10, 2, 2.0, np.random.default_rng(4))
+    calls = _count_retractions(monkeypatch)
+    run_polar_rgd(t, r=4, eta=0.05, seed=3, gamma=gamma, max_iters=37, loss_threshold=0.0, record_every=10)
+    assert len(calls) == 2 * 37
+    calls.clear()
+    tr, _ = run_polar_rgd(t, r=4, eta=0.05, seed=3, gamma=gamma, max_iters=50000, loss_threshold=1e-6)
+    assert tr.metadata["converged"] is True
+    assert len(calls) == 2 * tr.metadata["iterations"]
+    calls.clear()
+    run_sym_rgd(ts, r=4, eta=0.05, seed=5, gamma=gamma, max_iters=37, loss_threshold=0.0, record_every=10)
+    assert len(calls) == 37
+    calls.clear()
+    tr, _ = run_sym_rgd(ts, r=4, eta=0.05, seed=5, gamma=gamma, max_iters=50000, loss_threshold=1e-6)
+    assert tr.metadata["converged"] is True
+    assert len(calls) == tr.metadata["iterations"]
+
+
+def test_target_norms_are_cached_and_exact():
+    t = _target(0)
+    ts = make_sym_target(8, 2, 3.0, np.random.default_rng(1))
+    assert t.a2 == float(np.sum(t.A * t.A))
+    assert ts.b2 == float(np.sum(ts.B * ts.B))
+    assert t.a2 is t.a2 and ts.b2 is ts.b2
 
 
 def test_misalignment_sigma_min_nondecreasing_on_short_run():
