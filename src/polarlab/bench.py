@@ -2,8 +2,13 @@
 
 Three operations are timed at matched shapes (m x r):
 
-* ``retraction``: the polar retraction step, dominated by an r x r
-  eigendecomposition plus thin products, cost about 2 m r^2 + O(r^3).
+* ``retraction``: the polar retraction step with its tangency check and
+  feasibility certificate: four m x r x r products (X^T D, D^T D, the
+  step and the certificate's X^T X), cost about 8 m r^2, plus an r x r
+  inverse square root in O(r^3). That comes from a binomial series of at
+  most 8 terms when eta^2 ||D^T D||_F is small enough, and from an
+  eigendecomposition otherwise, as for the default eta at m = 4096 and
+  r >= 32.
 * ``landing-step``: the landing update X - eta * Gamma(X) exactly as
   ``train_polar_landing`` runs it, through ``landing_field``: four
   m x r x r products, cost about 8 m r^2 + O(r^3). This is the

@@ -9,6 +9,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,17 @@ RETRACT_FEASIBILITY_TOL = 1e-9
 RANK_DEFICIENCY_RTOL = 1e-12
 # Floor applied to eigenvalues before inverse square roots.
 EIG_FLOOR = 1e-14
+# Relative tolerance of the tangency check X^T D + D^T X = 0 in polar_retract.
+TANGENCY_TOL = 1e-8
+# Unit roundoff of float64; the binomial series in polar_retract is truncated
+# once its tail is below it.
+UNIT_ROUNDOFF = 2.0**-53
+# Highest order of that series; larger orders fall back to eigh, which costs
+# more than the at most 7 r x r products the series needs up to this order.
+RETRACT_SERIES_MAX_ORDER = 8
+# Binomial coefficients c_k of (1 + x)^{-1/2} = sum_k c_k (-x)^k:
+# c_0 = 1, c_k = c_{k-1} (2k - 1) / (2k).
+_BINOMIAL_COEFFS = (1.0, 1 / 2, 3 / 8, 5 / 16, 35 / 128, 63 / 256, 231 / 1024, 429 / 2048, 6435 / 32768)
 # Newton-Schulz polishing target; effectively machine precision for the
 # Gram residual (unreachable at large r, where the no-improvement stop kicks in).
 SAMPLE_NS_FLOOR = 1e-14
@@ -55,13 +67,6 @@ def require_stiefel(X, tol: float = SAMPLE_FEASIBILITY_TOL, name: str = "X") -> 
     if err > tol:
         raise FeasibilityError(f"{name} is off St({m},{r}): ||X'X - I||_F = {err:.3e} > {tol:.1e}")
     return X
-
-
-def _inv_sqrt_psd(M: np.ndarray) -> np.ndarray:
-    """Inverse square root of a symmetric PSD matrix via eigendecomposition."""
-    w, Q = np.linalg.eigh(M)
-    w = np.maximum(w, EIG_FLOOR)
-    return (Q / np.sqrt(w)) @ Q.T
 
 
 def sample_stiefel_uniform(m: int, r: int, rng: np.random.Generator) -> np.ndarray:
@@ -135,12 +140,47 @@ def polar_decompose(Z) -> tuple[np.ndarray, np.ndarray]:
     return X, Theta
 
 
-def polar_retract(X, D, eta: float) -> np.ndarray:
-    """Polar retraction (X - eta D)(I + eta^2 D^T D)^{-1/2}.
+def retract_series_order(x: float) -> int | None:
+    """Order n of the binomial series polar_retract uses at x = ||eta^2 D^T D||_F.
 
-    For tangent D (X^T D + D^T X = 0) the output is exactly on St(m, r)
-    up to rounding. Tangency is asserted only under ``python`` debug mode;
-    the output feasibility is always certified at 1e-9.
+    n is the smallest order whose truncation bound c_n x^n / (1 - x) is at
+    most the unit roundoff. ``None`` means the eigendecomposition is used:
+    x >= 1/2, or n would exceed ``RETRACT_SERIES_MAX_ORDER``.
+    """
+    if not x < 0.5:
+        return None
+    for n in range(1, RETRACT_SERIES_MAX_ORDER + 1):
+        if _BINOMIAL_COEFFS[n] * x**n / (1.0 - x) <= UNIT_ROUNDOFF:
+            return n
+    return None
+
+
+def _binomial_inv_sqrt(K: np.ndarray, n: int) -> np.ndarray:
+    """sum_{k<n} c_k (-K)^k for n >= 2, by Horner's rule in n - 2 products."""
+    diag = np.s_[:: K.shape[0] + 1]
+    S = -_BINOMIAL_COEFFS[n - 1] * K
+    S.flat[diag] += _BINOMIAL_COEFFS[n - 2]
+    for c in reversed(_BINOMIAL_COEFFS[: n - 2]):
+        S = -(K @ S)
+        S.flat[diag] += c
+    return S
+
+
+def polar_retract(X, D, eta: float) -> np.ndarray:
+    """Polar retraction (X - eta D)(I + K)^{-1/2} with K = eta^2 D^T D.
+
+    The inverse square root is the binomial series
+    sum_{k<n} c_k (-K)^k, with c_0 = 1 and c_k = c_{k-1} (2k - 1) / (2k),
+    truncated at the smallest order n whose tail bound c_n x^n / (1 - x),
+    x = ||K||_F >= ||K||_2, is at most the unit roundoff (see
+    :func:`retract_series_order`); at n = 1 the factor is I and no product
+    is formed. When x >= 1/2, or n would exceed
+    ``RETRACT_SERIES_MAX_ORDER``, it comes from the eigendecomposition of
+    D^T D instead.
+
+    D must be tangent at X: ||X^T D + D^T X||_F <= 1e-8 max(1, ||D||_F),
+    checked on every call (also under ``python -O``), else
+    ``FeasibilityError``. The output is certified on St(m, r) at 1e-9.
     """
     X = np.asarray(X, dtype=np.float64)
     D = np.asarray(D, dtype=np.float64)
@@ -148,14 +188,28 @@ def polar_retract(X, D, eta: float) -> np.ndarray:
         raise ValueError(f"shape mismatch: X {X.shape} vs D {D.shape}")
     if eta < 0:
         raise ValueError("eta must be nonnegative")
-    assert float(np.linalg.norm(X.T @ D + D.T @ X)) <= 1e-8 * max(1.0, float(np.linalg.norm(D))), (
-        "retraction direction is not tangent"
-    )
     M = D.T @ D
-    w, Q = np.linalg.eigh(M)
-    scale = 1.0 / np.sqrt(np.maximum(1.0 + eta * eta * w, EIG_FLOOR))
-    S = (Q * scale) @ Q.T
-    out = (X - eta * D) @ S
+    XtD = X.T @ D
+    asym = XtD + XtD.T
+    err = math.sqrt(float(np.vdot(asym, asym)))
+    d_norm = math.sqrt(float(M.trace()))
+    tol = TANGENCY_TOL * max(1.0, d_norm)
+    if not err <= tol:
+        raise FeasibilityError(
+            f"retraction direction is not tangent: ||X'D + D'X||_F = {err:.3e} > {tol:.3e}"
+            f" = {TANGENCY_TOL:.0e} max(1, ||D||_F)"
+        )
+    K = (eta * eta) * M
+    n = retract_series_order(math.sqrt(float(np.vdot(K, K))))
+    step = X - eta * D
+    if n is None:
+        w, Q = np.linalg.eigh(M)
+        scale = 1.0 / np.sqrt(np.maximum(1.0 + eta * eta * w, EIG_FLOOR))
+        out = step @ ((Q * scale) @ Q.T)
+    elif n == 1:
+        out = step
+    else:
+        out = step @ _binomial_inv_sqrt(K, n)
     return require_stiefel(out, RETRACT_FEASIBILITY_TOL, "retracted X")
 
 

@@ -8,6 +8,8 @@ whole module stays fast.
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -90,6 +92,24 @@ def test_unknown_grad_mode_exits_one(tmp_path, capsys):
     rc = main(["finetune-toy", "--out", str(tmp_path / "r"), "--grad-mode", "nope", *FAST_FINETUNE])
     assert rc == EXIT_ERROR
     assert "nope" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_non_tangent_step_exits_one_with_one_line(tmp_path, flags):
+    # gamma = 2.5 over-relaxes Theta until rounding leaves the projected
+    # direction off the tangent space; the retraction's check must report it
+    # as an error line, with or without python -O, and print no traceback
+    import polarlab
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(polarlab.__file__)))
+    argv = ["factorize", "--gamma", "2.5", "--kappa", "1", "--r-a", "1", "--out", str(tmp_path / "r")]
+    proc = subprocess.run(
+        [sys.executable, *flags, "-m", "polarlab.cli", *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == EXIT_ERROR
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith("error: retraction direction is not tangent")
 
 
 def test_usage_errors_raise_system_exit_one():

@@ -5,11 +5,18 @@ routines are cross-checked against an independent eigendecomposition
 route rather than against themselves.
 """
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from polarlab.exceptions import FeasibilityError, RankDeficientError
 from polarlab.stiefel import (
+    _BINOMIAL_COEFFS,
+    RETRACT_SERIES_MAX_ORDER,
+    UNIT_ROUNDOFF,
     alignment,
     distance_to_stiefel,
     misalignment_trace,
@@ -17,6 +24,7 @@ from polarlab.stiefel import (
     polar_decompose,
     polar_retract,
     require_stiefel,
+    retract_series_order,
     sample_stiefel_uniform,
     skew_part,
     stable_rank,
@@ -152,6 +160,104 @@ def test_polar_retract_validates_inputs():
         polar_retract(X, np.zeros((6, 3)), 0.1)
     with pytest.raises(ValueError):
         polar_retract(X, np.zeros_like(X), -0.1)
+
+
+def _eigh_retraction(X, D, eta):
+    # the closed form (X - eta D)(I + eta^2 D^T D)^{-1/2} through eigh
+    w, Q = np.linalg.eigh(D.T @ D)
+    scale = 1.0 / np.sqrt(np.maximum(1.0 + eta * eta * w, 1e-14))
+    return (X - eta * D) @ ((Q * scale) @ Q.T)
+
+
+# x = ||eta^2 D^T D||_F and the series order it selects; None takes eigh
+SERIES_CASES = [(0.0, 1), (1e-14, 2), (1e-10, 2), (1e-4, 4), (1e-2, 8), (0.3, None), (2.0, None)]
+
+
+@pytest.mark.parametrize("x, order", SERIES_CASES)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_polar_retract_series_matches_eigh_formula(monkeypatch, seed, x, order):
+    rng = np.random.default_rng(seed)
+    X = sample_stiefel_uniform(50, 20, rng)
+    D = tangent_project(X, rng.standard_normal((50, 20)))
+    eta = float(np.sqrt(x / np.linalg.norm(D.T @ D)))
+    assert retract_series_order(eta * eta * float(np.linalg.norm(D.T @ D))) == order
+    eigh_calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda M: eigh_calls.append(M) or eigh(M))
+    out = polar_retract(X, D, eta)
+    monkeypatch.undo()
+    assert len(eigh_calls) == (1 if order is None else 0)
+    ref = _eigh_retraction(X, D, eta)
+    if order is None:
+        # the fallback is the eigh formula itself, bit for bit
+        assert np.array_equal(out, ref)
+    assert np.linalg.norm(out - ref) <= 1e-13 * np.linalg.norm(ref)
+    assert stiefel_error(out) <= 1e-12
+
+
+@pytest.mark.parametrize("x", [0.0, 1e-300, 1e-16, 1e-14, 1e-10, 1e-6, 1e-4, 1e-3, 1e-2, 0.02, 0.3, 0.49, 0.5, 2.0])
+def test_retract_series_order_is_minimal(x):
+    def bound(n):
+        return _BINOMIAL_COEFFS[n] * x**n / (1.0 - x)
+
+    n = retract_series_order(x)
+    if n is None:
+        # past the cap: the bound fails at every order the series may use
+        assert x >= 0.5 or all(bound(k) > UNIT_ROUNDOFF for k in range(1, RETRACT_SERIES_MAX_ORDER + 1))
+        return
+    assert 1 <= n <= RETRACT_SERIES_MAX_ORDER
+    assert bound(n) <= UNIT_ROUNDOFF
+    if n > 1:
+        assert bound(n - 1) > UNIT_ROUNDOFF
+
+
+def test_binomial_coefficients_follow_the_recurrence():
+    assert _BINOMIAL_COEFFS[0] == 1.0
+    for k in range(1, RETRACT_SERIES_MAX_ORDER + 1):
+        assert _BINOMIAL_COEFFS[k] == _BINOMIAL_COEFFS[k - 1] * (2 * k - 1) / (2 * k)
+
+
+NON_TANGENT_SCRIPT = """
+import numpy as np
+from polarlab.exceptions import FeasibilityError
+from polarlab.stiefel import polar_retract
+X = np.eye(4, 2)
+D = np.zeros((4, 2))
+D[0, 0] = 1.0  # X^T D + D^T X = diag(2, 0)
+try:
+    polar_retract(X, D, 0.1)
+except FeasibilityError as exc:
+    print("raised:", exc)
+"""
+
+
+def test_polar_retract_rejects_non_tangent_direction():
+    X = np.eye(4, 2)
+    D = np.zeros((4, 2))
+    D[0, 0] = 1.0
+    with pytest.raises(FeasibilityError, match="not tangent"):
+        polar_retract(X, D, 0.1)
+    # a normal component below the tolerance, 1e-8 max(1, ||D||_F), passes
+    rng = np.random.default_rng(0)
+    X = sample_stiefel_uniform(12, 4, rng)
+    D = tangent_project(X, rng.standard_normal((12, 4)))
+    polar_retract(X, D + 1e-10 * X, 0.1)
+    with pytest.raises(FeasibilityError, match="not tangent"):
+        polar_retract(X, D + 1e-6 * X, 0.1)
+    with pytest.raises(FeasibilityError, match="not tangent"):
+        polar_retract(X, np.full_like(X, np.nan), 0.1)
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_polar_retract_tangency_check_survives_optimize_flag(flags):
+    import polarlab
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(polarlab.__file__)))
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", NON_TANGENT_SCRIPT], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised: retraction direction is not tangent")
 
 
 # ---------------------------------------------------------------------------
