@@ -30,7 +30,7 @@ TANGENCY_TOL = 1e-8
 # once its tail is below it.
 UNIT_ROUNDOFF = 2.0**-53
 # Highest order of that series; larger orders fall back to eigh, which costs
-# more than the at most 7 r x r products the series needs up to this order.
+# more than the at most 6 r x r products the series needs up to this order.
 RETRACT_SERIES_MAX_ORDER = 8
 # Binomial coefficients c_k of (1 + x)^{-1/2} = sum_k c_k (-x)^k:
 # c_0 = 1, c_k = c_{k-1} (2k - 1) / (2k).
@@ -190,8 +190,8 @@ def polar_retract(X, D, eta: float) -> np.ndarray:
         raise ValueError("eta must be nonnegative")
     M = D.T @ D
     XtD = X.T @ D
-    asym = XtD + XtD.T
-    err = math.sqrt(float(np.vdot(asym, asym)))
+    sym = XtD + XtD.T  # zero for tangent D
+    err = math.sqrt(float(np.vdot(sym, sym)))
     d_norm = math.sqrt(float(M.trace()))
     tol = TANGENCY_TOL * max(1.0, d_norm)
     if not err <= tol:
