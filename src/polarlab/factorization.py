@@ -10,17 +10,21 @@ Three algorithms on synthetic targets with controlled spectrum:
 
 Losses are 0.5 * ||residual||_F^2 throughout. Alignment diagnostics track
 how the factor subspaces capture the target's singular subspaces.
+
+Each algorithm is a method object that :func:`polarlab.runner.run` iterates
+until the loss threshold or the budget. The single steps (``rgd_step_asym``,
+``gd_step_bm``, ``rgd_step_sym``) are one evaluate and step of the same
+method, so each update is written once.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .exceptions import DivergenceError
+from .runner import advance, run
 from .stiefel import (
     alignment,
     polar_retract,
@@ -29,8 +33,6 @@ from .stiefel import (
     tangent_project,
 )
 from .trace import RunTrace
-
-DIVERGENCE_LOSS = 1e12
 
 
 # ---------------------------------------------------------------------------
@@ -77,6 +79,10 @@ class SymTarget:
     @property
     def m(self) -> int:
         return self.B.shape[0]
+
+    @property
+    def n(self) -> int:
+        return self.B.shape[1]
 
     @property
     def r_a(self) -> int:
@@ -289,71 +295,20 @@ def euclid_grad_sym(target: SymTarget, f: SymFactors) -> np.ndarray:
     return resid @ (f.X @ f.Theta.T) + resid.T @ (f.X @ f.Theta)
 
 
-def _asym_directions(
-    target: FactorizationTarget, f: PolarFactors, gamma: float
-) -> tuple[np.ndarray, float, float, np.ndarray, np.ndarray]:
-    """Theta refresh and the descent directions of X and Y.
-
-    Returns (Theta, loss at the refreshed state, grad norm^2, E, F); the
-    step itself is the retraction of X along E and of Y along F.
-    """
-    AY = target.A @ f.Y
-    AtX = target.A.T @ f.X
-    M = f.X.T @ AY
-    Theta = M if gamma == 1.0 else (1.0 - gamma) * f.Theta + gamma * M
-    # 0.5||X Theta Y^T - A||^2 expanded under X^T X = Y^T Y = I
-    loss = 0.5 * (target.a2 - 2.0 * float(np.sum(Theta * M)) + float(np.sum(Theta * Theta)))
-    if gamma == 1.0:
-        T1 = AY @ Theta.T
-        E = f.X @ (f.X.T @ T1) - T1
-        T2 = AtX @ Theta
-        F = f.Y @ (f.Y.T @ T2) - T2
-    else:
-        # Euclidean gradients at fixed (damped) Theta, then tangent projection
-        gX = f.X @ (Theta @ Theta.T) - AY @ Theta.T
-        gY = f.Y @ (Theta.T @ Theta) - AtX @ Theta
-        E = tangent_project(f.X, gX)
-        F = tangent_project(f.Y, gY)
-    grad_sq = float(np.sum(E * E) + np.sum(F * F))
-    return Theta, max(loss, 0.0), grad_sq, E, F
-
-
 def rgd_step_asym(target: FactorizationTarget, f: PolarFactors, eta: float, gamma: float = 1.0) -> PolarFactors:
     """One full step of the asymmetric algorithm: Theta refresh, then
     simultaneous retraction updates of X and Y from that same Theta."""
-    Theta, _, _, E, F = _asym_directions(target, f, gamma)
-    return PolarFactors(X=polar_retract(f.X, E, eta), Theta=Theta, Y=polar_retract(f.Y, F, eta))
+    return advance(_PolarRGD(target, eta, gamma), f, 0)[0]
 
 
 def gd_step_bm(target: FactorizationTarget, f: BMFactors, eta: float) -> BMFactors:
     """Simultaneous GD update of both factors from the same residual."""
-    resid = f.Z1 @ f.Z2.T - target.A
-    Z1 = f.Z1 - eta * (resid @ f.Z2)
-    Z2 = f.Z2 - eta * (resid.T @ f.Z1)
-    return BMFactors(Z1=Z1, Z2=Z2)
-
-
-def _sym_directions(target: SymTarget, f: SymFactors, gamma: float) -> tuple[np.ndarray, float, float, np.ndarray]:
-    """Theta refresh and the descent direction of X: (Theta, loss, grad norm^2, G)."""
-    BX = target.B @ f.X
-    M = f.X.T @ BX
-    Theta = M if gamma == 1.0 else (1.0 - gamma) * f.Theta + gamma * M
-    loss = 0.5 * (target.b2 - 2.0 * float(np.sum(Theta * M)) + float(np.sum(Theta * Theta)))
-    if gamma == 1.0:
-        P = BX @ M
-        G = f.X @ (f.X.T @ P) - P
-    else:
-        # Euclidean gradient R X Theta^T + R^T X Theta expanded under X^T X = I
-        gX = f.X @ (Theta @ Theta.T + Theta.T @ Theta) - BX @ (Theta.T + Theta)
-        G = tangent_project(f.X, gX)
-    grad_sq = float(np.sum(G * G))
-    return Theta, max(loss, 0.0), grad_sq, G
+    return advance(_BMGD(target, eta), f, 0)[0]
 
 
 def rgd_step_sym(target: SymTarget, f: SymFactors, eta: float, gamma: float = 1.0) -> SymFactors:
     """One Theta refresh + retraction step of the symmetric algorithm."""
-    Theta, _, _, G = _sym_directions(target, f, gamma)
-    return SymFactors(X=polar_retract(f.X, G, eta), Theta=Theta)
+    return advance(_SymRGD(target, eta, gamma), f, 0)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -427,45 +382,124 @@ def loss_alignment_bound(target: FactorizationTarget, f: PolarFactors) -> tuple[
 
 
 # ---------------------------------------------------------------------------
-# runners
+# methods and runners (the loop itself is polarlab.runner.run)
 
 
-def _record_asym(trace, target, f, it, loss, grad_sq, t0):
-    rep_phi = alignment(target.U, f.X)
-    rep_psi = alignment(target.V, f.Y)
-    trace.append(
-        it,
-        loss,
-        trace_phi=rep_phi.trace_phi,
-        trace_psi=rep_psi.trace_phi,
-        sigma_min_phi=rep_phi.sigma_min_phi,
-        sigma_min_psi=rep_psi.sigma_min_phi,
-        grad_norm=float(np.sqrt(grad_sq)),
-        wall_time=time.perf_counter() - t0,
-    )
+def _alignment_columns(target, X, Y, grad_sq: float) -> dict:
+    """Trace columns: alignment of X (and Y) with the target's singular subspaces, and the gradient norm."""
+    phi = alignment(target.U, X)
+    columns = {"trace_phi": phi.trace_phi, "sigma_min_phi": phi.sigma_min_phi, "grad_norm": float(np.sqrt(grad_sq))}
+    if Y is not None:
+        psi = alignment(target.V, Y)
+        columns.update(trace_psi=psi.trace_phi, sigma_min_psi=psi.sigma_min_phi)
+    return columns
 
 
-def _check_divergence(loss: float, algorithm: str, it: int):
-    if not np.isfinite(loss) or loss > DIVERGENCE_LOSS:
-        raise DivergenceError(f"{algorithm} diverged at iteration {it}: loss = {loss:.3e}")
+class _PolarRGD:
+    """Theta refresh, then retraction of X along E and of Y along F."""
+
+    name = "polar-rgd"
+
+    def __init__(self, target: FactorizationTarget, eta: float, gamma: float):
+        self.target, self.eta, self.gamma = target, eta, gamma
+
+    def evaluate(self, f: PolarFactors):
+        """The refreshed-Theta state, its loss and (grad norm^2, E, F)."""
+        target, gamma = self.target, self.gamma
+        AY = target.A @ f.Y
+        AtX = target.A.T @ f.X
+        M = f.X.T @ AY
+        Theta = M if gamma == 1.0 else (1.0 - gamma) * f.Theta + gamma * M
+        # 0.5||X Theta Y^T - A||^2 expanded under X^T X = Y^T Y = I
+        loss = 0.5 * (target.a2 - 2.0 * float(np.sum(Theta * M)) + float(np.sum(Theta * Theta)))
+        if gamma == 1.0:
+            T1 = AY @ Theta.T
+            E = f.X @ (f.X.T @ T1) - T1
+            T2 = AtX @ Theta
+            F = f.Y @ (f.Y.T @ T2) - T2
+        else:
+            # Euclidean gradients at fixed (damped) Theta, then tangent projection
+            gX = f.X @ (Theta @ Theta.T) - AY @ Theta.T
+            gY = f.Y @ (Theta.T @ Theta) - AtX @ Theta
+            E = tangent_project(f.X, gX)
+            F = tangent_project(f.Y, gY)
+        grad_sq = float(np.sum(E * E) + np.sum(F * F))
+        return PolarFactors(X=f.X, Theta=Theta, Y=f.Y), max(loss, 0.0), (grad_sq, E, F)
+
+    def step(self, f: PolarFactors, ev, it: int) -> PolarFactors:
+        _, E, F = ev
+        return PolarFactors(X=polar_retract(f.X, E, self.eta), Theta=f.Theta, Y=polar_retract(f.Y, F, self.eta))
+
+    def record(self, f: PolarFactors, ev) -> dict:
+        return _alignment_columns(self.target, f.X, f.Y, ev[0])
 
 
-def _record_bm(trace, target, f, it, loss, G1, G2, t0):
-    # subspace alignment of the orthonormalized factors
-    Q1 = np.linalg.qr(f.Z1)[0]
-    Q2 = np.linalg.qr(f.Z2)[0]
-    rep_phi = alignment(target.U, Q1)
-    rep_psi = alignment(target.V, Q2)
-    trace.append(
-        it,
-        loss,
-        trace_phi=rep_phi.trace_phi,
-        trace_psi=rep_psi.trace_phi,
-        sigma_min_phi=rep_phi.sigma_min_phi,
-        sigma_min_psi=rep_psi.sigma_min_phi,
-        grad_norm=float(np.sqrt(np.sum(G1 * G1) + np.sum(G2 * G2))),
-        wall_time=time.perf_counter() - t0,
-    )
+class _BMGD:
+    """Simultaneous gradient descent on both factors from the same residual."""
+
+    name = "bm-gd"
+
+    def __init__(self, target: FactorizationTarget, eta: float):
+        self.target, self.eta = target, eta
+
+    def evaluate(self, f: BMFactors):
+        resid = f.Z1 @ f.Z2.T - self.target.A
+        return f, 0.5 * float(np.sum(resid * resid)), (resid @ f.Z2, resid.T @ f.Z1)
+
+    def step(self, f: BMFactors, ev, it: int) -> BMFactors:
+        G1, G2 = ev
+        return BMFactors(Z1=f.Z1 - self.eta * G1, Z2=f.Z2 - self.eta * G2)
+
+    def record(self, f: BMFactors, ev) -> dict:
+        G1, G2 = ev
+        # subspace alignment of the orthonormalized factors
+        Q1 = np.linalg.qr(f.Z1)[0]
+        Q2 = np.linalg.qr(f.Z2)[0]
+        return _alignment_columns(self.target, Q1, Q2, float(np.sum(G1 * G1) + np.sum(G2 * G2)))
+
+
+class _SymRGD:
+    """Theta refresh, then retraction of X along G; psi diagnostics are undefined."""
+
+    name = "polar-rgd-sym"
+
+    def __init__(self, target: SymTarget, eta: float, gamma: float):
+        self.target, self.eta, self.gamma = target, eta, gamma
+
+    def evaluate(self, f: SymFactors):
+        """The refreshed-Theta state, its loss and (grad norm^2, G)."""
+        target, gamma = self.target, self.gamma
+        BX = target.B @ f.X
+        M = f.X.T @ BX
+        Theta = M if gamma == 1.0 else (1.0 - gamma) * f.Theta + gamma * M
+        loss = 0.5 * (target.b2 - 2.0 * float(np.sum(Theta * M)) + float(np.sum(Theta * Theta)))
+        if gamma == 1.0:
+            P = BX @ M
+            G = f.X @ (f.X.T @ P) - P
+        else:
+            # Euclidean gradient R X Theta^T + R^T X Theta expanded under X^T X = I
+            gX = f.X @ (Theta @ Theta.T + Theta.T @ Theta) - BX @ (Theta.T + Theta)
+            G = tangent_project(f.X, gX)
+        return SymFactors(X=f.X, Theta=Theta), max(loss, 0.0), (float(np.sum(G * G)), G)
+
+    def step(self, f: SymFactors, ev, it: int) -> SymFactors:
+        return SymFactors(X=polar_retract(f.X, ev[1], self.eta), Theta=f.Theta)
+
+    def record(self, f: SymFactors, ev) -> dict:
+        return _alignment_columns(self.target, f.X, None, ev[0])
+
+
+def _metadata(target, r: int, seed: int, eta: float, gamma: float) -> dict:
+    return {
+        "seed": seed,
+        "eta": eta,
+        "gamma": gamma,
+        "m": target.m,
+        "n": target.n,
+        "r": r,
+        "r_A": target.r_a,
+        "kappa": target.kappa,
+    }
 
 
 def run_polar_rgd(
@@ -485,51 +519,9 @@ def run_polar_rgd(
     ``metadata['iterations']`` is the exact crossing iteration when converged
     and ``max_iters`` otherwise.
     """
-    rng = np.random.default_rng(seed)
-    f = init_polar_factors(target, r, rng)
-    trace = RunTrace(
-        algorithm="polar-rgd",
-        metadata={
-            "seed": seed,
-            "eta": eta,
-            "gamma": gamma,
-            "m": target.m,
-            "n": target.n,
-            "r": r,
-            "r_A": target.r_a,
-            "kappa": target.kappa,
-            "max_iters": max_iters,
-            "loss_threshold": loss_threshold,
-            "record_every": record_every,
-        },
-    )
-    t0 = time.perf_counter()
-    converged = False
-    steps = 0
-    for it in range(max_iters):
-        Theta, loss, grad_sq, E, F = _asym_directions(target, f, gamma)
-        _check_divergence(loss, "polar-rgd", it)
-        # the refreshed-Theta state the step is computed from
-        f = PolarFactors(X=f.X, Theta=Theta, Y=f.Y)
-        hit = loss <= loss_threshold
-        if it % record_every == 0 or hit:
-            _record_asym(trace, target, f, it, loss, grad_sq, t0)
-        if hit:
-            converged = True
-            steps = it
-            break
-        f = PolarFactors(X=polar_retract(f.X, E, eta), Theta=Theta, Y=polar_retract(f.Y, F, eta))
-    else:
-        # budget exhausted: evaluate and record the state after the last step
-        Theta, loss, grad_sq, _, _ = _asym_directions(target, f, gamma)
-        _check_divergence(loss, "polar-rgd", max_iters)
-        f = PolarFactors(X=f.X, Theta=Theta, Y=f.Y)
-        _record_asym(trace, target, f, max_iters, loss, grad_sq, t0)
-        steps = max_iters
-    trace.metadata["converged"] = converged
-    trace.metadata["iterations"] = steps
-    trace.metadata["final_loss"] = trace.final_loss
-    return trace, f
+    f = init_polar_factors(target, r, np.random.default_rng(seed))
+    metadata = _metadata(target, r, seed, eta, gamma)
+    return run(_PolarRGD(target, eta, gamma), f, metadata, max_iters, record_every, loss_threshold)
 
 
 def run_bm_gd(
@@ -542,51 +534,9 @@ def run_bm_gd(
     record_every: int = 100,
 ) -> tuple[RunTrace, BMFactors]:
     """Plain GD baseline on the two-factor parameterization."""
-    rng = np.random.default_rng(seed)
-    f = init_bm_factors(target, r, rng)
-    trace = RunTrace(
-        algorithm="bm-gd",
-        metadata={
-            "seed": seed,
-            "eta": eta,
-            "gamma": float("nan"),
-            "m": target.m,
-            "n": target.n,
-            "r": r,
-            "r_A": target.r_a,
-            "kappa": target.kappa,
-            "max_iters": max_iters,
-            "loss_threshold": loss_threshold,
-            "record_every": record_every,
-        },
-    )
-    t0 = time.perf_counter()
-    converged = False
-    steps = 0
-    for it in range(max_iters):
-        resid = f.Z1 @ f.Z2.T - target.A
-        loss = 0.5 * float(np.sum(resid * resid))
-        _check_divergence(loss, "bm-gd", it)
-        G1 = resid @ f.Z2
-        G2 = resid.T @ f.Z1
-        hit = loss <= loss_threshold
-        if it % record_every == 0 or hit:
-            _record_bm(trace, target, f, it, loss, G1, G2, t0)
-        if hit:
-            converged = True
-            steps = it
-            break
-        f = BMFactors(Z1=f.Z1 - eta * G1, Z2=f.Z2 - eta * G2)
-    else:
-        resid = f.Z1 @ f.Z2.T - target.A
-        loss = 0.5 * float(np.sum(resid * resid))
-        _check_divergence(loss, "bm-gd", max_iters)
-        _record_bm(trace, target, f, max_iters, loss, resid @ f.Z2, resid.T @ f.Z1, t0)
-        steps = max_iters
-    trace.metadata["converged"] = converged
-    trace.metadata["iterations"] = steps
-    trace.metadata["final_loss"] = trace.final_loss
-    return trace, f
+    f = init_bm_factors(target, r, np.random.default_rng(seed))
+    metadata = _metadata(target, r, seed, eta, float("nan"))
+    return run(_BMGD(target, eta), f, metadata, max_iters, record_every, loss_threshold)
 
 
 def run_sym_rgd(
@@ -600,58 +550,6 @@ def run_sym_rgd(
     record_every: int = 100,
 ) -> tuple[RunTrace, SymFactors]:
     """Symmetric-variant runner; psi diagnostics are undefined and recorded as NaN."""
-    rng = np.random.default_rng(seed)
-    f = init_sym_factors(target, r, rng)
-    trace = RunTrace(
-        algorithm="polar-rgd-sym",
-        metadata={
-            "seed": seed,
-            "eta": eta,
-            "gamma": gamma,
-            "m": target.m,
-            "n": target.m,
-            "r": r,
-            "r_A": target.r_a,
-            "kappa": target.kappa,
-            "max_iters": max_iters,
-            "loss_threshold": loss_threshold,
-            "record_every": record_every,
-        },
-    )
-    t0 = time.perf_counter()
-    converged = False
-    steps = 0
-    for it in range(max_iters):
-        Theta, loss, grad_sq, G = _sym_directions(target, f, gamma)
-        _check_divergence(loss, "polar-rgd-sym", it)
-        hit = loss <= loss_threshold
-        if it % record_every == 0 or hit:
-            _record_sym(trace, target, f, it, loss, grad_sq, t0)
-        if hit:
-            converged = True
-            steps = it
-            f = SymFactors(X=f.X, Theta=Theta)
-            break
-        f = SymFactors(X=polar_retract(f.X, G, eta), Theta=Theta)
-    else:
-        Theta, loss, grad_sq, _ = _sym_directions(target, f, gamma)
-        _check_divergence(loss, "polar-rgd-sym", max_iters)
-        f = SymFactors(X=f.X, Theta=Theta)
-        _record_sym(trace, target, f, max_iters, loss, grad_sq, t0)
-        steps = max_iters
-    trace.metadata["converged"] = converged
-    trace.metadata["iterations"] = steps
-    trace.metadata["final_loss"] = trace.final_loss
-    return trace, f
-
-
-def _record_sym(trace, target, f, it, loss, grad_sq, t0):
-    rep_phi = alignment(target.U, f.X)
-    trace.append(
-        it,
-        loss,
-        trace_phi=rep_phi.trace_phi,
-        sigma_min_phi=rep_phi.sigma_min_phi,
-        grad_norm=float(np.sqrt(grad_sq)),
-        wall_time=time.perf_counter() - t0,
-    )
+    f = init_sym_factors(target, r, np.random.default_rng(seed))
+    metadata = _metadata(target, r, seed, eta, gamma)
+    return run(_SymRGD(target, eta, gamma), f, metadata, max_iters, record_every, loss_threshold)

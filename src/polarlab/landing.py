@@ -15,17 +15,21 @@ The task is least squares against whitened inputs: L = ||(W0 + DeltaW) D
 ||DeltaW - residual||_F^2 + c; both evaluation paths are implemented.
 A plain LoRA-style baseline (two Euclidean factors, Z2 zero-initialized)
 trains on the same task for comparison.
+
+Both trainers are method objects that :func:`polarlab.runner.run` iterates
+for the whole budget, with no early stop; ``polar_train_step`` and
+``lora_train_step`` are one evaluate and step of the same methods.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from . import io
-from .exceptions import DivergenceError
+from .runner import advance, run
 from .stiefel import (
     distance_to_stiefel,
     pairwise_direction_distances,
@@ -299,44 +303,86 @@ def lora_grads(task: WhitenedTask, state: LoraState) -> tuple[np.ndarray, np.nda
 
 
 # ---------------------------------------------------------------------------
-# training steps
+# methods, single steps and runners (the loop itself is polarlab.runner.run)
 
 
-def _polar_landing_iteration(
-    task: WhitenedTask,
-    state: AdapterState,
-    opt: dict,
-    cfg: LandingConfig,
-    t: int,
-    theta_mode: str = "full",
-    grad_mode: str = "landing",
-):
-    G_X, G_Theta, G_Y, loss = whitened_task_grads(task, state)
-    if not np.isfinite(loss):
-        raise DivergenceError(f"landing run hit a non-finite loss at step {t}")
-    if theta_mode == "diagonal":
-        G_Theta = np.diag(np.diag(G_Theta))
-    elif theta_mode != "full":
-        raise ValueError(f"unknown theta_mode {theta_mode!r}")
-    if grad_mode == "landing":
-        dir_X = landing_field(state.X, G_X, cfg.lam)
-        dir_Y = landing_field(state.Y, G_Y, cfg.lam)
-    elif grad_mode == "euclidean":
-        # ablation arm: raw loss gradient plus the same orthogonality penalty
-        dir_X = G_X + cfg.lam * grad_distance_to_stiefel(state.X)
-        dir_Y = G_Y + cfg.lam * grad_distance_to_stiefel(state.Y)
-    else:
-        raise ValueError(f"unknown grad_mode {grad_mode!r}")
-    eta_t = cfg.eta_at(t)
-    new_state = AdapterState(
-        W0=state.W0,
-        X=state.X - eta_t * adam_transform(opt["X"], dir_X, cfg.beta1, cfg.beta2, cfg.eps),
-        Theta=state.Theta - eta_t * adam_transform(opt["Theta"], G_Theta, cfg.beta1, cfg.beta2, cfg.eps),
-        Y=state.Y - eta_t * adam_transform(opt["Y"], dir_Y, cfg.beta1, cfg.beta2, cfg.eps),
-        scale_alpha=state.scale_alpha,
-    )
-    grad_norm = float(np.sqrt(np.sum(dir_X**2) + np.sum(dir_Y**2) + np.sum(G_Theta**2)))
-    return new_state, loss, grad_norm
+def _adapter_columns(state, left, right) -> dict:
+    """Trace columns of either adapter: N of its two factors and the stable rank of DeltaW."""
+    try:
+        sr = stable_rank(state.delta_w()).stable_rank
+    except ValueError:  # DeltaW = 0 at initialization
+        sr = float("nan")
+    return {"n_x": distance_to_stiefel(left), "n_y": distance_to_stiefel(right), "stable_rank": sr}
+
+
+def _adam_update(state, opt: dict, cfg: LandingConfig, it: int, grads: dict):
+    """``state`` with each named parameter moved by -eta_it times the Adam transform of its gradient."""
+    eta_t = cfg.eta_at(it)
+    moved = {name: getattr(state, name) - eta_t * adam_transform(opt[name], g, cfg.beta1, cfg.beta2, cfg.eps)
+             for name, g in grads.items()}
+    return replace(state, **moved)
+
+
+class _PolarLanding:
+    """The landing step of :func:`polar_train_step`. ``theta_mode="diagonal"`` keeps
+    Theta diagonal; ``grad_mode="euclidean"`` is the ablation arm: the raw loss
+    gradient plus the same penalty instead of the field."""
+
+    name = "landing-polar"
+
+    def __init__(self, task: WhitenedTask, cfg: LandingConfig, opt: dict, theta_mode: str, grad_mode: str):
+        if theta_mode not in ("full", "diagonal"):
+            raise ValueError(f"unknown theta_mode {theta_mode!r}")
+        if grad_mode not in ("landing", "euclidean"):
+            raise ValueError(f"unknown grad_mode {grad_mode!r}")
+        self.task, self.cfg, self.opt = task, cfg, opt
+        self.theta_mode, self.grad_mode = theta_mode, grad_mode
+
+    def evaluate(self, state: AdapterState):
+        G_X, G_Theta, G_Y, loss = whitened_task_grads(self.task, state)
+        return state, loss, {"grads": (G_X, G_Theta, G_Y)}
+
+    def step(self, state: AdapterState, ev: dict, it: int) -> AdapterState:
+        cfg = self.cfg
+        G_X, G_Theta, G_Y = ev["grads"]
+        if self.theta_mode == "diagonal":
+            G_Theta = np.diag(np.diag(G_Theta))
+        if self.grad_mode == "landing":
+            dir_X = landing_field(state.X, G_X, cfg.lam)
+            dir_Y = landing_field(state.Y, G_Y, cfg.lam)
+        else:
+            dir_X = G_X + cfg.lam * grad_distance_to_stiefel(state.X)
+            dir_Y = G_Y + cfg.lam * grad_distance_to_stiefel(state.Y)
+        ev["taken"] = (dir_X, G_Theta, dir_Y)
+        return _adam_update(state, self.opt, cfg, it, {"X": dir_X, "Theta": G_Theta, "Y": dir_Y})
+
+    def record(self, state: AdapterState, ev: dict) -> dict:
+        # the norm of the direction taken; the state after the last step takes none
+        grad_norm = float("nan")
+        if "taken" in ev:
+            dir_X, G_Theta, dir_Y = ev["taken"]
+            grad_norm = float(np.sqrt(np.sum(dir_X**2) + np.sum(dir_Y**2) + np.sum(G_Theta**2)))
+        return {"grad_norm": grad_norm, **_adapter_columns(state, state.X, state.Y)}
+
+
+class _Lora:
+    """Adam on both Euclidean factors from one backward pass."""
+
+    name = "lora"
+
+    def __init__(self, task: WhitenedTask, cfg: LandingConfig, opt: dict):
+        self.task, self.cfg, self.opt = task, cfg, opt
+
+    def evaluate(self, state: LoraState):
+        G1, G2, loss = lora_grads(self.task, state)
+        return state, loss, (G1, G2)
+
+    def step(self, state: LoraState, ev, it: int) -> LoraState:
+        G1, G2 = ev
+        return _adam_update(state, self.opt, self.cfg, it, {"Z1": G1, "Z2": G2})
+
+    def record(self, state: LoraState, ev) -> dict:
+        return _adapter_columns(state, state.Z1, state.Z2)
 
 
 def polar_train_step(
@@ -351,32 +397,17 @@ def polar_train_step(
     """One landing step. All gradients are taken at the pre-step state; X and Y
     move along the Adam-transformed landing field (penalty inside), Theta along
     its Adam-transformed Euclidean gradient. Returns the pre-step loss."""
-    new_state, loss, _ = _polar_landing_iteration(task, state, opt, cfg, t, theta_mode, grad_mode)
-    return new_state, loss
+    return advance(_PolarLanding(task, cfg, opt, theta_mode, grad_mode), state, t)
 
 
 def lora_train_step(
     task: WhitenedTask, state: LoraState, opt: dict, cfg: LandingConfig, t: int
 ) -> tuple[LoraState, float]:
     """One Adam step of the Euclidean two-factor baseline on the same task."""
-    G1, G2, loss = lora_grads(task, state)
-    if not np.isfinite(loss):
-        raise DivergenceError(f"lora run hit a non-finite loss at step {t}")
-    eta_t = cfg.eta_at(t)
-    new_state = LoraState(
-        W0=state.W0,
-        Z1=state.Z1 - eta_t * adam_transform(opt["Z1"], G1, cfg.beta1, cfg.beta2, cfg.eps),
-        Z2=state.Z2 - eta_t * adam_transform(opt["Z2"], G2, cfg.beta1, cfg.beta2, cfg.eps),
-        scale_alpha=state.scale_alpha,
-    )
-    return new_state, loss
+    return advance(_Lora(task, cfg, opt), state, t)
 
 
-# ---------------------------------------------------------------------------
-# runners
-
-
-def _landing_metadata(task: WhitenedTask, cfg: LandingConfig, r: int, scale_alpha: float, record_every: int, method: str) -> dict:
+def _landing_metadata(task: WhitenedTask, cfg: LandingConfig, r: int, scale_alpha: float, method: str) -> dict:
     return {
         "seed": cfg.seed,
         "eta": cfg.eta,
@@ -388,8 +419,6 @@ def _landing_metadata(task: WhitenedTask, cfg: LandingConfig, r: int, scale_alph
         "kappa": float(task.planted_sigma[0] / task.planted_sigma[-1]),
         "lam": cfg.lam,
         "scale_alpha": scale_alpha,
-        "max_iters": cfg.max_iters,
-        "record_every": record_every,
         "method": method,
     }
 
@@ -403,29 +432,17 @@ def train_polar_landing(
     theta_mode: str = "full",
     grad_mode: str = "landing",
 ) -> tuple[AdapterState, RunTrace]:
-    """Train the polar adapter with the landing method.
+    """Train the polar adapter with the landing method for ``cfg.max_iters`` steps.
 
     The trace adds per-iteration columns n_x = N(X), n_y = N(Y) and
     stable_rank of DeltaW; subspace alignment columns are undefined off
     the manifold and recorded as NaN.
     """
-    import time
-
-    rng = np.random.default_rng(cfg.seed)
-    state = init_adapter_state(task.W0, r, rng, scale_alpha)
+    state = init_adapter_state(task.W0, r, np.random.default_rng(cfg.seed), scale_alpha)
     opt = {name: AdamState.zeros_like(getattr(state, name)) for name in ("X", "Theta", "Y")}
-    trace = RunTrace(
-        algorithm="landing-polar",
-        metadata=_landing_metadata(task, cfg, r, scale_alpha, record_every, "landing-polar"),
-    )
-    t0 = time.perf_counter()
-    for t in range(cfg.max_iters):
-        pre = state
-        state, loss, grad_norm = _polar_landing_iteration(task, pre, opt, cfg, t, theta_mode, grad_mode)
-        if t % record_every == 0:
-            _record_adapter(trace, task, pre, t, loss, grad_norm, t0)
-    _record_adapter(trace, task, state, cfg.max_iters, task.loss(state.delta_w()), float("nan"), t0)
-    trace.metadata["final_loss"] = trace.final_loss
+    method = _PolarLanding(task, cfg, opt, theta_mode, grad_mode)
+    metadata = _landing_metadata(task, cfg, r, scale_alpha, method.name)
+    trace, state = run(method, state, metadata, cfg.max_iters, record_every)
     return state, trace
 
 
@@ -437,58 +454,12 @@ def train_lora(
     record_every: int = 10,
 ) -> tuple[LoraState, RunTrace]:
     """Train the Euclidean two-factor baseline with Adam on the same task."""
-    import time
-
-    rng = np.random.default_rng(cfg.seed)
-    state = init_lora_state(task.W0, r, rng, scale_alpha)
+    state = init_lora_state(task.W0, r, np.random.default_rng(cfg.seed), scale_alpha)
     opt = {name: AdamState.zeros_like(getattr(state, name)) for name in ("Z1", "Z2")}
-    trace = RunTrace(
-        algorithm="lora",
-        metadata=_landing_metadata(task, cfg, r, scale_alpha, record_every, "lora"),
-    )
-    t0 = time.perf_counter()
-    for t in range(cfg.max_iters):
-        pre = state
-        state, loss = lora_train_step(task, pre, opt, cfg, t)
-        if t % record_every == 0:
-            _record_lora(trace, pre, t, loss, t0)
-    _record_lora(trace, state, cfg.max_iters, task.loss(state.delta_w()), t0)
-    trace.metadata["final_loss"] = trace.final_loss
+    method = _Lora(task, cfg, opt)
+    metadata = _landing_metadata(task, cfg, r, scale_alpha, method.name)
+    trace, state = run(method, state, metadata, cfg.max_iters, record_every)
     return state, trace
-
-
-def _safe_stable_rank(delta_w) -> float:
-    try:
-        return stable_rank(delta_w).stable_rank
-    except ValueError:
-        return float("nan")
-
-
-def _record_adapter(trace, task, state, t, loss, grad_norm, t0):
-    import time
-
-    trace.append(
-        t,
-        loss,
-        grad_norm=grad_norm,
-        wall_time=time.perf_counter() - t0,
-        n_x=distance_to_stiefel(state.X),
-        n_y=distance_to_stiefel(state.Y),
-        stable_rank=_safe_stable_rank(state.delta_w()),
-    )
-
-
-def _record_lora(trace, state, t, loss, t0):
-    import time
-
-    trace.append(
-        t,
-        loss,
-        wall_time=time.perf_counter() - t0,
-        n_x=distance_to_stiefel(state.Z1),
-        n_y=distance_to_stiefel(state.Z2),
-        stable_rank=_safe_stable_rank(state.delta_w()),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,77 @@
+"""One optimization loop for every optimizer in the package.
+
+An optimizer is a method object with a ``name`` and three operations:
+
+* ``evaluate(state) -> (state, loss, ev)``: the loss at ``state`` and what
+  the step and the trace row need. The returned state may be refreshed (the
+  RGD methods refresh Theta in closed form); it is the one recorded,
+  stepped from and returned.
+* ``step(state, ev, it) -> state``: the update of iteration ``it``. It may
+  add to ``ev`` what the trace row reports about the step taken.
+* ``record(state, ev) -> columns``: the trace columns besides iter, loss and
+  wall_time.
+
+:func:`run` owns the budget, the loss threshold, the divergence rule (a
+non-finite loss or one above ``DIVERGENCE_LOSS`` raises DivergenceError),
+the trace rows, each written after the step of its iteration, and the
+evaluation of the state after the last step, whose row reports no step.
+"""
+
+from __future__ import annotations
+
+import math
+import time
+
+from .exceptions import DivergenceError
+from .trace import RunTrace
+
+DIVERGENCE_LOSS = 1e12
+
+
+def _check_loss(loss: float, name: str, it: int) -> None:
+    if not math.isfinite(loss) or loss > DIVERGENCE_LOSS:
+        raise DivergenceError(f"{name} diverged at iteration {it}: loss = {loss:.3e}")
+
+
+def advance(method, state, it: int):
+    """One iteration outside :func:`run`: evaluate, the divergence rule, then
+    the step. Returns (next state, loss at the evaluated state)."""
+    state, loss, ev = method.evaluate(state)
+    _check_loss(loss, method.name, it)
+    return method.step(state, ev, it), loss
+
+
+def run(method, state, metadata: dict, max_iters: int, record_every: int, loss_threshold: float | None = None):
+    """Iterate ``method`` from ``state`` for at most ``max_iters`` steps; returns (trace, final state).
+
+    The trace's metadata is ``metadata`` plus the run's settings and final
+    loss. With a ``loss_threshold`` the run stops at the first evaluated
+    state at or below it, ``converged`` says whether it did and
+    ``iterations`` is the stopping iteration (``max_iters`` when the budget
+    ran out); without one the whole budget runs.
+    """
+    if max_iters < 0:
+        raise ValueError(f"max_iters must be >= 0, got {max_iters}")
+    if record_every < 1:
+        raise ValueError(f"record_every must be >= 1, got {record_every}")
+    trace = RunTrace(algorithm=method.name, metadata=metadata)
+    t0 = time.perf_counter()
+
+    def record(it, state, loss, ev):
+        trace.append(it, loss, wall_time=time.perf_counter() - t0, **method.record(state, ev))
+
+    for it in range(max_iters + 1):
+        state, loss, ev = method.evaluate(state)
+        _check_loss(loss, method.name, it)
+        converged = loss_threshold is not None and loss <= loss_threshold
+        if converged or it == max_iters:
+            record(it, state, loss, ev)
+            break
+        stepped = method.step(state, ev, it)
+        if it % record_every == 0:
+            record(it, state, loss, ev)
+        state = stepped
+    trace.metadata.update(max_iters=max_iters, record_every=record_every, final_loss=trace.final_loss)
+    if loss_threshold is not None:
+        trace.metadata.update(loss_threshold=loss_threshold, converged=converged, iterations=it)
+    return trace, state

@@ -8,6 +8,7 @@ whole module stays fast.
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -92,6 +93,28 @@ def test_unknown_grad_mode_exits_one(tmp_path, capsys):
     rc = main(["finetune-toy", "--out", str(tmp_path / "r"), "--grad-mode", "nope", *FAST_FINETUNE])
     assert rc == EXIT_ERROR
     assert "nope" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["factorize", *FAST_FACTORIZE], ["finetune-toy", *FAST_FINETUNE]])
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [("--record-every", "0", "record_every must be >= 1, got 0"), ("--max-iters", "-3", "max_iters must be >= 0, got -3")],
+)
+def test_bad_budget_or_cadence_exits_one_with_one_line(tmp_path, capsys, command, flag, value, message):
+    rc = main([*command, flag, value, "--out", str(tmp_path / "r")])
+    captured = capsys.readouterr()
+    assert rc == EXIT_ERROR
+    assert captured.err.splitlines() == [f"error: {message}"]
+    assert captured.out == ""
+
+
+def test_finetune_divergence_exits_one_with_one_line(tmp_path, capsys):
+    # a step of 5 drives the landing run past the divergence limit within a few steps
+    rc = main(["finetune-toy", "--eta", "5", "--out", str(tmp_path / "r")])
+    lines = capsys.readouterr().err.splitlines()
+    assert rc == EXIT_ERROR
+    assert len(lines) == 1
+    assert re.fullmatch(r"error: landing-polar diverged at iteration \d+: loss = \S+", lines[0])
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]])
