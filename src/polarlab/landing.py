@@ -316,7 +316,7 @@ def _adapter_columns(state, left, right) -> dict:
 
 
 def _adam_update(state, opt: dict, cfg: LandingConfig, it: int, grads: dict):
-    """``state`` with each named parameter moved by -eta_it times the Adam transform of its gradient."""
+    """``state`` with each named parameter moved by -eta_t times the Adam transform of its gradient."""
     eta_t = cfg.eta_at(it)
     moved = {name: getattr(state, name) - eta_t * adam_transform(opt[name], g, cfg.beta1, cfg.beta2, cfg.eps)
              for name, g in grads.items()}

@@ -98,7 +98,10 @@ def test_unknown_grad_mode_exits_one(tmp_path, capsys):
 @pytest.mark.parametrize("command", [["factorize", *FAST_FACTORIZE], ["finetune-toy", *FAST_FINETUNE]])
 @pytest.mark.parametrize(
     "flag, value, message",
-    [("--record-every", "0", "record_every must be >= 1, got 0"), ("--max-iters", "-3", "max_iters must be >= 0, got -3")],
+    [
+        ("--record-every", "0", "record_every must be >= 1, got 0"),
+        ("--max-iters", "-3", "max_iters must be >= 0, got -3"),
+    ],
 )
 def test_bad_budget_or_cadence_exits_one_with_one_line(tmp_path, capsys, command, flag, value, message):
     rc = main([*command, flag, value, "--out", str(tmp_path / "r")])

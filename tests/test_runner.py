@@ -95,14 +95,18 @@ RUNNERS = {
     "polar-rgd": lambda eta, kappa, n, every: fx.run_polar_rgd(
         _target(kappa), r=4, eta=eta, seed=0, max_iters=n, record_every=every
     ),
-    "bm-gd": lambda eta, kappa, n, every: fx.run_bm_gd(_target(kappa), r=4, eta=eta, seed=0, max_iters=n, record_every=every),
+    "bm-gd": lambda eta, kappa, n, every: fx.run_bm_gd(
+        _target(kappa), r=4, eta=eta, seed=0, max_iters=n, record_every=every
+    ),
     "polar-rgd-sym": lambda eta, kappa, n, every: fx.run_sym_rgd(
         _sym_target(kappa), r=4, eta=eta, seed=0, max_iters=n, record_every=every
     ),
     "landing-polar": lambda eta, kappa, n, every: ld.train_polar_landing(
         _task(), 4, ld.LandingConfig(eta=eta, max_iters=n), record_every=every
     ),
-    "lora": lambda eta, kappa, n, every: ld.train_lora(_task(), 4, ld.LandingConfig(eta=eta, max_iters=n), record_every=every),
+    "lora": lambda eta, kappa, n, every: ld.train_lora(
+        _task(), 4, ld.LandingConfig(eta=eta, max_iters=n), record_every=every
+    ),
 }
 
 
