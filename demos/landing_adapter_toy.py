@@ -13,12 +13,11 @@ import os
 
 import numpy as np
 
+from polarlab.io import save_state
 from polarlab.landing import (
     LandingConfig,
     diversity_report,
-    linear_decay_schedule,
     make_whitened_task,
-    save_adapter_checkpoint,
     train_lora,
     train_polar_landing,
 )
@@ -35,13 +34,7 @@ def main():
 
     task = make_whitened_task(64, 32, 128, 4, np.random.default_rng(1000 + args.seed))
     # decaying step so the landing penalty wins at the end and the frames land
-    cfg = LandingConfig(
-        lam=1e-3,
-        eta=2e-2,
-        eta_schedule=linear_decay_schedule(2e-2, args.iters),
-        max_iters=args.iters,
-        seed=args.seed,
-    )
+    cfg = LandingConfig(lam=1e-3, eta=2e-2, schedule="linear", max_iters=args.iters, seed=args.seed)
     print(f"task: 64x32, planted rank 4, kappa=10, adapter rank 16, {args.iters} Adam iterations")
 
     polar, tr_polar = train_polar_landing(task, 16, cfg, record_every=100)
@@ -72,7 +65,7 @@ def main():
     print()
     for tr, state, label in ((tr_polar, polar, "polar"), (tr_lora, lora, "lora")):
         print(f"  wrote {write_trace(tr, os.path.join(args.out, label))}")
-        save_adapter_checkpoint(os.path.join(args.out, label, "checkpoint"), state, {"demo_seed": args.seed})
+        save_state(os.path.join(args.out, label, "checkpoint"), state, {"demo_seed": args.seed})
 
 
 if __name__ == "__main__":

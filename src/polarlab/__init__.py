@@ -31,11 +31,12 @@ _EXPORTS = {
     "orthogonal_complement": "stiefel",
     "pairwise_direction_distances": "stiefel",
     "DirectionDiversity": "stiefel",
-    # matrix and checkpoint serialization
+    # matrix and state checkpoint serialization
     "save_matrix_csv": "io",
     "load_matrix_csv": "io",
     "save_checkpoint": "io",
-    "load_checkpoint": "io",
+    "save_state": "io",
+    "load_state": "io",
     # run traces
     "RunTrace": "trace",
     "write_trace": "trace",
@@ -55,8 +56,6 @@ _EXPORTS = {
     "loss_polar": "factorization",
     "loss_bm": "factorization",
     "loss_sym": "factorization",
-    "theta_update": "factorization",
-    "theta_update_sym": "factorization",
     "rgd_step_asym": "factorization",
     "gd_step_bm": "factorization",
     "rgd_step_sym": "factorization",
@@ -85,10 +84,6 @@ _EXPORTS = {
     "merge_theta": "landing",
     "diversity_report": "landing",
     "DiversityReport": "landing",
-    "constant_schedule": "landing",
-    "linear_decay_schedule": "landing",
-    "save_adapter_checkpoint": "landing",
-    "load_adapter_checkpoint": "landing",
     # kernel microbenchmarks
     "BenchSpec": "bench",
     "BenchResult": "bench",

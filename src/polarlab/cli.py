@@ -8,11 +8,14 @@ analyze       report spectrum / feasibility / diversity diagnostics of a checkpo
 bench         time the retraction and landing kernels over a rank sweep
               (--ops picks from retraction, landing, landing-step)
 
-Configuration is resolved in three layers: built-in defaults, then a flat
-``key=value`` config file (``--config``), then explicit flags. Unknown
-config keys are an error. The resolved configuration is echoed to
+Each subcommand is one entry of ``COMMANDS``: its config schema and its
+handler. Configuration is resolved in three layers: the schema's defaults,
+then a flat ``key=value`` config file (``--config``), then explicit flags.
+Unknown config keys are an error. Output goes to ``--out``, by default
+``runs/<subcommand>``, and the resolved configuration is echoed to
 ``<out>/config_resolved.txt`` so a run can be reproduced from its output
-directory alone.
+directory alone. Checkpoints are written and read by ``polarlab.io.save_state``
+and ``load_state``; the state classes define what a checkpoint holds.
 
 Exit codes: 0 the run converged (or the command has no convergence
 notion), 2 the iteration budget ran out first, 1 any error.
@@ -93,14 +96,6 @@ BENCH_SCHEMA = {
     "seed": (int, 0),
 }
 
-SCHEMAS = {
-    "factorize": FACTORIZE_SCHEMA,
-    "finetune-toy": FINETUNE_SCHEMA,
-    "analyze": ANALYZE_SCHEMA,
-    "bench": BENCH_SCHEMA,
-}
-
-
 class CliError(Exception):
     pass
 
@@ -115,16 +110,10 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="polarlab", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    defaults_out = {
-        "factorize": "runs/factorize",
-        "finetune-toy": "runs/finetune-toy",
-        "analyze": "runs/analyze",
-        "bench": "runs/bench",
-    }
-    for name, schema in SCHEMAS.items():
+    for name, (schema, _handler) in COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--out", default=defaults_out[name], help="output directory")
+        p.add_argument("--out", default=f"runs/{name}", help="output directory")
         p.add_argument("--threads", type=int, help="pin BLAS to this many threads")
         for key, (caster, _default) in schema.items():
             p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=caster, default=None)
@@ -146,7 +135,7 @@ def _parse_config_file(path: str) -> dict:
 
 
 def _resolve_config(command: str, args) -> dict:
-    schema = SCHEMAS[command]
+    schema = COMMANDS[command][0]
     cfg = {key: default for key, (_caster, default) in schema.items()}
     if args.config:
         for key, val in _parse_config_file(args.config).items():
@@ -190,35 +179,21 @@ def _cmd_factorize(cfg: dict, out_dir: str) -> int:
     from .trace import write_trace
 
     target_rng = np.random.default_rng(cfg["target_seed"])
-    common = dict(
-        eta=cfg["eta"],
-        seed=cfg["seed"],
-        max_iters=cfg["max_iters"],
-        loss_threshold=cfg["loss_threshold"],
-        record_every=cfg["record_every"],
-    )
+    common = {key: cfg[key] for key in ("eta", "seed", "max_iters", "loss_threshold", "record_every")}
     algorithm = cfg["algo"]
     if algorithm == "polar-rgd":
         target = fx.make_target(cfg["m"], cfg["n"], cfg["r_a"], cfg["kappa"], target_rng)
         trace, factors = fx.run_polar_rgd(target, cfg["r"], gamma=cfg["gamma"], **common)
-        matrices = {"X": factors.X, "Theta": factors.Theta, "Y": factors.Y}
-        kind = "polar-factors"
     elif algorithm == "bm-gd":
         target = fx.make_target(cfg["m"], cfg["n"], cfg["r_a"], cfg["kappa"], target_rng)
         trace, factors = fx.run_bm_gd(target, cfg["r"], **common)
-        matrices = {"Z1": factors.Z1, "Z2": factors.Z2}
-        kind = "bm-factors"
     elif algorithm == "polar-rgd-sym":
         target = fx.make_sym_target(cfg["m"], cfg["r_a"], cfg["kappa"], target_rng)
         trace, factors = fx.run_sym_rgd(target, cfg["r"], gamma=cfg["gamma"], **common)
-        matrices = {"X": factors.X, "Theta": factors.Theta}
-        kind = "sym-factors"
     else:
         raise CliError(f"unknown algorithm {algorithm!r}")
     csv_path = write_trace(trace, out_dir)
-    meta = {"kind": kind}
-    meta.update(trace.metadata)
-    pio.save_checkpoint(os.path.join(out_dir, "checkpoint"), matrices, meta)
+    pio.save_state(os.path.join(out_dir, "checkpoint"), factors, trace.metadata)
     converged = bool(trace.metadata.get("converged", False))
     print(
         f"{algorithm}: {'converged' if converged else 'budget exhausted'} "
@@ -231,24 +206,13 @@ def _cmd_factorize(cfg: dict, out_dir: str) -> int:
 def _cmd_finetune_toy(cfg: dict, out_dir: str) -> int:
     import numpy as np
 
+    from . import io as pio
     from . import landing as ld
     from .trace import write_trace
 
     task_rng = np.random.default_rng(cfg["target_seed"])
     task = ld.make_whitened_task(cfg["m"], cfg["n"], cfg["n_cols"], cfg["r_a"], task_rng, kappa=cfg["kappa"])
-    if cfg["schedule"] == "constant":
-        schedule = None
-    elif cfg["schedule"] == "linear":
-        schedule = ld.linear_decay_schedule(cfg["eta"], cfg["max_iters"])
-    else:
-        raise CliError(f"unknown schedule {cfg['schedule']!r} (expected constant or linear)")
-    config = ld.LandingConfig(
-        lam=cfg["lam"],
-        eta=cfg["eta"],
-        eta_schedule=schedule,
-        max_iters=cfg["max_iters"],
-        seed=cfg["seed"],
-    )
+    config = ld.LandingConfig(**{key: cfg[key] for key in ("lam", "eta", "schedule", "max_iters", "seed")})
     method = cfg["method"]
     if method == "landing-polar":
         state, trace = ld.train_polar_landing(
@@ -265,7 +229,7 @@ def _cmd_finetune_toy(cfg: dict, out_dir: str) -> int:
     else:
         raise CliError(f"unknown method {method!r} (expected landing-polar or lora)")
     csv_path = write_trace(trace, out_dir)
-    ld.save_adapter_checkpoint(os.path.join(out_dir, "checkpoint"), state, {"method": method})
+    pio.save_state(os.path.join(out_dir, "checkpoint"), state, {"method": method})
     converged = trace.final_loss <= cfg["loss_threshold"]
     print(
         f"{method}: final loss {trace.final_loss:.6e} after {cfg['max_iters']} iterations "
@@ -273,23 +237,6 @@ def _cmd_finetune_toy(cfg: dict, out_dir: str) -> int:
     )
     print(f"trace: {csv_path}")
     return EXIT_OK if converged else EXIT_BUDGET
-
-
-def _analyze_product(matrices: dict, meta: dict):
-    kind = meta.get("kind")
-    if kind == "polar-adapter":
-        scale = float(meta["scale_alpha"]) / matrices["X"].shape[1]
-        return scale * (matrices["X"] @ matrices["Theta"] @ matrices["Y"].T), ("X", "Y")
-    if kind == "lora":
-        scale = float(meta["scale_alpha"]) / matrices["Z1"].shape[1]
-        return scale * (matrices["Z1"] @ matrices["Z2"].T), ("Z1", "Z2")
-    if kind == "polar-factors":
-        return matrices["X"] @ matrices["Theta"] @ matrices["Y"].T, ("X", "Y")
-    if kind == "bm-factors":
-        return matrices["Z1"] @ matrices["Z2"].T, ("Z1", "Z2")
-    if kind == "sym-factors":
-        return matrices["X"] @ matrices["Theta"] @ matrices["X"].T, ("X", "X")
-    raise CliError(f"checkpoint has unknown kind {kind!r}")
 
 
 def _is_checkpoint_dir(path: str) -> bool:
@@ -309,30 +256,33 @@ def _trace_csvs(path: str) -> list:
     return out
 
 
+def _classify(path: str, label: str):
+    """(label, checkpoint dir or None, trace csv or None) if ``path`` is a
+    checkpoint or a run directory, else None."""
+    if _is_checkpoint_dir(path):
+        return (label or "checkpoint", path, None)
+    ckpt = os.path.join(path, "checkpoint")
+    ckpt = ckpt if _is_checkpoint_dir(ckpt) else None
+    traces = _trace_csvs(path)
+    if ckpt or traces:
+        return (label or "run", ckpt, traces[0] if traces else None)
+    return None
+
+
 def _analyze_targets(root: str) -> list:
-    """(label, checkpoint dir or None, trace csv or None) per run found under root."""
+    """(label, checkpoint dir or None, trace csv or None) per run found under
+    root: root itself, or else each directory one level below it, e.g. the
+    output of a seed grid."""
     root = root.rstrip("/")
-    if _is_checkpoint_dir(root):
-        return [(os.path.basename(root) or "checkpoint", root, None)]
+    found = _classify(root, os.path.basename(root))
+    if found:
+        return [found]
     targets = []
-    ckpt = os.path.join(root, "checkpoint")
-    traces = _trace_csvs(root)
-    if _is_checkpoint_dir(ckpt) or traces:
-        label = os.path.basename(root) or "run"
-        targets.append((label, ckpt if _is_checkpoint_dir(ckpt) else None, traces[0] if traces else None))
-        return targets
-    # one level of run directories, e.g. the output of a seed grid
     for name in sorted(os.listdir(root)):
         sub = os.path.join(root, name)
-        if not os.path.isdir(sub):
-            continue
-        if _is_checkpoint_dir(sub):
-            targets.append((name, sub, None))
-            continue
-        sub_ckpt = os.path.join(sub, "checkpoint")
-        sub_traces = _trace_csvs(sub)
-        if _is_checkpoint_dir(sub_ckpt) or sub_traces:
-            targets.append((name, sub_ckpt if _is_checkpoint_dir(sub_ckpt) else None, sub_traces[0] if sub_traces else None))
+        found = os.path.isdir(sub) and _classify(sub, name)
+        if found:
+            targets.append(found)
     if not targets:
         raise CliError(f"{root}: no checkpoint or trace directory found")
     return targets
@@ -347,12 +297,12 @@ def _analyze_one(label: str, ckpt: str | None, trace_csv: str | None, cfg: dict,
 
     report: dict = {"label": label}
     if ckpt is not None:
-        matrices, meta = pio.load_checkpoint(ckpt)
-        W, factor_names = _analyze_product(matrices, meta)
+        state, _ = pio.load_state(ckpt)
+        W = state.delta_w()
         report.update(
             {
                 "checkpoint": ckpt,
-                "kind": meta.get("kind"),
+                "kind": state.kind,
                 "shape": list(W.shape),
                 "fro_norm": float(np.linalg.norm(W)),
             }
@@ -372,8 +322,8 @@ def _analyze_one(label: str, ckpt: str | None, trace_csv: str | None, cfg: dict,
             pio.save_matrix_csv(os.path.join(out_dir, f"pairwise_distances_{label}.csv"), spread.distances)
         else:
             report["zero_update"] = True
-        for key, name in zip(("n_left", "n_right"), factor_names):
-            report[key] = distance_to_stiefel(matrices[name])
+        for key, name in zip(("n_left", "n_right"), state.factors):
+            report[key] = distance_to_stiefel(getattr(state, name))
     if trace_csv is not None:
         columns = read_trace_csv(trace_csv)
         report["trace"] = trace_csv
@@ -444,11 +394,11 @@ def _cmd_bench(cfg: dict, out_dir: str) -> int:
 # ---------------------------------------------------------------------------
 
 
-_HANDLERS = {
-    "factorize": _cmd_factorize,
-    "finetune-toy": _cmd_finetune_toy,
-    "analyze": _cmd_analyze,
-    "bench": _cmd_bench,
+COMMANDS = {
+    "factorize": (FACTORIZE_SCHEMA, _cmd_factorize),
+    "finetune-toy": (FINETUNE_SCHEMA, _cmd_finetune_toy),
+    "analyze": (ANALYZE_SCHEMA, _cmd_analyze),
+    "bench": (BENCH_SCHEMA, _cmd_bench),
 }
 
 
@@ -468,7 +418,7 @@ def main(argv=None) -> int:
     try:
         cfg = _resolve_config(args.command, args)
         _echo_config(args.out, cfg)
-        return _HANDLERS[args.command](cfg, args.out)
+        return COMMANDS[args.command][1](cfg, args.out)
     except (CliError, ValueError, RuntimeError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

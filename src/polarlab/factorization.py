@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
@@ -94,9 +95,7 @@ class SymTarget:
         return float(np.sum(self.B * self.B))
 
 
-def _spaced_spectrum(r_a: int, kappa: float, spacing: str, normalize: bool) -> np.ndarray:
-    if spacing != "even":
-        raise ValueError(f"unsupported spacing {spacing!r}; only 'even' is defined")
+def _spaced_spectrum(r_a: int, kappa: float, normalize: bool) -> np.ndarray:
     if kappa < 1.0:
         raise ValueError(f"kappa must be >= 1, got {kappa}")
     if r_a == 1:
@@ -115,7 +114,6 @@ def make_target(
     r_a: int,
     kappa: float,
     rng: np.random.Generator,
-    spacing: str = "even",
     normalize: bool = False,
 ) -> FactorizationTarget:
     """Build a rank-r_A target with evenly spaced spectrum and condition number kappa.
@@ -129,7 +127,7 @@ def make_target(
         m, n = n, m
     if not (1 <= r_a <= min(m, n) / 2):
         raise ValueError(f"need 1 <= r_a <= min(m, n)/2, got r_a={r_a}, m={m}, n={n}")
-    sigma = _spaced_spectrum(r_a, float(kappa), spacing, normalize)
+    sigma = _spaced_spectrum(r_a, float(kappa), normalize)
     U = sample_stiefel_uniform(m, r_a, rng)
     V = sample_stiefel_uniform(n, r_a, rng)
     A = (U * sigma) @ V.T
@@ -141,13 +139,12 @@ def make_sym_target(
     r_a: int,
     kappa: float,
     rng: np.random.Generator,
-    spacing: str = "even",
     normalize: bool = False,
 ) -> SymTarget:
     """Symmetric PSD analogue of :func:`make_target`."""
     if not (1 <= r_a <= m / 2):
         raise ValueError(f"need 1 <= r_a <= m/2, got r_a={r_a}, m={m}")
-    sigma = _spaced_spectrum(r_a, float(kappa), spacing, normalize)
+    sigma = _spaced_spectrum(r_a, float(kappa), normalize)
     U = sample_stiefel_uniform(m, r_a, rng)
     B = (U * sigma) @ U.T
     B = 0.5 * (B + B.T)
@@ -163,30 +160,45 @@ class PolarFactors:
     X: np.ndarray
     Theta: np.ndarray
     Y: np.ndarray
+    kind: ClassVar[str] = "polar-factors"
+    factors: ClassVar[tuple] = ("X", "Y")
 
     @property
     def r(self) -> int:
         return self.X.shape[1]
+
+    def delta_w(self) -> np.ndarray:
+        return (self.X @ self.Theta) @ self.Y.T
 
 
 @dataclass
 class BMFactors:
     Z1: np.ndarray
     Z2: np.ndarray
+    kind: ClassVar[str] = "bm-factors"
+    factors: ClassVar[tuple] = ("Z1", "Z2")
 
     @property
     def r(self) -> int:
         return self.Z1.shape[1]
+
+    def delta_w(self) -> np.ndarray:
+        return self.Z1 @ self.Z2.T
 
 
 @dataclass
 class SymFactors:
     X: np.ndarray
     Theta: np.ndarray
+    kind: ClassVar[str] = "sym-factors"
+    factors: ClassVar[tuple] = ("X", "X")
 
     @property
     def r(self) -> int:
         return self.X.shape[1]
+
+    def delta_w(self) -> np.ndarray:
+        return (self.X @ self.Theta) @ self.X.T
 
 
 def init_polar_factors(target: FactorizationTarget, r: int, rng: np.random.Generator) -> PolarFactors:
@@ -221,78 +233,24 @@ def init_sym_factors(target: SymTarget, r: int, rng: np.random.Generator) -> Sym
 
 def loss_polar(target: FactorizationTarget, f: PolarFactors) -> float:
     """0.5 ||X Theta Y^T - A||_F^2."""
-    resid = (f.X @ f.Theta) @ f.Y.T - target.A
+    resid = f.delta_w() - target.A
     return 0.5 * float(np.sum(resid * resid))
 
 
 def loss_bm(target: FactorizationTarget, f: BMFactors) -> float:
     """0.5 ||Z1 Z2^T - A||_F^2."""
-    resid = f.Z1 @ f.Z2.T - target.A
+    resid = f.delta_w() - target.A
     return 0.5 * float(np.sum(resid * resid))
 
 
 def loss_sym(target: SymTarget, f: SymFactors) -> float:
     """0.5 ||X Theta X^T - B||_F^2."""
-    resid = (f.X @ f.Theta) @ f.X.T - target.B
+    resid = f.delta_w() - target.B
     return 0.5 * float(np.sum(resid * resid))
 
 
 # ---------------------------------------------------------------------------
-# gradients and single steps
-
-
-def theta_update(target: FactorizationTarget, f: PolarFactors, gamma: float) -> np.ndarray:
-    """Damped closed-form refresh Theta <- (1 - gamma) Theta + gamma X^T A Y."""
-    return (1.0 - gamma) * f.Theta + gamma * (f.X.T @ target.A @ f.Y)
-
-
-def theta_update_sym(target: SymTarget, f: SymFactors, gamma: float) -> np.ndarray:
-    return (1.0 - gamma) * f.Theta + gamma * (f.X.T @ target.B @ f.X)
-
-
-def riemannian_grads_asym(target: FactorizationTarget, f: PolarFactors) -> tuple[np.ndarray, np.ndarray]:
-    """Projector-form gradients E = -(I - XX^T) A Y Theta^T, F = -(I - YY^T) A^T X Theta.
-
-    These equal the Euclidean loss gradients (and are exactly tangent)
-    when Theta has just been refreshed with gamma = 1; for damped Theta
-    use the Euclidean + tangent-projection path in :func:`rgd_step_asym`.
-    """
-    T1 = (target.A @ f.Y) @ f.Theta.T
-    E = f.X @ (f.X.T @ T1) - T1
-    T2 = (target.A.T @ f.X) @ f.Theta
-    F = f.Y @ (f.Y.T @ T2) - T2
-    return E, F
-
-
-def riemannian_grad_sym(target: SymTarget, f: SymFactors) -> np.ndarray:
-    """G = -(I - XX^T) B X X^T B X, the symmetric-variant descent direction at gamma = 1."""
-    W = target.B @ f.X
-    P = W @ (f.X.T @ W)
-    return f.X @ (f.X.T @ P) - P
-
-
-def euclid_grads_asym(target: FactorizationTarget, f: PolarFactors) -> tuple[np.ndarray, np.ndarray]:
-    """Euclidean gradients of loss_polar in X and Y at fixed Theta."""
-    resid = (f.X @ f.Theta) @ f.Y.T - target.A
-    return resid @ (f.Y @ f.Theta.T), resid.T @ (f.X @ f.Theta)
-
-
-def euclid_grad_theta(target: FactorizationTarget, f: PolarFactors) -> np.ndarray:
-    """Euclidean gradient of loss_polar in Theta."""
-    resid = (f.X @ f.Theta) @ f.Y.T - target.A
-    return f.X.T @ resid @ f.Y
-
-
-def euclid_grads_bm(target: FactorizationTarget, f: BMFactors) -> tuple[np.ndarray, np.ndarray]:
-    """Euclidean gradients of loss_bm."""
-    resid = f.Z1 @ f.Z2.T - target.A
-    return resid @ f.Z2, resid.T @ f.Z1
-
-
-def euclid_grad_sym(target: SymTarget, f: SymFactors) -> np.ndarray:
-    """Euclidean gradient of loss_sym in X at fixed Theta (general, possibly asymmetric Theta)."""
-    resid = (f.X @ f.Theta) @ f.X.T - target.B
-    return resid @ (f.X @ f.Theta.T) + resid.T @ (f.X @ f.Theta)
+# single steps
 
 
 def rgd_step_asym(target: FactorizationTarget, f: PolarFactors, eta: float, gamma: float = 1.0) -> PolarFactors:
@@ -443,7 +401,7 @@ class _BMGD:
         self.target, self.eta = target, eta
 
     def evaluate(self, f: BMFactors):
-        resid = f.Z1 @ f.Z2.T - self.target.A
+        resid = f.delta_w() - self.target.A
         return f, 0.5 * float(np.sum(resid * resid)), (resid @ f.Z2, resid.T @ f.Z1)
 
     def step(self, f: BMFactors, ev, it: int) -> BMFactors:

@@ -1,18 +1,33 @@
-"""CSV serialization for matrices, run traces, and checkpoints.
+"""CSV serialization of matrices and checkpoints of optimizer states.
 
 Matrix CSV layout (documented contract): a header line ``rows,cols``, a
 second line with the two integer dimensions, then one CSV line per matrix
 row in row-major order. Floats are written with ``repr`` so that reading
 the file back reproduces the exact float64 values and identical inputs
 produce byte-identical files.
+
+State checkpoint contract: a directory holding one matrix CSV per array
+field of the state, named ``<field>.csv``, and a ``meta.json`` with the
+state class's ``kind``, its scalar fields and the caller's metadata. The
+five state classes are listed in ``STATE_CLASSES``; each declares its
+``kind``, its two ``factors`` and ``delta_w()``. Loading looks the kind up
+there and reads only that class's files, so other files in the directory
+are ignored.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 
 import numpy as np
+
+from .factorization import BMFactors, PolarFactors, SymFactors
+from .landing import AdapterState, LoraState
+
+STATE_CLASSES = (PolarFactors, BMFactors, SymFactors, AdapterState, LoraState)
+_BY_KIND = {cls.kind: cls for cls in STATE_CLASSES}
 
 
 def _fmt(x: float) -> str:
@@ -55,15 +70,31 @@ def save_checkpoint(directory, matrices: dict, meta: dict) -> None:
         fh.write("\n")
 
 
-def load_checkpoint(directory) -> tuple[dict, dict]:
-    """Read back a checkpoint directory -> (matrices, meta)."""
+def _is_scalar(field) -> bool:
+    return field.type in ("float", float)
+
+
+def save_state(directory, state, meta: dict) -> None:
+    """Write ``state`` as a checkpoint: its array fields as matrix CSVs, its
+    kind, its scalar fields and ``meta`` in meta.json."""
+    fields = dataclasses.fields(state)
+    arrays = {f.name: getattr(state, f.name) for f in fields if not _is_scalar(f)}
+    scalars = {f.name: getattr(state, f.name) for f in fields if _is_scalar(f)}
+    save_checkpoint(directory, arrays, {"kind": state.kind, **scalars, **meta})
+
+
+def load_state(directory):
+    """Read a checkpoint written by :func:`save_state` -> (state, meta)."""
     meta_path = os.path.join(directory, "meta.json")
     if not os.path.isfile(meta_path):
         raise FileNotFoundError(f"{directory} has no meta.json; not a checkpoint")
     with open(meta_path) as fh:
         meta = json.load(fh)
-    matrices = {}
-    for fname in sorted(os.listdir(directory)):
-        if fname.endswith(".csv"):
-            matrices[fname[:-4]] = load_matrix_csv(os.path.join(directory, fname))
-    return matrices, meta
+    cls = _BY_KIND.get(meta.get("kind"))
+    if cls is None:
+        raise ValueError(f"{directory}: unknown checkpoint kind {meta.get('kind')!r}")
+    values = {
+        f.name: float(meta[f.name]) if _is_scalar(f) else load_matrix_csv(os.path.join(directory, f"{f.name}.csv"))
+        for f in dataclasses.fields(cls)
+    }
+    return cls(**values), meta

@@ -24,11 +24,10 @@ for the whole budget, with no early stop; ``polar_train_step`` and
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import ClassVar
 
 import numpy as np
 
-from . import io
 from .runner import advance, run
 from .stiefel import (
     distance_to_stiefel,
@@ -37,6 +36,11 @@ from .stiefel import (
     stable_rank,
 )
 from .trace import RunTrace
+
+# Adam's moment decay rates and denominator guard, the same for every parameter
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 # ---------------------------------------------------------------------------
 # states and configuration
@@ -51,6 +55,8 @@ class AdapterState:
     Theta: np.ndarray
     Y: np.ndarray
     scale_alpha: float = 32.0
+    kind: ClassVar[str] = "polar-adapter"
+    factors: ClassVar[tuple] = ("X", "Y")
 
     @property
     def r(self) -> int:
@@ -69,6 +75,8 @@ class LoraState:
     Z1: np.ndarray
     Z2: np.ndarray
     scale_alpha: float = 32.0
+    kind: ClassVar[str] = "lora"
+    factors: ClassVar[tuple] = ("Z1", "Z2")
 
     @property
     def r(self) -> int:
@@ -108,37 +116,28 @@ def init_lora_state(W0, r: int, rng: np.random.Generator, scale_alpha: float = 3
 class LandingConfig:
     """Hyperparameters of the landing trainer.
 
-    ``eta_schedule`` maps the iteration index to a positive step size;
-    None means constant ``eta``.
+    ``schedule`` is "constant", a step of ``eta`` throughout, or "linear",
+    a step of ``eta * (1 - t / max_iters)`` at iteration t, positive for
+    t < max_iters. Adam uses ADAM_BETA1, ADAM_BETA2 and ADAM_EPS.
     """
 
     lam: float = 1e-3
     eta: float = 1e-2
-    eta_schedule: Callable[[int], float] | None = None
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    schedule: str = "constant"
     max_iters: int = 5000
     seed: int = 0
 
     def __post_init__(self):
         if not self.lam > 0:
             raise ValueError(f"lam must be positive, got {self.lam}")
+        if self.schedule not in ("constant", "linear"):
+            raise ValueError(f"unknown schedule {self.schedule!r} (expected constant or linear)")
 
     def eta_at(self, t: int) -> float:
-        eta = self.eta_schedule(t) if self.eta_schedule is not None else self.eta
+        eta = self.eta * (1.0 - t / self.max_iters) if self.schedule == "linear" else self.eta
         if not (np.isfinite(eta) and eta > 0):
             raise ValueError(f"schedule returned a non-positive step at t={t}: {eta}")
         return float(eta)
-
-
-def constant_schedule(eta: float) -> Callable[[int], float]:
-    return lambda t: eta
-
-
-def linear_decay_schedule(eta: float, total_iters: int) -> Callable[[int], float]:
-    """eta * (1 - t / total); strictly positive for t < total."""
-    return lambda t: eta * (1.0 - t / total_iters)
 
 
 @dataclass
@@ -154,14 +153,14 @@ class AdamState:
         return cls(m=np.zeros_like(x), v=np.zeros_like(x))
 
 
-def adam_transform(state: AdamState, g: np.ndarray, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> np.ndarray:
+def adam_transform(state: AdamState, g: np.ndarray) -> np.ndarray:
     """Bias-corrected Adam direction m_hat / (sqrt(v_hat) + eps); advances the state."""
     state.t += 1
-    state.m = beta1 * state.m + (1.0 - beta1) * g
-    state.v = beta2 * state.v + (1.0 - beta2) * (g * g)
-    m_hat = state.m / (1.0 - beta1**state.t)
-    v_hat = state.v / (1.0 - beta2**state.t)
-    return m_hat / (np.sqrt(v_hat) + eps)
+    state.m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * g
+    state.v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * (g * g)
+    m_hat = state.m / (1.0 - ADAM_BETA1**state.t)
+    v_hat = state.v / (1.0 - ADAM_BETA2**state.t)
+    return m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -248,12 +247,11 @@ def make_whitened_task(
     r_a: int,
     rng: np.random.Generator,
     kappa: float = 10.0,
-    w0_scale: float = 1.0,
 ) -> WhitenedTask:
     """Build a whitened task whose optimal adapter is a known rank-r_a matrix.
 
-    D is n x n_cols with orthonormal rows (n_cols >= n); labels are
-    generated as (W0 + P) D for a planted P with singular values evenly
+    D is n x n_cols with orthonormal rows (n_cols >= n), W0 has i.i.d.
+    N(0, 1/n) entries, and labels are generated as (W0 + P) D for a planted P with singular values evenly
     spaced on [1/kappa, 1], so the equivalent factored target is exactly P.
     """
     if n_cols < n:
@@ -265,7 +263,7 @@ def make_whitened_task(
     gram_err = float(np.linalg.norm(D @ D.T - np.eye(n)))
     if gram_err > 1e-10:
         raise ValueError(f"whitening failed: ||D D^T - I|| = {gram_err:.3e}")
-    W0 = (w0_scale / np.sqrt(n)) * rng.standard_normal((m, n))
+    W0 = (1.0 / np.sqrt(n)) * rng.standard_normal((m, n))
     if r_a == 1:
         sigma = np.ones(1)
     else:
@@ -318,8 +316,7 @@ def _adapter_columns(state, left, right) -> dict:
 def _adam_update(state, opt: dict, cfg: LandingConfig, it: int, grads: dict):
     """``state`` with each named parameter moved by -eta_t times the Adam transform of its gradient."""
     eta_t = cfg.eta_at(it)
-    moved = {name: getattr(state, name) - eta_t * adam_transform(opt[name], g, cfg.beta1, cfg.beta2, cfg.eps)
-             for name, g in grads.items()}
+    moved = {name: getattr(state, name) - eta_t * adam_transform(opt[name], g) for name, g in grads.items()}
     return replace(state, **moved)
 
 
@@ -463,18 +460,12 @@ def train_lora(
 
 
 # ---------------------------------------------------------------------------
-# diagnostics and checkpoints
+# diagnostics
 
 
 def merge_theta(state: AdapterState) -> AdapterState:
     """Fold Theta into X: (X Theta, I, Y) produces the identical DeltaW."""
-    return AdapterState(
-        W0=state.W0,
-        X=state.X @ state.Theta,
-        Theta=np.eye(state.r),
-        Y=state.Y,
-        scale_alpha=state.scale_alpha,
-    )
+    return replace(state, X=state.X @ state.Theta, Theta=np.eye(state.r))
 
 
 @dataclass(frozen=True)
@@ -498,40 +489,3 @@ def diversity_report(state) -> DiversityReport:
         mean_pairwise_distance=spread.mean_distance,
         excluded_rows=spread.excluded_rows,
     )
-
-
-def save_adapter_checkpoint(directory, state, extra_meta: dict | None = None) -> None:
-    """Dump an AdapterState or LoraState as matrix CSVs plus meta.json."""
-    if isinstance(state, AdapterState):
-        matrices = {"W0": state.W0, "X": state.X, "Theta": state.Theta, "Y": state.Y}
-        kind = "polar-adapter"
-    elif isinstance(state, LoraState):
-        matrices = {"W0": state.W0, "Z1": state.Z1, "Z2": state.Z2}
-        kind = "lora"
-    else:
-        raise TypeError(f"unsupported state type {type(state).__name__}")
-    meta = {"kind": kind, "scale_alpha": state.scale_alpha}
-    meta.update(extra_meta or {})
-    io.save_checkpoint(directory, matrices, meta)
-
-
-def load_adapter_checkpoint(directory):
-    """Inverse of :func:`save_adapter_checkpoint`."""
-    matrices, meta = io.load_checkpoint(directory)
-    kind = meta.get("kind")
-    if kind == "polar-adapter":
-        return AdapterState(
-            W0=matrices["W0"],
-            X=matrices["X"],
-            Theta=matrices["Theta"],
-            Y=matrices["Y"],
-            scale_alpha=float(meta["scale_alpha"]),
-        ), meta
-    if kind == "lora":
-        return LoraState(
-            W0=matrices["W0"],
-            Z1=matrices["Z1"],
-            Z2=matrices["Z2"],
-            scale_alpha=float(meta["scale_alpha"]),
-        ), meta
-    raise ValueError(f"{directory}: unknown checkpoint kind {kind!r}")

@@ -35,6 +35,8 @@ RETRACT_SERIES_MAX_ORDER = 8
 # Binomial coefficients c_k of (1 + x)^{-1/2} = sum_k c_k (-x)^k:
 # c_0 = 1, c_k = c_{k-1} (2k - 1) / (2k).
 _BINOMIAL_COEFFS = (1.0, 1 / 2, 3 / 8, 5 / 16, 35 / 128, 63 / 256, 231 / 1024, 429 / 2048, 6435 / 32768)
+# Rows of norm below this are left out of pairwise_direction_distances.
+ZERO_ROW_TOL = 1e-12
 # Newton-Schulz polishing target; effectively machine precision for the
 # Gram residual (unreachable at large r, where the no-improvement stop kicks in).
 SAMPLE_NS_FLOOR = 1e-14
@@ -341,15 +343,15 @@ class DirectionDiversity:
     excluded_rows: tuple[int, ...]
 
 
-def pairwise_direction_distances(W, zero_tol: float = 1e-12) -> DirectionDiversity:
+def pairwise_direction_distances(W) -> DirectionDiversity:
     """Pairwise Euclidean distances between the unit-normalized rows of W.
 
     Entries live in [0, 2]; 0 means identical directions, 2 antipodal.
-    Rows with norm < ``zero_tol`` are excluded and reported.
+    Rows with norm < ZERO_ROW_TOL are excluded and reported.
     """
     W = require_matrix(W, "W")
     norms = np.linalg.norm(W, axis=1)
-    kept = norms >= zero_tol
+    kept = norms >= ZERO_ROW_TOL
     excluded = tuple(int(i) for i in np.flatnonzero(~kept))
     if not kept.any():
         raise ValueError("all rows of W are numerically zero")

@@ -31,7 +31,6 @@ from polarlab.landing import (
     WhitenedTask,
     grad_distance_to_stiefel,
     init_adapter_state,
-    linear_decay_schedule,
     lora_grads,
     make_whitened_task,
     polar_train_step,
@@ -40,6 +39,8 @@ from polarlab.landing import (
     whitened_task_grads,
 )
 from polarlab.stiefel import distance_to_stiefel, orthogonal_complement, stable_rank
+
+import oracles
 
 
 def _report(label: str, ok: bool, detail: str) -> bool:
@@ -177,7 +178,7 @@ def test_a3_alignment_property_suite():
 
             # 2*loss (the full squared residual) may never exceed the
             # alignment bound at the gamma=1 theta
-            probe = PolarFactors(X=f.X, Theta=fx.theta_update(target, f, 1.0), Y=f.Y)
+            probe = PolarFactors(X=f.X, Theta=oracles.theta_update(target, f, 1.0), Y=f.Y)
             loss, bound = fx.loss_alignment_bound(target, probe)
             if 2.0 * loss > bound + 1e-12:
                 viol["bound"] += 1
@@ -254,8 +255,8 @@ def test_a4_gradient_oracle_suite():
         # and Euclidean gradients coincide
         t = pl.make_target(m, n, r_a, kappa, rng)
         f = fx.init_polar_factors(t, r, rng)
-        f = PolarFactors(X=f.X, Theta=fx.theta_update(t, f, 1.0), Y=f.Y)
-        E, F = fx.riemannian_grads_asym(t, f)
+        f = PolarFactors(X=f.X, Theta=oracles.theta_update(t, f, 1.0), Y=f.Y)
+        E, F = oracles.riemannian_grads_asym(t, f)
         track("E", _rel_err(E, _fd_grad(lambda W: fx.loss_polar(t, PolarFactors(X=W, Theta=f.Theta, Y=f.Y)), f.X)))
         track("F", _rel_err(F, _fd_grad(lambda W: fx.loss_polar(t, PolarFactors(X=f.X, Theta=f.Theta, Y=W)), f.Y)))
 
@@ -264,14 +265,14 @@ def test_a4_gradient_oracle_suite():
         track(
             "theta",
             _rel_err(
-                fx.euclid_grad_theta(t, g),
+                oracles.euclid_grad_theta(t, g),
                 _fd_grad(lambda T: fx.loss_polar(t, PolarFactors(X=g.X, Theta=T, Y=g.Y)), g.Theta),
             ),
         )
 
         # two-factor baseline at a generic point
         fb = fx.BMFactors(Z1=rng.standard_normal((m, r)), Z2=rng.standard_normal((n, r)))
-        G1, G2 = fx.euclid_grads_bm(t, fb)
+        G1, G2 = oracles.euclid_grads_bm(t, fb)
         track("bm_z1", _rel_err(G1, _fd_grad(lambda Z: fx.loss_bm(t, fx.BMFactors(Z1=Z, Z2=fb.Z2)), fb.Z1)))
         track("bm_z2", _rel_err(G2, _fd_grad(lambda Z: fx.loss_bm(t, fx.BMFactors(Z1=fb.Z1, Z2=Z)), fb.Z2)))
 
@@ -279,11 +280,11 @@ def test_a4_gradient_oracle_suite():
         # Riemannian one at the refreshed theta
         ts = pl.make_sym_target(m, r_a, kappa, rng)
         fs = fx.init_sym_factors(ts, r, rng)
-        fs = SymFactors(X=fs.X, Theta=fx.theta_update_sym(ts, fs, 1.0))
+        fs = SymFactors(X=fs.X, Theta=oracles.theta_update_sym(ts, fs, 1.0))
         track(
             "G",
             _rel_err(
-                2.0 * fx.riemannian_grad_sym(ts, fs),
+                2.0 * oracles.riemannian_grad_sym(ts, fs),
                 _fd_grad(lambda W: fx.loss_sym(ts, SymFactors(X=W, Theta=fs.Theta)), fs.X),
             ),
         )
@@ -332,9 +333,7 @@ def test_a4_gradient_oracle_suite():
 def test_a5_landing_run_lands_on_stiefel():
     task = make_whitened_task(32, 32, 128, 4, np.random.default_rng(1234))
     total = 3000
-    cfg = LandingConfig(
-        lam=1e-3, eta=1e-2, eta_schedule=linear_decay_schedule(1e-2, total), max_iters=total, seed=0
-    )
+    cfg = LandingConfig(lam=1e-3, eta=1e-2, schedule="linear", max_iters=total, seed=0)
     rng = np.random.default_rng(cfg.seed)
     state = init_adapter_state(task.W0, 8, rng)
     opt = {name: AdamState.zeros_like(getattr(state, name)) for name in ("X", "Theta", "Y")}

@@ -64,7 +64,7 @@ def test_factorize_budget_exhausted_exit_two(tmp_path):
 def test_finetune_toy_converges_exit_zero(tmp_path):
     out = str(tmp_path / "run")
     assert main(["finetune-toy", "--out", out, *FAST_FINETUNE]) == EXIT_OK
-    _, meta = pio.load_checkpoint(os.path.join(out, "checkpoint"))
+    _, meta = pio.load_state(os.path.join(out, "checkpoint"))
     assert meta["kind"] == "polar-adapter"
     assert meta["method"] == "landing-polar"
 
@@ -73,7 +73,7 @@ def test_finetune_toy_lora_baseline(tmp_path):
     out = str(tmp_path / "run")
     rc = main(["finetune-toy", "--out", out, "--method", "lora", *FAST_FINETUNE])
     assert rc in (EXIT_OK, EXIT_BUDGET)
-    _, meta = pio.load_checkpoint(os.path.join(out, "checkpoint"))
+    _, meta = pio.load_state(os.path.join(out, "checkpoint"))
     assert meta["kind"] == "lora"
 
 
@@ -327,6 +327,20 @@ def test_analyze_grid_of_runs(tmp_path):
         lines = fh.read().strip().splitlines()
     assert lines[0] == "label,stable_rank"
     assert len(lines) == 3
+
+
+def test_analyze_ignores_stray_checkpoint_files(tmp_path, capsys):
+    run = str(tmp_path / "run")
+    argv = ["factorize", "--out", run, *FAST_FACTORIZE]
+    argv[argv.index("--max-iters") + 1] = "5"
+    assert main(argv) == EXIT_BUDGET
+    with open(os.path.join(run, "checkpoint", "notes.csv"), "w") as fh:
+        fh.write("a note left next to the matrices\n")
+    out = str(tmp_path / "analysis")
+    assert main(["analyze", "--path", run, "--out", out]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    with open(os.path.join(out, "report.json")) as fh:
+        assert json.load(fh)["kind"] == "polar-factors"
 
 
 def test_analyze_empty_directory_exits_one(tmp_path, capsys):

@@ -1,16 +1,21 @@
 """Round-trip and validation tests for the CSV/checkpoint serialization."""
 
 import json
+import os
 
 import numpy as np
 import pytest
 
+from polarlab.factorization import BMFactors, PolarFactors, SymFactors
 from polarlab.io import (
-    load_checkpoint,
+    STATE_CLASSES,
     load_matrix_csv,
+    load_state,
     save_checkpoint,
     save_matrix_csv,
+    save_state,
 )
+from polarlab.landing import AdapterState, LoraState
 
 
 # ---------------------------------------------------------------------------
@@ -78,11 +83,10 @@ def test_checkpoint_roundtrip(tmp_path):
     matrices = {"X": rng.standard_normal((5, 2)), "Theta": rng.standard_normal((2, 2))}
     meta = {"kind": "polar-adapter", "r": 2, "eta": 1e-3}
     save_checkpoint(tmp_path / "ckpt", matrices, meta)
-    back, back_meta = load_checkpoint(tmp_path / "ckpt")
-    assert back_meta == meta
-    assert sorted(back) == ["Theta", "X"]
+    assert sorted(os.listdir(tmp_path / "ckpt")) == ["Theta.csv", "X.csv", "meta.json"]
+    assert json.loads((tmp_path / "ckpt" / "meta.json").read_text()) == meta
     for name in matrices:
-        assert np.array_equal(back[name], matrices[name])
+        assert np.array_equal(load_matrix_csv(tmp_path / "ckpt" / f"{name}.csv"), matrices[name])
 
 
 def test_checkpoint_meta_is_sorted_json(tmp_path):
@@ -92,7 +96,61 @@ def test_checkpoint_meta_is_sorted_json(tmp_path):
     assert json.loads(text) == {"a": 2, "b": 1}
 
 
-def test_load_checkpoint_requires_meta(tmp_path):
+# ---------------------------------------------------------------------------
+# state checkpoints
+
+
+def _states():
+    """One state of every checkpoint kind, with generic (off-manifold) factors."""
+    g = np.random.default_rng(7).standard_normal
+    m, n, r = 6, 5, 3
+    return {
+        "polar-factors": PolarFactors(X=g((m, r)), Theta=g((r, r)), Y=g((n, r))),
+        "bm-factors": BMFactors(Z1=g((m, r)), Z2=g((n, r))),
+        "sym-factors": SymFactors(X=g((m, r)), Theta=g((r, r))),
+        "polar-adapter": AdapterState(W0=g((m, n)), X=g((m, r)), Theta=g((r, r)), Y=g((n, r)), scale_alpha=12.5),
+        "lora": LoraState(W0=g((m, n)), Z1=g((m, r)), Z2=g((n, r)), scale_alpha=12.5),
+    }
+
+
+def test_every_state_class_has_a_kind():
+    assert sorted(cls.kind for cls in STATE_CLASSES) == sorted(_states())
+
+
+@pytest.mark.parametrize("kind", sorted(_states()))
+def test_state_roundtrip(tmp_path, kind):
+    state = _states()[kind]
+    assert state.kind == kind
+    save_state(tmp_path / "ckpt", state, {"note": "test", "seed": 3})
+    back, meta = load_state(tmp_path / "ckpt")
+    assert type(back) is type(state)
+    assert meta["kind"] == kind and meta["note"] == "test" and meta["seed"] == 3
+    for name, value in vars(state).items():
+        if isinstance(value, np.ndarray):
+            assert np.array_equal(getattr(back, name), value), name
+            assert (tmp_path / "ckpt" / f"{name}.csv").is_file()
+        else:
+            assert getattr(back, name) == value and meta[name] == value, name
+    assert np.array_equal(back.delta_w(), state.delta_w())
+    assert len(state.factors) == 2 and all(hasattr(state, name) for name in state.factors)
+
+
+def test_load_state_reads_only_its_own_files(tmp_path):
+    state = _states()["polar-factors"]
+    save_state(tmp_path / "ckpt", state, {})
+    (tmp_path / "ckpt" / "notes.csv").write_text("a free-form note, not a matrix\n")
+    back, _ = load_state(tmp_path / "ckpt")
+    assert np.array_equal(back.delta_w(), state.delta_w())
+
+
+def test_load_state_requires_meta(tmp_path):
     (tmp_path / "notckpt").mkdir()
     with pytest.raises(FileNotFoundError, match="meta.json"):
-        load_checkpoint(tmp_path / "notckpt")
+        load_state(tmp_path / "notckpt")
+
+
+@pytest.mark.parametrize("meta", [{"kind": "mystery"}, {"note": "no kind at all"}])
+def test_load_state_rejects_unknown_kind(tmp_path, meta):
+    save_checkpoint(tmp_path / "ckpt", {"X": np.eye(2)}, meta)
+    with pytest.raises(ValueError, match="unknown checkpoint kind"):
+        load_state(tmp_path / "ckpt")

@@ -9,6 +9,7 @@ backward pass contract and the runners for determinism.
 import numpy as np
 import pytest
 
+from polarlab import io
 from polarlab.exceptions import DivergenceError
 from polarlab.landing import (
     AdamState,
@@ -16,20 +17,16 @@ from polarlab.landing import (
     LandingConfig,
     LoraState,
     adam_transform,
-    constant_schedule,
     diversity_report,
     grad_distance_to_stiefel,
     init_adapter_state,
     init_lora_state,
     landing_field,
-    linear_decay_schedule,
-    load_adapter_checkpoint,
     lora_grads,
     lora_train_step,
     make_whitened_task,
     merge_theta,
     polar_train_step,
-    save_adapter_checkpoint,
     train_lora,
     train_polar_landing,
     whitened_task_grads,
@@ -256,14 +253,15 @@ def test_config_validates_and_schedules():
         LandingConfig(lam=0.0)
     cfg = LandingConfig(eta=0.25)
     assert cfg.eta_at(17) == 0.25
-    cfg = LandingConfig(eta_schedule=constant_schedule(0.5))
+    cfg = LandingConfig(eta=0.5, schedule="constant")
     assert cfg.eta_at(3) == 0.5
-    sched = linear_decay_schedule(1.0, 100)
-    assert sched(0) == 1.0
-    assert sched(50) == pytest.approx(0.5)
-    cfg = LandingConfig(eta_schedule=sched)
+    cfg = LandingConfig(eta=1.0, schedule="linear", max_iters=100)
+    assert cfg.eta_at(0) == 1.0
+    assert cfg.eta_at(50) == pytest.approx(0.5)
     with pytest.raises(ValueError, match="non-positive"):
         cfg.eta_at(100)
+    with pytest.raises(ValueError, match="cosine"):
+        LandingConfig(schedule="cosine")
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +345,7 @@ def test_lora_step_first_move_freezes_z1():
 
 
 def _small_cfg(T, seed=0):
-    return LandingConfig(lam=1e-3, eta_schedule=linear_decay_schedule(1e-2, T), max_iters=T, seed=seed)
+    return LandingConfig(lam=1e-3, eta=1e-2, schedule="linear", max_iters=T, seed=seed)
 
 
 def test_train_polar_landing_descends_and_lands():
@@ -429,8 +427,8 @@ def test_diversity_report_fields():
 def test_adapter_checkpoint_roundtrip(tmp_path):
     t = _task(13)
     state, _ = train_polar_landing(t, 4, _small_cfg(30), record_every=15)
-    save_adapter_checkpoint(tmp_path / "polar", state, {"note": "test"})
-    loaded, meta = load_adapter_checkpoint(tmp_path / "polar")
+    io.save_state(tmp_path / "polar", state, {"note": "test"})
+    loaded, meta = io.load_state(tmp_path / "polar")
     assert isinstance(loaded, AdapterState)
     assert meta["kind"] == "polar-adapter"
     assert meta["note"] == "test"
@@ -438,18 +436,16 @@ def test_adapter_checkpoint_roundtrip(tmp_path):
         assert np.array_equal(getattr(loaded, name), getattr(state, name))
 
     lstate, _ = train_lora(t, 4, _small_cfg(30), record_every=15)
-    save_adapter_checkpoint(tmp_path / "lora", lstate)
-    lloaded, lmeta = load_adapter_checkpoint(tmp_path / "lora")
+    io.save_state(tmp_path / "lora", lstate, {})
+    lloaded, lmeta = io.load_state(tmp_path / "lora")
     assert isinstance(lloaded, LoraState)
     assert np.array_equal(lloaded.Z1, lstate.Z1)
     assert np.array_equal(lloaded.Z2, lstate.Z2)
 
 
 def test_checkpoint_rejects_unknown_kind(tmp_path):
-    from polarlab import io
-
     io.save_checkpoint(tmp_path / "bad", {"W0": np.eye(2)}, {"kind": "mystery", "scale_alpha": 1.0})
     with pytest.raises(ValueError, match="unknown checkpoint kind"):
-        load_adapter_checkpoint(tmp_path / "bad")
+        io.load_state(tmp_path / "bad")
     with pytest.raises(TypeError):
-        save_adapter_checkpoint(tmp_path / "worse", object())
+        io.save_state(tmp_path / "worse", object(), {})
