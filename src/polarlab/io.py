@@ -75,12 +75,13 @@ def _is_scalar(field) -> bool:
 
 
 def save_state(directory, state, meta: dict) -> None:
-    """Write ``state`` as a checkpoint: its array fields as matrix CSVs, its
-    kind, its scalar fields and ``meta`` in meta.json."""
+    """Write ``state`` as a checkpoint: its array fields as matrix CSVs, and
+    ``meta``, its kind and its scalar fields in meta.json, where the state's
+    own entries win over keys of the same name in ``meta``."""
     fields = dataclasses.fields(state)
     arrays = {f.name: getattr(state, f.name) for f in fields if not _is_scalar(f)}
     scalars = {f.name: getattr(state, f.name) for f in fields if _is_scalar(f)}
-    save_checkpoint(directory, arrays, {"kind": state.kind, **scalars, **meta})
+    save_checkpoint(directory, arrays, {**meta, "kind": state.kind, **scalars})
 
 
 def load_state(directory):

@@ -135,6 +135,14 @@ def test_state_roundtrip(tmp_path, kind):
     assert len(state.factors) == 2 and all(hasattr(state, name) for name in state.factors)
 
 
+def test_save_state_keeps_its_own_kind_and_scalars(tmp_path):
+    state = _states()["lora"]
+    save_state(tmp_path / "ckpt", state, {"kind": "mystery", "scale_alpha": 1.0})
+    back, meta = load_state(tmp_path / "ckpt")
+    assert meta["kind"] == "lora" and back.scale_alpha == state.scale_alpha
+    assert np.array_equal(back.delta_w(), state.delta_w())
+
+
 def test_load_state_reads_only_its_own_files(tmp_path):
     state = _states()["polar-factors"]
     save_state(tmp_path / "ckpt", state, {})
