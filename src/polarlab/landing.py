@@ -8,11 +8,14 @@ Stiefel manifolds not by retraction but by descending the landing field
 
 whose two components are Frobenius-orthogonal by construction. All three
 parameter updates of one step use gradients evaluated at the pre-step
-state (one backward pass), each run through its own Adam transform.
+state (one backward pass). A state's ``params`` (X, Theta, Y or Z1, Z2)
+are packed in that order into one vector that one elementwise Adam
+transform per step moves, bit for bit as one Adam per parameter would.
 
 The task is least squares against whitened inputs: L = ||(W0 + DeltaW) D
 - labels||_F^2 with D D^T = I, which collapses to the factored form
 ||DeltaW - residual||_F^2 + c; both evaluation paths are implemented.
+The trainers report the factored residual, which leaves out c.
 A plain LoRA-style baseline (two Euclidean factors, Z2 zero-initialized)
 trains on the same task for comparison.
 
@@ -57,6 +60,7 @@ class AdapterState:
     scale_alpha: float = 32.0
     kind: ClassVar[str] = "polar-adapter"
     factors: ClassVar[tuple] = ("X", "Y")
+    params: ClassVar[tuple] = ("X", "Theta", "Y")
 
     @property
     def r(self) -> int:
@@ -77,6 +81,7 @@ class LoraState:
     scale_alpha: float = 32.0
     kind: ClassVar[str] = "lora"
     factors: ClassVar[tuple] = ("Z1", "Z2")
+    params: ClassVar[tuple] = ("Z1", "Z2")
 
     @property
     def r(self) -> int:
@@ -132,6 +137,8 @@ class LandingConfig:
             raise ValueError(f"lam must be positive, got {self.lam}")
         if self.schedule not in ("constant", "linear"):
             raise ValueError(f"unknown schedule {self.schedule!r} (expected constant or linear)")
+        if self.schedule == "linear" and self.max_iters < 1:
+            raise ValueError(f"a linear schedule needs max_iters >= 1, got {self.max_iters}")
 
     def eta_at(self, t: int) -> float:
         eta = self.eta * (1.0 - t / self.max_iters) if self.schedule == "linear" else self.eta
@@ -142,7 +149,7 @@ class LandingConfig:
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators for one parameter."""
+    """First/second moment accumulators of one array, e.g. a state's packed ``params``."""
 
     m: np.ndarray
     v: np.ndarray
@@ -152,12 +159,20 @@ class AdamState:
     def zeros_like(cls, x) -> "AdamState":
         return cls(m=np.zeros_like(x), v=np.zeros_like(x))
 
+    @classmethod
+    def for_state(cls, state) -> "AdamState":
+        """Zero moments over the packed ``params`` of an adapter state."""
+        return cls.zeros_like(np.zeros(sum(getattr(state, name).size for name in state.params)))
+
 
 def adam_transform(state: AdamState, g: np.ndarray) -> np.ndarray:
-    """Bias-corrected Adam direction m_hat / (sqrt(v_hat) + eps); advances the state."""
+    """Bias-corrected Adam direction m_hat / (sqrt(v_hat) + eps); advances the
+    state, updating ``m`` and ``v`` in place."""
     state.t += 1
-    state.m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * g
-    state.v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * (g * g)
+    state.m *= ADAM_BETA1
+    state.m += (1.0 - ADAM_BETA1) * g
+    state.v *= ADAM_BETA2
+    state.v += (1.0 - ADAM_BETA2) * (g * g)
     m_hat = state.m / (1.0 - ADAM_BETA1**state.t)
     v_hat = state.v / (1.0 - ADAM_BETA2**state.t)
     return m_hat / (np.sqrt(v_hat) + ADAM_EPS)
@@ -170,8 +185,9 @@ def adam_transform(state: AdamState, g: np.ndarray) -> np.ndarray:
 def grad_distance_to_stiefel(X) -> np.ndarray:
     """Gradient of N(X) = ||X^T X - I||_F^2, namely 4 X (X^T X - I)."""
     X = np.asarray(X, dtype=np.float64)
-    r = X.shape[1]
-    return 4.0 * (X @ (X.T @ X - np.eye(r)))
+    gap = X.T @ X
+    gap.flat[:: X.shape[1] + 1] -= 1.0
+    return 4.0 * (X @ gap)
 
 
 def landing_field(X, grad_x, lam: float) -> np.ndarray:
@@ -194,9 +210,9 @@ def landing_field(X, grad_x, lam: float) -> np.ndarray:
     if X.shape != grad_x.shape:
         raise ValueError(f"shape mismatch: X {X.shape} vs grad {grad_x.shape}")
     A = X.T @ X
-    inner = (4.0 * lam) * (A - np.eye(A.shape[0])) - 0.5 * (grad_x.T @ X)
     out = grad_x @ (0.5 * A)
-    out += X @ inner
+    A.flat[:: A.shape[0] + 1] -= 1.0  # A - I, in place
+    out += X @ ((4.0 * lam) * A - 0.5 * (grad_x.T @ X))
     return out
 
 
@@ -277,12 +293,13 @@ def make_whitened_task(
 
 
 def whitened_task_grads(task: WhitenedTask, state: AdapterState) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """(G_X, G_Theta, G_Y, loss) of the task loss at the adapter state."""
+    """(G_X, G_Theta, G_Y, loss) of the task loss at the adapter state; the loss
+    is the factored residual ||DeltaW - residual||_F^2, nonnegative by construction."""
     s = state.scale_alpha / state.r
     XT = state.X @ state.Theta
     delta = s * (XT @ state.Y.T)
     diff = delta - task.residual
-    loss = max(float(np.sum(diff * diff)) + task.c, 0.0)
+    loss = float(np.sum(diff * diff))
     G_dw = 2.0 * diff
     G_X = s * (G_dw @ (state.Y @ state.Theta.T))
     G_Y = s * (G_dw.T @ XT)
@@ -291,11 +308,11 @@ def whitened_task_grads(task: WhitenedTask, state: AdapterState) -> tuple[np.nda
 
 
 def lora_grads(task: WhitenedTask, state: LoraState) -> tuple[np.ndarray, np.ndarray, float]:
-    """(G_Z1, G_Z2, loss) of the task loss at the LoRA state."""
+    """(G_Z1, G_Z2, loss) of the task loss at the LoRA state, loss as in :func:`whitened_task_grads`."""
     s = state.scale_alpha / state.r
     delta = s * (state.Z1 @ state.Z2.T)
     diff = delta - task.residual
-    loss = max(float(np.sum(diff * diff)) + task.c, 0.0)
+    loss = float(np.sum(diff * diff))
     G_dw = 2.0 * diff
     return s * (G_dw @ state.Z2), s * (G_dw.T @ state.Z1), loss
 
@@ -313,26 +330,40 @@ def _adapter_columns(state, left, right) -> dict:
     return {"n_x": distance_to_stiefel(left), "n_y": distance_to_stiefel(right), "stable_rank": sr}
 
 
-def _adam_update(state, opt: dict, cfg: LandingConfig, it: int, grads: dict):
-    """``state`` with each named parameter moved by -eta_t times the Adam transform of its gradient."""
-    eta_t = cfg.eta_at(it)
-    moved = {name: getattr(state, name) - eta_t * adam_transform(opt[name], g) for name, g in grads.items()}
-    return replace(state, **moved)
+class _PackedAdam:
+    """The update both adapters share. ``layout`` maps each of ``state.params``
+    to its slice and shape in one packed vector; a step moves the packed
+    parameters p to p - eta_t * d, with d one Adam transform of the directions
+    packed in the same order, and never writes the arrays of the state it steps from."""
+
+    def __init__(self, task: WhitenedTask, cfg: LandingConfig, opt: AdamState, state):
+        self.task, self.cfg, self.opt, self.layout, stop = task, cfg, opt, {}, 0
+        for name in state.params:
+            a = getattr(state, name)
+            self.layout[name], stop = (slice(stop, stop + a.size), a.shape), stop + a.size
+        if opt.m.shape != (stop,):
+            raise ValueError(f"opt has moments of shape {opt.m.shape}, the packed {state.params} need ({stop},)")
+
+    def _update(self, state, directions: tuple, it: int):
+        eta_t = self.cfg.eta_at(it)
+        d = adam_transform(self.opt, np.concatenate([g.ravel() for g in directions]))
+        new = np.concatenate([getattr(state, name).ravel() for name in self.layout]) - eta_t * d
+        return replace(state, **{name: new[s].reshape(shape) for name, (s, shape) in self.layout.items()})
 
 
-class _PolarLanding:
+class _PolarLanding(_PackedAdam):
     """The landing step of :func:`polar_train_step`. ``theta_mode="diagonal"`` keeps
     Theta diagonal; ``grad_mode="euclidean"`` is the ablation arm: the raw loss
     gradient plus the same penalty instead of the field."""
 
     name = "landing-polar"
 
-    def __init__(self, task: WhitenedTask, cfg: LandingConfig, opt: dict, theta_mode: str, grad_mode: str):
+    def __init__(self, task: WhitenedTask, cfg: LandingConfig, opt: AdamState, state, theta_mode: str, grad_mode: str):
         if theta_mode not in ("full", "diagonal"):
             raise ValueError(f"unknown theta_mode {theta_mode!r}")
         if grad_mode not in ("landing", "euclidean"):
             raise ValueError(f"unknown grad_mode {grad_mode!r}")
-        self.task, self.cfg, self.opt = task, cfg, opt
+        super().__init__(task, cfg, opt, state)
         self.theta_mode, self.grad_mode = theta_mode, grad_mode
 
     def evaluate(self, state: AdapterState):
@@ -351,7 +382,7 @@ class _PolarLanding:
             dir_X = G_X + cfg.lam * grad_distance_to_stiefel(state.X)
             dir_Y = G_Y + cfg.lam * grad_distance_to_stiefel(state.Y)
         ev["taken"] = (dir_X, G_Theta, dir_Y)
-        return _adam_update(state, self.opt, cfg, it, {"X": dir_X, "Theta": G_Theta, "Y": dir_Y})
+        return self._update(state, ev["taken"], it)
 
     def record(self, state: AdapterState, ev: dict) -> dict:
         # the norm of the direction taken; the state after the last step takes none
@@ -362,21 +393,17 @@ class _PolarLanding:
         return {"grad_norm": grad_norm, **_adapter_columns(state, state.X, state.Y)}
 
 
-class _Lora:
+class _Lora(_PackedAdam):
     """Adam on both Euclidean factors from one backward pass."""
 
     name = "lora"
-
-    def __init__(self, task: WhitenedTask, cfg: LandingConfig, opt: dict):
-        self.task, self.cfg, self.opt = task, cfg, opt
 
     def evaluate(self, state: LoraState):
         G1, G2, loss = lora_grads(self.task, state)
         return state, loss, (G1, G2)
 
     def step(self, state: LoraState, ev, it: int) -> LoraState:
-        G1, G2 = ev
-        return _adam_update(state, self.opt, self.cfg, it, {"Z1": G1, "Z2": G2})
+        return self._update(state, ev, it)
 
     def record(self, state: LoraState, ev) -> dict:
         return _adapter_columns(state, state.Z1, state.Z2)
@@ -385,7 +412,7 @@ class _Lora:
 def polar_train_step(
     task: WhitenedTask,
     state: AdapterState,
-    opt: dict,
+    opt: AdamState,
     cfg: LandingConfig,
     t: int,
     theta_mode: str = "full",
@@ -393,15 +420,18 @@ def polar_train_step(
 ) -> tuple[AdapterState, float]:
     """One landing step. All gradients are taken at the pre-step state; X and Y
     move along the Adam-transformed landing field (penalty inside), Theta along
-    its Adam-transformed Euclidean gradient. Returns the pre-step loss."""
-    return advance(_PolarLanding(task, cfg, opt, theta_mode, grad_mode), state, t)
+    its Adam-transformed Euclidean gradient. ``opt`` is the Adam state of the
+    packed parameters, at first ``AdamState.for_state(state)``. Returns the
+    pre-step loss."""
+    return advance(_PolarLanding(task, cfg, opt, state, theta_mode, grad_mode), state, t)
 
 
 def lora_train_step(
-    task: WhitenedTask, state: LoraState, opt: dict, cfg: LandingConfig, t: int
+    task: WhitenedTask, state: LoraState, opt: AdamState, cfg: LandingConfig, t: int
 ) -> tuple[LoraState, float]:
-    """One Adam step of the Euclidean two-factor baseline on the same task."""
-    return advance(_Lora(task, cfg, opt), state, t)
+    """One Adam step of the Euclidean two-factor baseline on the same task,
+    ``opt`` as in :func:`polar_train_step`."""
+    return advance(_Lora(task, cfg, opt, state), state, t)
 
 
 def _landing_metadata(task: WhitenedTask, cfg: LandingConfig, r: int, scale_alpha: float, method: str) -> dict:
@@ -436,8 +466,7 @@ def train_polar_landing(
     the manifold and recorded as NaN.
     """
     state = init_adapter_state(task.W0, r, np.random.default_rng(cfg.seed), scale_alpha)
-    opt = {name: AdamState.zeros_like(getattr(state, name)) for name in ("X", "Theta", "Y")}
-    method = _PolarLanding(task, cfg, opt, theta_mode, grad_mode)
+    method = _PolarLanding(task, cfg, AdamState.for_state(state), state, theta_mode, grad_mode)
     metadata = _landing_metadata(task, cfg, r, scale_alpha, method.name)
     trace, state = run(method, state, metadata, cfg.max_iters, record_every)
     return state, trace
@@ -452,8 +481,7 @@ def train_lora(
 ) -> tuple[LoraState, RunTrace]:
     """Train the Euclidean two-factor baseline with Adam on the same task."""
     state = init_lora_state(task.W0, r, np.random.default_rng(cfg.seed), scale_alpha)
-    opt = {name: AdamState.zeros_like(getattr(state, name)) for name in ("Z1", "Z2")}
-    method = _Lora(task, cfg, opt)
+    method = _Lora(task, cfg, AdamState.for_state(state), state)
     metadata = _landing_metadata(task, cfg, r, scale_alpha, method.name)
     trace, state = run(method, state, metadata, cfg.max_iters, record_every)
     return state, trace

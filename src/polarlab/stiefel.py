@@ -54,9 +54,10 @@ def require_matrix(a, name: str = "matrix") -> np.ndarray:
 
 def stiefel_error(X) -> float:
     """Frobenius norm of X^T X - I."""
-    X = np.asarray(X)
-    r = X.shape[1]
-    return float(np.linalg.norm(X.T @ X - np.eye(r)))
+    X = np.asarray(X, dtype=np.float64)
+    gap = X.T @ X
+    gap.flat[:: X.shape[1] + 1] -= 1.0
+    return math.sqrt(np.vdot(gap, gap))
 
 
 def require_stiefel(X, tol: float = SAMPLE_FEASIBILITY_TOL, name: str = "X") -> np.ndarray:
@@ -232,9 +233,9 @@ def tangent_project(X: np.ndarray, G: np.ndarray) -> np.ndarray:
 def distance_to_stiefel(X) -> float:
     """Squared feasibility gap N(X) = ||X^T X - I_r||_F^2."""
     X = require_matrix(X, "X")
-    r = X.shape[1]
-    diff = X.T @ X - np.eye(r)
-    return float(np.sum(diff * diff))
+    gap = X.T @ X
+    gap.flat[:: X.shape[1] + 1] -= 1.0
+    return float(np.sum(gap * gap))
 
 
 @dataclass(frozen=True)

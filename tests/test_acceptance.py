@@ -336,7 +336,7 @@ def test_a5_landing_run_lands_on_stiefel():
     cfg = LandingConfig(lam=1e-3, eta=1e-2, schedule="linear", max_iters=total, seed=0)
     rng = np.random.default_rng(cfg.seed)
     state = init_adapter_state(task.W0, 8, rng)
-    opt = {name: AdamState.zeros_like(getattr(state, name)) for name in ("X", "Theta", "Y")}
+    opt = AdamState.for_state(state)
 
     def ortho_violation(s: AdapterState) -> float:
         # the rotational and penalty components of the landing field are

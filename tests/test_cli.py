@@ -111,6 +111,24 @@ def test_bad_budget_or_cadence_exits_one_with_one_line(tmp_path, capsys, command
     assert captured.out == ""
 
 
+def test_linear_schedule_without_budget_exits_one_with_one_line(tmp_path, capsys):
+    rc = main(["finetune-toy", *FAST_FINETUNE, "--schedule", "linear", "--max-iters", "0", "--out", str(tmp_path / "r")])
+    captured = capsys.readouterr()
+    assert rc == EXIT_ERROR
+    assert captured.err.splitlines() == ["error: a linear schedule needs max_iters >= 1, got 0"]
+
+
+@pytest.mark.parametrize("method, seed, iters", [("lora", 47, 2000), ("lora", 48, 2000), ("lora", 99, 2000),
+                                                 ("landing-polar", 79, 1000)])
+def test_threshold_zero_is_not_met_by_rounding(tmp_path, method, seed, iters):
+    # these tasks carry a rounding residue c = -1.4e-14 in the direct loss; the
+    # reported loss is the factored residual, so a converged run stays above 0
+    argv = ["finetune-toy", "--method", method, "--seed", str(seed), "--target-seed", str(seed + 1234),
+            "--m", "64", "--n", "32", "--n-cols", "128", "--r", "24", "--eta", "2e-2", "--lam", "1e-3",
+            "--schedule", "constant", "--loss-threshold", "0", "--max-iters", str(iters), "--out", str(tmp_path / "r")]
+    assert main(argv) == EXIT_BUDGET
+
+
 def test_finetune_divergence_exits_one_with_one_line(tmp_path, capsys):
     # a step of 5 drives the landing run past the divergence limit within a few steps
     rc = main(["finetune-toy", "--eta", "5", "--out", str(tmp_path / "r")])

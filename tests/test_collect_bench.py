@@ -1,0 +1,66 @@
+"""Tests of tools/collect_bench.py on synthetic result files."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "collect_bench.py"
+
+
+@pytest.fixture(scope="module")
+def collect_bench():
+    spec = importlib.util.spec_from_file_location("collect_bench", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _write_run(directory, seed, step_cost, call_x_ref, trace=0, numpy="2.4.6"):
+    directory.mkdir(exist_ok=True)
+    record = {
+        "workload": "finetune",
+        "seed": seed,
+        "seconds": 30.0,
+        "trace": trace,
+        "fingerprint": {"numpy": numpy, "machine": "x86_64", "git_commit": "unknown", "seed": seed},
+        "output": {"metrics": {
+            "step_cost.geomean": {"value": step_cost, "unit": "x_ref"},
+            "setup_s": {"value": 0.3, "unit": "s"},
+            "peak_rss_mb": {"value": 40.0, "unit": "MB"},
+        }},
+        "detail": {"lora.x_ref": {"unit": "x_ref", "median": call_x_ref}, "lora.us": {"unit": "us", "median": 1.0}},
+    }
+    (directory / f"finetune-seed{seed}-trace{trace}.json").write_text(json.dumps(record))
+
+
+def test_collects_medians_iqr_and_pair_wins(tmp_path, collect_bench):
+    for seed, (p, c) in enumerate([(1.5, 1.3), (1.6, 1.4), (1.4, 1.45), (1.55, 1.35)]):
+        _write_run(tmp_path / "parent", seed, p, 2 * p)
+        _write_run(tmp_path / "change", seed, c, 2 * c)
+    _write_run(tmp_path / "change", 9, 5.0, 5.0, trace=1)  # traced runs are left out
+    out = tmp_path / "BENCH.json"
+    argv = [str(tmp_path / "parent"), str(tmp_path / "change"), "--parent-commit", "aaa", "--change-commit", "bbb",
+            "--tier1-seconds", "140", "--out", str(out)]
+    assert collect_bench.main(argv) == 0
+    bench = json.loads(out.read_text())
+    assert (bench["parent_commit"], bench["change_commit"], bench["tier1_wall_s"]) == ("aaa", "bbb", 140.0)
+    assert bench["fingerprint"] == {"numpy": "2.4.6", "machine": "x86_64"}
+    metrics = bench["workloads"]["finetune"]["metrics"]
+    assert set(metrics) == {"step_cost.geomean", "setup_s", "peak_rss_mb", "lora.x_ref"}
+    step = metrics["step_cost.geomean"]
+    assert step["parent"]["median"] == pytest.approx(1.525)
+    assert step["change"]["median"] == pytest.approx(1.375)
+    assert step["change"]["iqr"] == step["change"]["q3"] - step["change"]["q1"] > 0
+    assert (step["pairs"], step["change_wins"]) == (4, 3)
+    assert (metrics["lora.x_ref"]["change_wins"], metrics["setup_s"]["change_wins"]) == (3, 0)
+
+
+def test_refuses_runs_from_different_environments(tmp_path, collect_bench):
+    _write_run(tmp_path / "parent", 0, 1.5, 3.0, numpy="2.4.6")
+    _write_run(tmp_path / "change", 0, 1.3, 2.6, numpy="2.3.0")
+    argv = [str(tmp_path / "parent"), str(tmp_path / "change"), "--parent-commit", "a", "--change-commit", "b",
+            "--tier1-seconds", "1", "--out", str(tmp_path / "BENCH.json")]
+    with pytest.raises(SystemExit, match="different environments"):
+        collect_bench.main(argv)

@@ -34,6 +34,8 @@ from polarlab.landing import (
 )
 from polarlab.stiefel import distance_to_stiefel, sample_stiefel_uniform, skew_part
 
+from oracles import lora_step_reference, per_parameter_opt, polar_step_reference
+
 
 def _task(seed=0, m=12, n=10, n_cols=20, r_a=2, kappa=3.0):
     return make_whitened_task(m, n, n_cols, r_a, np.random.default_rng(seed), kappa=kappa)
@@ -130,6 +132,19 @@ def test_landing_components_are_orthogonal(seed):
     pen = grad_distance_to_stiefel(X)
     inner = abs(float(np.sum(loss_part * pen)))
     assert inner <= 1e-10 * np.linalg.norm(loss_part) * np.linalg.norm(pen)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_landing_kernels_match_the_identity_matrix_forms(seed):
+    rng = np.random.default_rng(seed)
+    for m, r in ((7, 1), (30, 6), (64, 24)):
+        X = sample_stiefel_uniform(m, r, rng) + 10.0 ** -rng.integers(2, 12) * rng.standard_normal((m, r))
+        G = rng.standard_normal((m, r))
+        A = X.T @ X
+        want = G @ (0.5 * A)
+        want += X @ ((4.0 * 1e-3) * (A - np.eye(r)) - 0.5 * (G.T @ X))
+        assert np.array_equal(landing_field(X, G, 1e-3), want)
+        assert np.array_equal(grad_distance_to_stiefel(X), 4.0 * (X @ (A - np.eye(r))))
 
 
 def test_landing_field_shape_mismatch():
@@ -279,7 +294,7 @@ def test_polar_step_at_theta_zero_moves_only_by_penalty():
     assert np.linalg.norm(G_Theta) > 0
     assert np.allclose(landing_field(state.X, G_X, 1e-3), 1e-3 * grad_distance_to_stiefel(state.X), atol=1e-18)
     cfg = LandingConfig(eta=1e-2, max_iters=1)
-    opt = {k: AdamState.zeros_like(getattr(state, k)) for k in ("X", "Theta", "Y")}
+    opt = AdamState.for_state(state)
     new, _ = polar_train_step(t, state, opt, cfg, 0)
     assert np.linalg.norm(new.Theta) > 0
 
@@ -291,7 +306,7 @@ def test_polar_step_single_backward_pass():
     state = init_adapter_state(t.W0, 4, rng)
     state = AdapterState(W0=state.W0, X=state.X, Theta=rng.standard_normal((4, 4)), Y=state.Y)
     cfg = LandingConfig(lam=1e-3, eta=1e-2, max_iters=1)
-    opt = {k: AdamState.zeros_like(getattr(state, k)) for k in ("X", "Theta", "Y")}
+    opt = AdamState.for_state(state)
     new, loss = polar_train_step(t, state, opt, cfg, 0)
 
     G_X, G_Theta, G_Y, loss_ref = whitened_task_grads(t, state)
@@ -309,7 +324,7 @@ def test_polar_step_theta_modes():
     t = _task(5)
     state = init_adapter_state(t.W0, 4, np.random.default_rng(7))
     cfg = LandingConfig(eta=1e-2, max_iters=1)
-    opt = {k: AdamState.zeros_like(getattr(state, k)) for k in ("X", "Theta", "Y")}
+    opt = AdamState.for_state(state)
     new, _ = polar_train_step(t, state, opt, cfg, 0, theta_mode="diagonal")
     off_diag = new.Theta - np.diag(np.diag(new.Theta))
     assert np.array_equal(off_diag, np.zeros((4, 4)))
@@ -324,7 +339,7 @@ def test_polar_step_divergence_guard():
     state = init_adapter_state(t.W0, 4, np.random.default_rng(8))
     state = AdapterState(W0=state.W0, X=state.X, Theta=1e200 * np.eye(4), Y=state.Y)
     cfg = LandingConfig(eta=1e-2, max_iters=1)
-    opt = {k: AdamState.zeros_like(getattr(state, k)) for k in ("X", "Theta", "Y")}
+    opt = AdamState.for_state(state)
     with np.errstate(over="ignore"), pytest.raises(DivergenceError):
         polar_train_step(t, state, opt, cfg, 0)
 
@@ -334,10 +349,69 @@ def test_lora_step_first_move_freezes_z1():
     t = _task(7)
     state = init_lora_state(t.W0, 4, np.random.default_rng(9))
     cfg = LandingConfig(eta=1e-2, max_iters=1)
-    opt = {k: AdamState.zeros_like(getattr(state, k)) for k in ("Z1", "Z2")}
+    opt = AdamState.for_state(state)
     new, _ = lora_train_step(t, state, opt, cfg, 0)
     assert np.array_equal(new.Z1, state.Z1)
     assert not np.array_equal(new.Z2, state.Z2)
+
+
+@pytest.mark.parametrize(
+    "method, modes, schedule",
+    [
+        ("polar", {}, "constant"),
+        ("polar", {"theta_mode": "diagonal", "grad_mode": "euclidean"}, "linear"),
+        ("lora", {}, "constant"),
+        ("lora", {}, "linear"),
+    ],
+)
+def test_packed_adam_matches_per_parameter_oracle(method, modes, schedule):
+    # one Adam over the packed parameters gives every entry the bits of one Adam per parameter
+    t = _task(13)
+    init, step, reference = {
+        "polar": (init_adapter_state, polar_train_step, polar_step_reference),
+        "lora": (init_lora_state, lora_train_step, lora_step_reference),
+    }[method]
+    state = ref = init(t.W0, 4, np.random.default_rng(14))
+    cfg = LandingConfig(lam=1e-3, eta=1e-2, schedule=schedule, max_iters=40)
+    opt, ref_opts = AdamState.for_state(state), per_parameter_opt(state)
+    for it in range(25):
+        state, _ = step(t, state, opt, cfg, it, **modes)
+        ref = reference(t, ref, ref_opts, cfg, it, **modes)
+    assert opt.t == 25 and all(o.t == 25 for o in ref_opts.values())
+    for moment in ("m", "v"):
+        want = np.concatenate([getattr(ref_opts[name], moment).ravel() for name in state.params])
+        assert np.array_equal(getattr(opt, moment), want)
+    for name in state.params:
+        assert np.array_equal(getattr(state, name), getattr(ref, name))
+
+
+@pytest.mark.parametrize("method", ["polar", "lora"])
+def test_step_leaves_the_state_it_steps_from_unchanged(method):
+    t = _task(15)
+    init, step = {"polar": (init_adapter_state, polar_train_step), "lora": (init_lora_state, lora_train_step)}[method]
+    state = init(t.W0, 4, np.random.default_rng(16))
+    cfg = LandingConfig(eta=1e-2, max_iters=10)
+    opt = AdamState.for_state(state)
+    for it in range(3):  # after the first step the parameters are views of one packed vector
+        before = {name: getattr(state, name).copy() for name in state.params}
+        new, _ = step(t, state, opt, cfg, it)
+        for name, array in before.items():
+            assert np.array_equal(getattr(state, name), array)
+            assert not np.shares_memory(getattr(new, name), getattr(state, name))
+        state = new
+
+
+def test_step_rejects_opt_of_another_layout():
+    t = _task(15)
+    state = init_adapter_state(t.W0, 4, np.random.default_rng(16))
+    with pytest.raises(ValueError, match="moments"):
+        polar_train_step(t, state, AdamState.zeros_like(state.X), LandingConfig(max_iters=1), 0)
+
+
+def test_linear_schedule_needs_a_budget():
+    with pytest.raises(ValueError, match="max_iters >= 1, got 0"):
+        LandingConfig(schedule="linear", max_iters=0)
+    assert LandingConfig(schedule="constant", max_iters=0).eta_at(0) == 1e-2
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +466,7 @@ def test_component_orthogonality_along_run():
     t = _task(10)
     state = init_adapter_state(t.W0, 4, np.random.default_rng(11))
     cfg = _small_cfg(100)
-    opt = {k: AdamState.zeros_like(getattr(state, k)) for k in ("X", "Theta", "Y")}
+    opt = AdamState.for_state(state)
     for step in range(100):
         G_X, _, G_Y, _ = whitened_task_grads(t, state)
         for Xmat, G in ((state.X, G_X), (state.Y, G_Y)):

@@ -67,6 +67,17 @@ def test_sample_stiefel_uniform_rejects_wide():
         sample_stiefel_uniform(3, 5, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_gram_residuals_match_the_identity_matrix_forms(seed):
+    # the residual subtracts 1 on the diagonal in place; off it, g - 0.0 is exact
+    rng = np.random.default_rng(seed)
+    for m, r in ((7, 1), (30, 6), (50, 20)):
+        for X in (sample_stiefel_uniform(m, r, rng) + 1e-7 * rng.standard_normal((m, r)), rng.standard_normal((m, r))):
+            gap = X.T @ X - np.eye(r)
+            assert stiefel_error(X) == float(np.linalg.norm(gap))
+            assert distance_to_stiefel(X) == float(np.sum(gap * gap))
+
+
 # ---------------------------------------------------------------------------
 # polar decomposition
 

@@ -1,0 +1,125 @@
+#!/usr/bin/env python3
+"""Collect the benchmark runs of a parent commit and a change into one BENCH file.
+
+    python3 tools/collect_bench.py PARENT_RESULTS CHANGE_RESULTS \
+        --parent-commit SHA --change-commit SHA --tier1-seconds 140 --out BENCH_11.json
+
+PARENT_RESULTS and CHANGE_RESULTS are ``.bench_results/`` directories
+written by ``benchmark/run.py --trace 0`` in a checkout of each commit.
+For every workload, side and end-to-end metric, and for the per-call
+x_ref of every call, the file records the median, the quartiles, the IQR
+and the value of each run. Runs of the two sides with the same seed form a
+pair; for each metric the file counts the pairs the change won, by the
+metric's direction in BENCHMARK.json. It also records the environment
+fingerprint of the runs, both commits and the tier-1 wall time given.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+# the keys of a run's fingerprint that name the commit and seed rather than the machine
+RUN_KEYS = ("git_commit", "seed")
+
+
+def load_runs(directory: Path) -> dict:
+    """workload -> list of untraced result records, in file name order."""
+    runs = {}
+    for path in sorted(directory.glob("*.json")):
+        record = json.loads(path.read_text())
+        if record["trace"] == 0:
+            runs.setdefault(record["workload"], []).append(record)
+    return runs
+
+
+def metric_values(record: dict) -> dict:
+    """name -> (unit, value): the end-to-end metrics and the per-call x_ref medians of one run."""
+    out = {name: (entry["unit"], entry["value"]) for name, entry in record["output"]["metrics"].items()}
+    out.update({name: (entry["unit"], entry["median"]) for name, entry in record["detail"].items()
+                if name.endswith(".x_ref")})
+    return out
+
+
+def summary(values: list) -> dict:
+    q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+    return {"median": statistics.median(values), "q1": q1, "q3": q3, "iqr": q3 - q1, "values": values}
+
+
+def machine(records: list) -> dict:
+    """The fingerprint shared by every run, without its commit and seed; an error if runs differ."""
+    prints = [{k: v for k, v in r["fingerprint"].items() if k not in RUN_KEYS} for r in records]
+    for other in prints[1:]:
+        if other != prints[0]:
+            raise SystemExit(f"error: runs from different environments: {prints[0]} vs {other}")
+    return prints[0]
+
+
+def collect(parent: dict, change: dict, lower_is_better: dict) -> dict:
+    workloads = {}
+    for workload in sorted(set(parent) & set(change)):
+        sides = {"parent": parent[workload], "change": change[workload]}
+        per_side = {side: [metric_values(r) for r in records] for side, records in sides.items()}
+        seeds = {side: [r["seed"] for r in records] for side, records in sides.items()}
+        metrics = {}
+        for name in sorted(set.intersection(*(set(v) for runs in per_side.values() for v in runs))):
+            entry = {"unit": per_side["change"][0][name][0]}
+            by_seed = {}
+            for side, runs in per_side.items():
+                values = [run[name][1] for run in runs]
+                entry[side] = summary(values)
+                by_seed[side] = dict(zip(seeds[side], values))
+            pairs = sorted(set(by_seed["parent"]) & set(by_seed["change"]))
+            lower = lower_is_better.get(name, True)  # per-call x_ref is a cost
+            wins = sum((by_seed["change"][s] < by_seed["parent"][s]) == lower
+                       and by_seed["change"][s] != by_seed["parent"][s] for s in pairs)
+            entry.update(pairs=len(pairs), change_wins=wins,
+                         ratio=entry["change"]["median"] / entry["parent"]["median"])
+            metrics[name] = entry
+        workloads[workload] = {
+            "runs": {side: len(records) for side, records in sides.items()},
+            "seconds": sides["change"][0]["seconds"],
+            "seeds": seeds,
+            "metrics": metrics,
+        }
+    return workloads
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--parent-commit", required=True)
+    parser.add_argument("--change-commit", required=True)
+    parser.add_argument("--tier1-seconds", type=float, required=True, help="tier-1 wall time at the change")
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+    parent, change = load_runs(args.parent), load_runs(args.change)
+    if not set(parent) & set(change):
+        print(f"error: no workload has untraced runs on both sides ({args.parent}, {args.change})", file=sys.stderr)
+        return 1
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    lower_is_better = {m["name"]: m["better"] == "lower" for m in spec["end_to_end"]}
+    bench = {
+        "parent_commit": args.parent_commit,
+        "change_commit": args.change_commit,
+        "tier1_wall_s": args.tier1_seconds,
+        "fingerprint": machine([r for runs in (*parent.values(), *change.values()) for r in runs]),
+        "workloads": collect(parent, change, lower_is_better),
+    }
+    args.out.write_text(json.dumps(bench, indent=2, sort_keys=True) + "\n")
+    for workload, entry in bench["workloads"].items():
+        for name in ("step_cost.geomean", "setup_s", "peak_rss_mb"):
+            m = entry["metrics"][name]
+            print(f"{workload:13} {name:18} parent {m['parent']['median']:.4g} [IQR {m['parent']['iqr']:.3g}]"
+                  f"  change {m['change']['median']:.4g} [IQR {m['change']['iqr']:.3g}]"
+                  f"  ratio {m['ratio']:.3f}  change won {m['change_wins']}/{m['pairs']}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
