@@ -112,7 +112,8 @@ def test_bad_budget_or_cadence_exits_one_with_one_line(tmp_path, capsys, command
 
 
 def test_linear_schedule_without_budget_exits_one_with_one_line(tmp_path, capsys):
-    rc = main(["finetune-toy", *FAST_FINETUNE, "--schedule", "linear", "--max-iters", "0", "--out", str(tmp_path / "r")])
+    argv = ["finetune-toy", *FAST_FINETUNE, "--schedule", "linear", "--max-iters", "0", "--out", str(tmp_path / "r")]
+    rc = main(argv)
     captured = capsys.readouterr()
     assert rc == EXIT_ERROR
     assert captured.err.splitlines() == ["error: a linear schedule needs max_iters >= 1, got 0"]
