@@ -369,19 +369,22 @@ class _PolarRGD:
         M = f.X.T @ AY
         Theta = M if gamma == 1.0 else (1.0 - gamma) * f.Theta + gamma * M
         # 0.5||X Theta Y^T - A||^2 expanded under X^T X = Y^T Y = I
-        loss = 0.5 * (target.a2 - 2.0 * float(np.sum(Theta * M)) + float(np.sum(Theta * Theta)))
+        theta_m = float((Theta * M).sum())  # and ||Theta||^2 too at gamma = 1, where Theta is M
+        loss = 0.5 * (target.a2 - 2.0 * theta_m + (theta_m if gamma == 1.0 else float((Theta * Theta).sum())))
         if gamma == 1.0:
             T1 = AY @ Theta.T
-            E = f.X @ (f.X.T @ T1) - T1
+            E = f.X @ (f.X.T @ T1)
+            E -= T1
             T2 = AtX @ Theta
-            F = f.Y @ (f.Y.T @ T2) - T2
+            F = f.Y @ (f.Y.T @ T2)
+            F -= T2
         else:
             # Euclidean gradients at fixed (damped) Theta, then tangent projection
             gX = f.X @ (Theta @ Theta.T) - AY @ Theta.T
             gY = f.Y @ (Theta.T @ Theta) - AtX @ Theta
             E = tangent_project(f.X, gX)
             F = tangent_project(f.Y, gY)
-        grad_sq = float(np.sum(E * E) + np.sum(F * F))
+        grad_sq = float((E * E).sum() + (F * F).sum())
         return PolarFactors(X=f.X, Theta=Theta, Y=f.Y), max(loss, 0.0), (grad_sq, E, F)
 
     def step(self, f: PolarFactors, ev, it: int) -> PolarFactors:
@@ -430,15 +433,17 @@ class _SymRGD:
         BX = target.B @ f.X
         M = f.X.T @ BX
         Theta = M if gamma == 1.0 else (1.0 - gamma) * f.Theta + gamma * M
-        loss = 0.5 * (target.b2 - 2.0 * float(np.sum(Theta * M)) + float(np.sum(Theta * Theta)))
+        theta_m = float((Theta * M).sum())  # and ||Theta||^2 too at gamma = 1, where Theta is M
+        loss = 0.5 * (target.b2 - 2.0 * theta_m + (theta_m if gamma == 1.0 else float((Theta * Theta).sum())))
         if gamma == 1.0:
             P = BX @ M
-            G = f.X @ (f.X.T @ P) - P
+            G = f.X @ (f.X.T @ P)
+            G -= P
         else:
             # Euclidean gradient R X Theta^T + R^T X Theta expanded under X^T X = I
             gX = f.X @ (Theta @ Theta.T + Theta.T @ Theta) - BX @ (Theta.T + Theta)
             G = tangent_project(f.X, gX)
-        return SymFactors(X=f.X, Theta=Theta), max(loss, 0.0), (float(np.sum(G * G)), G)
+        return SymFactors(X=f.X, Theta=Theta), max(loss, 0.0), (float((G * G).sum()), G)
 
     def step(self, f: SymFactors, ev, it: int) -> SymFactors:
         return SymFactors(X=polar_retract(f.X, ev[1], self.eta), Theta=f.Theta)

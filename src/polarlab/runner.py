@@ -14,7 +14,8 @@ An optimizer is a method object with a ``name`` and three operations:
 :func:`run` owns the budget, the loss threshold, the divergence rule (a
 non-finite loss or one above ``DIVERGENCE_LOSS`` raises DivergenceError),
 the trace rows, each written after the step of its iteration, and the
-evaluation of the state after the last step, whose row reports no step.
+evaluation of the state after the last step, whose row reports no step. It
+names the method and the iteration in a FeasibilityError that a step raises.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import math
 import time
 
-from .exceptions import DivergenceError
+from .exceptions import DivergenceError, FeasibilityError
 from .trace import RunTrace
 
 DIVERGENCE_LOSS = 1e12
@@ -67,7 +68,10 @@ def run(method, state, metadata: dict, max_iters: int, record_every: int, loss_t
         if converged or it == max_iters:
             record(it, state, loss, ev)
             break
-        stepped = method.step(state, ev, it)
+        try:
+            stepped = method.step(state, ev, it)
+        except FeasibilityError as exc:  # a failed retraction: say where
+            raise FeasibilityError(f"{exc} ({method.name}, iteration {it})") from exc
         if it % record_every == 0:
             record(it, state, loss, ev)
         state = stepped

@@ -52,12 +52,20 @@ def require_matrix(a, name: str = "matrix") -> np.ndarray:
     return out
 
 
+def _gram_error(gram: np.ndarray) -> float:
+    """||gram - I||_F of a C-contiguous Gram matrix, subtracting I from it in place."""
+    gram.ravel()[:: gram.shape[0] + 1] -= 1.0
+    return math.sqrt(np.vdot(gram, gram))
+
+
+def _off_stiefel(name: str, shape, err: float, tol: float, where: str = "") -> FeasibilityError:
+    return FeasibilityError(f"{name} is off St({shape[0]},{shape[1]}): ||X'X - I||_F = {err:.3e} > {tol:.1e}{where}")
+
+
 def stiefel_error(X) -> float:
     """Frobenius norm of X^T X - I."""
     X = np.asarray(X, dtype=np.float64)
-    gap = X.T @ X
-    gap.flat[:: X.shape[1] + 1] -= 1.0
-    return math.sqrt(np.vdot(gap, gap))
+    return _gram_error(X.T @ X)
 
 
 def require_stiefel(X, tol: float = SAMPLE_FEASIBILITY_TOL, name: str = "X") -> np.ndarray:
@@ -67,8 +75,8 @@ def require_stiefel(X, tol: float = SAMPLE_FEASIBILITY_TOL, name: str = "X") -> 
     if m < r:
         raise ValueError(f"{name} must be tall (m >= r), got {X.shape}")
     err = stiefel_error(X)
-    if err > tol:
-        raise FeasibilityError(f"{name} is off St({m},{r}): ||X'X - I||_F = {err:.3e} > {tol:.1e}")
+    if not err <= tol:
+        raise _off_stiefel(name, X.shape, err, tol)
     return X
 
 
@@ -93,26 +101,30 @@ def sample_stiefel_uniform(m: int, r: int, rng: np.random.Generator) -> np.ndarr
     if not (1 <= r <= m):
         raise ValueError(f"need 1 <= r <= m, got m={m}, r={r}")
     eye = np.eye(r)
+
+    def newton_schulz(X):  # X, its polish factor 1.5 I - 0.5 X^T X and ||X^T X - I||_F, from one Gram
+        gram = X.T @ X
+        return X, 1.5 * eye - 0.5 * gram, _gram_error(gram)
+
     for attempt in range(2):
         Z = rng.standard_normal((m, r))
-        G = Z.T @ Z
-        w, Q = np.linalg.eigh(G)
+        w, Q = np.linalg.eigh(Z.T @ Z)
         if w[0] > RANK_DEFICIENCY_RTOL * w[-1]:
-            X = Z @ ((Q / np.sqrt(w)) @ Q.T)
             # an ill-conditioned Z leaves rounding of order kappa(Z)^2 eps.
             # Newton-Schulz polishing restores machine precision; stopping at
             # the certificate instead would leave a seed-dependent error that
             # downstream gradients amplify by the square of the target scale.
-            err = stiefel_error(X)
+            X, factor, err = newton_schulz(Z @ ((Q / np.sqrt(w)) @ Q.T))
             for _ in range(8):
                 if err <= SAMPLE_NS_FLOOR:
                     break
-                polished = X @ (1.5 * eye - 0.5 * (X.T @ X))
-                polished_err = stiefel_error(polished)
+                polished, polished_factor, polished_err = newton_schulz(X @ factor)
                 if polished_err >= err:
                     break
-                X, err = polished, polished_err
-            return require_stiefel(X, SAMPLE_FEASIBILITY_TOL, "sampled X")
+                X, factor, err = polished, polished_factor, polished_err
+            if not err <= SAMPLE_FEASIBILITY_TOL:
+                raise _off_stiefel("sampled X", X.shape, err, SAMPLE_FEASIBILITY_TOL)
+            return X
     raise RankDeficientError("Gaussian sample was rank deficient twice in a row")
 
 
@@ -161,11 +173,12 @@ def retract_series_order(x: float) -> int | None:
 def _binomial_inv_sqrt(K: np.ndarray, n: int) -> np.ndarray:
     """sum_{k<n} c_k (-K)^k for n >= 2, by Horner's rule in n - 2 products."""
     diag = np.s_[:: K.shape[0] + 1]
-    S = -_BINOMIAL_COEFFS[n - 1] * K
-    S.flat[diag] += _BINOMIAL_COEFFS[n - 2]
+    S = np.multiply(K, -_BINOMIAL_COEFFS[n - 1])
+    S.ravel()[diag] += _BINOMIAL_COEFFS[n - 2]
     for c in reversed(_BINOMIAL_COEFFS[: n - 2]):
-        S = -(K @ S)
-        S.flat[diag] += c
+        S = K @ S
+        np.negative(S, out=S)
+        S.ravel()[diag] += c
     return S
 
 
@@ -181,16 +194,18 @@ def polar_retract(X, D, eta: float) -> np.ndarray:
     ``RETRACT_SERIES_MAX_ORDER``, it comes from the eigendecomposition of
     D^T D instead.
 
-    D must be tangent at X: ||X^T D + D^T X||_F <= 1e-8 max(1, ||D||_F),
-    checked on every call (also under ``python -O``), else
-    ``FeasibilityError``. The output is certified on St(m, r) at 1e-9.
+    X and D must be 2-D of one tall shape and eta finite and >= 0, else
+    ``ValueError``. D must be tangent at X: ||X^T D + D^T X||_F <= 1e-8
+    max(1, ||D||_F), checked on every call (also under ``python -O``), else
+    ``FeasibilityError``. The output is certified on St(m, r) at 1e-9 from
+    its one Gram matrix, which a non-finite entry fails. Both errors name eta.
     """
     X = np.asarray(X, dtype=np.float64)
     D = np.asarray(D, dtype=np.float64)
-    if X.shape != D.shape:
-        raise ValueError(f"shape mismatch: X {X.shape} vs D {D.shape}")
-    if eta < 0:
-        raise ValueError("eta must be nonnegative")
+    if X.ndim != 2 or X.shape != D.shape or X.shape[0] < X.shape[1]:
+        raise ValueError(f"X and D must be 2-D of one tall shape (m >= r), got X {X.shape} and D {D.shape}")
+    if not (math.isfinite(eta) and eta >= 0):
+        raise ValueError(f"eta must be finite and nonnegative, got eta = {eta}")
     M = D.T @ D
     XtD = X.T @ D
     sym = XtD + XtD.T  # zero for tangent D
@@ -200,11 +215,13 @@ def polar_retract(X, D, eta: float) -> np.ndarray:
     if not err <= tol:
         raise FeasibilityError(
             f"retraction direction is not tangent: ||X'D + D'X||_F = {err:.3e} > {tol:.3e}"
-            f" = {TANGENCY_TOL:.0e} max(1, ||D||_F)"
+            f" = {TANGENCY_TOL:.0e} max(1, ||D||_F) at eta = {eta:g}"
         )
     K = (eta * eta) * M
     n = retract_series_order(math.sqrt(float(np.vdot(K, K))))
-    step = X - eta * D
+    # X - eta D in one buffer: -fl(eta d) is exact and x + (-t) rounds like x - t
+    step = np.multiply(D, -eta)
+    step += X
     if n is None:
         w, Q = np.linalg.eigh(M)
         scale = 1.0 / np.sqrt(np.maximum(1.0 + eta * eta * w, EIG_FLOOR))
@@ -213,7 +230,10 @@ def polar_retract(X, D, eta: float) -> np.ndarray:
         out = step
     else:
         out = step @ _binomial_inv_sqrt(K, n)
-    return require_stiefel(out, RETRACT_FEASIBILITY_TOL, "retracted X")
+    err = _gram_error(out.T @ out)
+    if not err <= RETRACT_FEASIBILITY_TOL:
+        raise _off_stiefel("retracted X", out.shape, err, RETRACT_FEASIBILITY_TOL, f" at eta = {eta:g}")
+    return out
 
 
 def skew_part(M) -> np.ndarray:
@@ -227,7 +247,8 @@ def skew_part(M) -> np.ndarray:
 def tangent_project(X: np.ndarray, G: np.ndarray) -> np.ndarray:
     """Projection of G onto the tangent space of St at X: G - X sym(X^T G)."""
     M = X.T @ G
-    return G - X @ (0.5 * (M + M.T))
+    out = X @ (0.5 * (M + M.T))
+    return np.subtract(G, out, out=out)
 
 
 def distance_to_stiefel(X) -> float:

@@ -6,14 +6,21 @@ three factorization losses, each written out directly. The optimizers in
 forms; these are the plain versions. The adapter steps below run one
 out-of-place Adam per parameter, where ``polarlab.landing`` runs one
 in-place Adam over the packed parameters.
+
+The allocating manifold kernels at the end (retraction, tangent projection,
+Haar sampler and the RGD evaluations) are the plain-expression versions of
+the in-place kernels in ``polarlab.stiefel`` and ``polarlab.factorization``,
+which must reproduce them bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import numpy as np
 
+from polarlab.exceptions import RankDeficientError
 from polarlab.factorization import BMFactors, FactorizationTarget, PolarFactors, SymFactors, SymTarget
 from polarlab.landing import (
     ADAM_BETA1,
@@ -24,6 +31,17 @@ from polarlab.landing import (
     landing_field,
     lora_grads,
     whitened_task_grads,
+)
+from polarlab.stiefel import (
+    _BINOMIAL_COEFFS,
+    EIG_FLOOR,
+    RANK_DEFICIENCY_RTOL,
+    RETRACT_FEASIBILITY_TOL,
+    SAMPLE_FEASIBILITY_TOL,
+    SAMPLE_NS_FLOOR,
+    require_stiefel,
+    retract_series_order,
+    stiefel_error,
 )
 
 
@@ -122,3 +140,99 @@ def lora_step_reference(task, state, opts: dict, cfg, t: int):
     """One Adam step of the LoRA baseline, each factor through its own Adam."""
     G1, G2, _ = lora_grads(task, state)
     return _per_parameter_update(state, opts, cfg.eta_at(t), {"Z1": G1, "Z2": G2})
+
+
+# ---------------------------------------------------------------------------
+# allocating manifold kernels and RGD evaluations
+
+
+def binomial_inv_sqrt_reference(K: np.ndarray, n: int) -> np.ndarray:
+    """sum_{k<n} c_k (-K)^k for n >= 2 by Horner's rule, a fresh array per term."""
+    diag = np.s_[:: K.shape[0] + 1]
+    S = -_BINOMIAL_COEFFS[n - 1] * K
+    S.flat[diag] += _BINOMIAL_COEFFS[n - 2]
+    for c in reversed(_BINOMIAL_COEFFS[: n - 2]):
+        S = -(K @ S)
+        S.flat[diag] += c
+    return S
+
+
+def polar_retract_reference(X, D, eta: float) -> np.ndarray:
+    """(X - eta D)(I + eta^2 D^T D)^{-1/2}, certified through ``require_stiefel``.
+
+    D is taken to be tangent at X; the tangency check does not touch the output.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    D = np.asarray(D, dtype=np.float64)
+    M = D.T @ D
+    K = (eta * eta) * M
+    n = retract_series_order(math.sqrt(float(np.vdot(K, K))))
+    step = X - eta * D
+    if n is None:
+        w, Q = np.linalg.eigh(M)
+        scale = 1.0 / np.sqrt(np.maximum(1.0 + eta * eta * w, EIG_FLOOR))
+        out = step @ ((Q * scale) @ Q.T)
+    elif n == 1:
+        out = step
+    else:
+        out = step @ binomial_inv_sqrt_reference(K, n)
+    return require_stiefel(out, RETRACT_FEASIBILITY_TOL, "retracted X")
+
+
+def tangent_project_reference(X: np.ndarray, G: np.ndarray) -> np.ndarray:
+    M = X.T @ G
+    return G - X @ (0.5 * (M + M.T))
+
+
+def sample_stiefel_uniform_reference(m: int, r: int, rng: np.random.Generator, floor=SAMPLE_NS_FLOOR) -> np.ndarray:
+    """Haar sample Z (Z^T Z)^{-1/2}, Newton-Schulz polished down to ``floor``, forming each Gram where it is used."""
+    eye = np.eye(r)
+    for attempt in range(2):
+        Z = rng.standard_normal((m, r))
+        w, Q = np.linalg.eigh(Z.T @ Z)
+        if w[0] > RANK_DEFICIENCY_RTOL * w[-1]:
+            X = Z @ ((Q / np.sqrt(w)) @ Q.T)
+            err = stiefel_error(X)
+            for _ in range(8):
+                if err <= floor:
+                    break
+                polished = X @ (1.5 * eye - 0.5 * (X.T @ X))
+                polished_err = stiefel_error(polished)
+                if polished_err >= err:
+                    break
+                X, err = polished, polished_err
+            return require_stiefel(X, SAMPLE_FEASIBILITY_TOL, "sampled X")
+    raise RankDeficientError("Gaussian sample was rank deficient twice in a row")
+
+
+def polar_rgd_evaluate_reference(target: FactorizationTarget, f: PolarFactors, gamma: float):
+    """(Theta, expanded loss, grad norm^2, E, F) of one polar-rgd evaluation."""
+    AY = target.A @ f.Y
+    AtX = target.A.T @ f.X
+    M = f.X.T @ AY
+    Theta = M if gamma == 1.0 else (1.0 - gamma) * f.Theta + gamma * M
+    loss = 0.5 * (target.a2 - 2.0 * float(np.sum(Theta * M)) + float(np.sum(Theta * Theta)))
+    if gamma == 1.0:
+        T1 = AY @ Theta.T
+        E = f.X @ (f.X.T @ T1) - T1
+        T2 = AtX @ Theta
+        F = f.Y @ (f.Y.T @ T2) - T2
+    else:
+        E = tangent_project_reference(f.X, f.X @ (Theta @ Theta.T) - AY @ Theta.T)
+        F = tangent_project_reference(f.Y, f.Y @ (Theta.T @ Theta) - AtX @ Theta)
+    return Theta, max(loss, 0.0), float(np.sum(E * E) + np.sum(F * F)), E, F
+
+
+def sym_rgd_evaluate_reference(target: SymTarget, f: SymFactors, gamma: float):
+    """(Theta, expanded loss, grad norm^2, G) of one polar-rgd-sym evaluation."""
+    BX = target.B @ f.X
+    M = f.X.T @ BX
+    Theta = M if gamma == 1.0 else (1.0 - gamma) * f.Theta + gamma * M
+    loss = 0.5 * (target.b2 - 2.0 * float(np.sum(Theta * M)) + float(np.sum(Theta * Theta)))
+    if gamma == 1.0:
+        P = BX @ M
+        G = f.X @ (f.X.T @ P) - P
+    else:
+        gX = f.X @ (Theta @ Theta.T + Theta.T @ Theta) - BX @ (Theta.T + Theta)
+        G = tangent_project_reference(f.X, gX)
+    return Theta, max(loss, 0.0), float(np.sum(G * G)), G

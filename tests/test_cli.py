@@ -157,6 +157,37 @@ def test_non_tangent_step_exits_one_with_one_line(tmp_path, flags):
     assert lines[0].startswith("error: retraction direction is not tangent")
 
 
+def _factorize_subprocess(tmp_path, *flags):
+    # a separate interpreter, so that a numpy RuntimeWarning would reach stderr
+    import polarlab
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(polarlab.__file__)))
+    argv = ["factorize", *flags, "--out", str(tmp_path / "r")]
+    return subprocess.run(
+        [sys.executable, "-m", "polarlab.cli", *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+@pytest.mark.parametrize("eta", ["inf", "nan"])
+def test_non_finite_eta_exits_one_with_one_line(tmp_path, eta):
+    proc = _factorize_subprocess(tmp_path, "--eta", eta)
+    assert proc.returncode == EXIT_ERROR
+    assert proc.stderr == f"error: eta must be finite and nonnegative, got eta = {eta}\n"
+
+
+def test_failed_retraction_names_method_iteration_and_eta(tmp_path):
+    # at eta = 10 a retracted factor misses the 1e-9 certificate within 50 steps
+    proc = _factorize_subprocess(tmp_path, "--algo", "polar-rgd", "--eta", "10", "--max-iters", "50")
+    assert proc.returncode == EXIT_ERROR
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert re.fullmatch(
+        r"error: retracted X is off St\(50,9\): \|\|X'X - I\|\|_F = \S+ > 1\.0e-09 at eta = 10 "
+        r"\(polar-rgd, iteration \d+\)",
+        lines[0],
+    )
+
+
 def test_usage_errors_raise_system_exit_one():
     # argparse normally exits 2 on usage errors; 2 means budget exhausted here
     with pytest.raises(SystemExit) as exc:

@@ -47,6 +47,7 @@ def test_collects_medians_iqr_and_pair_wins(tmp_path, collect_bench):
     bench = json.loads(out.read_text())
     assert (bench["parent_commit"], bench["change_commit"], bench["tier1_wall_s"]) == ("aaa", "bbb", 140.0)
     assert bench["fingerprint"] == {"numpy": "2.4.6", "machine": "x86_64"}
+    assert set(bench["blas_runtime"]) == {"openblas_core", "openblas_config"}
     metrics = bench["workloads"]["finetune"]["metrics"]
     assert set(metrics) == {"step_cost.geomean", "setup_s", "peak_rss_mb", "lora.x_ref"}
     step = metrics["step_cost.geomean"]
@@ -64,3 +65,19 @@ def test_refuses_runs_from_different_environments(tmp_path, collect_bench):
             "--tier1-seconds", "1", "--out", str(tmp_path / "BENCH.json")]
     with pytest.raises(SystemExit, match="different environments"):
         collect_bench.main(argv)
+
+
+def test_reads_the_openblas_core_of_numpys_bundled_library(collect_bench):
+    runtime = collect_bench.blas_runtime(collect_bench.numpy_libs())
+    assert set(runtime) == {"openblas_core", "openblas_config"}
+    if runtime["openblas_core"] != "unknown":
+        # the config string of a DYNAMIC_ARCH build names the core it picked
+        assert runtime["openblas_core"] in runtime["openblas_config"]
+
+
+def test_openblas_core_is_unknown_without_the_library(tmp_path, collect_bench):
+    unknown = {"openblas_core": "unknown", "openblas_config": "unknown"}
+    assert collect_bench.blas_runtime(None) == unknown
+    assert collect_bench.blas_runtime(tmp_path) == unknown
+    (tmp_path / "libscipy_openblas64_-0000.so").write_text("not a shared library")
+    assert collect_bench.blas_runtime(tmp_path) == unknown

@@ -171,6 +171,12 @@ def test_polar_retract_validates_inputs():
         polar_retract(X, np.zeros((6, 3)), 0.1)
     with pytest.raises(ValueError):
         polar_retract(X, np.zeros_like(X), -0.1)
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="eta must be finite and nonnegative"):
+            polar_retract(X, np.zeros_like(X), bad)
+    for shape in ((6,), (2, 6), (6, 2, 1)):
+        with pytest.raises(ValueError, match="must be 2-D of one tall shape"):
+            polar_retract(np.zeros(shape), np.zeros(shape), 0.1)
 
 
 def _eigh_retraction(X, D, eta):

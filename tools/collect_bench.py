@@ -11,12 +11,18 @@ x_ref of every call, the file records the median, the quartiles, the IQR
 and the value of each run. Runs of the two sides with the same seed form a
 pair; for each metric the file counts the pairs the change won, by the
 metric's direction in BENCHMARK.json. It also records the environment
-fingerprint of the runs, both commits and the tier-1 wall time given.
+fingerprint of the runs, both commits and the tier-1 wall time given, and
+the OpenBLAS core and build configuration that numpy's bundled OpenBLAS
+reports in the collecting process ("unknown" when it cannot be read). Run
+it on the machine and with the environment that ran the benchmark, since
+OpenBLAS picks its core at load time from the CPU and OPENBLAS_CORETYPE.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
+import importlib.util
 import json
 import statistics
 import sys
@@ -25,6 +31,29 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 # the keys of a run's fingerprint that name the commit and seed rather than the machine
 RUN_KEYS = ("git_commit", "seed")
+
+
+def numpy_libs() -> Path | None:
+    """The directory of the shared libraries bundled with numpy's wheel, found without importing numpy."""
+    spec = importlib.util.find_spec("numpy")
+    return Path(spec.origin).resolve().parent.parent / "numpy.libs" if spec and spec.origin else None
+
+
+def blas_runtime(libs: Path | None) -> dict:
+    """The core and the config string of the ``libscipy_openblas64_*.so`` in ``libs``, "unknown" where absent."""
+    found = {"openblas_core": "unknown", "openblas_config": "unknown"}
+    paths = sorted(libs.glob("libscipy_openblas64_*.so")) if libs is not None else []
+    try:
+        lib = ctypes.CDLL(str(paths[0]))
+    except (IndexError, OSError):
+        return found
+    for key, symbol in (("openblas_core", "scipy_openblas_get_corename64_"),
+                        ("openblas_config", "scipy_openblas_get_config64_")):
+        getter = getattr(lib, symbol, None)
+        if getter is not None:
+            getter.argtypes, getter.restype = [], ctypes.c_char_p
+            found[key] = getter().decode()
+    return found
 
 
 def load_runs(directory: Path) -> dict:
@@ -109,6 +138,7 @@ def main(argv=None) -> int:
         "change_commit": args.change_commit,
         "tier1_wall_s": args.tier1_seconds,
         "fingerprint": machine([r for runs in (*parent.values(), *change.values()) for r in runs]),
+        "blas_runtime": blas_runtime(numpy_libs()),
         "workloads": collect(parent, change, lower_is_better),
     }
     args.out.write_text(json.dumps(bench, indent=2, sort_keys=True) + "\n")
