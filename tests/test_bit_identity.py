@@ -1,6 +1,6 @@
-"""The in-place retraction, projection, sampler and RGD evaluations reproduce
-their plain-expression references in ``oracles`` bit for bit, and the
-retraction's certificate still fails on a non-finite output."""
+"""The in-place retraction, projection, sampler, RGD evaluations and
+landing-step kernel reproduce their plain-expression references bit for
+bit, and the retraction's certificate still fails on a non-finite output."""
 
 import numpy as np
 import pytest
@@ -13,6 +13,7 @@ from oracles import (
 )
 
 from polarlab import stiefel
+from polarlab.bench import BenchSpec, _make_kernel
 from polarlab.exceptions import FeasibilityError
 from polarlab.factorization import (
     PolarFactors,
@@ -24,6 +25,7 @@ from polarlab.factorization import (
     make_sym_target,
     make_target,
 )
+from polarlab.landing import landing_field
 from polarlab.runner import advance
 from polarlab.stiefel import polar_retract, retract_series_order, sample_stiefel_uniform, tangent_project
 
@@ -69,6 +71,15 @@ def test_sampler_matches_reference_when_polishing_stalls(monkeypatch, shape):
     monkeypatch.setattr(stiefel, "SAMPLE_NS_FLOOR", 0.0)
     X = sample_stiefel_uniform(*shape, np.random.default_rng(7))
     assert np.array_equal(X, sample_stiefel_uniform_reference(*shape, np.random.default_rng(7), floor=0.0))
+
+
+@pytest.mark.parametrize("shape", [(50, 20), (4096, 32)])
+def test_landing_step_kernel_matches_reference(shape):
+    spec = BenchSpec(m=shape[0], r=shape[1], op="landing-step")
+    rng = np.random.default_rng(6)
+    X = sample_stiefel_uniform(*shape, rng)
+    G = rng.standard_normal(shape)
+    assert np.array_equal(_make_kernel(spec)(X, G), X - spec.eta * landing_field(X, G, spec.lam))
 
 
 def _stepped(method, f, steps):
