@@ -19,7 +19,7 @@ from polarlab.trace import write_trace
 
 def run(label, runner, target, r, **kw):
     t0 = time.perf_counter()
-    trace, _ = runner(target, r, **kw)
+    trace, _ = runner(target, r, pl.RGDConfig(**kw))
     md = trace.metadata
     status = f"converged at {md['iterations']}" if md["converged"] else f"stopped at {md['iterations']}"
     print(f"  {label:<28} loss {trace.final_loss:.3e}  ({status}, {time.perf_counter() - t0:.1f}s)")

@@ -34,11 +34,11 @@ def main():
 
     task = make_whitened_task(64, 32, 128, 4, np.random.default_rng(1000 + args.seed))
     # decaying step so the landing penalty wins at the end and the frames land
-    cfg = LandingConfig(lam=1e-3, eta=2e-2, schedule="linear", max_iters=args.iters, seed=args.seed)
+    cfg = LandingConfig(lam=1e-3, eta=2e-2, schedule="linear", max_iters=args.iters, seed=args.seed, record_every=100)
     print(f"task: 64x32, planted rank 4, kappa=10, adapter rank 16, {args.iters} Adam iterations")
 
-    polar, tr_polar = train_polar_landing(task, 16, cfg, record_every=100)
-    lora, tr_lora = train_lora(task, 16, cfg, record_every=100)
+    polar, tr_polar = train_polar_landing(task, 16, cfg)
+    lora, tr_lora = train_lora(task, 16, cfg)
 
     print("\n== final loss ==")
     print(f"  polar+landing : {tr_polar.final_loss:.3e}")

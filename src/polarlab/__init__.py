@@ -43,6 +43,7 @@ _EXPORTS = {
     "read_trace_csv": "trace",
     "trace_basename": "trace",
     # factorization experiments
+    "RGDConfig": "config",
     "FactorizationTarget": "factorization",
     "SymTarget": "factorization",
     "make_target": "factorization",
@@ -68,7 +69,7 @@ _EXPORTS = {
     # landing-method adapter training
     "AdapterState": "landing",
     "LoraState": "landing",
-    "LandingConfig": "landing",
+    "LandingConfig": "config",
     "AdamState": "landing",
     "adam_transform": "landing",
     "landing_field": "landing",
@@ -88,7 +89,6 @@ _EXPORTS = {
     "BenchSpec": "bench",
     "BenchResult": "bench",
     "run_bench": "bench",
-    "run_rank_sweep": "bench",
 }
 
 __all__ = sorted(_EXPORTS) + ["__version__"]

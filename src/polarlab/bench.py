@@ -27,6 +27,9 @@ Each sample draws fresh inputs outside the clock; a kernel under 100 ms
 runs in a batch inside one clock read, so that neither timer resolution
 nor a short stall of a shared machine dominates a sample. Sampling stops
 once the IQR falls below 15% of the median or the budget is exhausted.
+:func:`run_bench` times one op at one shape; the A7 acceptance tests call
+it per rank, and ``benchmark/run.py --workload kernels-4096`` covers the
+m = 4096 rank sweep.
 """
 
 from __future__ import annotations
@@ -41,8 +44,6 @@ from .landing import grad_distance_to_stiefel, landing_field
 from .stiefel import require_stiefel, sample_stiefel_uniform, skew_part, tangent_project
 
 OPS = ("retraction", "landing", "landing-step")
-DEFAULT_OPS = ("retraction", "landing")
-DEFAULT_RANKS = (4, 32, 64, 256)
 
 MIN_SAMPLES = 5
 IQR_TARGET = 0.15
@@ -177,54 +178,3 @@ def run_bench(spec: BenchSpec, rng: np.random.Generator | None = None) -> BenchR
             "n_samples": len(samples),
         },
     )
-
-
-def run_rank_sweep(
-    m: int,
-    ranks=DEFAULT_RANKS,
-    ops=DEFAULT_OPS,
-    warmup_iters: int = 10,
-    max_samples: int = 50,
-    seed: int = 0,
-) -> list[BenchResult]:
-    """Benchmark every (op, r) pair at a fixed m; ranks above m are skipped."""
-    results = []
-    for op in ops:
-        for r in ranks:
-            if r > m:
-                continue
-            spec = BenchSpec(m=m, r=r, op=op, warmup_iters=warmup_iters, max_samples=max_samples, seed=seed)
-            results.append(run_bench(spec))
-    return results
-
-
-def write_bench_csv(results, path) -> None:
-    """One row per benchmark point, comma-separated."""
-    lines = ["op,m,r,median_micros,iqr_over_median,n_samples,stable,threads"]
-    for res in results:
-        s = res.spec
-        lines.append(
-            f"{s.op},{s.m},{s.r},{res.median_micros:.3f},{res.iqr_over_median:.4f},"
-            f"{res.metadata['n_samples']},{res.stable},{res.metadata['threads']}"
-        )
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def format_bench_table(results, m: int) -> str:
-    """Aligned text table for one m: rows are ops, columns are ranks (microseconds)."""
-    rows = [r for r in results if r.spec.m == m]
-    if not rows:
-        raise ValueError(f"no results at m={m}")
-    ranks = sorted({r.spec.r for r in rows})
-    by_key = {(r.spec.op, r.spec.r): r for r in rows}
-    header = f"median microseconds per call, m={m}"
-    width = 12
-    lines = [header, "op".ljust(12) + "".join(f"r={r}".rjust(width) for r in ranks)]
-    for op in OPS:
-        cells = []
-        for r in ranks:
-            res = by_key.get((op, r))
-            cells.append(f"{res.median_micros:.1f}".rjust(width) if res else "-".rjust(width))
-        lines.append(op.ljust(12) + "".join(cells))
-    return "\n".join(lines)

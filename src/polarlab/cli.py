@@ -5,17 +5,19 @@ Subcommands
 factorize     run one matrix-factorization experiment and write its trace
 finetune-toy  train the polar adapter (or the LoRA baseline) on the whitened toy task
 analyze       report spectrum / feasibility / diversity diagnostics of a checkpoint
-bench         time the retraction and landing kernels over a rank sweep
-              (--ops picks from retraction, landing, landing-step)
 
 Each subcommand is one entry of ``COMMANDS``: its config schema and its
-handler. Configuration is resolved in three layers: the schema's defaults,
-then a flat ``key=value`` config file (``--config``), then explicit flags.
-Unknown config keys are an error. Output goes to ``--out``, by default
-``runs/<subcommand>``, and the resolved configuration is echoed to
-``<out>/config_resolved.txt`` so a run can be reproduced from its output
-directory alone. Checkpoints are written and read by ``polarlab.io.save_state``
-and ``load_state``; the state classes define what a checkpoint holds.
+handler. The schemas of ``factorize`` and ``finetune-toy`` are their own
+target or task keys plus the fields of ``polarlab.config.RGDConfig`` and
+``LandingConfig``, whose defaults and range checks they inherit; a field's
+name is its config key and, with dashes, its flag. Configuration is
+resolved in three layers: the schema's defaults, then a flat ``key=value``
+config file (``--config``), then explicit flags. Unknown config keys are an
+error. Output goes to ``--out``, by default ``runs/<subcommand>``, and the
+resolved configuration is echoed to ``<out>/config_resolved.txt`` so a run
+can be reproduced from its output directory alone. Checkpoints are written
+and read by ``polarlab.io.save_state`` and ``load_state``; the state
+classes define what a checkpoint holds.
 
 Exit codes: 0 the run converged (or the command has no convergence
 notion), 2 the iteration budget ran out first, 1 any error.
@@ -28,9 +30,12 @@ loads, so all numerical imports happen inside the subcommand handlers.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
+
+from .config import LandingConfig, RGDConfig
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -44,56 +49,53 @@ _THREAD_ENV_VARS = (
     "VECLIB_MAXIMUM_THREADS",
 )
 
-# schema: config key -> (caster, default); None default means required
-FACTORIZE_SCHEMA = {
-    "algo": (str, "polar-rgd"),
-    "m": (int, 50),
-    "n": (int, 50),
-    "r": (int, 9),
-    "r_a": (int, 4),
-    "kappa": (float, 10.0),
-    "eta": (float, 1e-3),
-    "gamma": (float, 1.0),
-    "seed": (int, 0),
-    "target_seed": (int, 1234),
-    "max_iters": (int, 100_000),
-    "loss_threshold": (float, 1e-8),
-    "record_every": (int, 100),
-}
+_CASTERS = {"int": int, "float": float, "str": str}
 
-FINETUNE_SCHEMA = {
-    "method": (str, "landing-polar"),
-    "m": (int, 64),
-    "n": (int, 32),
-    "n_cols": (int, 256),
-    "r_a": (int, 4),
-    "kappa": (float, 10.0),
-    "r": (int, 8),
-    "alpha": (float, 32.0),
-    "eta": (float, 1e-2),
-    "lam": (float, 1e-3),
-    "schedule": (str, "constant"),
-    "theta_mode": (str, "full"),
-    "grad_mode": (str, "landing"),
-    "seed": (int, 0),
-    "target_seed": (int, 1234),
-    "max_iters": (int, 2000),
-    "loss_threshold": (float, 1e-4),
-    "record_every": (int, 10),
-}
+
+def _schema(keys: dict, config_cls) -> dict:
+    """``keys`` plus one entry per field of ``config_cls``, with the field's
+    default (annotations are strings under postponed evaluation)."""
+    fields = dataclasses.fields(config_cls)
+    return {**keys, **{f.name: (_CASTERS[f.type], f.default) for f in fields}}
+
+
+def _config(config_cls, cfg: dict):
+    """The ``config_cls`` instance of a resolved configuration; it checks every range."""
+    return config_cls(**{f.name: cfg[f.name] for f in dataclasses.fields(config_cls)})
+
+
+# schema: config key -> (caster, default); None default means required
+FACTORIZE_SCHEMA = _schema(
+    {
+        "algo": (str, "polar-rgd"),
+        "m": (int, 50),
+        "n": (int, 50),
+        "r": (int, 9),
+        "r_a": (int, 4),
+        "kappa": (float, 10.0),
+        "target_seed": (int, 1234),
+    },
+    RGDConfig,
+)
+
+FINETUNE_SCHEMA = _schema(
+    {
+        "method": (str, "landing-polar"),
+        "m": (int, 64),
+        "n": (int, 32),
+        "n_cols": (int, 256),
+        "r_a": (int, 4),
+        "kappa": (float, 10.0),
+        "r": (int, 8),
+        "target_seed": (int, 1234),
+        "loss_threshold": (float, 1e-4),
+    },
+    LandingConfig,
+)
 
 ANALYZE_SCHEMA = {
     "path": (str, None),
     "top_k": (int, 10),
-}
-
-BENCH_SCHEMA = {
-    "m": (str, "256"),
-    "ranks": (str, "4,32,64,256"),
-    "ops": (str, "retraction,landing"),
-    "warmup_iters": (int, 10),
-    "max_samples": (int, 50),
-    "seed": (int, 0),
 }
 
 class CliError(Exception):
@@ -179,19 +181,15 @@ def _cmd_factorize(cfg: dict, out_dir: str) -> int:
     from .trace import write_trace
 
     target_rng = np.random.default_rng(cfg["target_seed"])
-    common = {key: cfg[key] for key in ("eta", "seed", "max_iters", "loss_threshold", "record_every")}
     algorithm = cfg["algo"]
-    if algorithm == "polar-rgd":
+    if algorithm in ("polar-rgd", "bm-gd"):
         target = fx.make_target(cfg["m"], cfg["n"], cfg["r_a"], cfg["kappa"], target_rng)
-        trace, factors = fx.run_polar_rgd(target, cfg["r"], gamma=cfg["gamma"], **common)
-    elif algorithm == "bm-gd":
-        target = fx.make_target(cfg["m"], cfg["n"], cfg["r_a"], cfg["kappa"], target_rng)
-        trace, factors = fx.run_bm_gd(target, cfg["r"], **common)
     elif algorithm == "polar-rgd-sym":
         target = fx.make_sym_target(cfg["m"], cfg["r_a"], cfg["kappa"], target_rng)
-        trace, factors = fx.run_sym_rgd(target, cfg["r"], gamma=cfg["gamma"], **common)
     else:
         raise CliError(f"unknown algorithm {algorithm!r}")
+    runner = {"polar-rgd": fx.run_polar_rgd, "bm-gd": fx.run_bm_gd, "polar-rgd-sym": fx.run_sym_rgd}[algorithm]
+    trace, factors = runner(target, cfg["r"], _config(RGDConfig, cfg))
     csv_path = write_trace(trace, out_dir)
     pio.save_state(os.path.join(out_dir, "checkpoint"), factors, trace.metadata)
     converged = bool(trace.metadata.get("converged", False))
@@ -212,20 +210,12 @@ def _cmd_finetune_toy(cfg: dict, out_dir: str) -> int:
 
     task_rng = np.random.default_rng(cfg["target_seed"])
     task = ld.make_whitened_task(cfg["m"], cfg["n"], cfg["n_cols"], cfg["r_a"], task_rng, kappa=cfg["kappa"])
-    config = ld.LandingConfig(**{key: cfg[key] for key in ("lam", "eta", "schedule", "max_iters", "seed")})
+    config = _config(LandingConfig, cfg)
     method = cfg["method"]
     if method == "landing-polar":
-        state, trace = ld.train_polar_landing(
-            task,
-            cfg["r"],
-            config,
-            scale_alpha=cfg["alpha"],
-            record_every=cfg["record_every"],
-            theta_mode=cfg["theta_mode"],
-            grad_mode=cfg["grad_mode"],
-        )
+        state, trace = ld.train_polar_landing(task, cfg["r"], config)
     elif method == "lora":
-        state, trace = ld.train_lora(task, cfg["r"], config, scale_alpha=cfg["alpha"], record_every=cfg["record_every"])
+        state, trace = ld.train_lora(task, cfg["r"], config)
     else:
         raise CliError(f"unknown method {method!r} (expected landing-polar or lora)")
     csv_path = write_trace(trace, out_dir)
@@ -363,34 +353,6 @@ def _cmd_analyze(cfg: dict, out_dir: str) -> int:
     return EXIT_OK
 
 
-def _cmd_bench(cfg: dict, out_dir: str) -> int:
-    from .bench import format_bench_table, run_rank_sweep, write_bench_csv
-
-    sizes = [int(tok) for tok in str(cfg["m"]).split(",") if tok]
-    ranks = [int(tok) for tok in cfg["ranks"].split(",") if tok]
-    ops = [tok.strip() for tok in cfg["ops"].split(",") if tok.strip()]
-    all_results = []
-    for m in sizes:
-        results = run_rank_sweep(
-            m,
-            ranks=ranks,
-            ops=ops,
-            warmup_iters=cfg["warmup_iters"],
-            max_samples=cfg["max_samples"],
-            seed=cfg["seed"],
-        )
-        all_results.extend(results)
-        write_bench_csv(results, os.path.join(out_dir, f"results_m{m}.csv"))
-        table = format_bench_table(results, m)
-        with open(os.path.join(out_dir, f"table_m{m}.txt"), "w") as fh:
-            fh.write(table + "\n")
-        print(table)
-        print()
-    write_bench_csv(all_results, os.path.join(out_dir, "results_full.csv"))
-    print(f"full results: {os.path.join(out_dir, 'results_full.csv')}")
-    return EXIT_OK
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -398,7 +360,6 @@ COMMANDS = {
     "factorize": (FACTORIZE_SCHEMA, _cmd_factorize),
     "finetune-toy": (FINETUNE_SCHEMA, _cmd_finetune_toy),
     "analyze": (ANALYZE_SCHEMA, _cmd_analyze),
-    "bench": (BENCH_SCHEMA, _cmd_bench),
 }
 
 

@@ -1,0 +1,91 @@
+"""The settings of each method family, declared once.
+
+``RGDConfig`` drives the three factorization runners and ``LandingConfig``
+the two adapter trainers. Each field's default is the default of the API
+and of the CLI flag of the same name, and ``__post_init__`` checks every
+range, so a bad setting fails when the config is built, before any run.
+
+Only the standard library is imported here: ``polarlab.cli`` derives its
+schemas from these classes at load time, before numpy may be imported.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+
+def _check_budget(max_iters: int, record_every: int) -> None:
+    if max_iters < 0:
+        raise ValueError(f"max_iters must be >= 0, got {max_iters}")
+    if record_every < 1:
+        raise ValueError(f"record_every must be >= 1, got {record_every}")
+
+
+@dataclass(frozen=True)
+class RGDConfig:
+    """Settings of ``run_polar_rgd``, ``run_bm_gd`` and ``run_sym_rgd``.
+
+    ``gamma`` damps the Theta refresh of the two RGD methods; bm-gd has no
+    Theta and ignores it. A run stops at the first loss at or below
+    ``loss_threshold`` or after ``max_iters`` steps, and records every
+    ``record_every``-th iteration.
+    """
+
+    eta: float = 1e-3
+    gamma: float = 1.0
+    seed: int = 0
+    max_iters: int = 100_000
+    loss_threshold: float = 1e-8
+    record_every: int = 100
+
+    def __post_init__(self):
+        _check_budget(self.max_iters, self.record_every)
+        if not (math.isfinite(self.eta) and self.eta >= 0):
+            raise ValueError(f"eta must be finite and nonnegative, got eta = {self.eta}")
+
+
+@dataclass(frozen=True)
+class LandingConfig:
+    """Settings of ``train_polar_landing`` and ``train_lora``.
+
+    ``schedule`` is "constant", a step of ``eta`` throughout, or "linear",
+    a step of ``eta * (1 - t / max_iters)`` at iteration t, positive for
+    t < max_iters. ``alpha`` scales the adapter update by alpha / r.
+    ``theta_mode="diagonal"`` keeps Theta diagonal and
+    ``grad_mode="euclidean"`` replaces the landing field by the raw loss
+    gradient plus the same penalty; the LoRA trainer has neither and
+    ignores both. Adam uses ADAM_BETA1, ADAM_BETA2 and ADAM_EPS of
+    ``polarlab.landing``.
+    """
+
+    lam: float = 1e-3
+    eta: float = 1e-2
+    schedule: str = "constant"
+    max_iters: int = 2000
+    seed: int = 0
+    alpha: float = 32.0
+    record_every: int = 10
+    theta_mode: str = "full"
+    grad_mode: str = "landing"
+
+    def __post_init__(self):
+        if not self.lam > 0:
+            raise ValueError(f"lam must be positive, got {self.lam}")
+        if self.schedule not in ("constant", "linear"):
+            raise ValueError(f"unknown schedule {self.schedule!r} (expected constant or linear)")
+        if self.schedule == "linear" and self.max_iters < 1:
+            raise ValueError(f"a linear schedule needs max_iters >= 1, got {self.max_iters}")
+        if self.theta_mode not in ("full", "diagonal"):
+            raise ValueError(f"unknown theta_mode {self.theta_mode!r}")
+        if self.grad_mode not in ("landing", "euclidean"):
+            raise ValueError(f"unknown grad_mode {self.grad_mode!r}")
+        _check_budget(self.max_iters, self.record_every)
+        if not (math.isfinite(self.eta) and self.eta > 0):
+            raise ValueError(f"eta must be finite and positive, got eta = {self.eta}")
+
+    def eta_at(self, t: int) -> float:
+        eta = self.eta * (1.0 - t / self.max_iters) if self.schedule == "linear" else self.eta
+        if not (math.isfinite(eta) and eta > 0):
+            raise ValueError(f"schedule returned a non-positive step at t={t}: {eta}")
+        return float(eta)

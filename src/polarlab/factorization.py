@@ -14,7 +14,8 @@ how the factor subspaces capture the target's singular subspaces.
 Each algorithm is a method object that :func:`polarlab.runner.run` iterates
 until the loss threshold or the budget. The single steps (``rgd_step_asym``,
 ``gd_step_bm``, ``rgd_step_sym``) are one evaluate and step of the same
-method, so each update is written once.
+method, so each update is written once. The runners take their settings
+from one :class:`polarlab.config.RGDConfig`.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from typing import ClassVar
 
 import numpy as np
 
+from .config import RGDConfig
 from .runner import advance, run
 from .stiefel import (
     alignment,
@@ -452,29 +454,23 @@ class _SymRGD:
         return _alignment_columns(self.target, f.X, None, ev[0])
 
 
-def _metadata(target, r: int, seed: int, eta: float, gamma: float) -> dict:
-    return {
-        "seed": seed,
-        "eta": eta,
+def _run(method, f, cfg: RGDConfig, gamma: float):
+    """Run ``method`` from ``f`` under ``cfg``; the trace's metadata records ``gamma`` as given."""
+    target = method.target
+    metadata = {
+        "seed": cfg.seed,
+        "eta": cfg.eta,
         "gamma": gamma,
         "m": target.m,
         "n": target.n,
-        "r": r,
+        "r": f.r,
         "r_A": target.r_a,
         "kappa": target.kappa,
     }
+    return run(method, f, metadata, cfg.max_iters, cfg.record_every, cfg.loss_threshold)
 
 
-def run_polar_rgd(
-    target: FactorizationTarget,
-    r: int,
-    eta: float,
-    seed: int,
-    gamma: float = 1.0,
-    max_iters: int = 100_000,
-    loss_threshold: float = 1e-8,
-    record_every: int = 100,
-) -> tuple[RunTrace, PolarFactors]:
+def run_polar_rgd(target: FactorizationTarget, r: int, cfg: RGDConfig) -> tuple[RunTrace, PolarFactors]:
     """Run the asymmetric Stiefel algorithm until the loss threshold or budget.
 
     The trace records the loss at the Theta-refreshed state of each recorded
@@ -482,37 +478,18 @@ def run_polar_rgd(
     ``metadata['iterations']`` is the exact crossing iteration when converged
     and ``max_iters`` otherwise.
     """
-    f = init_polar_factors(target, r, np.random.default_rng(seed))
-    metadata = _metadata(target, r, seed, eta, gamma)
-    return run(_PolarRGD(target, eta, gamma), f, metadata, max_iters, record_every, loss_threshold)
+    f = init_polar_factors(target, r, np.random.default_rng(cfg.seed))
+    return _run(_PolarRGD(target, cfg.eta, cfg.gamma), f, cfg, cfg.gamma)
 
 
-def run_bm_gd(
-    target: FactorizationTarget,
-    r: int,
-    eta: float,
-    seed: int,
-    max_iters: int = 100_000,
-    loss_threshold: float = 1e-8,
-    record_every: int = 100,
-) -> tuple[RunTrace, BMFactors]:
-    """Plain GD baseline on the two-factor parameterization."""
-    f = init_bm_factors(target, r, np.random.default_rng(seed))
-    metadata = _metadata(target, r, seed, eta, float("nan"))
-    return run(_BMGD(target, eta), f, metadata, max_iters, record_every, loss_threshold)
+def run_bm_gd(target: FactorizationTarget, r: int, cfg: RGDConfig) -> tuple[RunTrace, BMFactors]:
+    """Plain GD baseline on the two-factor parameterization; ``cfg.gamma`` is
+    unused and recorded as NaN."""
+    f = init_bm_factors(target, r, np.random.default_rng(cfg.seed))
+    return _run(_BMGD(target, cfg.eta), f, cfg, float("nan"))
 
 
-def run_sym_rgd(
-    target: SymTarget,
-    r: int,
-    eta: float,
-    seed: int,
-    gamma: float = 1.0,
-    max_iters: int = 100_000,
-    loss_threshold: float = 1e-8,
-    record_every: int = 100,
-) -> tuple[RunTrace, SymFactors]:
+def run_sym_rgd(target: SymTarget, r: int, cfg: RGDConfig) -> tuple[RunTrace, SymFactors]:
     """Symmetric-variant runner; psi diagnostics are undefined and recorded as NaN."""
-    f = init_sym_factors(target, r, np.random.default_rng(seed))
-    metadata = _metadata(target, r, seed, eta, gamma)
-    return run(_SymRGD(target, eta, gamma), f, metadata, max_iters, record_every, loss_threshold)
+    f = init_sym_factors(target, r, np.random.default_rng(cfg.seed))
+    return _run(_SymRGD(target, cfg.eta, cfg.gamma), f, cfg, cfg.gamma)

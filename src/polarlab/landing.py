@@ -21,7 +21,9 @@ trains on the same task for comparison.
 
 Both trainers are method objects that :func:`polarlab.runner.run` iterates
 for the whole budget, with no early stop; ``polar_train_step`` and
-``lora_train_step`` are one evaluate and step of the same methods.
+``lora_train_step`` are one evaluate and step of the same methods. Every
+setting of a trainer or a step, with its default and its range check, is a
+field of :class:`polarlab.config.LandingConfig`.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from typing import ClassVar
 
 import numpy as np
 
+from .config import LandingConfig
 from .runner import advance, run
 from .stiefel import (
     distance_to_stiefel,
@@ -46,7 +49,7 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 # ---------------------------------------------------------------------------
-# states and configuration
+# states
 
 
 @dataclass
@@ -115,36 +118,6 @@ def init_lora_state(W0, r: int, rng: np.random.Generator, scale_alpha: float = 3
         Z2=np.zeros((n, r)),
         scale_alpha=float(scale_alpha),
     )
-
-
-@dataclass
-class LandingConfig:
-    """Hyperparameters of the landing trainer.
-
-    ``schedule`` is "constant", a step of ``eta`` throughout, or "linear",
-    a step of ``eta * (1 - t / max_iters)`` at iteration t, positive for
-    t < max_iters. Adam uses ADAM_BETA1, ADAM_BETA2 and ADAM_EPS.
-    """
-
-    lam: float = 1e-3
-    eta: float = 1e-2
-    schedule: str = "constant"
-    max_iters: int = 5000
-    seed: int = 0
-
-    def __post_init__(self):
-        if not self.lam > 0:
-            raise ValueError(f"lam must be positive, got {self.lam}")
-        if self.schedule not in ("constant", "linear"):
-            raise ValueError(f"unknown schedule {self.schedule!r} (expected constant or linear)")
-        if self.schedule == "linear" and self.max_iters < 1:
-            raise ValueError(f"a linear schedule needs max_iters >= 1, got {self.max_iters}")
-
-    def eta_at(self, t: int) -> float:
-        eta = self.eta * (1.0 - t / self.max_iters) if self.schedule == "linear" else self.eta
-        if not (np.isfinite(eta) and eta > 0):
-            raise ValueError(f"schedule returned a non-positive step at t={t}: {eta}")
-        return float(eta)
 
 
 @dataclass
@@ -352,19 +325,11 @@ class _PackedAdam:
 
 
 class _PolarLanding(_PackedAdam):
-    """The landing step of :func:`polar_train_step`. ``theta_mode="diagonal"`` keeps
-    Theta diagonal; ``grad_mode="euclidean"`` is the ablation arm: the raw loss
-    gradient plus the same penalty instead of the field."""
+    """The landing step of :func:`polar_train_step`. ``cfg.theta_mode="diagonal"``
+    keeps Theta diagonal; ``cfg.grad_mode="euclidean"`` is the ablation arm: the
+    raw loss gradient plus the same penalty instead of the field."""
 
     name = "landing-polar"
-
-    def __init__(self, task: WhitenedTask, cfg: LandingConfig, opt: AdamState, state, theta_mode: str, grad_mode: str):
-        if theta_mode not in ("full", "diagonal"):
-            raise ValueError(f"unknown theta_mode {theta_mode!r}")
-        if grad_mode not in ("landing", "euclidean"):
-            raise ValueError(f"unknown grad_mode {grad_mode!r}")
-        super().__init__(task, cfg, opt, state)
-        self.theta_mode, self.grad_mode = theta_mode, grad_mode
 
     def evaluate(self, state: AdapterState):
         G_X, G_Theta, G_Y, loss = whitened_task_grads(self.task, state)
@@ -373,9 +338,9 @@ class _PolarLanding(_PackedAdam):
     def step(self, state: AdapterState, ev: dict, it: int) -> AdapterState:
         cfg = self.cfg
         G_X, G_Theta, G_Y = ev["grads"]
-        if self.theta_mode == "diagonal":
+        if cfg.theta_mode == "diagonal":
             G_Theta = np.diag(np.diag(G_Theta))
-        if self.grad_mode == "landing":
+        if cfg.grad_mode == "landing":
             dir_X = landing_field(state.X, G_X, cfg.lam)
             dir_Y = landing_field(state.Y, G_Y, cfg.lam)
         else:
@@ -410,20 +375,15 @@ class _Lora(_PackedAdam):
 
 
 def polar_train_step(
-    task: WhitenedTask,
-    state: AdapterState,
-    opt: AdamState,
-    cfg: LandingConfig,
-    t: int,
-    theta_mode: str = "full",
-    grad_mode: str = "landing",
+    task: WhitenedTask, state: AdapterState, opt: AdamState, cfg: LandingConfig, t: int
 ) -> tuple[AdapterState, float]:
     """One landing step. All gradients are taken at the pre-step state; X and Y
     move along the Adam-transformed landing field (penalty inside), Theta along
-    its Adam-transformed Euclidean gradient. ``opt`` is the Adam state of the
-    packed parameters, at first ``AdamState.for_state(state)``. Returns the
-    pre-step loss."""
-    return advance(_PolarLanding(task, cfg, opt, state, theta_mode, grad_mode), state, t)
+    its Adam-transformed Euclidean gradient, as ``cfg.theta_mode`` and
+    ``cfg.grad_mode`` select. ``opt`` is the Adam state of the packed
+    parameters, at first ``AdamState.for_state(state)``. Returns the pre-step
+    loss."""
+    return advance(_PolarLanding(task, cfg, opt, state), state, t)
 
 
 def lora_train_step(
@@ -434,57 +394,41 @@ def lora_train_step(
     return advance(_Lora(task, cfg, opt, state), state, t)
 
 
-def _landing_metadata(task: WhitenedTask, cfg: LandingConfig, r: int, scale_alpha: float, method: str) -> dict:
-    return {
+def _train(method: _PackedAdam, state):
+    """Run ``method`` from ``state`` for its config's whole budget -> (final state, trace)."""
+    task, cfg = method.task, method.cfg
+    metadata = {
         "seed": cfg.seed,
         "eta": cfg.eta,
         "gamma": float("nan"),
         "m": task.W0.shape[0],
         "n": task.W0.shape[1],
-        "r": r,
+        "r": state.r,
         "r_A": task.r_a,
         "kappa": float(task.planted_sigma[0] / task.planted_sigma[-1]),
         "lam": cfg.lam,
-        "scale_alpha": scale_alpha,
-        "method": method,
+        "scale_alpha": cfg.alpha,
+        "method": method.name,
     }
+    trace, state = run(method, state, metadata, cfg.max_iters, cfg.record_every)
+    return state, trace
 
 
-def train_polar_landing(
-    task: WhitenedTask,
-    r: int,
-    cfg: LandingConfig,
-    scale_alpha: float = 32.0,
-    record_every: int = 10,
-    theta_mode: str = "full",
-    grad_mode: str = "landing",
-) -> tuple[AdapterState, RunTrace]:
+def train_polar_landing(task: WhitenedTask, r: int, cfg: LandingConfig) -> tuple[AdapterState, RunTrace]:
     """Train the polar adapter with the landing method for ``cfg.max_iters`` steps.
 
     The trace adds per-iteration columns n_x = N(X), n_y = N(Y) and
     stable_rank of DeltaW; subspace alignment columns are undefined off
     the manifold and recorded as NaN.
     """
-    state = init_adapter_state(task.W0, r, np.random.default_rng(cfg.seed), scale_alpha)
-    method = _PolarLanding(task, cfg, AdamState.for_state(state), state, theta_mode, grad_mode)
-    metadata = _landing_metadata(task, cfg, r, scale_alpha, method.name)
-    trace, state = run(method, state, metadata, cfg.max_iters, record_every)
-    return state, trace
+    state = init_adapter_state(task.W0, r, np.random.default_rng(cfg.seed), cfg.alpha)
+    return _train(_PolarLanding(task, cfg, AdamState.for_state(state), state), state)
 
 
-def train_lora(
-    task: WhitenedTask,
-    r: int,
-    cfg: LandingConfig,
-    scale_alpha: float = 32.0,
-    record_every: int = 10,
-) -> tuple[LoraState, RunTrace]:
+def train_lora(task: WhitenedTask, r: int, cfg: LandingConfig) -> tuple[LoraState, RunTrace]:
     """Train the Euclidean two-factor baseline with Adam on the same task."""
-    state = init_lora_state(task.W0, r, np.random.default_rng(cfg.seed), scale_alpha)
-    method = _Lora(task, cfg, AdamState.for_state(state), state)
-    metadata = _landing_metadata(task, cfg, r, scale_alpha, method.name)
-    trace, state = run(method, state, metadata, cfg.max_iters, record_every)
-    return state, trace
+    state = init_lora_state(task.W0, r, np.random.default_rng(cfg.seed), cfg.alpha)
+    return _train(_Lora(task, cfg, AdamState.for_state(state), state), state)
 
 
 # ---------------------------------------------------------------------------

@@ -49,12 +49,9 @@ def run(method, state, metadata: dict, max_iters: int, record_every: int, loss_t
     loss. With a ``loss_threshold`` the run stops at the first evaluated
     state at or below it, ``converged`` says whether it did and
     ``iterations`` is the stopping iteration (``max_iters`` when the budget
-    ran out); without one the whole budget runs.
+    ran out); without one the whole budget runs. The configs of
+    :mod:`polarlab.config` ensure ``max_iters >= 0`` and ``record_every >= 1``.
     """
-    if max_iters < 0:
-        raise ValueError(f"max_iters must be >= 0, got {max_iters}")
-    if record_every < 1:
-        raise ValueError(f"record_every must be >= 1, got {record_every}")
     trace = RunTrace(algorithm=method.name, metadata=metadata)
     t0 = time.perf_counter()
 

@@ -70,7 +70,7 @@ def _rel_err(A, B):
 def test_a1a_asym_rgd_reaches_deep_threshold():
     target = pl.make_target(50, 50, 4, 10.0, np.random.default_rng(1234))
     tr, _ = pl.run_polar_rgd(
-        target, 20, eta=1e-3, seed=0, max_iters=100_000, loss_threshold=1e-8, record_every=1000
+        target, 20, pl.RGDConfig(eta=1e-3, seed=0, max_iters=100_000, loss_threshold=1e-8, record_every=1000)
     )
     ok = bool(tr.metadata["converged"]) and tr.final_loss <= 1e-8
     assert _report(
@@ -85,10 +85,10 @@ def test_a1b_asym_rgd_margin_over_bm_when_ill_conditioned():
     # matched 1e5-iteration budget at kappa=100, eta=1e-4 for both methods
     target = pl.make_target(50, 50, 4, 100.0, np.random.default_rng(1234))
     trp, _ = pl.run_polar_rgd(
-        target, 20, eta=1e-4, seed=0, max_iters=100_000, loss_threshold=0.0, record_every=5000
+        target, 20, pl.RGDConfig(eta=1e-4, seed=0, max_iters=100_000, loss_threshold=0.0, record_every=5000)
     )
     trb, _ = pl.run_bm_gd(
-        target, 20, eta=1e-4, seed=0, max_iters=100_000, loss_threshold=0.0, record_every=5000
+        target, 20, pl.RGDConfig(eta=1e-4, seed=0, max_iters=100_000, loss_threshold=0.0, record_every=5000)
     )
     ratio = trb.final_loss / max(trp.final_loss, 1e-300)
     ok = ratio >= 1e3
@@ -104,10 +104,10 @@ def test_a1c_extra_rank_headroom_converges_faster():
     # r = 5*r_a against r = r_a + 5 on the same target and seed, first to 1e-6
     target = pl.make_target(50, 50, 4, 10.0, np.random.default_rng(1234))
     tr20, _ = pl.run_polar_rgd(
-        target, 20, eta=1e-3, seed=0, max_iters=100_000, loss_threshold=1e-6, record_every=1000
+        target, 20, pl.RGDConfig(eta=1e-3, seed=0, max_iters=100_000, loss_threshold=1e-6, record_every=1000)
     )
     tr9, _ = pl.run_polar_rgd(
-        target, 9, eta=1e-3, seed=0, max_iters=100_000, loss_threshold=1e-6, record_every=1000
+        target, 9, pl.RGDConfig(eta=1e-3, seed=0, max_iters=100_000, loss_threshold=1e-6, record_every=1000)
     )
     it20, it9 = tr20.metadata["iterations"], tr9.metadata["iterations"]
     ok = bool(tr20.metadata["converged"]) and bool(tr9.metadata["converged"]) and it20 < it9
@@ -121,7 +121,7 @@ def test_a1c_extra_rank_headroom_converges_faster():
 def test_a2a_sym_rgd_reaches_deep_threshold():
     target = pl.make_sym_target(50, 4, 10.0, np.random.default_rng(1234))
     tr, _ = pl.run_sym_rgd(
-        target, 20, eta=1e-3, seed=0, max_iters=100_000, loss_threshold=1e-8, record_every=1000
+        target, 20, pl.RGDConfig(eta=1e-3, seed=0, max_iters=100_000, loss_threshold=1e-8, record_every=1000)
     )
     ok = bool(tr.metadata["converged"]) and tr.final_loss <= 1e-8
     assert _report(
@@ -137,7 +137,7 @@ def test_a2b_sym_rgd_linear_tail_when_ill_conditioned():
     # at a strictly positive per-iteration rate
     target = pl.make_sym_target(50, 4, 100.0, np.random.default_rng(1234))
     tr, _ = pl.run_sym_rgd(
-        target, 20, eta=1e-5, seed=0, max_iters=200_000, loss_threshold=0.0, record_every=1000
+        target, 20, pl.RGDConfig(eta=1e-5, seed=0, max_iters=200_000, loss_threshold=0.0, record_every=1000)
     )
     loss = np.array(tr.loss)
     iters = np.array(tr.iters, dtype=float)
@@ -383,9 +383,9 @@ def test_a6_stable_rank_ordering_polar_vs_lora():
     gaps = []
     for s in STABLE_RANK_SEEDS:
         task = make_whitened_task(64, 32, 128, 4, np.random.default_rng(1000 + s))
-        cfg = LandingConfig(lam=1e-3, eta=2e-2, max_iters=2000, seed=s)
-        stp, _ = train_polar_landing(task, 24, cfg, record_every=2000)
-        stl, _ = train_lora(task, 24, cfg, record_every=2000)
+        cfg = LandingConfig(lam=1e-3, eta=2e-2, max_iters=2000, seed=s, record_every=2000)
+        stp, _ = train_polar_landing(task, 24, cfg)
+        stl, _ = train_lora(task, 24, cfg)
         srp = stable_rank(stp.delta_w()).stable_rank
         srl = stable_rank(stl.delta_w()).stable_rank
         wins += srp > srl

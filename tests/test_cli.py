@@ -89,9 +89,12 @@ def test_unknown_schedule_exits_one(tmp_path, capsys):
     assert "cosine" in capsys.readouterr().err
 
 
-def test_unknown_grad_mode_exits_one(tmp_path, capsys):
-    rc = main(["finetune-toy", "--out", str(tmp_path / "r"), "--grad-mode", "nope", *FAST_FINETUNE])
-    assert rc == EXIT_ERROR
+@pytest.mark.parametrize("method", ["landing-polar", "lora"])
+@pytest.mark.parametrize("flag", ["--grad-mode", "--theta-mode"])
+def test_unknown_grad_mode_exits_one(tmp_path, capsys, method, flag):
+    # the LoRA trainer has no modes, but its config rejects a bad one all the same
+    argv = ["finetune-toy", "--out", str(tmp_path / "r"), "--method", method, flag, "nope", *FAST_FINETUNE]
+    assert main(argv) == EXIT_ERROR
     assert "nope" in capsys.readouterr().err
 
 
@@ -108,6 +111,15 @@ def test_bad_budget_or_cadence_exits_one_with_one_line(tmp_path, capsys, command
     captured = capsys.readouterr()
     assert rc == EXIT_ERROR
     assert captured.err.splitlines() == [f"error: {message}"]
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("eta", ["nan", "0"])
+def test_bad_landing_eta_exits_one_with_one_line(tmp_path, capsys, eta):
+    rc = main(["finetune-toy", *FAST_FINETUNE, "--eta", eta, "--out", str(tmp_path / "r")])
+    captured = capsys.readouterr()
+    assert rc == EXIT_ERROR
+    assert captured.err.splitlines() == [f"error: eta must be finite and positive, got eta = {float(eta)}"]
     assert captured.out == ""
 
 
@@ -168,11 +180,13 @@ def _factorize_subprocess(tmp_path, *flags):
     )
 
 
-@pytest.mark.parametrize("eta", ["inf", "nan"])
-def test_non_finite_eta_exits_one_with_one_line(tmp_path, eta):
-    proc = _factorize_subprocess(tmp_path, "--eta", eta)
+@pytest.mark.parametrize("algo", ["polar-rgd", "bm-gd"])
+@pytest.mark.parametrize("eta", ["inf", "nan", "-1"])
+def test_non_finite_eta_exits_one_with_one_line(tmp_path, algo, eta):
+    # bm-gd retracts nothing; its config rejects the step before a numpy warning can fire
+    proc = _factorize_subprocess(tmp_path, "--algo", algo, "--eta", eta)
     assert proc.returncode == EXIT_ERROR
-    assert proc.stderr == f"error: eta must be finite and nonnegative, got eta = {eta}\n"
+    assert proc.stderr == f"error: eta must be finite and nonnegative, got eta = {float(eta)}\n"
 
 
 def test_failed_retraction_names_method_iteration_and_eta(tmp_path):
@@ -219,6 +233,67 @@ def test_threads_sets_blas_env_vars(monkeypatch, capsys):
 
 # ---------------------------------------------------------------------------
 # configuration layering
+
+# the flag surface as the CLI declared it before the schemas were derived
+# from polarlab.config: a renamed config field would rename a flag
+PINNED_FACTORIZE_SCHEMA = {
+    "algo": (str, "polar-rgd"),
+    "m": (int, 50),
+    "n": (int, 50),
+    "r": (int, 9),
+    "r_a": (int, 4),
+    "kappa": (float, 10.0),
+    "eta": (float, 1e-3),
+    "gamma": (float, 1.0),
+    "seed": (int, 0),
+    "target_seed": (int, 1234),
+    "max_iters": (int, 100_000),
+    "loss_threshold": (float, 1e-8),
+    "record_every": (int, 100),
+}
+
+PINNED_FINETUNE_SCHEMA = {
+    "method": (str, "landing-polar"),
+    "m": (int, 64),
+    "n": (int, 32),
+    "n_cols": (int, 256),
+    "r_a": (int, 4),
+    "kappa": (float, 10.0),
+    "r": (int, 8),
+    "alpha": (float, 32.0),
+    "eta": (float, 1e-2),
+    "lam": (float, 1e-3),
+    "schedule": (str, "constant"),
+    "theta_mode": (str, "full"),
+    "grad_mode": (str, "landing"),
+    "seed": (int, 0),
+    "target_seed": (int, 1234),
+    "max_iters": (int, 2000),
+    "loss_threshold": (float, 1e-4),
+    "record_every": (int, 10),
+}
+
+
+def test_derived_schemas_keep_the_flag_surface():
+    from polarlab.cli import FACTORIZE_SCHEMA, FINETUNE_SCHEMA
+
+    for derived, pinned in ((FACTORIZE_SCHEMA, PINNED_FACTORIZE_SCHEMA), (FINETUNE_SCHEMA, PINNED_FINETUNE_SCHEMA)):
+        assert derived == pinned
+        # 1e-3 == 0.001 either way; the echoed value must also keep its type
+        assert {key: type(default) for key, (_, default) in derived.items()} == {
+            key: type(default) for key, (_, default) in pinned.items()
+        }
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # --threads must reach the BLAS environment variables before numpy loads
+    import polarlab
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(polarlab.__file__)))
+    code = "import sys, polarlab.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_config_file_then_flag_precedence(tmp_path):
@@ -405,26 +480,3 @@ def test_analyze_missing_path_exits_one(tmp_path, capsys):
     rc = main(["analyze", "--path", str(tmp_path / "nothing-here"), "--out", str(tmp_path / "r")])
     assert rc == EXIT_ERROR
     capsys.readouterr()
-
-
-# ---------------------------------------------------------------------------
-# bench
-
-
-def test_bench_smoke(tmp_path):
-    out = str(tmp_path / "bench")
-    rc = main([
-        "bench", "--out", out, "--m", "32", "--ranks", "2,4",
-        "--warmup-iters", "2", "--max-samples", "5",
-    ])
-    assert rc == EXIT_OK
-    for name in ("results_m32.csv", "table_m32.txt", "results_full.csv", "config_resolved.txt"):
-        assert os.path.isfile(os.path.join(out, name)), name
-    with open(os.path.join(out, "results_m32.csv")) as fh:
-        header = fh.readline().strip()
-        rows = fh.read().strip().splitlines()
-    assert header == "op,m,r,median_micros,iqr_over_median,n_samples,stable,threads"
-    assert len(rows) == 4  # two ops x two ranks
-    with open(os.path.join(out, "table_m32.txt")) as fh:
-        table = fh.read()
-    assert "m=32" in table and "retraction" in table and "landing" in table

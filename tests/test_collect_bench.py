@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -81,3 +82,23 @@ def test_openblas_core_is_unknown_without_the_library(tmp_path, collect_bench):
     assert collect_bench.blas_runtime(tmp_path) == unknown
     (tmp_path / "libscipy_openblas64_-0000.so").write_text("not a shared library")
     assert collect_bench.blas_runtime(tmp_path) == unknown
+
+
+def test_src_lines_sums_the_package_modules_of_a_commit(tmp_path, collect_bench):
+    git = ["git", "-C", str(tmp_path), "-c", "user.name=test", "-c", "user.email=test@example.com"]
+    subprocess.run([*git, "init", "-q"], check=True)
+    package = tmp_path / "src" / "polarlab"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text("one\ntwo\nthree\n")
+    (package / "b.py").write_text("one\ntwo\n")
+    (package / "notes.txt").write_text("not a module\n")
+    (tmp_path / "setup.py").write_text("outside the package\n")
+    subprocess.run([*git, "add", "-A"], check=True)
+    subprocess.run([*git, "commit", "-q", "-m", "first"], check=True)
+    (package / "b.py").write_text("one\n")
+    subprocess.run([*git, "commit", "-q", "-am", "second"], check=True)
+    assert collect_bench.src_lines("HEAD~1", tmp_path) == 5
+    assert collect_bench.src_lines("HEAD", tmp_path) == 4
+    assert collect_bench.src_lines("0" * 40, tmp_path) is None
+    assert collect_bench.src_lines("HEAD", tmp_path / "src") == 4  # any directory inside the work tree
+    assert collect_bench.src_lines("HEAD", tmp_path.parent / "no-such-repo") is None

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from polarlab import factorization as fx
+from polarlab.config import RGDConfig
 from polarlab.exceptions import DivergenceError
 from polarlab.factorization import (
     BMFactors,
@@ -476,7 +477,7 @@ def test_loss_alignment_bound_scales_with_sigma1():
 
 def test_run_polar_converges_on_easy_target():
     t = make_target(12, 12, 2, 2.0, np.random.default_rng(0))
-    tr, f = run_polar_rgd(t, r=5, eta=0.05, seed=1, max_iters=20000, loss_threshold=1e-10, record_every=100)
+    tr, f = run_polar_rgd(t, 5, RGDConfig(eta=0.05, seed=1, max_iters=20000, loss_threshold=1e-10, record_every=100))
     assert tr.metadata["converged"] is True
     assert tr.final_loss <= 1e-10
     assert loss_polar(t, f) == pytest.approx(tr.final_loss, rel=1e-6, abs=1e-14)
@@ -486,8 +487,8 @@ def test_run_polar_converges_on_easy_target():
 
 def test_run_polar_is_deterministic():
     t = make_target(10, 8, 2, 3.0, np.random.default_rng(5))
-    tr1, f1 = run_polar_rgd(t, r=4, eta=1e-2, seed=7, max_iters=200, loss_threshold=0.0, record_every=50)
-    tr2, f2 = run_polar_rgd(t, r=4, eta=1e-2, seed=7, max_iters=200, loss_threshold=0.0, record_every=50)
+    tr1, f1 = run_polar_rgd(t, 4, RGDConfig(eta=1e-2, seed=7, max_iters=200, loss_threshold=0.0, record_every=50))
+    tr2, f2 = run_polar_rgd(t, 4, RGDConfig(eta=1e-2, seed=7, max_iters=200, loss_threshold=0.0, record_every=50))
     assert tr1.loss == tr2.loss
     assert tr1.iters == tr2.iters
     assert np.array_equal(f1.X, f2.X)
@@ -496,7 +497,7 @@ def test_run_polar_is_deterministic():
 
 def test_run_polar_recording_cadence_and_budget_endpoint():
     t = make_target(10, 8, 2, 3.0, np.random.default_rng(5))
-    tr, f = run_polar_rgd(t, r=4, eta=1e-2, seed=7, max_iters=200, loss_threshold=0.0, record_every=50)
+    tr, f = run_polar_rgd(t, 4, RGDConfig(eta=1e-2, seed=7, max_iters=200, loss_threshold=0.0, record_every=50))
     assert tr.iters == [0, 50, 100, 150, 200]
     assert tr.metadata["converged"] is False
     assert tr.metadata["iterations"] == 200
@@ -506,34 +507,34 @@ def test_run_polar_recording_cadence_and_budget_endpoint():
 
 def test_run_polar_crossing_iteration_is_exact():
     t = make_target(10, 8, 2, 2.0, np.random.default_rng(2))
-    tr, _ = run_polar_rgd(t, r=4, eta=0.05, seed=3, max_iters=50000, loss_threshold=1e-6, record_every=1000)
+    tr, _ = run_polar_rgd(t, 4, RGDConfig(eta=0.05, seed=3, max_iters=50000, loss_threshold=1e-6, record_every=1000))
     k = tr.metadata["iterations"]
     assert tr.metadata["converged"] is True
     assert tr.iters[-1] == k
     # the previous iteration must still be above threshold
-    tr2, _ = run_polar_rgd(t, r=4, eta=0.05, seed=3, max_iters=k, loss_threshold=0.0, record_every=k)
+    tr2, _ = run_polar_rgd(t, 4, RGDConfig(eta=0.05, seed=3, max_iters=k, loss_threshold=0.0, record_every=k))
     assert tr2.loss[-1] <= 1e-6  # iterate k as recorded by the run above
-    tr3, _ = run_polar_rgd(t, r=4, eta=0.05, seed=3, max_iters=k - 1, loss_threshold=0.0, record_every=k)
+    tr3, _ = run_polar_rgd(t, 4, RGDConfig(eta=0.05, seed=3, max_iters=k - 1, loss_threshold=0.0, record_every=k))
     assert tr3.loss[-1] > 1e-6
 
 
 def test_run_traces_have_alignment_columns():
     t = make_target(10, 8, 2, 3.0, np.random.default_rng(5))
-    trp, _ = run_polar_rgd(t, r=4, eta=1e-2, seed=7, max_iters=100, loss_threshold=0.0, record_every=50)
-    trb, _ = run_bm_gd(t, r=4, eta=1e-2, seed=7, max_iters=100, loss_threshold=0.0, record_every=50)
+    trp, _ = run_polar_rgd(t, 4, RGDConfig(eta=1e-2, seed=7, max_iters=100, loss_threshold=0.0, record_every=50))
+    trb, _ = run_bm_gd(t, 4, RGDConfig(eta=1e-2, seed=7, max_iters=100, loss_threshold=0.0, record_every=50))
     for tr in (trp, trb):
         assert all(0.0 <= v <= t.r_a + 1e-9 for v in tr.trace_phi)
         assert all(0.0 <= v <= t.r_a + 1e-9 for v in tr.trace_psi)
         assert all(v >= 0.0 for v in tr.grad_norm)
     ts = make_sym_target(10, 2, 3.0, np.random.default_rng(5))
-    trs, _ = run_sym_rgd(ts, r=4, eta=1e-2, seed=7, max_iters=100, loss_threshold=0.0, record_every=50)
+    trs, _ = run_sym_rgd(ts, 4, RGDConfig(eta=1e-2, seed=7, max_iters=100, loss_threshold=0.0, record_every=50))
     assert all(0.0 <= v <= ts.r_a + 1e-9 for v in trs.trace_phi)
     assert all(np.isnan(v) for v in trs.trace_psi)
 
 
 def test_run_bm_converges_on_easy_target():
     t = make_target(12, 12, 2, 1.5, np.random.default_rng(1))
-    tr, f = run_bm_gd(t, r=4, eta=0.05, seed=2, max_iters=50000, loss_threshold=1e-10, record_every=500)
+    tr, f = run_bm_gd(t, 4, RGDConfig(eta=0.05, seed=2, max_iters=50000, loss_threshold=1e-10, record_every=500))
     assert tr.metadata["converged"] is True
     assert loss_bm(t, f) <= 1e-10
 
@@ -541,12 +542,12 @@ def test_run_bm_converges_on_easy_target():
 def test_run_bm_divergence_raises():
     t = make_target(10, 10, 2, 2.0, np.random.default_rng(3))
     with pytest.raises(DivergenceError):
-        run_bm_gd(t, r=4, eta=50.0, seed=0, max_iters=10000, loss_threshold=1e-8, record_every=100)
+        run_bm_gd(t, 4, RGDConfig(eta=50.0, seed=0, max_iters=10000, loss_threshold=1e-8, record_every=100))
 
 
 def test_run_sym_converges_and_equals_stepper():
     ts = make_sym_target(10, 2, 2.0, np.random.default_rng(4))
-    tr, f = run_sym_rgd(ts, r=4, eta=0.05, seed=5, max_iters=20000, loss_threshold=1e-10, record_every=100)
+    tr, f = run_sym_rgd(ts, 4, RGDConfig(eta=0.05, seed=5, max_iters=20000, loss_threshold=1e-10, record_every=100))
     assert tr.metadata["converged"] is True
     assert loss_sym(ts, f) <= 2e-10
     assert stiefel_error(f.X) <= 1e-8
@@ -570,17 +571,17 @@ def test_runners_retract_only_steps_they_take(monkeypatch, gamma):
     t = make_target(10, 8, 2, 2.0, np.random.default_rng(2))
     ts = make_sym_target(10, 2, 2.0, np.random.default_rng(4))
     calls = _count_retractions(monkeypatch)
-    run_polar_rgd(t, r=4, eta=0.05, seed=3, gamma=gamma, max_iters=37, loss_threshold=0.0, record_every=10)
+    run_polar_rgd(t, 4, RGDConfig(eta=0.05, seed=3, gamma=gamma, max_iters=37, loss_threshold=0.0, record_every=10))
     assert len(calls) == 2 * 37
     calls.clear()
-    tr, _ = run_polar_rgd(t, r=4, eta=0.05, seed=3, gamma=gamma, max_iters=50000, loss_threshold=1e-6)
+    tr, _ = run_polar_rgd(t, 4, RGDConfig(eta=0.05, seed=3, gamma=gamma, max_iters=50000, loss_threshold=1e-6))
     assert tr.metadata["converged"] is True
     assert len(calls) == 2 * tr.metadata["iterations"]
     calls.clear()
-    run_sym_rgd(ts, r=4, eta=0.05, seed=5, gamma=gamma, max_iters=37, loss_threshold=0.0, record_every=10)
+    run_sym_rgd(ts, 4, RGDConfig(eta=0.05, seed=5, gamma=gamma, max_iters=37, loss_threshold=0.0, record_every=10))
     assert len(calls) == 37
     calls.clear()
-    tr, _ = run_sym_rgd(ts, r=4, eta=0.05, seed=5, gamma=gamma, max_iters=50000, loss_threshold=1e-6)
+    tr, _ = run_sym_rgd(ts, 4, RGDConfig(eta=0.05, seed=5, gamma=gamma, max_iters=50000, loss_threshold=1e-6))
     assert tr.metadata["converged"] is True
     assert len(calls) == tr.metadata["iterations"]
 
@@ -596,7 +597,7 @@ def test_target_norms_are_cached_and_exact():
 def test_misalignment_sigma_min_nondecreasing_on_short_run():
     # r_A <= m/2 regime: smallest alignment singular value cannot shrink
     t = make_target(8, 6, 2, 2.0, np.random.default_rng(6), normalize=True)
-    tr, _ = run_polar_rgd(t, r=3, eta=0.1, seed=8, max_iters=300, loss_threshold=0.0, record_every=10)
+    tr, _ = run_polar_rgd(t, 3, RGDConfig(eta=0.1, seed=8, max_iters=300, loss_threshold=0.0, record_every=10))
     s_phi = np.array(tr.sigma_min_phi)
     s_psi = np.array(tr.sigma_min_psi)
     assert (np.diff(s_phi) >= -1e-9).all()

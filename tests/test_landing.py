@@ -277,6 +277,9 @@ def test_config_validates_and_schedules():
         cfg.eta_at(100)
     with pytest.raises(ValueError, match="cosine"):
         LandingConfig(schedule="cosine")
+    for eta in (float("nan"), 0.0):
+        with pytest.raises(ValueError, match=f"^eta must be finite and positive, got eta = {eta}$"):
+            LandingConfig(eta=eta)
 
 
 # ---------------------------------------------------------------------------
@@ -323,15 +326,15 @@ def test_polar_step_single_backward_pass():
 def test_polar_step_theta_modes():
     t = _task(5)
     state = init_adapter_state(t.W0, 4, np.random.default_rng(7))
-    cfg = LandingConfig(eta=1e-2, max_iters=1)
+    cfg = LandingConfig(eta=1e-2, max_iters=1, theta_mode="diagonal")
     opt = AdamState.for_state(state)
-    new, _ = polar_train_step(t, state, opt, cfg, 0, theta_mode="diagonal")
+    new, _ = polar_train_step(t, state, opt, cfg, 0)
     off_diag = new.Theta - np.diag(np.diag(new.Theta))
     assert np.array_equal(off_diag, np.zeros((4, 4)))
     with pytest.raises(ValueError, match="theta_mode"):
-        polar_train_step(t, state, opt, cfg, 0, theta_mode="banded")
+        LandingConfig(eta=1e-2, max_iters=1, theta_mode="banded")
     with pytest.raises(ValueError, match="grad_mode"):
-        polar_train_step(t, state, opt, cfg, 0, grad_mode="newton")
+        LandingConfig(eta=1e-2, max_iters=1, grad_mode="newton")
 
 
 def test_polar_step_divergence_guard():
@@ -372,10 +375,10 @@ def test_packed_adam_matches_per_parameter_oracle(method, modes, schedule):
         "lora": (init_lora_state, lora_train_step, lora_step_reference),
     }[method]
     state = ref = init(t.W0, 4, np.random.default_rng(14))
-    cfg = LandingConfig(lam=1e-3, eta=1e-2, schedule=schedule, max_iters=40)
+    cfg = LandingConfig(lam=1e-3, eta=1e-2, schedule=schedule, max_iters=40, **modes)
     opt, ref_opts = AdamState.for_state(state), per_parameter_opt(state)
     for it in range(25):
-        state, _ = step(t, state, opt, cfg, it, **modes)
+        state, _ = step(t, state, opt, cfg, it)
         ref = reference(t, ref, ref_opts, cfg, it, **modes)
     assert opt.t == 25 and all(o.t == 25 for o in ref_opts.values())
     for moment in ("m", "v"):
@@ -418,13 +421,13 @@ def test_linear_schedule_needs_a_budget():
 # runners
 
 
-def _small_cfg(T, seed=0):
-    return LandingConfig(lam=1e-3, eta=1e-2, schedule="linear", max_iters=T, seed=seed)
+def _small_cfg(T, record_every=10, seed=0):
+    return LandingConfig(lam=1e-3, eta=1e-2, schedule="linear", max_iters=T, seed=seed, record_every=record_every)
 
 
 def test_train_polar_landing_descends_and_lands():
     t = make_whitened_task(16, 16, 24, 2, np.random.default_rng(3), kappa=5.0)
-    state, tr = train_polar_landing(t, 4, _small_cfg(800), record_every=100)
+    state, tr = train_polar_landing(t, 4, _small_cfg(800, record_every=100))
     assert tr.loss[-1] < 1e-6 * tr.loss[0]
     assert tr.extras["n_x"][-1] <= 1e-2
     assert tr.extras["n_y"][-1] <= 1e-2
@@ -436,8 +439,8 @@ def test_train_polar_landing_descends_and_lands():
 
 def test_train_polar_landing_is_deterministic():
     t = _task(8)
-    s1, t1 = train_polar_landing(t, 4, _small_cfg(120), record_every=40)
-    s2, t2 = train_polar_landing(t, 4, _small_cfg(120), record_every=40)
+    s1, t1 = train_polar_landing(t, 4, _small_cfg(120, record_every=40))
+    s2, t2 = train_polar_landing(t, 4, _small_cfg(120, record_every=40))
     assert t1.loss == t2.loss
     assert np.array_equal(s1.X, s2.X)
     assert np.array_equal(s1.Theta, s2.Theta)
@@ -447,7 +450,7 @@ def test_train_polar_landing_is_deterministic():
 def test_train_polar_trace_alignment_columns_are_nan():
     # off-manifold iterates have no subspace-alignment reading
     t = _task(9)
-    _, tr = train_polar_landing(t, 4, _small_cfg(60), record_every=30)
+    _, tr = train_polar_landing(t, 4, _small_cfg(60, record_every=30))
     assert all(np.isnan(v) for v in tr.trace_phi)
     assert all(np.isnan(v) for v in tr.trace_psi)
     assert all(np.isfinite(v) for v in tr.extras["n_x"])
@@ -456,7 +459,7 @@ def test_train_polar_trace_alignment_columns_are_nan():
 
 def test_train_lora_descends():
     t = make_whitened_task(16, 16, 24, 2, np.random.default_rng(3), kappa=5.0)
-    state, tr = train_lora(t, 4, _small_cfg(800), record_every=100)
+    state, tr = train_lora(t, 4, _small_cfg(800, record_every=100))
     assert tr.loss[-1] < 1e-4 * tr.loss[0]
     assert tr.metadata["method"] == "lora"
     assert t.loss(state.delta_w()) == pytest.approx(tr.loss[-1], abs=1e-18, rel=1e-9)
@@ -483,7 +486,7 @@ def test_component_orthogonality_along_run():
 
 def test_merge_theta_preserves_update():
     t = _task(11)
-    state, _ = train_polar_landing(t, 4, _small_cfg(50), record_every=25)
+    state, _ = train_polar_landing(t, 4, _small_cfg(50, record_every=25))
     merged = merge_theta(state)
     assert np.array_equal(merged.Theta, np.eye(4))
     assert np.allclose(merged.delta_w(), state.delta_w(), atol=1e-12)
@@ -491,7 +494,7 @@ def test_merge_theta_preserves_update():
 
 def test_diversity_report_fields():
     t = _task(12)
-    state, _ = train_polar_landing(t, 4, _small_cfg(200), record_every=100)
+    state, _ = train_polar_landing(t, 4, _small_cfg(200, record_every=100))
     rep = diversity_report(state)
     assert 1.0 <= rep.stable_rank <= 4.0 + 1e-9
     assert (np.diff(rep.spectrum) <= 1e-15).all()
@@ -500,7 +503,7 @@ def test_diversity_report_fields():
 
 def test_adapter_checkpoint_roundtrip(tmp_path):
     t = _task(13)
-    state, _ = train_polar_landing(t, 4, _small_cfg(30), record_every=15)
+    state, _ = train_polar_landing(t, 4, _small_cfg(30, record_every=15))
     io.save_state(tmp_path / "polar", state, {"note": "test"})
     loaded, meta = io.load_state(tmp_path / "polar")
     assert isinstance(loaded, AdapterState)
@@ -509,7 +512,7 @@ def test_adapter_checkpoint_roundtrip(tmp_path):
     for name in ("W0", "X", "Theta", "Y"):
         assert np.array_equal(getattr(loaded, name), getattr(state, name))
 
-    lstate, _ = train_lora(t, 4, _small_cfg(30), record_every=15)
+    lstate, _ = train_lora(t, 4, _small_cfg(30, record_every=15))
     io.save_state(tmp_path / "lora", lstate, {})
     lloaded, lmeta = io.load_state(tmp_path / "lora")
     assert isinstance(lloaded, LoraState)

@@ -2,8 +2,9 @@
 
 A toy method pins the loop itself: when it evaluates, steps and records,
 and what it writes into the metadata. The five public runners are then
-checked for the two rules that ``run`` owns for all of them, the boundary
-checks on the budget and the cadence, and the divergence rule.
+checked for the budget and cadence checks, which their configs
+(``RGDConfig``, ``LandingConfig``) make when they are built, and for the
+divergence rule, which ``run`` owns for all of them.
 """
 
 import math
@@ -13,6 +14,7 @@ import pytest
 
 from polarlab import factorization as fx
 from polarlab import landing as ld
+from polarlab.config import LandingConfig, RGDConfig
 from polarlab.exceptions import DivergenceError
 from polarlab.runner import DIVERGENCE_LOSS, advance, run
 
@@ -93,19 +95,19 @@ def _task():
 # name -> call(eta, kappa, max_iters, record_every); kappa only scales the factorization targets
 RUNNERS = {
     "polar-rgd": lambda eta, kappa, n, every: fx.run_polar_rgd(
-        _target(kappa), r=4, eta=eta, seed=0, max_iters=n, record_every=every
+        _target(kappa), 4, RGDConfig(eta=eta, seed=0, max_iters=n, record_every=every)
     ),
     "bm-gd": lambda eta, kappa, n, every: fx.run_bm_gd(
-        _target(kappa), r=4, eta=eta, seed=0, max_iters=n, record_every=every
+        _target(kappa), 4, RGDConfig(eta=eta, seed=0, max_iters=n, record_every=every)
     ),
     "polar-rgd-sym": lambda eta, kappa, n, every: fx.run_sym_rgd(
-        _sym_target(kappa), r=4, eta=eta, seed=0, max_iters=n, record_every=every
+        _sym_target(kappa), 4, RGDConfig(eta=eta, seed=0, max_iters=n, record_every=every)
     ),
     "landing-polar": lambda eta, kappa, n, every: ld.train_polar_landing(
-        _task(), 4, ld.LandingConfig(eta=eta, max_iters=n), record_every=every
+        _task(), 4, LandingConfig(eta=eta, max_iters=n, record_every=every)
     ),
     "lora": lambda eta, kappa, n, every: ld.train_lora(
-        _task(), 4, ld.LandingConfig(eta=eta, max_iters=n), record_every=every
+        _task(), 4, LandingConfig(eta=eta, max_iters=n, record_every=every)
     ),
 }
 

@@ -11,7 +11,9 @@ x_ref of every call, the file records the median, the quartiles, the IQR
 and the value of each run. Runs of the two sides with the same seed form a
 pair; for each metric the file counts the pairs the change won, by the
 metric's direction in BENCHMARK.json. It also records the environment
-fingerprint of the runs, both commits and the tier-1 wall time given, and
+fingerprint of the runs, both commits and the tier-1 wall time given,
+``src_lines``, the summed line count of ``src/polarlab/*.py`` at each
+commit as this repository's git reads it (null where it cannot), and
 the OpenBLAS core and build configuration that numpy's bundled OpenBLAS
 reports in the collecting process ("unknown" when it cannot be read). Run
 it on the machine and with the environment that ran the benchmark, since
@@ -25,6 +27,7 @@ import ctypes
 import importlib.util
 import json
 import statistics
+import subprocess
 import sys
 from pathlib import Path
 
@@ -54,6 +57,18 @@ def blas_runtime(libs: Path | None) -> dict:
             getter.argtypes, getter.restype = [], ctypes.c_char_p
             found[key] = getter().decode()
     return found
+
+
+def src_lines(commit: str, repo: Path = ROOT) -> int | None:
+    """The summed line count of ``src/polarlab/*.py`` at ``commit``, None when git cannot read the commit."""
+    def git(*args) -> bytes:
+        return subprocess.run(["git", "-C", str(repo), *args], capture_output=True, check=True).stdout
+
+    try:
+        names = git("ls-tree", "--full-tree", "--name-only", f"{commit}:src/polarlab").decode().split()
+        return sum(git("show", f"{commit}:src/polarlab/{name}").count(b"\n") for name in names if name.endswith(".py"))
+    except (OSError, subprocess.CalledProcessError):
+        return None
 
 
 def load_runs(directory: Path) -> dict:
@@ -137,6 +152,7 @@ def main(argv=None) -> int:
         "parent_commit": args.parent_commit,
         "change_commit": args.change_commit,
         "tier1_wall_s": args.tier1_seconds,
+        "src_lines": {"parent": src_lines(args.parent_commit), "change": src_lines(args.change_commit)},
         "fingerprint": machine([r for runs in (*parent.values(), *change.values()) for r in runs]),
         "blas_runtime": blas_runtime(numpy_libs()),
         "workloads": collect(parent, change, lower_is_better),
