@@ -45,7 +45,6 @@ _EXPORTS = {
     # factorization experiments
     "RGDConfig": "config",
     "FactorizationTarget": "factorization",
-    "SymTarget": "factorization",
     "make_target": "factorization",
     "make_sym_target": "factorization",
     "PolarFactors": "factorization",
@@ -54,9 +53,7 @@ _EXPORTS = {
     "init_polar_factors": "factorization",
     "init_bm_factors": "factorization",
     "init_sym_factors": "factorization",
-    "loss_polar": "factorization",
-    "loss_bm": "factorization",
-    "loss_sym": "factorization",
+    "factor_loss": "factorization",
     "rgd_step_asym": "factorization",
     "gd_step_bm": "factorization",
     "rgd_step_sym": "factorization",

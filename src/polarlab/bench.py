@@ -49,6 +49,10 @@ MIN_SAMPLES = 5
 IQR_TARGET = 0.15
 BATCH_TARGET_SECONDS = 0.1
 LANDING_STEP_RTOL = 1e-10
+# the kernels' step size and landing penalty, and the seed of their inputs
+ETA = 1e-3
+LAM = 1.0
+SEED = 0
 
 
 @dataclass(frozen=True)
@@ -60,9 +64,6 @@ class BenchSpec:
     op: str
     warmup_iters: int = 10
     max_samples: int = 50
-    eta: float = 1e-3
-    lam: float = 1.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.op not in OPS:
@@ -103,11 +104,11 @@ def _make_kernel(spec: BenchSpec):
     from .stiefel import polar_retract
 
     if spec.op == "retraction":
-        return lambda X, D: polar_retract(X, D, spec.eta)
+        return lambda X, D: polar_retract(X, D, ETA)
     if spec.op == "landing-step":  # X - eta Gamma in the field's own buffer, with the bits of X - eta * Gamma
-        return lambda X, G: np.add(np.multiply(F := landing_field(X, G, spec.lam), -spec.eta, out=F), X, out=F)
+        return lambda X, G: np.add(np.multiply(F := landing_field(X, G, LAM), -ETA, out=F), X, out=F)
     # materialized skew, deliberately not the reassociated O(m r^2) form
-    return lambda X, G: X - spec.eta * _materialized_landing_field(X, G, spec.lam)
+    return lambda X, G: X - ETA * _materialized_landing_field(X, G, LAM)
 
 
 def _materialized_landing_field(X, G, lam: float) -> np.ndarray:
@@ -123,7 +124,7 @@ def _verify_kernel(spec: BenchSpec, kernel, rng) -> None:
     if spec.op == "retraction":
         require_stiefel(out, name="retraction output")
     elif spec.op == "landing-step":
-        step = spec.eta * _materialized_landing_field(X, D, spec.lam)
+        step = ETA * _materialized_landing_field(X, D, LAM)
         err = float(np.linalg.norm((X - out) - step)) / float(np.linalg.norm(step))
         if not err <= LANDING_STEP_RTOL:
             raise ValueError(
@@ -132,10 +133,9 @@ def _verify_kernel(spec: BenchSpec, kernel, rng) -> None:
             )
 
 
-def run_bench(spec: BenchSpec, rng: np.random.Generator | None = None) -> BenchResult:
+def run_bench(spec: BenchSpec) -> BenchResult:
     """Time one kernel at one shape until the median estimate stabilizes."""
-    if rng is None:
-        rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(SEED)
     kernel = _make_kernel(spec)
     _verify_kernel(spec, kernel, rng)
 

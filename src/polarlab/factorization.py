@@ -8,8 +8,10 @@ Three algorithms on synthetic targets with controlled spectrum:
 * ``bm-gd``: plain gradient descent on the two-factor form Z1 Z2^T,
 * ``polar-rgd-sym``: the symmetric PSD variant X Theta X^T.
 
-Losses are 0.5 * ||residual||_F^2 throughout. Alignment diagnostics track
-how the factor subspaces capture the target's singular subspaces.
+All three fit a :class:`FactorizationTarget` (V = U for the symmetric one)
+planted by :func:`spaced_spectrum` and report :func:`factor_loss`, 0.5 *
+||DeltaW - A||_F^2. Alignment diagnostics track how the factor subspaces
+capture the target's singular subspaces.
 
 Each algorithm is a method object that :func:`polarlab.runner.run` iterates
 until the loss threshold or the budget. The single steps (``rgd_step_asym``,
@@ -44,7 +46,7 @@ from .trace import RunTrace
 
 @dataclass(frozen=True)
 class FactorizationTarget:
-    """Rank-r_A target A = U diag(sigma) V^T with sigma_1 / sigma_{r_A} = kappa."""
+    """Rank-r_A target A = U diag(sigma) V^T, sigma_1 / sigma_{r_A} = kappa; V = U if symmetric PSD."""
 
     A: np.ndarray
     U: np.ndarray
@@ -70,34 +72,9 @@ class FactorizationTarget:
         return float(np.sum(self.A * self.A))
 
 
-@dataclass(frozen=True)
-class SymTarget:
-    """Symmetric PSD target B = U diag(sigma) U^T, same spectrum convention."""
-
-    B: np.ndarray
-    U: np.ndarray
-    sigma: np.ndarray
-    kappa: float
-
-    @property
-    def m(self) -> int:
-        return self.B.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.B.shape[1]
-
-    @property
-    def r_a(self) -> int:
-        return self.sigma.size
-
-    @cached_property
-    def b2(self) -> float:
-        """||B||_F^2, the constant term of the expanded loss."""
-        return float(np.sum(self.B * self.B))
-
-
-def _spaced_spectrum(r_a: int, kappa: float, normalize: bool) -> np.ndarray:
+def spaced_spectrum(r_a: int, kappa: float, normalize: bool) -> np.ndarray:
+    """r_a descending singular values evenly spaced on [1, kappa], or with ``normalize`` on
+    [1/kappa, 1] (sigma_1 = 1, which slows the eta-dependent dynamics by kappa^2)."""
     if kappa < 1.0:
         raise ValueError(f"kappa must be >= 1, got {kappa}")
     if r_a == 1:
@@ -105,8 +82,6 @@ def _spaced_spectrum(r_a: int, kappa: float, normalize: bool) -> np.ndarray:
             raise ValueError("r_a = 1 forces kappa = 1 (the spectrum is a single value)")
         return np.ones(1)
     sigma = np.linspace(kappa, 1.0, r_a)
-    # the convergence experiments run on [1, kappa]; normalize rescales to
-    # sigma_1 = 1, which slows the eta-dependent dynamics by kappa^2
     return sigma / kappa if normalize else sigma
 
 
@@ -129,7 +104,7 @@ def make_target(
         m, n = n, m
     if not (1 <= r_a <= min(m, n) / 2):
         raise ValueError(f"need 1 <= r_a <= min(m, n)/2, got r_a={r_a}, m={m}, n={n}")
-    sigma = _spaced_spectrum(r_a, float(kappa), normalize)
+    sigma = spaced_spectrum(r_a, float(kappa), normalize)
     U = sample_stiefel_uniform(m, r_a, rng)
     V = sample_stiefel_uniform(n, r_a, rng)
     A = (U * sigma) @ V.T
@@ -142,15 +117,15 @@ def make_sym_target(
     kappa: float,
     rng: np.random.Generator,
     normalize: bool = False,
-) -> SymTarget:
-    """Symmetric PSD analogue of :func:`make_target`."""
+) -> FactorizationTarget:
+    """Symmetric PSD analogue of :func:`make_target`: A = U diag(sigma) U^T, V = U."""
     if not (1 <= r_a <= m / 2):
         raise ValueError(f"need 1 <= r_a <= m/2, got r_a={r_a}, m={m}")
-    sigma = _spaced_spectrum(r_a, float(kappa), normalize)
+    sigma = spaced_spectrum(r_a, float(kappa), normalize)
     U = sample_stiefel_uniform(m, r_a, rng)
     B = (U * sigma) @ U.T
     B = 0.5 * (B + B.T)
-    return SymTarget(B=B, U=U, sigma=sigma, kappa=float(kappa))
+    return FactorizationTarget(A=B, U=U, V=U, sigma=sigma, kappa=float(kappa))
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +197,7 @@ def init_bm_factors(target: FactorizationTarget, r: int, rng: np.random.Generato
     return BMFactors(Z1=Z1, Z2=Z2)
 
 
-def init_sym_factors(target: SymTarget, r: int, rng: np.random.Generator) -> SymFactors:
+def init_sym_factors(target: FactorizationTarget, r: int, rng: np.random.Generator) -> SymFactors:
     if not (target.r_a < r <= target.m):
         raise ValueError(f"need r_a < r <= m, got r={r}, r_a={target.r_a}, m={target.m}")
     X = sample_stiefel_uniform(target.m, r, rng)
@@ -233,21 +208,9 @@ def init_sym_factors(target: SymTarget, r: int, rng: np.random.Generator) -> Sym
 # losses
 
 
-def loss_polar(target: FactorizationTarget, f: PolarFactors) -> float:
-    """0.5 ||X Theta Y^T - A||_F^2."""
+def factor_loss(target: FactorizationTarget, f: PolarFactors | BMFactors | SymFactors) -> float:
+    """0.5 ||f.delta_w() - A||_F^2 for any of the three factor states."""
     resid = f.delta_w() - target.A
-    return 0.5 * float(np.sum(resid * resid))
-
-
-def loss_bm(target: FactorizationTarget, f: BMFactors) -> float:
-    """0.5 ||Z1 Z2^T - A||_F^2."""
-    resid = f.delta_w() - target.A
-    return 0.5 * float(np.sum(resid * resid))
-
-
-def loss_sym(target: SymTarget, f: SymFactors) -> float:
-    """0.5 ||X Theta X^T - B||_F^2."""
-    resid = f.delta_w() - target.B
     return 0.5 * float(np.sum(resid * resid))
 
 
@@ -266,7 +229,7 @@ def gd_step_bm(target: FactorizationTarget, f: BMFactors, eta: float) -> BMFacto
     return advance(_BMGD(target, eta), f, 0)[0]
 
 
-def rgd_step_sym(target: SymTarget, f: SymFactors, eta: float, gamma: float = 1.0) -> SymFactors:
+def rgd_step_sym(target: FactorizationTarget, f: SymFactors, eta: float, gamma: float = 1.0) -> SymFactors:
     """One Theta refresh + retraction step of the symmetric algorithm."""
     return advance(_SymRGD(target, eta, gamma), f, 0)[0]
 
@@ -338,7 +301,7 @@ def loss_alignment_bound(target: FactorizationTarget, f: PolarFactors) -> tuple[
     rho1 = target.r_a - float(np.sum(phi * phi))
     rho2 = target.r_a - float(np.sum(psi * psi))
     bound = 2.0 * float(target.sigma[0]) ** 2 * (rho1 + rho2)
-    return loss_polar(target, f), bound
+    return factor_loss(target, f), bound
 
 
 # ---------------------------------------------------------------------------
@@ -426,24 +389,24 @@ class _SymRGD:
 
     name = "polar-rgd-sym"
 
-    def __init__(self, target: SymTarget, eta: float, gamma: float):
+    def __init__(self, target: FactorizationTarget, eta: float, gamma: float):
         self.target, self.eta, self.gamma = target, eta, gamma
 
     def evaluate(self, f: SymFactors):
         """The refreshed-Theta state, its loss and (grad norm^2, G)."""
         target, gamma = self.target, self.gamma
-        BX = target.B @ f.X
-        M = f.X.T @ BX
+        AX = target.A @ f.X
+        M = f.X.T @ AX
         Theta = M if gamma == 1.0 else (1.0 - gamma) * f.Theta + gamma * M
         theta_m = float((Theta * M).sum())  # and ||Theta||^2 too at gamma = 1, where Theta is M
-        loss = 0.5 * (target.b2 - 2.0 * theta_m + (theta_m if gamma == 1.0 else float((Theta * Theta).sum())))
+        loss = 0.5 * (target.a2 - 2.0 * theta_m + (theta_m if gamma == 1.0 else float((Theta * Theta).sum())))
         if gamma == 1.0:
-            P = BX @ M
+            P = AX @ M
             G = f.X @ (f.X.T @ P)
             G -= P
         else:
             # Euclidean gradient R X Theta^T + R^T X Theta expanded under X^T X = I
-            gX = f.X @ (Theta @ Theta.T + Theta.T @ Theta) - BX @ (Theta.T + Theta)
+            gX = f.X @ (Theta @ Theta.T + Theta.T @ Theta) - AX @ (Theta.T + Theta)
             G = tangent_project(f.X, gX)
         return SymFactors(X=f.X, Theta=Theta), max(loss, 0.0), (float((G * G).sum()), G)
 
@@ -489,7 +452,7 @@ def run_bm_gd(target: FactorizationTarget, r: int, cfg: RGDConfig) -> tuple[RunT
     return _run(_BMGD(target, cfg.eta), f, cfg, float("nan"))
 
 
-def run_sym_rgd(target: SymTarget, r: int, cfg: RGDConfig) -> tuple[RunTrace, SymFactors]:
+def run_sym_rgd(target: FactorizationTarget, r: int, cfg: RGDConfig) -> tuple[RunTrace, SymFactors]:
     """Symmetric-variant runner; psi diagnostics are undefined and recorded as NaN."""
     f = init_sym_factors(target, r, np.random.default_rng(cfg.seed))
     return _run(_SymRGD(target, cfg.eta, cfg.gamma), f, cfg, cfg.gamma)

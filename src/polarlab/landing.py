@@ -14,8 +14,8 @@ transform per step moves, bit for bit as one Adam per parameter would.
 
 The task is least squares against whitened inputs: L = ||(W0 + DeltaW) D
 - labels||_F^2 with D D^T = I, which collapses to the factored form
-||DeltaW - residual||_F^2 + c; both evaluation paths are implemented.
-The trainers report the factored residual, which leaves out c.
+||DeltaW - residual||_F^2 + c. The trainers and ``WhitenedTask.loss``
+report the factored residual, which leaves out c.
 A plain LoRA-style baseline (two Euclidean factors, Z2 zero-initialized)
 trains on the same task for comparison.
 
@@ -34,6 +34,7 @@ from typing import ClassVar
 import numpy as np
 
 from .config import LandingConfig
+from .factorization import spaced_spectrum
 from .runner import advance, run
 from .stiefel import (
     distance_to_stiefel,
@@ -214,19 +215,13 @@ class WhitenedTask:
         return self.planted_sigma.size
 
     def loss(self, delta_w, direct: bool = False) -> float:
-        """||(W0 + delta_w) D - labels||_F^2, by default via the factored form."""
+        """||delta_w - residual||_F^2 as the trainers report it, without c;
+        with ``direct``, ||(W0 + delta_w) D - labels||_F^2, which includes c."""
         if direct:
             resid = (self.W0 + delta_w) @ self.D - self.labels
             return float(np.sum(resid * resid))
         diff = delta_w - self.residual
-        # c is zero only up to rounding, so clamp the near-converged tail
-        return max(float(np.sum(diff * diff)) + self.c, 0.0)
-
-    def grad_delta_w(self, delta_w, direct: bool = False) -> np.ndarray:
-        """Gradient of the loss in DeltaW."""
-        if direct:
-            return 2.0 * ((self.W0 + delta_w) @ self.D - self.labels) @ self.D.T
-        return 2.0 * (delta_w - self.residual)
+        return float(np.sum(diff * diff))
 
 
 def make_whitened_task(
@@ -240,23 +235,21 @@ def make_whitened_task(
     """Build a whitened task whose optimal adapter is a known rank-r_a matrix.
 
     D is n x n_cols with orthonormal rows (n_cols >= n), W0 has i.i.d.
-    N(0, 1/n) entries, and labels are generated as (W0 + P) D for a planted P with singular values evenly
-    spaced on [1/kappa, 1], so the equivalent factored target is exactly P.
+    N(0, 1/n) entries, and labels are (W0 + P) D, so the equivalent factored
+    target is exactly the planted P. P's spectrum is ``spaced_spectrum(r_a,
+    kappa, normalize=True)``, checked before anything is drawn from ``rng``.
     """
     if n_cols < n:
         raise ValueError(f"need n_cols >= n for D D^T = I, got n_cols={n_cols}, n={n}")
     if not (1 <= r_a <= min(m, n)):
         raise ValueError(f"need 1 <= r_a <= min(m, n), got r_a={r_a}")
+    sigma = spaced_spectrum(r_a, float(kappa), normalize=True)
     Q = np.linalg.qr(rng.standard_normal((n_cols, n)))[0]
     D = Q.T
     gram_err = float(np.linalg.norm(D @ D.T - np.eye(n)))
     if gram_err > 1e-10:
         raise ValueError(f"whitening failed: ||D D^T - I|| = {gram_err:.3e}")
     W0 = (1.0 / np.sqrt(n)) * rng.standard_normal((m, n))
-    if r_a == 1:
-        sigma = np.ones(1)
-    else:
-        sigma = np.linspace(kappa, 1.0, r_a) / kappa
     U_p = sample_stiefel_uniform(m, r_a, rng)
     V_p = sample_stiefel_uniform(n, r_a, rng)
     P = (U_p * sigma) @ V_p.T

@@ -1,11 +1,10 @@
 """Per-iteration run traces and their CSV/JSON serialization.
 
-A trace CSV holds the deterministic per-iteration columns; identical
+A trace CSV holds only the deterministic per-iteration columns; identical
 config + seed reproduces it byte for byte in single-threaded runs. The
 per-iteration wall clock is kept in memory and summarized in the JSON
-metadata sidecar, which is excluded from the determinism contract.
-Passing ``include_wall_time=True`` to :func:`write_trace` adds the
-(non-deterministic) wall_time column for profiling.
+metadata sidecar (``total_wall_time``), the one field outside the
+determinism contract; timings never go in the CSV.
 """
 
 from __future__ import annotations
@@ -88,7 +87,7 @@ class RunTrace:
     def column(self, name: str) -> list:
         if name == "iter":
             return self.iters
-        if name in CORE_COLUMNS or name == "wall_time":
+        if name in CORE_COLUMNS:
             return getattr(self, name)
         return self.extras[name]
 
@@ -105,17 +104,14 @@ def trace_basename(trace: RunTrace) -> str:
     return f"{trace.algorithm}_{kappa}_{md.get('r', 'na')}_{md.get('seed', 'na')}"
 
 
-def write_trace(trace: RunTrace, out_dir, basename: str | None = None, include_wall_time: bool = False) -> str:
+def write_trace(trace: RunTrace, out_dir, basename: str | None = None) -> str:
     """Write ``<basename>.csv`` and ``<basename>.json`` into ``out_dir``.
 
     Returns the CSV path.
     """
     os.makedirs(out_dir, exist_ok=True)
     stem = basename or trace_basename(trace)
-    extra_names = sorted(trace.extras)
-    columns = list(CORE_COLUMNS) + extra_names
-    if include_wall_time:
-        columns.append("wall_time")
+    columns = list(CORE_COLUMNS) + sorted(trace.extras)
     lines = [",".join(columns)]
     for i in range(len(trace)):
         row = [str(trace.iters[i])]

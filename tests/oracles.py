@@ -21,7 +21,7 @@ from dataclasses import replace
 import numpy as np
 
 from polarlab.exceptions import RankDeficientError
-from polarlab.factorization import BMFactors, FactorizationTarget, PolarFactors, SymFactors, SymTarget
+from polarlab.factorization import BMFactors, FactorizationTarget, PolarFactors, SymFactors
 from polarlab.landing import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -50,8 +50,8 @@ def theta_update(target: FactorizationTarget, f: PolarFactors, gamma: float) -> 
     return (1.0 - gamma) * f.Theta + gamma * (f.X.T @ target.A @ f.Y)
 
 
-def theta_update_sym(target: SymTarget, f: SymFactors, gamma: float) -> np.ndarray:
-    return (1.0 - gamma) * f.Theta + gamma * (f.X.T @ target.B @ f.X)
+def theta_update_sym(target: FactorizationTarget, f: SymFactors, gamma: float) -> np.ndarray:
+    return (1.0 - gamma) * f.Theta + gamma * (f.X.T @ target.A @ f.X)
 
 
 def riemannian_grads_asym(target: FactorizationTarget, f: PolarFactors) -> tuple[np.ndarray, np.ndarray]:
@@ -68,34 +68,34 @@ def riemannian_grads_asym(target: FactorizationTarget, f: PolarFactors) -> tuple
     return E, F
 
 
-def riemannian_grad_sym(target: SymTarget, f: SymFactors) -> np.ndarray:
-    """G = -(I - XX^T) B X X^T B X, the symmetric-variant descent direction at gamma = 1."""
-    W = target.B @ f.X
+def riemannian_grad_sym(target: FactorizationTarget, f: SymFactors) -> np.ndarray:
+    """G = -(I - XX^T) A X X^T A X, the symmetric-variant descent direction at gamma = 1."""
+    W = target.A @ f.X
     P = W @ (f.X.T @ W)
     return f.X @ (f.X.T @ P) - P
 
 
 def euclid_grads_asym(target: FactorizationTarget, f: PolarFactors) -> tuple[np.ndarray, np.ndarray]:
-    """Euclidean gradients of loss_polar in X and Y at fixed Theta."""
+    """Euclidean gradients of the polar factor loss in X and Y at fixed Theta."""
     resid = (f.X @ f.Theta) @ f.Y.T - target.A
     return resid @ (f.Y @ f.Theta.T), resid.T @ (f.X @ f.Theta)
 
 
 def euclid_grad_theta(target: FactorizationTarget, f: PolarFactors) -> np.ndarray:
-    """Euclidean gradient of loss_polar in Theta."""
+    """Euclidean gradient of the polar factor loss in Theta."""
     resid = (f.X @ f.Theta) @ f.Y.T - target.A
     return f.X.T @ resid @ f.Y
 
 
 def euclid_grads_bm(target: FactorizationTarget, f: BMFactors) -> tuple[np.ndarray, np.ndarray]:
-    """Euclidean gradients of loss_bm."""
+    """Euclidean gradients of the BM factor loss."""
     resid = f.Z1 @ f.Z2.T - target.A
     return resid @ f.Z2, resid.T @ f.Z1
 
 
-def euclid_grad_sym(target: SymTarget, f: SymFactors) -> np.ndarray:
-    """Euclidean gradient of loss_sym in X at fixed Theta (general, possibly asymmetric Theta)."""
-    resid = (f.X @ f.Theta) @ f.X.T - target.B
+def euclid_grad_sym(target: FactorizationTarget, f: SymFactors) -> np.ndarray:
+    """Euclidean gradient of the symmetric factor loss in X at fixed Theta (general, possibly asymmetric Theta)."""
+    resid = (f.X @ f.Theta) @ f.X.T - target.A
     return resid @ (f.X @ f.Theta.T) + resid.T @ (f.X @ f.Theta)
 
 
@@ -223,16 +223,16 @@ def polar_rgd_evaluate_reference(target: FactorizationTarget, f: PolarFactors, g
     return Theta, max(loss, 0.0), float(np.sum(E * E) + np.sum(F * F)), E, F
 
 
-def sym_rgd_evaluate_reference(target: SymTarget, f: SymFactors, gamma: float):
+def sym_rgd_evaluate_reference(target: FactorizationTarget, f: SymFactors, gamma: float):
     """(Theta, expanded loss, grad norm^2, G) of one polar-rgd-sym evaluation."""
-    BX = target.B @ f.X
-    M = f.X.T @ BX
+    AX = target.A @ f.X
+    M = f.X.T @ AX
     Theta = M if gamma == 1.0 else (1.0 - gamma) * f.Theta + gamma * M
-    loss = 0.5 * (target.b2 - 2.0 * float(np.sum(Theta * M)) + float(np.sum(Theta * Theta)))
+    loss = 0.5 * (target.a2 - 2.0 * float(np.sum(Theta * M)) + float(np.sum(Theta * Theta)))
     if gamma == 1.0:
-        P = BX @ M
+        P = AX @ M
         G = f.X @ (f.X.T @ P) - P
     else:
-        gX = f.X @ (Theta @ Theta.T + Theta.T @ Theta) - BX @ (Theta.T + Theta)
+        gX = f.X @ (Theta @ Theta.T + Theta.T @ Theta) - AX @ (Theta.T + Theta)
         G = tangent_project_reference(f.X, gX)
     return Theta, max(loss, 0.0), float(np.sum(G * G)), G

@@ -257,8 +257,8 @@ def test_a4_gradient_oracle_suite():
         f = fx.init_polar_factors(t, r, rng)
         f = PolarFactors(X=f.X, Theta=oracles.theta_update(t, f, 1.0), Y=f.Y)
         E, F = oracles.riemannian_grads_asym(t, f)
-        track("E", _rel_err(E, _fd_grad(lambda W: fx.loss_polar(t, PolarFactors(X=W, Theta=f.Theta, Y=f.Y)), f.X)))
-        track("F", _rel_err(F, _fd_grad(lambda W: fx.loss_polar(t, PolarFactors(X=f.X, Theta=f.Theta, Y=W)), f.Y)))
+        track("E", _rel_err(E, _fd_grad(lambda W: fx.factor_loss(t, PolarFactors(X=W, Theta=f.Theta, Y=f.Y)), f.X)))
+        track("F", _rel_err(F, _fd_grad(lambda W: fx.factor_loss(t, PolarFactors(X=f.X, Theta=f.Theta, Y=W)), f.Y)))
 
         # theta gradient at a generic theta
         g = PolarFactors(X=f.X, Theta=rng.standard_normal((r, r)), Y=f.Y)
@@ -266,15 +266,15 @@ def test_a4_gradient_oracle_suite():
             "theta",
             _rel_err(
                 oracles.euclid_grad_theta(t, g),
-                _fd_grad(lambda T: fx.loss_polar(t, PolarFactors(X=g.X, Theta=T, Y=g.Y)), g.Theta),
+                _fd_grad(lambda T: fx.factor_loss(t, PolarFactors(X=g.X, Theta=T, Y=g.Y)), g.Theta),
             ),
         )
 
         # two-factor baseline at a generic point
         fb = fx.BMFactors(Z1=rng.standard_normal((m, r)), Z2=rng.standard_normal((n, r)))
         G1, G2 = oracles.euclid_grads_bm(t, fb)
-        track("bm_z1", _rel_err(G1, _fd_grad(lambda Z: fx.loss_bm(t, fx.BMFactors(Z1=Z, Z2=fb.Z2)), fb.Z1)))
-        track("bm_z2", _rel_err(G2, _fd_grad(lambda Z: fx.loss_bm(t, fx.BMFactors(Z1=fb.Z1, Z2=Z)), fb.Z2)))
+        track("bm_z1", _rel_err(G1, _fd_grad(lambda Z: fx.factor_loss(t, fx.BMFactors(Z1=Z, Z2=fb.Z2)), fb.Z1)))
+        track("bm_z2", _rel_err(G2, _fd_grad(lambda Z: fx.factor_loss(t, fx.BMFactors(Z1=fb.Z1, Z2=Z)), fb.Z2)))
 
         # symmetric gradient; the Euclidean one is exactly twice the
         # Riemannian one at the refreshed theta
@@ -285,7 +285,7 @@ def test_a4_gradient_oracle_suite():
             "G",
             _rel_err(
                 2.0 * oracles.riemannian_grad_sym(ts, fs),
-                _fd_grad(lambda W: fx.loss_sym(ts, SymFactors(X=W, Theta=fs.Theta)), fs.X),
+                _fd_grad(lambda W: fx.factor_loss(ts, SymFactors(X=W, Theta=fs.Theta)), fs.X),
             ),
         )
 

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from polarlab.bench import (
+    ETA,
+    LAM,
     BenchSpec,
     _verify_kernel,
     median_micros,
@@ -69,7 +71,7 @@ def test_verify_kernel_rejects_broken_output():
 
 def test_verify_kernel_certifies_landing_step_field():
     spec = BenchSpec(m=16, r=3, op="landing-step")
-    eta, lam = spec.eta, spec.lam
+    eta, lam = ETA, LAM
     _verify_kernel(spec, lambda X, G: X - eta * landing_field(X, G, lam), np.random.default_rng(0))
     # finite and well-shaped but wrong: the skew term's sign flipped, the
     # raw Euclidean gradient in place of the skew term, the field doubled

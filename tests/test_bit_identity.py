@@ -13,7 +13,7 @@ from oracles import (
 )
 
 from polarlab import stiefel
-from polarlab.bench import BenchSpec, _make_kernel
+from polarlab.bench import ETA, LAM, BenchSpec, _make_kernel
 from polarlab.exceptions import FeasibilityError
 from polarlab.factorization import (
     PolarFactors,
@@ -79,7 +79,7 @@ def test_landing_step_kernel_matches_reference(shape):
     rng = np.random.default_rng(6)
     X = sample_stiefel_uniform(*shape, rng)
     G = rng.standard_normal(shape)
-    assert np.array_equal(_make_kernel(spec)(X, G), X - spec.eta * landing_field(X, G, spec.lam))
+    assert np.array_equal(_make_kernel(spec)(X, G), X - ETA * landing_field(X, G, LAM))
 
 
 def _stepped(method, f, steps):

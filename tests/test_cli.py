@@ -169,29 +169,47 @@ def test_non_tangent_step_exits_one_with_one_line(tmp_path, flags):
     assert lines[0].startswith("error: retraction direction is not tangent")
 
 
-def _factorize_subprocess(tmp_path, *flags):
+def _cli_subprocess(tmp_path, command, *flags):
     # a separate interpreter, so that a numpy RuntimeWarning would reach stderr
     import polarlab
 
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(polarlab.__file__)))
-    argv = ["factorize", *flags, "--out", str(tmp_path / "r")]
+    argv = [command, *flags, "--out", str(tmp_path / "r")]
     return subprocess.run(
         [sys.executable, "-m", "polarlab.cli", *argv], env=env, capture_output=True, text=True, timeout=120
     )
+
+
+@pytest.mark.parametrize("command", ["factorize", "finetune-toy"])
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--kappa", "0"), "kappa must be >= 1, got 0.0"),
+        (("--kappa", "0.5"), "kappa must be >= 1, got 0.5"),
+        (("--kappa", "-2"), "kappa must be >= 1, got -2.0"),
+        (("--r-a", "1"), "r_a = 1 forces kappa = 1 (the spectrum is a single value)"),
+    ],
+)
+def test_bad_spectrum_exits_one_with_one_line(tmp_path, command, flags, message):
+    # both commands plant their target by the one spectrum rule, which runs before any draw
+    proc = _cli_subprocess(tmp_path, command, *flags)
+    assert proc.returncode == EXIT_ERROR
+    assert proc.stderr == f"error: {message}\n"
+    assert proc.stdout == ""
 
 
 @pytest.mark.parametrize("algo", ["polar-rgd", "bm-gd"])
 @pytest.mark.parametrize("eta", ["inf", "nan", "-1"])
 def test_non_finite_eta_exits_one_with_one_line(tmp_path, algo, eta):
     # bm-gd retracts nothing; its config rejects the step before a numpy warning can fire
-    proc = _factorize_subprocess(tmp_path, "--algo", algo, "--eta", eta)
+    proc = _cli_subprocess(tmp_path, "factorize", "--algo", algo, "--eta", eta)
     assert proc.returncode == EXIT_ERROR
     assert proc.stderr == f"error: eta must be finite and nonnegative, got eta = {float(eta)}\n"
 
 
 def test_failed_retraction_names_method_iteration_and_eta(tmp_path):
     # at eta = 10 a retracted factor misses the 1e-9 certificate within 50 steps
-    proc = _factorize_subprocess(tmp_path, "--algo", "polar-rgd", "--eta", "10", "--max-iters", "50")
+    proc = _cli_subprocess(tmp_path, "factorize", "--algo", "polar-rgd", "--eta", "10", "--max-iters", "50")
     assert proc.returncode == EXIT_ERROR
     lines = proc.stderr.splitlines()
     assert len(lines) == 1, proc.stderr
@@ -223,7 +241,10 @@ def test_threads_must_be_positive(tmp_path, capsys):
 
 def test_threads_sets_blas_env_vars(monkeypatch, capsys):
     for var in _THREAD_ENV_VARS:
-        monkeypatch.delenv(var, raising=False)
+        # setenv records the value, or its absence, that teardown restores;
+        # a bare delenv of an unset variable records nothing, and main's value would leak
+        monkeypatch.setenv(var, "")
+        monkeypatch.delenv(var)
     # analyze without a path errors out after the env vars are pinned
     assert main(["analyze", "--threads", "3"]) == EXIT_ERROR
     capsys.readouterr()

@@ -22,10 +22,8 @@ from polarlab.factorization import (
     init_bm_factors,
     init_polar_factors,
     init_sym_factors,
+    factor_loss,
     loss_alignment_bound,
-    loss_bm,
-    loss_polar,
-    loss_sym,
     make_sym_target,
     make_target,
     rgd_step_asym,
@@ -124,8 +122,9 @@ def test_make_target_validates():
 @pytest.mark.parametrize("seed", SEEDS)
 def test_sym_target_is_symmetric_psd(seed):
     t = make_sym_target(8, 3, 4.0, np.random.default_rng(seed))
-    assert np.array_equal(t.B, t.B.T)
-    w = np.linalg.eigvalsh(t.B)
+    assert np.array_equal(t.A, t.A.T)
+    assert t.V is t.U
+    w = np.linalg.eigvalsh(t.A)
     assert w.min() >= -1e-12
     nonzero = np.sort(w)[-3:]
     assert np.allclose(np.sort(t.sigma), nonzero, atol=1e-10)
@@ -171,13 +170,13 @@ def test_loss_polar_matches_brute_force(seed):
     f = PolarFactors(X=f.X, Theta=np.random.default_rng(seed).standard_normal((3, 3)), Y=f.Y)
     resid = f.X @ f.Theta @ f.Y.T - t.A
     brute = 0.5 * sum(resid[i, j] ** 2 for i in range(t.m) for j in range(t.n))
-    assert loss_polar(t, f) == pytest.approx(brute, rel=1e-12)
+    assert factor_loss(t, f) == pytest.approx(brute, rel=1e-12)
 
 
 def test_loss_at_theta_zero_is_half_energy():
     t = _target(3, kappa=5.0)
     f = init_polar_factors(t, 3, np.random.default_rng(0))
-    assert loss_polar(t, f) == pytest.approx(0.5 * np.sum(t.sigma**2), rel=1e-12)
+    assert factor_loss(t, f) == pytest.approx(0.5 * np.sum(t.sigma**2), rel=1e-12)
 
 
 def test_loss_zero_at_exact_factorization():
@@ -187,19 +186,19 @@ def test_loss_zero_at_exact_factorization():
     Y = np.hstack([t.V, orthogonal_complement(t.V)[:, : r - 2]])
     Theta = np.zeros((r, r))
     Theta[:2, :2] = np.diag(t.sigma)
-    assert loss_polar(t, PolarFactors(X=X, Theta=Theta, Y=Y)) <= 1e-20
+    assert factor_loss(t, PolarFactors(X=X, Theta=Theta, Y=Y)) <= 1e-20
 
 
 def test_loss_bm_and_sym_match_brute_force():
     t = _target(2)
     fb = init_bm_factors(t, 3, np.random.default_rng(5))
     resid = fb.Z1 @ fb.Z2.T - t.A
-    assert loss_bm(t, fb) == pytest.approx(0.5 * np.sum(resid**2), rel=1e-12)
+    assert factor_loss(t, fb) == pytest.approx(0.5 * np.sum(resid**2), rel=1e-12)
     ts = make_sym_target(6, 2, 3.0, np.random.default_rng(0))
     fs = init_sym_factors(ts, 3, np.random.default_rng(1))
     fs = SymFactors(X=fs.X, Theta=np.random.default_rng(2).standard_normal((3, 3)))
-    resid = fs.X @ fs.Theta @ fs.X.T - ts.B
-    assert loss_sym(ts, fs) == pytest.approx(0.5 * np.sum(resid**2), rel=1e-12)
+    resid = fs.X @ fs.Theta @ fs.X.T - ts.A
+    assert factor_loss(ts, fs) == pytest.approx(0.5 * np.sum(resid**2), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +249,7 @@ def test_theta_aligned_recovers_spectrum():
 def test_theta_update_sym():
     t = make_sym_target(6, 2, 3.0, np.random.default_rng(0))
     f = init_sym_factors(t, 3, np.random.default_rng(1))
-    assert np.allclose(theta_update_sym(t, f, 1.0), f.X.T @ t.B @ f.X, atol=1e-15)
+    assert np.allclose(theta_update_sym(t, f, 1.0), f.X.T @ t.A @ f.X, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +261,8 @@ def test_riemannian_grads_match_fd_at_refreshed_theta(seed):
     t = _target(seed)
     f = _refreshed(t, init_polar_factors(t, 3, np.random.default_rng(seed + 30)))
     E, F = riemannian_grads_asym(t, f)
-    fd_x = _fd_grad(lambda W: loss_polar(t, PolarFactors(X=W, Theta=f.Theta, Y=f.Y)), f.X)
-    fd_y = _fd_grad(lambda W: loss_polar(t, PolarFactors(X=f.X, Theta=f.Theta, Y=W)), f.Y)
+    fd_x = _fd_grad(lambda W: factor_loss(t, PolarFactors(X=W, Theta=f.Theta, Y=f.Y)), f.X)
+    fd_y = _fd_grad(lambda W: factor_loss(t, PolarFactors(X=f.X, Theta=f.Theta, Y=W)), f.Y)
     assert _rel_err(E, fd_x) <= 1e-5
     assert _rel_err(F, fd_y) <= 1e-5
 
@@ -313,7 +312,7 @@ def test_euclid_grad_theta_matches_fd(seed):
     rng = np.random.default_rng(seed + 40)
     f = init_polar_factors(t, 3, rng)
     f = PolarFactors(X=f.X, Theta=rng.standard_normal((3, 3)), Y=f.Y)
-    fd = _fd_grad(lambda T: loss_polar(t, PolarFactors(X=f.X, Theta=T, Y=f.Y)), f.Theta)
+    fd = _fd_grad(lambda T: factor_loss(t, PolarFactors(X=f.X, Theta=T, Y=f.Y)), f.Theta)
     assert _rel_err(euclid_grad_theta(t, f), fd) <= 1e-5
 
 
@@ -322,8 +321,8 @@ def test_bm_grads_match_fd(seed):
     t = make_target(5, 4, 1, 1.0, np.random.default_rng(seed))
     f = init_bm_factors(t, 3, np.random.default_rng(seed + 50))
     G1, G2 = euclid_grads_bm(t, f)
-    fd1 = _fd_grad(lambda Z: loss_bm(t, BMFactors(Z1=Z, Z2=f.Z2)), f.Z1)
-    fd2 = _fd_grad(lambda Z: loss_bm(t, BMFactors(Z1=f.Z1, Z2=Z)), f.Z2)
+    fd1 = _fd_grad(lambda Z: factor_loss(t, BMFactors(Z1=Z, Z2=f.Z2)), f.Z1)
+    fd2 = _fd_grad(lambda Z: factor_loss(t, BMFactors(Z1=f.Z1, Z2=Z)), f.Z2)
     assert _rel_err(G1, fd1) <= 1e-5
     assert _rel_err(G2, fd2) <= 1e-5
 
@@ -334,7 +333,7 @@ def test_sym_grads_match_fd_and_riemannian_relation(seed):
     f = init_sym_factors(t, 3, np.random.default_rng(seed + 60))
     f = SymFactors(X=f.X, Theta=theta_update_sym(t, f, 1.0))
     g = euclid_grad_sym(t, f)
-    fd = _fd_grad(lambda W: loss_sym(t, SymFactors(X=W, Theta=f.Theta)), f.X)
+    fd = _fd_grad(lambda W: factor_loss(t, SymFactors(X=W, Theta=f.Theta)), f.X)
     assert _rel_err(g, fd) <= 1e-5
     # at a refreshed symmetric Theta the Euclidean gradient is twice the
     # projector-form direction, and both are tangent
@@ -354,7 +353,7 @@ def test_step_noop_at_zero_gradient():
     f = rgd_step_asym(t, PolarFactors(X=X, Theta=np.zeros((3, 3)), Y=Y), eta=1e-3)
     assert np.allclose(f.X, X, atol=1e-12)
     assert np.allclose(f.Y, Y, atol=1e-12)
-    assert loss_polar(t, f) <= 1e-18
+    assert factor_loss(t, f) <= 1e-18
 
 
 @pytest.mark.parametrize("gamma", [1.0, 0.5])
@@ -362,11 +361,11 @@ def test_step_decreases_loss_and_stays_feasible(gamma):
     t = _target(6, m=6, n=6, r_a=2)
     f = init_polar_factors(t, 3, np.random.default_rng(9))
     f = PolarFactors(X=f.X, Theta=theta_update(t, f, gamma), Y=f.Y)
-    before = loss_polar(t, f)
+    before = factor_loss(t, f)
     f2 = rgd_step_asym(t, f, eta=1e-3, gamma=gamma)
     assert stiefel_error(f2.X) <= 1e-9
     assert stiefel_error(f2.Y) <= 1e-9
-    assert loss_polar(t, PolarFactors(X=f2.X, Theta=f.Theta, Y=f2.Y)) <= before
+    assert factor_loss(t, PolarFactors(X=f2.X, Theta=f.Theta, Y=f2.Y)) <= before
 
 
 def test_gamma_paths_coincide_at_one():
@@ -401,12 +400,12 @@ def test_bm_step_noop_at_solution():
 
 
 def test_sym_step_matches_asym_on_shared_state():
-    # with A = B and X = Y the two updates produce the same new X
+    # the symmetric target is a FactorizationTarget with V = U, so with X = Y
+    # the two updates produce the same new X
     ts = make_sym_target(8, 2, 3.0, np.random.default_rng(3))
-    ta = FactorizationTarget(A=ts.B, U=ts.U, V=ts.U, sigma=ts.sigma, kappa=ts.kappa)
     X0 = init_sym_factors(ts, 3, np.random.default_rng(4)).X
     fs = rgd_step_sym(ts, SymFactors(X=X0, Theta=np.zeros((3, 3))), eta=1e-2)
-    fa = rgd_step_asym(ta, PolarFactors(X=X0, Theta=np.zeros((3, 3)), Y=X0.copy()), eta=1e-2)
+    fa = rgd_step_asym(ts, PolarFactors(X=X0, Theta=np.zeros((3, 3)), Y=X0.copy()), eta=1e-2)
     assert np.allclose(fs.X, fa.X, atol=1e-12)
     assert np.allclose(fs.Theta, fa.Theta, atol=1e-12)
 
@@ -480,7 +479,7 @@ def test_run_polar_converges_on_easy_target():
     tr, f = run_polar_rgd(t, 5, RGDConfig(eta=0.05, seed=1, max_iters=20000, loss_threshold=1e-10, record_every=100))
     assert tr.metadata["converged"] is True
     assert tr.final_loss <= 1e-10
-    assert loss_polar(t, f) == pytest.approx(tr.final_loss, rel=1e-6, abs=1e-14)
+    assert factor_loss(t, f) == pytest.approx(tr.final_loss, rel=1e-6, abs=1e-14)
     assert stiefel_error(f.X) <= 1e-8
     assert stiefel_error(f.Y) <= 1e-8
 
@@ -502,7 +501,7 @@ def test_run_polar_recording_cadence_and_budget_endpoint():
     assert tr.metadata["converged"] is False
     assert tr.metadata["iterations"] == 200
     # returned factors are the recorded endpoint state
-    assert loss_polar(t, f) == pytest.approx(tr.final_loss, rel=1e-10)
+    assert factor_loss(t, f) == pytest.approx(tr.final_loss, rel=1e-10)
 
 
 def test_run_polar_crossing_iteration_is_exact():
@@ -536,7 +535,7 @@ def test_run_bm_converges_on_easy_target():
     t = make_target(12, 12, 2, 1.5, np.random.default_rng(1))
     tr, f = run_bm_gd(t, 4, RGDConfig(eta=0.05, seed=2, max_iters=50000, loss_threshold=1e-10, record_every=500))
     assert tr.metadata["converged"] is True
-    assert loss_bm(t, f) <= 1e-10
+    assert factor_loss(t, f) <= 1e-10
 
 
 def test_run_bm_divergence_raises():
@@ -549,7 +548,7 @@ def test_run_sym_converges_and_equals_stepper():
     ts = make_sym_target(10, 2, 2.0, np.random.default_rng(4))
     tr, f = run_sym_rgd(ts, 4, RGDConfig(eta=0.05, seed=5, max_iters=20000, loss_threshold=1e-10, record_every=100))
     assert tr.metadata["converged"] is True
-    assert loss_sym(ts, f) <= 2e-10
+    assert factor_loss(ts, f) <= 2e-10
     assert stiefel_error(f.X) <= 1e-8
 
 
@@ -590,8 +589,8 @@ def test_target_norms_are_cached_and_exact():
     t = _target(0)
     ts = make_sym_target(8, 2, 3.0, np.random.default_rng(1))
     assert t.a2 == float(np.sum(t.A * t.A))
-    assert ts.b2 == float(np.sum(ts.B * ts.B))
-    assert t.a2 is t.a2 and ts.b2 is ts.b2
+    assert ts.a2 == float(np.sum(ts.A * ts.A))
+    assert t.a2 is t.a2 and ts.a2 is ts.a2
 
 
 def test_misalignment_sigma_min_nondecreasing_on_short_run():

@@ -168,9 +168,13 @@ def test_task_whitening_and_realizability():
 def test_task_planted_spectrum():
     t = make_whitened_task(12, 10, 20, 3, np.random.default_rng(1), kappa=10.0)
     assert np.allclose(t.planted_sigma, [1.0, 0.55, 0.1], atol=1e-15)
+    # the factorization targets' spectrum rule, with the bits of linspace(kappa, 1, r_a) / kappa
+    assert np.array_equal(t.planted_sigma, np.linspace(10.0, 1.0, 3) / 10.0)
     assert t.r_a == 3
-    t1 = make_whitened_task(12, 10, 20, 1, np.random.default_rng(1))
+    t1 = make_whitened_task(12, 10, 20, 1, np.random.default_rng(1), kappa=1.0)
     assert np.array_equal(t1.planted_sigma, np.ones(1))
+    with pytest.raises(ValueError, match="r_a = 1 forces kappa = 1"):
+        make_whitened_task(12, 10, 20, 1, np.random.default_rng(1), kappa=10.0)
 
 
 def test_task_validates():
@@ -181,6 +185,14 @@ def test_task_validates():
         make_whitened_task(12, 10, 20, 11, rng)
 
 
+@pytest.mark.parametrize("kappa", [0.5, 0.0, -2.0])
+def test_task_rejects_kappa_below_one_before_drawing(kappa):
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match=f"kappa must be >= 1, got {kappa}"):
+        make_whitened_task(12, 10, 20, 2, rng, kappa=kappa)
+    assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_direct_and_factored_losses_agree(seed):
     t = _task(seed)
@@ -188,17 +200,24 @@ def test_direct_and_factored_losses_agree(seed):
     direct = t.loss(dw, direct=True)
     factored = t.loss(dw)
     assert direct == pytest.approx(factored, rel=1e-10)
-    g_direct = t.grad_delta_w(dw, direct=True)
-    g_factored = t.grad_delta_w(dw)
-    assert np.allclose(g_direct, g_factored, atol=1e-10 * max(1.0, np.linalg.norm(g_factored)))
 
 
-def test_loss_clamps_rounding_noise():
+def test_factored_loss_leaves_out_c():
     t = _task(0)
     noisy = WhitenedTask(
         W0=t.W0, D=t.D, labels=t.labels, residual=t.residual, c=-1e-16, planted_sigma=t.planted_sigma
     )
     assert noisy.loss(noisy.residual) == 0.0
+
+
+def test_task_loss_is_the_trainers_final_loss():
+    # the A6 shape at workload seed 47, whose task carries c = -1.4e-14: adding
+    # c and clamping at 0 read 0.0 where the trace reads 3.5e-27
+    task = make_whitened_task(64, 32, 128, 4, np.random.default_rng(1281), kappa=10.0)
+    cfg = LandingConfig(eta=2e-2, lam=1e-3, schedule="constant", seed=47, max_iters=2000)
+    state, trace = train_lora(task, 24, cfg)
+    assert task.c < 0.0
+    assert task.loss(state.delta_w()) == trace.final_loss > 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -133,10 +133,11 @@ def test_write_trace_header_excludes_wall_time_by_default(tmp_path):
     assert header == list(CORE_COLUMNS)
 
 
-def test_write_trace_optional_wall_time_column(tmp_path):
-    csv_path = write_trace(_filled_trace(), tmp_path, basename="prof", include_wall_time=True)
-    cols = read_trace_csv(csv_path)
-    assert cols["wall_time"] == pytest.approx([0.0, 0.1, 0.2, 0.3, 0.4])
+def test_write_trace_custom_basename(tmp_path):
+    csv_path = write_trace(_filled_trace(), tmp_path, basename="prof")
+    assert csv_path == str(tmp_path / "prof.csv")
+    assert (tmp_path / "prof.json").is_file()
+    assert "wall_time" not in read_trace_csv(csv_path)
 
 
 def test_write_trace_extras_sorted_after_core(tmp_path):
