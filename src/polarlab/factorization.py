@@ -75,6 +75,8 @@ class FactorizationTarget:
 def spaced_spectrum(r_a: int, kappa: float, normalize: bool) -> np.ndarray:
     """r_a descending singular values evenly spaced on [1, kappa], or with ``normalize`` on
     [1/kappa, 1] (sigma_1 = 1, which slows the eta-dependent dynamics by kappa^2)."""
+    if not np.isfinite(kappa):
+        raise ValueError(f"kappa must be finite, got {kappa}")
     if kappa < 1.0:
         raise ValueError(f"kappa must be >= 1, got {kappa}")
     if r_a == 1:

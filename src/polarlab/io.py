@@ -30,18 +30,13 @@ STATE_CLASSES = (PolarFactors, BMFactors, SymFactors, AdapterState, LoraState)
 _BY_KIND = {cls.kind: cls for cls in STATE_CLASSES}
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def save_matrix_csv(path, W) -> None:
     """Write a 2-D array in the documented matrix CSV layout."""
     W = np.asarray(W, dtype=np.float64)
     if W.ndim != 2:
         raise ValueError(f"expected a 2-D array, got shape {W.shape}")
-    rows, cols = W.shape
-    lines = ["rows,cols", f"{rows},{cols}"]
-    lines.extend(",".join(_fmt(v) for v in row) for row in W)
+    lines = ["rows,cols", "%d,%d" % W.shape]
+    lines.extend(",".join(map(repr, row)) for row in W.tolist())
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

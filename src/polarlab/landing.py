@@ -10,7 +10,9 @@ whose two components are Frobenius-orthogonal by construction. All three
 parameter updates of one step use gradients evaluated at the pre-step
 state (one backward pass). A state's ``params`` (X, Theta, Y or Z1, Z2)
 are packed in that order into one vector that one elementwise Adam
-transform per step moves, bit for bit as one Adam per parameter would.
+transform per step moves, bit for bit as one Adam per parameter would. The
+stepped state's params are views of that vector, so the next step reads
+them without repacking.
 
 The task is least squares against whitened inputs: L = ||(W0 + DeltaW) D
 - labels||_F^2 with D D^T = I, which collapses to the factored form
@@ -140,16 +142,20 @@ class AdamState:
 
 
 def adam_transform(state: AdamState, g: np.ndarray) -> np.ndarray:
-    """Bias-corrected Adam direction m_hat / (sqrt(v_hat) + eps); advances the
-    state, updating ``m`` and ``v`` in place."""
+    """Bias-corrected Adam direction m_hat / (sqrt(v_hat) + eps) in a fresh array. Advances the
+    state, updating ``m`` and ``v`` in place through one scratch array, in the plain expressions' order."""
     state.t += 1
+    scratch = (1.0 - ADAM_BETA1) * g
     state.m *= ADAM_BETA1
-    state.m += (1.0 - ADAM_BETA1) * g
+    state.m += scratch
+    np.multiply(g, g, out=scratch)
+    scratch *= 1.0 - ADAM_BETA2
     state.v *= ADAM_BETA2
-    state.v += (1.0 - ADAM_BETA2) * (g * g)
-    m_hat = state.m / (1.0 - ADAM_BETA1**state.t)
-    v_hat = state.v / (1.0 - ADAM_BETA2**state.t)
-    return m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    state.v += scratch
+    d = np.sqrt(np.divide(state.v, 1.0 - ADAM_BETA2**state.t, out=scratch))
+    d += ADAM_EPS
+    np.divide(state.m, 1.0 - ADAM_BETA1**state.t, out=scratch)
+    return np.divide(scratch, d, out=d)
 
 
 # ---------------------------------------------------------------------------
@@ -263,24 +269,29 @@ def whitened_task_grads(task: WhitenedTask, state: AdapterState) -> tuple[np.nda
     is the factored residual ||DeltaW - residual||_F^2, nonnegative by construction."""
     s = state.scale_alpha / state.r
     XT = state.X @ state.Theta
-    delta = s * (XT @ state.Y.T)
-    diff = delta - task.residual
-    loss = float(np.sum(diff * diff))
-    G_dw = 2.0 * diff
-    G_X = s * (G_dw @ (state.Y @ state.Theta.T))
-    G_Y = s * (G_dw.T @ XT)
-    G_Theta = s * (state.X.T @ G_dw @ state.Y)
-    return G_X, G_Theta, G_Y, loss
+    diff = XT @ state.Y.T
+    diff *= s
+    diff -= task.residual
+    loss = float((diff * diff).sum())
+    diff *= 2.0  # the gradient in DeltaW; each product below is scaled by s in place
+    grads = diff @ (state.Y @ state.Theta.T), state.X.T @ diff @ state.Y, diff.T @ XT
+    for G in grads:
+        G *= s
+    return (*grads, loss)
 
 
 def lora_grads(task: WhitenedTask, state: LoraState) -> tuple[np.ndarray, np.ndarray, float]:
     """(G_Z1, G_Z2, loss) of the task loss at the LoRA state, loss as in :func:`whitened_task_grads`."""
     s = state.scale_alpha / state.r
-    delta = s * (state.Z1 @ state.Z2.T)
-    diff = delta - task.residual
-    loss = float(np.sum(diff * diff))
-    G_dw = 2.0 * diff
-    return s * (G_dw @ state.Z2), s * (G_dw.T @ state.Z1), loss
+    diff = state.Z1 @ state.Z2.T
+    diff *= s
+    diff -= task.residual
+    loss = float((diff * diff).sum())
+    diff *= 2.0
+    G1, G2 = diff @ state.Z2, diff.T @ state.Z1
+    G1 *= s
+    G2 *= s
+    return G1, G2, loss
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +310,12 @@ def _adapter_columns(state, left, right) -> dict:
 class _PackedAdam:
     """The update both adapters share. ``layout`` maps each of ``state.params``
     to its slice and shape in one packed vector; a step moves the packed
-    parameters p to p - eta_t * d, with d one Adam transform of the directions
-    packed in the same order, and never writes the arrays of the state it steps from."""
+    parameters p to p - eta_t * d, with d one Adam transform of the directions,
+    which it packs in the same order into a buffer it owns. It also keeps the
+    packed vector of the state it last returned, whose ``params`` are views of
+    it: a step from that state reads p there, from any other it packs p afresh.
+    The new parameters go into the fresh array Adam returns, so a step never
+    writes the arrays of the state it steps from."""
 
     def __init__(self, task: WhitenedTask, cfg: LandingConfig, opt: AdamState, state):
         self.task, self.cfg, self.opt, self.layout, stop = task, cfg, opt, {}, 0
@@ -309,12 +324,18 @@ class _PackedAdam:
             self.layout[name], stop = (slice(stop, stop + a.size), a.shape), stop + a.size
         if opt.m.shape != (stop,):
             raise ValueError(f"opt has moments of shape {opt.m.shape}, the packed {state.params} need ({stop},)")
+        self._directions, self._packed, self._views = np.empty(stop), None, (None,) * len(self.layout)
 
     def _update(self, state, directions: tuple, it: int):
         eta_t = self.cfg.eta_at(it)
-        d = adam_transform(self.opt, np.concatenate([g.ravel() for g in directions]))
-        new = np.concatenate([getattr(state, name).ravel() for name in self.layout]) - eta_t * d
-        return replace(state, **{name: new[s].reshape(shape) for name, (s, shape) in self.layout.items()})
+        params = [getattr(state, name) for name in self.layout]
+        reuse = all(a is view for a, view in zip(params, self._views))
+        p = self._packed if reuse else np.concatenate([a.ravel() for a in params])
+        d = adam_transform(self.opt, np.concatenate([g.ravel() for g in directions], out=self._directions))
+        d *= eta_t
+        self._packed = np.subtract(p, d, out=d)
+        self._views = tuple(d[s].reshape(shape) for s, shape in self.layout.values())
+        return replace(state, **dict(zip(self.layout, self._views)))
 
 
 class _PolarLanding(_PackedAdam):

@@ -112,12 +112,8 @@ def write_trace(trace: RunTrace, out_dir, basename: str | None = None) -> str:
     os.makedirs(out_dir, exist_ok=True)
     stem = basename or trace_basename(trace)
     columns = list(CORE_COLUMNS) + sorted(trace.extras)
-    lines = [",".join(columns)]
-    for i in range(len(trace)):
-        row = [str(trace.iters[i])]
-        for name in columns[1:]:
-            row.append(repr(trace.column(name)[i]))
-        lines.append(",".join(row))
+    cells = [map(str, trace.iters)] + [map(repr, trace.column(name)) for name in columns[1:]]
+    lines = [",".join(columns), *map(",".join, zip(*cells, strict=True))]
     csv_path = os.path.join(out_dir, f"{stem}.csv")
     with open(csv_path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

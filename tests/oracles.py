@@ -10,7 +10,9 @@ in-place Adam over the packed parameters.
 The allocating manifold kernels at the end (retraction, tangent projection,
 Haar sampler and the RGD evaluations) are the plain-expression versions of
 the in-place kernels in ``polarlab.stiefel`` and ``polarlab.factorization``,
-which must reproduce them bit for bit.
+which must reproduce them bit for bit. The matrix CSV writer, which
+formats whole rows at once, must give the bytes of the entry-by-entry
+formula at the end.
 """
 
 from __future__ import annotations
@@ -236,3 +238,15 @@ def sym_rgd_evaluate_reference(target: FactorizationTarget, f: SymFactors, gamma
         gX = f.X @ (Theta @ Theta.T + Theta.T @ Theta) - AX @ (Theta.T + Theta)
         G = tangent_project_reference(f.X, gX)
     return Theta, max(loss, 0.0), float(np.sum(G * G)), G
+
+
+# ---------------------------------------------------------------------------
+# matrix CSV written entry by entry
+
+
+def matrix_csv_reference(W) -> bytes:
+    """The matrix CSV layout of ``polarlab.io`` with each entry formatted on its own as repr(float(x))."""
+    W = np.asarray(W, dtype=np.float64)
+    lines = ["rows,cols", f"{W.shape[0]},{W.shape[1]}"]
+    lines.extend(",".join(repr(float(x)) for x in row) for row in W)
+    return ("\n".join(lines) + "\n").encode()

@@ -188,6 +188,8 @@ def _cli_subprocess(tmp_path, command, *flags):
         (("--kappa", "0.5"), "kappa must be >= 1, got 0.5"),
         (("--kappa", "-2"), "kappa must be >= 1, got -2.0"),
         (("--r-a", "1"), "r_a = 1 forces kappa = 1 (the spectrum is a single value)"),
+        (("--kappa", "nan"), "kappa must be finite, got nan"),
+        (("--kappa", "inf"), "kappa must be finite, got inf"),
     ],
 )
 def test_bad_spectrum_exits_one_with_one_line(tmp_path, command, flags, message):

@@ -119,6 +119,16 @@ def test_make_target_validates():
         make_target(6, 6, 2, 0.5, rng)
 
 
+@pytest.mark.parametrize("kappa", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("make", [make_target, make_sym_target])
+def test_target_rejects_non_finite_kappa_before_drawing(make, kappa):
+    rng = np.random.default_rng(0)
+    shape = (6, 6, 2) if make is make_target else (6, 2)
+    with pytest.raises(ValueError, match=f"^kappa must be finite, got {kappa}$"):
+        make(*shape, kappa, rng)
+    assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_sym_target_is_symmetric_psd(seed):
     t = make_sym_target(8, 3, 4.0, np.random.default_rng(seed))

@@ -17,6 +17,8 @@ from polarlab.io import (
 )
 from polarlab.landing import AdapterState, LoraState
 
+from oracles import matrix_csv_reference
+
 
 # ---------------------------------------------------------------------------
 # matrix CSV
@@ -45,6 +47,31 @@ def test_matrix_write_is_byte_identical(tmp_path):
     save_matrix_csv(tmp_path / "a.csv", W)
     save_matrix_csv(tmp_path / "b.csv", W)
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+_AWKWARD = np.array(
+    [
+        [-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300],
+        [1e-300, -1e-300, 3.0, -17.0, 2.0**60, np.pi],
+        [np.nan, 1.0, -1.0, 0.1, 1.0 / 3.0, -np.pi],
+    ]
+)
+
+
+@pytest.mark.parametrize(
+    "W",
+    [
+        _AWKWARD,
+        np.asfortranarray(_AWKWARD),
+        np.tile(_AWKWARD, (2, 2))[::2, ::2],  # non-contiguous
+        _AWKWARD.T,
+        np.array([[np.float32(np.pi), np.float32(-0.0), np.float32(1e-30)]], dtype=np.float32),
+    ],
+    ids=["c-order", "fortran", "strided", "transposed", "float32"],
+)
+def test_matrix_write_has_the_entrywise_reference_bytes(tmp_path, W):
+    save_matrix_csv(tmp_path / "w.csv", W)
+    assert (tmp_path / "w.csv").read_bytes() == matrix_csv_reference(W)
 
 
 def test_matrix_header_layout(tmp_path):

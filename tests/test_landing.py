@@ -6,12 +6,16 @@ finite differences; the training steps are checked for the single
 backward pass contract and the runners for determinism.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from polarlab import io
 from polarlab.exceptions import DivergenceError
 from polarlab.landing import (
+    _Lora,
+    _PolarLanding,
     AdamState,
     AdapterState,
     LandingConfig,
@@ -32,6 +36,7 @@ from polarlab.landing import (
     whitened_task_grads,
     WhitenedTask,
 )
+from polarlab.runner import advance, run
 from polarlab.stiefel import distance_to_stiefel, sample_stiefel_uniform, skew_part
 
 from oracles import lora_step_reference, per_parameter_opt, polar_step_reference
@@ -189,6 +194,14 @@ def test_task_validates():
 def test_task_rejects_kappa_below_one_before_drawing(kappa):
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match=f"kappa must be >= 1, got {kappa}"):
+        make_whitened_task(12, 10, 20, 2, rng, kappa=kappa)
+    assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
+
+@pytest.mark.parametrize("kappa", [float("nan"), float("inf"), float("-inf")])
+def test_task_rejects_non_finite_kappa_before_drawing(kappa):
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match=f"^kappa must be finite, got {kappa}$"):
         make_whitened_task(12, 10, 20, 2, rng, kappa=kappa)
     assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
@@ -421,6 +434,82 @@ def test_step_leaves_the_state_it_steps_from_unchanged(method):
             assert np.array_equal(getattr(state, name), array)
             assert not np.shares_memory(getattr(new, name), getattr(state, name))
         state = new
+
+
+class _Watched:
+    """A method that keeps each state it is stepped from with a copy of its parameters, and
+    whether that state's parameters were the views the method returned last."""
+
+    def __init__(self, method):
+        self.method, self.name, self.stepped = method, method.name, []
+
+    def evaluate(self, state):
+        return self.method.evaluate(state)
+
+    def step(self, state, ev, it):
+        views = tuple(getattr(state, name) for name in state.params)
+        returned_last = all(a is b for a, b in zip(views, self.method._views))
+        self.stepped.append((state, [a.copy() for a in views], returned_last))
+        return self.method.step(state, ev, it)
+
+    def record(self, state, ev):
+        return self.method.record(state, ev)
+
+
+@pytest.mark.parametrize(
+    "method, modes, schedule",
+    [
+        ("polar", {}, "constant"),
+        ("polar", {"theta_mode": "diagonal", "grad_mode": "euclidean"}, "linear"),
+        ("lora", {}, "constant"),
+    ],
+)
+def test_one_method_object_matches_per_parameter_oracle(method, modes, schedule):
+    # one method object runs the whole budget, so from the second step on it reads the
+    # packed vector it returned instead of repacking; every bit still matches the oracle
+    t = _task(17)
+    init, make, reference = {
+        "polar": (init_adapter_state, _PolarLanding, polar_step_reference),
+        "lora": (init_lora_state, _Lora, lora_step_reference),
+    }[method]
+    state = ref = init(t.W0, 4, np.random.default_rng(18))
+    cfg = LandingConfig(lam=1e-3, eta=1e-2, schedule=schedule, max_iters=60, **modes)
+    opt, ref_opts = AdamState.for_state(state), per_parameter_opt(state)
+    watched = _Watched(make(t, cfg, opt, state))
+    _, state = run(watched, state, {}, cfg.max_iters, record_every=7)
+    for it in range(cfg.max_iters):
+        ref = reference(t, ref, ref_opts, cfg, it, **modes)
+    assert opt.t == 60 and all(o.t == 60 for o in ref_opts.values())
+    for moment in ("m", "v"):
+        want = np.concatenate([getattr(ref_opts[name], moment).ravel() for name in state.params])
+        assert np.array_equal(getattr(opt, moment), want)
+    for name in state.params:
+        assert np.array_equal(getattr(state, name), getattr(ref, name))
+    assert [returned_last for _, _, returned_last in watched.stepped] == [False] + [True] * 59
+    for stepped_from, copies, _ in watched.stepped:  # no step wrote a state it had stepped from
+        for name, copy in zip(stepped_from.params, copies):
+            assert np.array_equal(getattr(stepped_from, name), copy)
+
+
+@pytest.mark.parametrize("method", ["polar", "lora"])
+def test_state_not_returned_by_the_method_is_packed_afresh(method):
+    t = _task(19)
+    init, make = {"polar": (init_adapter_state, _PolarLanding), "lora": (init_lora_state, _Lora)}[method]
+    state = init(t.W0, 4, np.random.default_rng(20))
+    cfg = LandingConfig(eta=1e-2, max_iters=10)
+    opt = AdamState.for_state(state)
+    stepper = make(t, cfg, opt, state)
+    for it in range(3):
+        state, _ = advance(stepper, state, it)
+    # the last parameter replaced by a fresh array; the others are still the method's views
+    last = state.params[-1]
+    hand = replace(state, **{last: getattr(state, last) + 0.5})
+    fresh_opt = AdamState(m=opt.m.copy(), v=opt.v.copy(), t=opt.t)
+    got, _ = advance(stepper, hand, 3)
+    want, _ = advance(make(t, cfg, fresh_opt, hand), hand, 3)
+    for name in state.params:
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+    assert np.array_equal(opt.m, fresh_opt.m) and np.array_equal(opt.v, fresh_opt.v)
 
 
 def test_step_rejects_opt_of_another_layout():
