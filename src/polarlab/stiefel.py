@@ -273,7 +273,9 @@ def stable_rank(W) -> SpectrumSummary:
     """Stable rank ||W||_F^2 / ||W||_2^2 together with the full spectrum.
 
     Always lies in [1, #nonzero singular values]. Undefined (raises) for
-    the zero matrix.
+    the zero matrix. The spectrum needs the SVD: eigenvalues of a Gram matrix
+    lose the singular values below about sqrt(eps) * s_1. The adapter trace
+    rows need only the ratio and read it from the Gram matrix.
     """
     W = require_matrix(W, "W")
     s = np.linalg.svd(W, compute_uv=False)

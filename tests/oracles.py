@@ -7,10 +7,11 @@ forms; these are the plain versions. The adapter steps below run one
 out-of-place Adam per parameter, where ``polarlab.landing`` runs one
 in-place Adam over the packed parameters.
 
-The allocating manifold kernels at the end (retraction, tangent projection,
-Haar sampler and the RGD evaluations) are the plain-expression versions of
-the in-place kernels in ``polarlab.stiefel`` and ``polarlab.factorization``,
-which must reproduce them bit for bit. The matrix CSV writer, which
+The allocating manifold kernels at the end (landing field, retraction,
+tangent projection, Haar sampler and the RGD evaluations) are the
+plain-expression versions of the kernels in ``polarlab.landing``,
+``polarlab.stiefel`` and ``polarlab.factorization``, which must reproduce
+them bit for bit, also when they write into ``out``. The matrix CSV writer, which
 formats whole rows at once, must give the bytes of the entry-by-entry
 formula at the end.
 """
@@ -125,8 +126,8 @@ def _per_parameter_update(state, opts: dict, eta_t: float, directions: dict):
     return replace(state, **moved)
 
 
-def polar_step_reference(task, state, opts: dict, cfg, t: int, theta_mode="full", grad_mode="landing"):
-    """One landing step of the polar adapter, each parameter through its own Adam."""
+def polar_directions_reference(task, state, cfg, theta_mode="full", grad_mode="landing") -> dict:
+    """The directions a landing step of the polar adapter takes, by parameter, in fresh arrays."""
     G_X, G_Theta, G_Y, _ = whitened_task_grads(task, state)
     if theta_mode == "diagonal":
         G_Theta = np.diag(np.diag(G_Theta))
@@ -135,7 +136,13 @@ def polar_step_reference(task, state, opts: dict, cfg, t: int, theta_mode="full"
     else:
         dir_X = G_X + cfg.lam * grad_distance_to_stiefel(state.X)
         dir_Y = G_Y + cfg.lam * grad_distance_to_stiefel(state.Y)
-    return _per_parameter_update(state, opts, cfg.eta_at(t), {"X": dir_X, "Theta": G_Theta, "Y": dir_Y})
+    return {"X": dir_X, "Theta": G_Theta, "Y": dir_Y}
+
+
+def polar_step_reference(task, state, opts: dict, cfg, t: int, theta_mode="full", grad_mode="landing"):
+    """One landing step of the polar adapter, each parameter through its own Adam."""
+    directions = polar_directions_reference(task, state, cfg, theta_mode, grad_mode)
+    return _per_parameter_update(state, opts, cfg.eta_at(t), directions)
 
 
 def lora_step_reference(task, state, opts: dict, cfg, t: int):
@@ -157,6 +164,15 @@ def binomial_inv_sqrt_reference(K: np.ndarray, n: int) -> np.ndarray:
         S = -(K @ S)
         S.flat[diag] += c
     return S
+
+
+def landing_field_reference(X, G, lam: float) -> np.ndarray:
+    """The landing field G (A / 2) + X (4 lam (A - I) - (G^T X) / 2), A = X^T X, in fresh arrays."""
+    A = X.T @ X
+    out = G @ (0.5 * A)
+    A.flat[:: A.shape[0] + 1] -= 1.0
+    out += X @ ((4.0 * lam) * A - 0.5 * (G.T @ X))
+    return out
 
 
 def polar_retract_reference(X, D, eta: float) -> np.ndarray:

@@ -10,9 +10,11 @@ relative tolerance in ``tests/golden/tolerance.json`` and everything else
 must still match exactly.
 
 A change that alters numerics on purpose regenerates the corpus in the
-same commit and reports the largest relative change per column:
+same commit and reports the largest relative change per column, with a
+copy of the old corpus in OLD:
 
     PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python tests/test_golden.py tests/golden
+    python tools/golden_diff.py OLD tests/golden
 """
 
 from __future__ import annotations

@@ -6,7 +6,9 @@ finite differences; the training steps are checked for the single
 backward pass contract and the runners for determinism.
 """
 
+import warnings
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ import pytest
 from polarlab import io
 from polarlab.exceptions import DivergenceError
 from polarlab.landing import (
+    _adapter_columns,
     _Lora,
     _PolarLanding,
     AdamState,
@@ -36,10 +39,17 @@ from polarlab.landing import (
     whitened_task_grads,
     WhitenedTask,
 )
+from polarlab.bench import ETA as BENCH_ETA, LAM as BENCH_LAM
 from polarlab.runner import advance, run
-from polarlab.stiefel import distance_to_stiefel, sample_stiefel_uniform, skew_part
+from polarlab.stiefel import distance_to_stiefel, sample_stiefel_uniform, skew_part, stable_rank
 
-from oracles import lora_step_reference, per_parameter_opt, polar_step_reference
+from oracles import (
+    landing_field_reference,
+    lora_step_reference,
+    per_parameter_opt,
+    polar_directions_reference,
+    polar_step_reference,
+)
 
 
 def _task(seed=0, m=12, n=10, n_cols=20, r_a=2, kappa=3.0):
@@ -155,6 +165,76 @@ def test_landing_kernels_match_the_identity_matrix_forms(seed):
 def test_landing_field_shape_mismatch():
     with pytest.raises(ValueError, match="shape"):
         landing_field(np.eye(3), np.zeros((3, 2)), 1e-3)
+
+
+@pytest.mark.parametrize("lam", [0.0, 1e-3, 1.0])
+def test_landing_field_out_is_the_allocating_call(lam):
+    rng = np.random.default_rng(21)
+    for m, r in ((7, 1), (30, 6), (64, 24)):
+        X = sample_stiefel_uniform(m, r, rng) + 1e-3 * rng.standard_normal((m, r))
+        G = rng.standard_normal((m, r))
+        out = np.full((m, r), np.nan)
+        got = landing_field(X, G, lam, out=out)
+        assert got is out
+        assert np.array_equal(out, landing_field(X, G, lam))
+        assert np.array_equal(out, landing_field_reference(X, G, lam))
+
+
+def test_landing_step_form_of_the_kernel_sweep_is_unchanged():
+    # the m=4096 landing step calls landing_field without out=
+    rng = np.random.default_rng(22)
+    X = sample_stiefel_uniform(4096, 32, rng)
+    G = rng.standard_normal((4096, 32))
+    assert np.array_equal(X - BENCH_ETA * landing_field(X, G, BENCH_LAM),
+                          X - BENCH_ETA * landing_field_reference(X, G, BENCH_LAM))
+
+
+_BAD_OUTS = {  # name -> out of a landing field at X, G of shape (9, 3) that must be refused
+    "shape": lambda X, G: np.empty((9, 4)),
+    "float32": lambda X, G: np.empty((9, 3), dtype=np.float32),
+    "strided": lambda X, G: np.empty((9, 6))[:, ::2],
+    "fortran": lambda X, G: np.empty((9, 3), order="F"),
+    "list": lambda X, G: np.empty((9, 3)).tolist(),
+    "grad_x": lambda X, G: G,
+    "X": lambda X, G: X,
+    "view of X": lambda X, G: X[:],
+}
+
+
+@pytest.mark.parametrize("bad", sorted(_BAD_OUTS))
+def test_landing_field_rejects_bad_out(bad):
+    rng = np.random.default_rng(23)
+    X, G = rng.standard_normal((9, 3)), rng.standard_normal((9, 3))
+    X0, G0 = X.copy(), G.copy()
+    with pytest.raises(ValueError, match="out must be"):
+        landing_field(X, G, 1e-3, out=_BAD_OUTS[bad](X, G))
+    assert np.array_equal(X, X0) and np.array_equal(G, G0)
+
+
+def test_lora_grads_out_is_the_allocating_call():
+    t = _task(24)
+    state = init_lora_state(t.W0, 4, np.random.default_rng(25))
+    state = replace(state, Z2=np.random.default_rng(26).standard_normal(state.Z2.shape))
+    o1, o2 = np.full(state.Z1.shape, np.nan), np.full(state.Z2.shape, np.nan)
+    G1, G2, loss = lora_grads(t, state, out=(o1, o2))
+    want1, want2, want_loss = lora_grads(t, state)
+    assert G1 is o1 and G2 is o2
+    assert np.array_equal(G1, want1) and np.array_equal(G2, want2) and loss == want_loss
+
+
+def test_lora_grads_rejects_bad_out():
+    t = _task(24)
+    state = init_lora_state(t.W0, 4, np.random.default_rng(25))
+    m, r = state.Z1.shape
+    n = state.Z2.shape[0]
+    o2 = np.empty((n, r))
+    for o1 in (np.empty((m, r + 1)), np.empty((m, r), dtype=np.float32), np.empty((m, 2 * r))[:, ::2], state.Z1):
+        with pytest.raises(ValueError, match="out must be"):
+            lora_grads(t, state, out=(o1, o2))
+    buf = np.empty(m * r + n * r)
+    for out in ((np.empty((m, r)), state.Z2), (buf[: m * r].reshape(m, r), buf[: n * r].reshape(n, r))):
+        with pytest.raises(ValueError, match="out must be"):  # a parameter, or the other out
+            lora_grads(t, state, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -525,6 +605,44 @@ def test_linear_schedule_needs_a_budget():
     assert LandingConfig(schedule="constant", max_iters=0).eta_at(0) == 1e-2
 
 
+@pytest.mark.parametrize("method", ["polar", "lora"])
+def test_step_keeps_the_non_param_fields(method):
+    t = _task(27)
+    init, make = {"polar": (init_adapter_state, _PolarLanding), "lora": (init_lora_state, _Lora)}[method]
+    state = init(t.W0, 4, np.random.default_rng(28), scale_alpha=8.0)
+    stepper = make(t, LandingConfig(eta=1e-2, max_iters=10), AdamState.for_state(state), state)
+    for it in range(3):  # the first step packs afresh, the later ones reuse the packed vector
+        new, _ = advance(stepper, state, it)
+        assert type(new) is type(state)
+        assert new.W0 is state.W0 and new.scale_alpha is state.scale_alpha
+        assert all(getattr(new, name) is view for name, view in zip(new.params, stepper._views))
+        state = new
+
+
+def test_directions_taken_are_views_of_the_buffer_until_the_next_step():
+    # the runner records a step's row after the step and before the next evaluate, so
+    # ev may hold the method's buffer, which the next step overwrites
+    t = _task(29)
+    state = init_adapter_state(t.W0, 4, np.random.default_rng(30))
+    cfg = LandingConfig(lam=1e-3, eta=1e-2, max_iters=10)
+    stepper = _PolarLanding(t, cfg, AdamState.for_state(state), state)
+    state, _, ev = stepper.evaluate(state)
+    want = polar_directions_reference(t, state, cfg)
+    new = stepper.step(state, ev, 0)
+    assert all(a is b for a, b in zip(ev["taken"], stepper.directions.values()))
+    assert all(np.array_equal(a, want[name]) for a, name in zip(ev["taken"], state.params))
+    norm = stepper.record(state, ev)["grad_norm"]
+    new, _, next_ev = stepper.evaluate(new)
+    stepper.step(new, next_ev, 1)
+    assert not np.array_equal(ev["taken"][0], want["X"])  # overwritten by the next step
+    assert stepper.record(state, ev)["grad_norm"] != norm
+
+    lstate = init_lora_state(t.W0, 4, np.random.default_rng(31))
+    lora = _Lora(t, cfg, AdamState.for_state(lstate), lstate)
+    _, _, grads = lora.evaluate(lstate)
+    assert all(a is b for a, b in zip(grads, lora.directions.values()))
+
+
 # ---------------------------------------------------------------------------
 # runners
 
@@ -586,6 +704,82 @@ def test_component_orthogonality_along_run():
             inner = abs(float(np.sum(loss_part * pen)))
             assert inner <= 1e-8 * max(np.linalg.norm(loss_part) * np.linalg.norm(pen), 1e-30)
         state, _ = polar_train_step(t, state, opt, cfg, step)
+
+
+def _row_stable_rank(W):
+    """The stable_rank a trace row records for an adapter whose DeltaW is W."""
+    return _adapter_columns(SimpleNamespace(delta_w=lambda: W), np.eye(2), np.eye(2))["stable_rank"]
+
+
+def _spectrum_matrix(m, n, sigma, rng):
+    k = sigma.size
+    return (sample_stiefel_uniform(m, k, rng) * sigma) @ sample_stiefel_uniform(n, k, rng).T
+
+
+@pytest.mark.parametrize("shape", [(40, 12), (12, 40), (20, 20)])
+@pytest.mark.parametrize("spectrum", ["full", "rank 1", "rank 3", "kappa 1e6"])
+def test_trace_row_stable_rank_matches_the_svd(shape, spectrum):
+    rng = np.random.default_rng(32)
+    k = min(shape)
+    sigma = {
+        "full": lambda: rng.uniform(0.5, 3.0, k),
+        "rank 1": lambda: np.array([2.5]),
+        "rank 3": lambda: np.array([3.0, 1.0, 0.2]),
+        "kappa 1e6": lambda: np.geomspace(1.0, 1e-6, k),
+    }[spectrum]()
+    for _ in range(3):
+        W = _spectrum_matrix(*shape, sigma, rng)
+        want = stable_rank(W).stable_rank
+        assert abs(_row_stable_rank(W) - want) <= 1e-13 * want
+
+
+@pytest.mark.parametrize("entry", [0.0, np.nan, np.inf, -np.inf])
+def test_trace_row_stable_rank_is_nan_for_zero_or_non_finite(entry):
+    W = np.zeros((6, 4))
+    W[2, 1] = entry  # the other entries stay 0, so the Gram product would meet inf * 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isnan(_row_stable_rank(W))
+        assert np.isnan(_row_stable_rank(W.T))
+
+
+@pytest.mark.parametrize("train", [train_polar_landing, train_lora])
+def test_last_trace_row_stable_rank_is_the_final_states(train):
+    final, tr = train(_task(33), 4, _small_cfg(90, record_every=30))
+    want = stable_rank(final.delta_w()).stable_rank
+    assert abs(tr.extras["stable_rank"][-1] - want) <= 1e-13 * want
+    assert np.isnan(tr.extras["stable_rank"][0])  # DeltaW = 0 at initialization, Theta = 0 or Z2 = 0
+
+
+@pytest.mark.parametrize(
+    "method, modes",
+    [("polar", {}), ("polar", {"theta_mode": "diagonal", "grad_mode": "euclidean"}), ("lora", {})],
+)
+def test_trace_rows_keep_the_bits_of_the_per_parameter_oracle(method, modes):
+    # grad_norm is the norm of the direction the oracle takes at each recorded iteration,
+    # with the plain np.sum(d**2) expression; n_x and n_y are distance_to_stiefel's
+    t = _task(34)
+    init, make = {"polar": (init_adapter_state, _PolarLanding), "lora": (init_lora_state, _Lora)}[method]
+    state = ref = init(t.W0, 4, np.random.default_rng(35))
+    cfg = LandingConfig(lam=1e-3, eta=1e-2, schedule="linear", max_iters=40, **modes)
+    opt, ref_opts = AdamState.for_state(state), per_parameter_opt(state)
+    tr, _ = run(make(t, cfg, opt, state), state, {}, cfg.max_iters, record_every=3)
+    rows = dict(zip(tr.iters, range(len(tr.iters))))
+    for it in range(cfg.max_iters + 1):
+        if it in rows:
+            left, right = state.factors
+            assert tr.extras["n_x"][rows[it]] == distance_to_stiefel(getattr(ref, left))
+            assert tr.extras["n_y"][rows[it]] == distance_to_stiefel(getattr(ref, right))
+            if method == "polar" and it < cfg.max_iters:
+                d = polar_directions_reference(t, ref, cfg, **modes)
+                want = float(np.sqrt(np.sum(d["X"] ** 2) + np.sum(d["Y"] ** 2) + np.sum(d["Theta"] ** 2)))
+                assert tr.grad_norm[rows[it]] == want
+        if it < cfg.max_iters:
+            step = polar_step_reference if method == "polar" else lora_step_reference
+            ref = step(t, ref, ref_opts, cfg, it, **modes)
+    assert sorted(rows) == list(range(0, 40, 3)) + [40]
+    if method == "polar":
+        assert np.isnan(tr.grad_norm[-1])
 
 
 # ---------------------------------------------------------------------------
