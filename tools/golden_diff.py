@@ -14,7 +14,8 @@ infinite change. The report then lists the byte-identical files and the
 files that are in one directory only.
 
 Exit status: 1 when a differing file has a different number of tokens on
-the two sides, or a file is in one directory only; 0 otherwise.
+the two sides, or a file is in one directory only; 2 on a usage error; 0
+otherwise.
 """
 
 from __future__ import annotations
@@ -59,18 +60,15 @@ def relative_change(a: str, b: str) -> float:
     return 0.0 if x == y else abs(x - y) / max(abs(x), abs(y))
 
 
-def compare(old: Path, new: Path) -> list:
-    """Report lines for one differing file pair; the first says whether the token counts match."""
-    a, b = _labelled_tokens(old), _labelled_tokens(new)
-    if len(a) != len(b):
-        return [f"  token counts differ: {len(a)} vs {len(b)}"]
-    changes = {}
+def changes(a: list, b: list) -> list:
+    """Report lines of two equally long (label, token) lists: per label, the changed count and largest change."""
+    found = {}
     for (label, x), (_, y) in zip(a, b):
-        count, largest = changes.get(label, (0, 0.0))
+        count, largest = found.get(label, (0, 0.0))
         rel = relative_change(x, y)
-        changes[label] = (count + (rel > 0.0 or x != y), max(largest, rel))
+        found[label] = (count + (rel > 0.0 or x != y), max(largest, rel))
     return [f"  {label}: {count} changed, largest relative change {largest:.3g}"
-            for label, (count, largest) in changes.items() if count]
+            for label, (count, largest) in found.items() if count]
 
 
 def main(argv) -> int:
@@ -84,9 +82,12 @@ def main(argv) -> int:
         if (old / name).read_bytes() == (new / name).read_bytes():
             identical.append(name)
             continue
-        lines = compare(old / name, new / name) or ["  every token is equal; only the layout differs"]
-        failed |= lines[0].startswith("  token counts differ")
-        print(name, *lines, sep="\n")
+        a, b = _labelled_tokens(old / name), _labelled_tokens(new / name)
+        if len(a) != len(b):
+            print(name, f"  token counts differ: {len(a)} vs {len(b)}", sep="\n")
+            failed = True
+            continue
+        print(name, *(changes(a, b) or ["  every token is equal; only the layout differs"]), sep="\n")
     print(f"byte-identical ({len(identical)}): {' '.join(identical)}")
     for side, names in (("OLD", old_files - new_files), ("NEW", new_files - old_files)):
         if names:
