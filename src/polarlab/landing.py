@@ -12,8 +12,7 @@ state (one backward pass). A state's ``params`` (X, Theta, Y or Z1, Z2)
 are packed in that order into one vector that one elementwise Adam
 transform per step moves, bit for bit as one Adam per parameter would. The
 stepped state's params are views of that vector, so the next step reads
-them without repacking, and the directions are written into views of a packed
-buffer each method owns. A trace row's stable rank of DeltaW needs no SVD.
+them without repacking. A trace row's stable rank of DeltaW needs no SVD.
 
 The task is least squares against whitened inputs: L = ||(W0 + DeltaW) D
 - labels||_F^2 with D D^T = I, which collapses to the factored form
@@ -172,15 +171,7 @@ def grad_distance_to_stiefel(X) -> np.ndarray:
     return 4.0 * (X @ gap)
 
 
-def _check_out(out, shape: tuple, *inputs) -> np.ndarray:
-    """``out`` if it is a C-contiguous float64 array of ``shape`` that shares no memory with ``inputs``."""
-    if not (isinstance(out, np.ndarray) and out.shape == shape and out.dtype == np.float64 and out.flags.c_contiguous
-            and not any(np.may_share_memory(out, a) for a in inputs)):
-        raise ValueError(f"out must be a C-contiguous float64 array of shape {shape} sharing no memory with an input")
-    return out
-
-
-def landing_field(X, grad_x, lam: float, out=None) -> np.ndarray:
+def landing_field(X, grad_x, lam: float) -> np.ndarray:
     """Gamma(X) = Skew(grad_x X^T) X + lam * grad N(X).
 
     The loss component is the Riemannian gradient direction; the penalty
@@ -193,20 +184,16 @@ def landing_field(X, grad_x, lam: float, out=None) -> np.ndarray:
         Gamma = G (A / 2) + X (4 lam (A - I) - (G^T X) / 2),
 
     four m x r x r products that never materialize an m x m matrix and keep
-    the step at O(m r^2). With ``out``, a C-contiguous float64 array of X's
-    shape sharing no memory with X or grad_x (else ValueError), the field
-    goes there, numpy style, with the bits of the allocating call.
+    the step at O(m r^2).
     """
     X = np.asarray(X, dtype=np.float64)
     grad_x = np.asarray(grad_x, dtype=np.float64)
     if X.shape != grad_x.shape:
         raise ValueError(f"shape mismatch: X {X.shape} vs grad {grad_x.shape}")
-    out = None if out is None else _check_out(out, X.shape, X, grad_x)
     A = X.T @ X
-    GtX = grad_x.T @ X  # formed before out is written
-    out = np.matmul(grad_x, 0.5 * A, out=out)
+    out = grad_x @ (0.5 * A)
     A.flat[:: A.shape[0] + 1] -= 1.0  # A - I, in place
-    out += X @ ((4.0 * lam) * A - 0.5 * GtX)
+    out += X @ ((4.0 * lam) * A - 0.5 * (grad_x.T @ X))
     return out
 
 
@@ -294,20 +281,15 @@ def whitened_task_grads(task: WhitenedTask, state: AdapterState) -> tuple[np.nda
     return (*grads, loss)
 
 
-def lora_grads(task: WhitenedTask, state: LoraState, out=None) -> tuple[np.ndarray, np.ndarray, float]:
-    """(G_Z1, G_Z2, loss) of the task loss at the LoRA state, loss as in :func:`whitened_task_grads`.
-    With ``out = (o1, o2)``, each checked as :func:`landing_field` checks its ``out`` against Z1, Z2
-    and the other, the gradients go there with the bits of the allocating call."""
-    Z1, Z2 = state.Z1, state.Z2
-    o1, o2 = (None, None) if out is None else (_check_out(out[0], Z1.shape, Z1, Z2),
-                                               _check_out(out[1], Z2.shape, Z1, Z2, out[0]))
+def lora_grads(task: WhitenedTask, state: LoraState) -> tuple[np.ndarray, np.ndarray, float]:
+    """(G_Z1, G_Z2, loss) of the task loss at the LoRA state, loss as in :func:`whitened_task_grads`."""
     s = state.scale_alpha / state.r
-    diff = Z1 @ Z2.T
+    diff = state.Z1 @ state.Z2.T
     diff *= s
     diff -= task.residual
     loss = float((diff * diff).sum())
     diff *= 2.0
-    G1, G2 = np.matmul(diff, Z2, out=o1), np.matmul(diff.T, Z1, out=o2)
+    G1, G2 = diff @ state.Z2, diff.T @ state.Z1
     G1 *= s
     G2 *= s
     return G1, G2, loss
@@ -330,15 +312,15 @@ def _adapter_columns(state, left, right) -> dict:
 
 
 class _PackedAdam:
-    """The update both adapters share. ``layout`` maps each of ``state.params`` to its
-    slice and shape in one packed vector. The method owns a direction buffer of that
-    size; ``evaluate`` (LoRA) or ``step`` (polar) writes its views, ``directions``. A
-    step moves the packed parameters p to p - eta_t * d, with d the Adam transform of
-    the buffer. It keeps the packed vector of the state it last returned, whose
-    ``params`` are views of it: a step from that state reads p there, from any other it
-    packs p afresh. The new parameters go into the fresh array Adam returns, so a step
-    never writes the state it steps from. ``ev`` may hold views of the buffer, which
-    the runner reads for a step's row before the next evaluate."""
+    """The update both adapters share. ``layout`` maps each of ``state.params``
+    to its slice and shape in one packed vector; a step moves the packed
+    parameters p to p - eta_t * d, with d one Adam transform of the directions,
+    which it packs in the same order into a buffer it owns. It also keeps the
+    packed vector of the state it last returned, whose ``params`` are views of
+    it: a step from that state reads p there, from any other it packs p afresh.
+    The new parameters go into the fresh array Adam returns, so a step never
+    writes the arrays of the state it steps from. The stepped state is built
+    from the old one's fields, so W0 and scale_alpha stay the same objects."""
 
     def __init__(self, task: WhitenedTask, cfg: LandingConfig, opt: AdamState, state):
         self.task, self.cfg, self.opt, self.layout, stop = task, cfg, opt, {}, 0
@@ -347,15 +329,14 @@ class _PackedAdam:
             self.layout[name], stop = (slice(stop, stop + a.size), a.shape), stop + a.size
         if opt.m.shape != (stop,):
             raise ValueError(f"opt has moments of shape {opt.m.shape}, the packed {state.params} need ({stop},)")
-        self._buffer, self._packed, self._views = np.empty(stop), None, (None,) * len(self.layout)
-        self.directions = {name: self._buffer[s].reshape(shape) for name, (s, shape) in self.layout.items()}
+        self._directions, self._packed, self._views = np.empty(stop), None, (None,) * len(self.layout)
 
-    def _update(self, state, it: int):
+    def _update(self, state, directions: tuple, it: int):
         eta_t = self.cfg.eta_at(it)
         params = [getattr(state, name) for name in self.layout]
         reuse = all(a is view for a, view in zip(params, self._views))
         p = self._packed if reuse else np.concatenate([a.ravel() for a in params])
-        d = adam_transform(self.opt, self._buffer)
+        d = adam_transform(self.opt, np.concatenate([g.ravel() for g in directions], out=self._directions))
         d *= eta_t
         self._packed = np.subtract(p, d, out=d)
         self._views = tuple(d[s].reshape(shape) for s, shape in self.layout.values())
@@ -374,24 +355,25 @@ class _PolarLanding(_PackedAdam):
         return state, loss, {"grads": (G_X, G_Theta, G_Y)}
 
     def step(self, state: AdapterState, ev: dict, it: int) -> AdapterState:
-        cfg, (dir_X, dir_Theta, dir_Y) = self.cfg, self.directions.values()
+        cfg = self.cfg
         G_X, G_Theta, G_Y = ev["grads"]
-        np.copyto(dir_Theta, np.diag(np.diag(G_Theta)) if cfg.theta_mode == "diagonal" else G_Theta)
+        if cfg.theta_mode == "diagonal":
+            G_Theta = np.diag(np.diag(G_Theta))
         if cfg.grad_mode == "landing":
-            landing_field(state.X, G_X, cfg.lam, out=dir_X)
-            landing_field(state.Y, G_Y, cfg.lam, out=dir_Y)
+            dir_X = landing_field(state.X, G_X, cfg.lam)
+            dir_Y = landing_field(state.Y, G_Y, cfg.lam)
         else:
-            np.add(G_X, cfg.lam * grad_distance_to_stiefel(state.X), out=dir_X)
-            np.add(G_Y, cfg.lam * grad_distance_to_stiefel(state.Y), out=dir_Y)
-        ev["taken"] = (dir_X, dir_Theta, dir_Y)
-        return self._update(state, it)
+            dir_X = G_X + cfg.lam * grad_distance_to_stiefel(state.X)
+            dir_Y = G_Y + cfg.lam * grad_distance_to_stiefel(state.Y)
+        ev["taken"] = (dir_X, G_Theta, dir_Y)
+        return self._update(state, ev["taken"], it)
 
     def record(self, state: AdapterState, ev: dict) -> dict:
         # the norm of the direction taken; the state after the last step takes none
         grad_norm = float("nan")
         if "taken" in ev:
             dir_X, G_Theta, dir_Y = ev["taken"]
-            grad_norm = float(np.sqrt((dir_X * dir_X).sum() + (dir_Y * dir_Y).sum() + (G_Theta * G_Theta).sum()))
+            grad_norm = float(np.sqrt(np.sum(dir_X**2) + np.sum(dir_Y**2) + np.sum(G_Theta**2)))
         return {"grad_norm": grad_norm, **_adapter_columns(state, state.X, state.Y)}
 
 
@@ -401,11 +383,11 @@ class _Lora(_PackedAdam):
     name = "lora"
 
     def evaluate(self, state: LoraState):
-        G1, G2, loss = lora_grads(self.task, state, out=tuple(self.directions.values()))
+        G1, G2, loss = lora_grads(self.task, state)
         return state, loss, (G1, G2)
 
     def step(self, state: LoraState, ev, it: int) -> LoraState:
-        return self._update(state, it)
+        return self._update(state, ev, it)
 
     def record(self, state: LoraState, ev) -> dict:
         return _adapter_columns(state, state.Z1, state.Z2)

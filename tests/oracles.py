@@ -7,11 +7,10 @@ forms; these are the plain versions. The adapter steps below run one
 out-of-place Adam per parameter, where ``polarlab.landing`` runs one
 in-place Adam over the packed parameters.
 
-The allocating manifold kernels at the end (landing field, retraction,
-tangent projection, Haar sampler and the RGD evaluations) are the
-plain-expression versions of the kernels in ``polarlab.landing``,
-``polarlab.stiefel`` and ``polarlab.factorization``, which must reproduce
-them bit for bit, also when they write into ``out``. The matrix CSV writer, which
+The allocating manifold kernels at the end (retraction, tangent projection,
+Haar sampler and the RGD evaluations) are the plain-expression versions of
+the in-place kernels in ``polarlab.stiefel`` and ``polarlab.factorization``,
+which must reproduce them bit for bit. The matrix CSV writer, which
 formats whole rows at once, must give the bytes of the entry-by-entry
 formula at the end.
 """
@@ -164,15 +163,6 @@ def binomial_inv_sqrt_reference(K: np.ndarray, n: int) -> np.ndarray:
         S = -(K @ S)
         S.flat[diag] += c
     return S
-
-
-def landing_field_reference(X, G, lam: float) -> np.ndarray:
-    """The landing field G (A / 2) + X (4 lam (A - I) - (G^T X) / 2), A = X^T X, in fresh arrays."""
-    A = X.T @ X
-    out = G @ (0.5 * A)
-    A.flat[:: A.shape[0] + 1] -= 1.0
-    out += X @ ((4.0 * lam) * A - 0.5 * (G.T @ X))
-    return out
 
 
 def polar_retract_reference(X, D, eta: float) -> np.ndarray:

@@ -19,8 +19,8 @@ copy of the old corpus in OLD:
 
 from __future__ import annotations
 
+import importlib.util
 import json
-import math
 import os
 import platform
 import shutil
@@ -30,6 +30,10 @@ from pathlib import Path
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SRC = Path(__file__).resolve().parents[1] / "src"
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "golden_diff.py"
+_spec = importlib.util.spec_from_file_location("golden_diff", TOOL)
+golden_diff = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(golden_diff)
 
 THREAD_ENV_VARS = (
     "OMP_NUM_THREADS",
@@ -96,23 +100,7 @@ def generate(out: Path) -> None:
 
 
 def _files(root: Path) -> list:
-    return sorted(str(p.relative_to(root)) for p in root.rglob("*") if p.is_file() and p.name != "tolerance.json")
-
-
-def _close(a: str, b: str, rtol: float) -> bool:
-    try:
-        x, y = float(a), float(b)
-    except ValueError:
-        return a == b
-    if math.isnan(x) or math.isnan(y):
-        return math.isnan(x) and math.isnan(y)
-    return abs(x - y) <= rtol * max(abs(x), abs(y))
-
-
-def _tokens(text: str) -> list:
-    for ch in ',:[]{}"\n':
-        text = text.replace(ch, " ")
-    return text.split()
+    return sorted(f for f in golden_diff.files(root) if Path(f).name != "tolerance.json")
 
 
 def test_cli_reproduces_golden_corpus(tmp_path):
@@ -129,8 +117,8 @@ def test_cli_reproduces_golden_corpus(tmp_path):
     rtol = json.loads((GOLDEN / "tolerance.json").read_text())["rtol"]
     differ = []
     for f in files:
-        fresh, golden = _tokens((tmp_path / f).read_text()), _tokens((GOLDEN / f).read_text())
-        if len(fresh) != len(golden) or not all(_close(a, b, rtol) for a, b in zip(fresh, golden)):
+        fresh, golden = (golden_diff.tokens((root / f).read_text()) for root in (tmp_path, GOLDEN))
+        if len(fresh) != len(golden) or any(golden_diff.relative_change(a, b) > rtol for a, b in zip(fresh, golden)):
             differ.append(f)
     assert not differ, f"{len(differ)} of {len(files)} golden files differ beyond rtol={rtol}, first: {differ[:5]}"
 

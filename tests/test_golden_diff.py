@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "golden_diff.py"
 
 TRACE = "iter,loss,stable_rank\n0,1.0,nan\n10,0.5,2.0\n"
@@ -40,8 +42,10 @@ def test_reports_the_largest_relative_change_per_column_and_matrix(tmp_path):
     assert lines[4] == "byte-identical (1): run/lora.json"
 
 
-def test_nan_that_turns_into_a_number_is_an_infinite_change(tmp_path):
-    code, out = _diff(_corpus(tmp_path / "old"), _corpus(tmp_path / "new", trace=TRACE.replace("nan", "1.5")))
+@pytest.mark.parametrize("old, new", [("nan", "1.5"), ("inf", "1.5"), ("-inf", "inf")])
+def test_nan_or_infinity_against_another_number_is_an_infinite_change(tmp_path, old, new):
+    code, out = _diff(_corpus(tmp_path / "old", trace=TRACE.replace("nan", old)),
+                      _corpus(tmp_path / "new", trace=TRACE.replace("nan", new)))
     assert code == 0
     assert "  stable_rank: 1 changed, largest relative change inf" in out.splitlines()
 

@@ -39,12 +39,10 @@ from polarlab.landing import (
     whitened_task_grads,
     WhitenedTask,
 )
-from polarlab.bench import ETA as BENCH_ETA, LAM as BENCH_LAM
 from polarlab.runner import advance, run
 from polarlab.stiefel import distance_to_stiefel, sample_stiefel_uniform, skew_part, stable_rank
 
 from oracles import (
-    landing_field_reference,
     lora_step_reference,
     per_parameter_opt,
     polar_directions_reference,
@@ -165,76 +163,6 @@ def test_landing_kernels_match_the_identity_matrix_forms(seed):
 def test_landing_field_shape_mismatch():
     with pytest.raises(ValueError, match="shape"):
         landing_field(np.eye(3), np.zeros((3, 2)), 1e-3)
-
-
-@pytest.mark.parametrize("lam", [0.0, 1e-3, 1.0])
-def test_landing_field_out_is_the_allocating_call(lam):
-    rng = np.random.default_rng(21)
-    for m, r in ((7, 1), (30, 6), (64, 24)):
-        X = sample_stiefel_uniform(m, r, rng) + 1e-3 * rng.standard_normal((m, r))
-        G = rng.standard_normal((m, r))
-        out = np.full((m, r), np.nan)
-        got = landing_field(X, G, lam, out=out)
-        assert got is out
-        assert np.array_equal(out, landing_field(X, G, lam))
-        assert np.array_equal(out, landing_field_reference(X, G, lam))
-
-
-def test_landing_step_form_of_the_kernel_sweep_is_unchanged():
-    # the m=4096 landing step calls landing_field without out=
-    rng = np.random.default_rng(22)
-    X = sample_stiefel_uniform(4096, 32, rng)
-    G = rng.standard_normal((4096, 32))
-    assert np.array_equal(X - BENCH_ETA * landing_field(X, G, BENCH_LAM),
-                          X - BENCH_ETA * landing_field_reference(X, G, BENCH_LAM))
-
-
-_BAD_OUTS = {  # name -> out of a landing field at X, G of shape (9, 3) that must be refused
-    "shape": lambda X, G: np.empty((9, 4)),
-    "float32": lambda X, G: np.empty((9, 3), dtype=np.float32),
-    "strided": lambda X, G: np.empty((9, 6))[:, ::2],
-    "fortran": lambda X, G: np.empty((9, 3), order="F"),
-    "list": lambda X, G: np.empty((9, 3)).tolist(),
-    "grad_x": lambda X, G: G,
-    "X": lambda X, G: X,
-    "view of X": lambda X, G: X[:],
-}
-
-
-@pytest.mark.parametrize("bad", sorted(_BAD_OUTS))
-def test_landing_field_rejects_bad_out(bad):
-    rng = np.random.default_rng(23)
-    X, G = rng.standard_normal((9, 3)), rng.standard_normal((9, 3))
-    X0, G0 = X.copy(), G.copy()
-    with pytest.raises(ValueError, match="out must be"):
-        landing_field(X, G, 1e-3, out=_BAD_OUTS[bad](X, G))
-    assert np.array_equal(X, X0) and np.array_equal(G, G0)
-
-
-def test_lora_grads_out_is_the_allocating_call():
-    t = _task(24)
-    state = init_lora_state(t.W0, 4, np.random.default_rng(25))
-    state = replace(state, Z2=np.random.default_rng(26).standard_normal(state.Z2.shape))
-    o1, o2 = np.full(state.Z1.shape, np.nan), np.full(state.Z2.shape, np.nan)
-    G1, G2, loss = lora_grads(t, state, out=(o1, o2))
-    want1, want2, want_loss = lora_grads(t, state)
-    assert G1 is o1 and G2 is o2
-    assert np.array_equal(G1, want1) and np.array_equal(G2, want2) and loss == want_loss
-
-
-def test_lora_grads_rejects_bad_out():
-    t = _task(24)
-    state = init_lora_state(t.W0, 4, np.random.default_rng(25))
-    m, r = state.Z1.shape
-    n = state.Z2.shape[0]
-    o2 = np.empty((n, r))
-    for o1 in (np.empty((m, r + 1)), np.empty((m, r), dtype=np.float32), np.empty((m, 2 * r))[:, ::2], state.Z1):
-        with pytest.raises(ValueError, match="out must be"):
-            lora_grads(t, state, out=(o1, o2))
-    buf = np.empty(m * r + n * r)
-    for out in ((np.empty((m, r)), state.Z2), (buf[: m * r].reshape(m, r), buf[: n * r].reshape(n, r))):
-        with pytest.raises(ValueError, match="out must be"):  # a parameter, or the other out
-            lora_grads(t, state, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -617,30 +545,6 @@ def test_step_keeps_the_non_param_fields(method):
         assert new.W0 is state.W0 and new.scale_alpha is state.scale_alpha
         assert all(getattr(new, name) is view for name, view in zip(new.params, stepper._views))
         state = new
-
-
-def test_directions_taken_are_views_of_the_buffer_until_the_next_step():
-    # the runner records a step's row after the step and before the next evaluate, so
-    # ev may hold the method's buffer, which the next step overwrites
-    t = _task(29)
-    state = init_adapter_state(t.W0, 4, np.random.default_rng(30))
-    cfg = LandingConfig(lam=1e-3, eta=1e-2, max_iters=10)
-    stepper = _PolarLanding(t, cfg, AdamState.for_state(state), state)
-    state, _, ev = stepper.evaluate(state)
-    want = polar_directions_reference(t, state, cfg)
-    new = stepper.step(state, ev, 0)
-    assert all(a is b for a, b in zip(ev["taken"], stepper.directions.values()))
-    assert all(np.array_equal(a, want[name]) for a, name in zip(ev["taken"], state.params))
-    norm = stepper.record(state, ev)["grad_norm"]
-    new, _, next_ev = stepper.evaluate(new)
-    stepper.step(new, next_ev, 1)
-    assert not np.array_equal(ev["taken"][0], want["X"])  # overwritten by the next step
-    assert stepper.record(state, ev)["grad_norm"] != norm
-
-    lstate = init_lora_state(t.W0, 4, np.random.default_rng(31))
-    lora = _Lora(t, cfg, AdamState.for_state(lstate), lstate)
-    _, _, grads = lora.evaluate(lstate)
-    assert all(a is b for a, b in zip(grads, lora.directions.values()))
 
 
 # ---------------------------------------------------------------------------

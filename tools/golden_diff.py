@@ -10,7 +10,9 @@ trace column (a CSV with a header of column names) and of each checkpoint
 matrix (a matrix CSV, whose first line is ``rows,cols``). Any other file,
 such as a JSON sidecar, is compared as one list of tokens. NaN against NaN
 is no change; NaN against a number, or two different words, is an
-infinite change. The report then lists the byte-identical files and the
+infinite change, and so is infinity against a finite number.
+``tests/test_golden.py`` reads its files, tokens and tolerance through
+``files``, ``tokens`` and ``relative_change``. The report then lists the byte-identical files and the
 files that are in one directory only.
 
 Exit status: 1 when a differing file has a different number of tokens on
@@ -25,8 +27,16 @@ import sys
 from pathlib import Path
 
 
-def _files(root: Path) -> set:
+def files(root: Path) -> set:
+    """The paths of the files under ``root``, relative to it."""
     return {str(p.relative_to(root)) for p in root.rglob("*") if p.is_file()}
+
+
+def tokens(text: str) -> list:
+    """The words and numbers of a file, with JSON and CSV punctuation as separators."""
+    for ch in ',:[]{}"\n':
+        text = text.replace(ch, " ")
+    return text.split()
 
 
 def _labelled_tokens(path: Path) -> list:
@@ -42,13 +52,12 @@ def _labelled_tokens(path: Path) -> list:
             toks = line.split(",")
             cells.extend(zip(header + ["(extra)"] * (len(toks) - len(header)), toks))
         return cells
-    for ch in ',:[]{}"\n':
-        text = text.replace(ch, " ")
-    return [("tokens", tok) for tok in text.split()]
+    return [("tokens", tok) for tok in tokens(text)]
 
 
 def relative_change(a: str, b: str) -> float:
-    """|a - b| / max(|a|, |b|) of two numeric tokens; 0 for equal tokens and NaN against NaN, inf otherwise."""
+    """|a - b| / max(|a|, |b|) of two numeric tokens; 0 for equal tokens and NaN against NaN; inf for
+    other tokens, NaN against a number and infinity against a finite number."""
     if a == b:
         return 0.0
     try:
@@ -57,7 +66,9 @@ def relative_change(a: str, b: str) -> float:
         return math.inf
     if math.isnan(x) or math.isnan(y):
         return 0.0 if math.isnan(x) and math.isnan(y) else math.inf
-    return 0.0 if x == y else abs(x - y) / max(abs(x), abs(y))
+    if x == y:
+        return 0.0
+    return math.inf if math.isinf(x) or math.isinf(y) else abs(x - y) / max(abs(x), abs(y))
 
 
 def changes(a: list, b: list) -> list:
@@ -76,7 +87,7 @@ def main(argv) -> int:
         print(__doc__.split("\n\n")[1].strip(), file=sys.stderr)
         return 2
     old, new = map(Path, argv)
-    old_files, new_files = _files(old), _files(new)
+    old_files, new_files = files(old), files(new)
     identical, failed = [], False
     for name in sorted(old_files & new_files):
         if (old / name).read_bytes() == (new / name).read_bytes():
