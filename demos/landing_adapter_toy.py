@@ -16,12 +16,11 @@ import numpy as np
 from polarlab.io import save_state
 from polarlab.landing import (
     LandingConfig,
-    diversity_report,
     make_whitened_task,
     train_lora,
     train_polar_landing,
 )
-from polarlab.stiefel import distance_to_stiefel, stable_rank
+from polarlab.stiefel import distance_to_stiefel, pairwise_direction_distances, stable_rank
 from polarlab.trace import write_trace
 
 
@@ -58,8 +57,8 @@ def main():
 
     print("\n== directional diversity of the update rows ==")
     for name, state in (("polar", polar), ("two-factor", lora)):
-        rep = diversity_report(state)
-        print(f"  {name:<11} mean pairwise distance {rep.mean_pairwise_distance:.3f} "
+        rep = pairwise_direction_distances(state.delta_w())
+        print(f"  {name:<11} mean pairwise distance {rep.mean_distance:.3f} "
               f"({len(rep.excluded_rows)} near-zero rows excluded)")
 
     print()

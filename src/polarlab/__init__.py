@@ -16,7 +16,6 @@ _EXPORTS = {
     "DivergenceError": "exceptions",
     # manifold primitives and diagnostics
     "sample_stiefel_uniform": "stiefel",
-    "polar_decompose": "stiefel",
     "polar_retract": "stiefel",
     "skew_part": "stiefel",
     "tangent_project": "stiefel",
@@ -27,8 +26,6 @@ _EXPORTS = {
     "SpectrumSummary": "stiefel",
     "alignment": "stiefel",
     "AlignmentReport": "stiefel",
-    "misalignment_trace": "stiefel",
-    "orthogonal_complement": "stiefel",
     "pairwise_direction_distances": "stiefel",
     "DirectionDiversity": "stiefel",
     # matrix and state checkpoint serialization
@@ -79,9 +76,6 @@ _EXPORTS = {
     "lora_train_step": "landing",
     "train_polar_landing": "landing",
     "train_lora": "landing",
-    "merge_theta": "landing",
-    "diversity_report": "landing",
-    "DiversityReport": "landing",
     # kernel microbenchmarks
     "BenchSpec": "bench",
     "BenchResult": "bench",

@@ -23,8 +23,9 @@ checked: the retraction must land on the manifold, and the landing step
 must match the materialized formula to 1e-10 relative, so a wrong field
 cannot win a comparison.
 
-Each sample draws fresh inputs outside the clock; a kernel under 100 ms
-runs in a batch inside one clock read, so that neither timer resolution
+The kernel then warms up for at most 10 calls, stopping once 100 ms have
+passed. Each sample draws fresh inputs outside the clock; a kernel under
+100 ms, as the last warm-up call timed it, runs in a batch inside one clock read, so that neither timer resolution
 nor a short stall of a shared machine dominates a sample. Sampling stops
 once the IQR falls below 15% of the median or the budget is exhausted.
 :func:`run_bench` times one op at one shape; the A7 acceptance tests call
@@ -34,7 +35,6 @@ m = 4096 rank sweep.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 
@@ -48,6 +48,7 @@ OPS = ("retraction", "landing", "landing-step")
 MIN_SAMPLES = 5
 IQR_TARGET = 0.15
 BATCH_TARGET_SECONDS = 0.1
+WARMUP_MAX_CALLS = 10
 LANDING_STEP_RTOL = 1e-10
 # the kernels' step size and landing penalty, and the seed of their inputs
 ETA = 1e-3
@@ -62,7 +63,6 @@ class BenchSpec:
     m: int
     r: int
     op: str
-    warmup_iters: int = 10
     max_samples: int = 50
 
     def __post_init__(self):
@@ -82,14 +82,6 @@ class BenchResult:
     iqr_over_median: float
     stable: bool
     metadata: dict = field(default_factory=dict)
-
-
-def median_micros(samples) -> float:
-    """Median of a nonempty sample list, in the samples' own units."""
-    samples = list(samples)
-    if not samples:
-        raise ValueError("no samples")
-    return float(np.median(samples))
 
 
 def _fresh_inputs(spec: BenchSpec, rng: np.random.Generator):
@@ -139,15 +131,16 @@ def run_bench(spec: BenchSpec) -> BenchResult:
     kernel = _make_kernel(spec)
     _verify_kernel(spec, kernel, rng)
 
+    # warm up until WARMUP_MAX_CALLS calls or BATCH_TARGET_SECONDS, then size a ~100 ms batch from the last call
     inputs = _fresh_inputs(spec, rng)
-    for _ in range(spec.warmup_iters):
+    start = time.perf_counter()
+    for _ in range(WARMUP_MAX_CALLS):
+        t0 = time.perf_counter()
         kernel(*inputs)
-
-    # estimate a batch size that makes one clocked region ~100 ms
-    t0 = time.perf_counter()
-    kernel(*inputs)
-    once = max(time.perf_counter() - t0, 1e-9)
-    batch = max(1, int(BATCH_TARGET_SECONDS / once))
+        t1 = time.perf_counter()
+        if t1 - start >= BATCH_TARGET_SECONDS:
+            break
+    batch = max(1, int(BATCH_TARGET_SECONDS / max(t1 - t0, 1e-9)))
 
     samples: list[float] = []
     stable = False
@@ -159,12 +152,12 @@ def run_bench(spec: BenchSpec) -> BenchResult:
         elapsed = time.perf_counter() - t0
         samples.append(elapsed / batch * 1e6)
         if len(samples) >= MIN_SAMPLES:
-            med = median_micros(samples)
+            med = float(np.median(samples))
             q75, q25 = np.percentile(samples, [75, 25])
             if (q75 - q25) / med < IQR_TARGET:
                 stable = True
                 break
-    med = median_micros(samples)
+    med = float(np.median(samples))
     q75, q25 = np.percentile(samples, [75, 25])
     return BenchResult(
         spec=spec,
@@ -172,9 +165,5 @@ def run_bench(spec: BenchSpec) -> BenchResult:
         samples=tuple(samples),
         iqr_over_median=float((q75 - q25) / med),
         stable=stable,
-        metadata={
-            "batch": batch,
-            "threads": os.environ.get("OMP_NUM_THREADS", "unset"),
-            "n_samples": len(samples),
-        },
+        metadata={"batch": batch, "n_samples": len(samples)},
     )

@@ -35,7 +35,7 @@ import json
 import os
 import sys
 
-from .config import LandingConfig, RGDConfig
+from .config import LandingConfig, RGDConfig, check_loss_threshold
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -208,6 +208,7 @@ def _cmd_finetune_toy(cfg: dict, out_dir: str) -> int:
     from . import landing as ld
     from .trace import write_trace
 
+    check_loss_threshold(cfg["loss_threshold"])  # a key of this command, not of LandingConfig
     task_rng = np.random.default_rng(cfg["target_seed"])
     task = ld.make_whitened_task(cfg["m"], cfg["n"], cfg["n_cols"], cfg["r_a"], task_rng, kappa=cfg["kappa"])
     config = _config(LandingConfig, cfg)

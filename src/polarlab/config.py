@@ -22,14 +22,25 @@ def _check_budget(max_iters: int, record_every: int) -> None:
         raise ValueError(f"record_every must be >= 1, got {record_every}")
 
 
+def check_loss_threshold(loss_threshold: float) -> None:
+    """A NaN threshold is met by no loss, so a run would spend its whole budget."""
+    if math.isnan(loss_threshold):
+        raise ValueError(f"loss_threshold must be a number, got {loss_threshold}")
+
+
+def _check_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {name} = {value}")
+
+
 @dataclass(frozen=True)
 class RGDConfig:
     """Settings of ``run_polar_rgd``, ``run_bm_gd`` and ``run_sym_rgd``.
 
-    ``gamma`` damps the Theta refresh of the two RGD methods; bm-gd has no
-    Theta and ignores it. A run stops at the first loss at or below
-    ``loss_threshold`` or after ``max_iters`` steps, and records every
-    ``record_every``-th iteration.
+    ``gamma`` > 0 damps the Theta refresh of the two RGD methods, and above 1
+    over-relaxes it; bm-gd has no Theta and ignores it. A run stops at the
+    first loss at or below ``loss_threshold`` or after ``max_iters`` steps,
+    and records every ``record_every``-th iteration.
     """
 
     eta: float = 1e-3
@@ -43,6 +54,8 @@ class RGDConfig:
         _check_budget(self.max_iters, self.record_every)
         if not (math.isfinite(self.eta) and self.eta >= 0):
             raise ValueError(f"eta must be finite and nonnegative, got eta = {self.eta}")
+        _check_positive("gamma", self.gamma)
+        check_loss_threshold(self.loss_threshold)
 
 
 @dataclass(frozen=True)
@@ -70,8 +83,8 @@ class LandingConfig:
     grad_mode: str = "landing"
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise ValueError(f"lam must be positive, got {self.lam}")
+        _check_positive("lam", self.lam)
+        _check_positive("alpha", self.alpha)
         if self.schedule not in ("constant", "linear"):
             raise ValueError(f"unknown schedule {self.schedule!r} (expected constant or linear)")
         if self.schedule == "linear" and self.max_iters < 1:
@@ -81,8 +94,7 @@ class LandingConfig:
         if self.grad_mode not in ("landing", "euclidean"):
             raise ValueError(f"unknown grad_mode {self.grad_mode!r}")
         _check_budget(self.max_iters, self.record_every)
-        if not (math.isfinite(self.eta) and self.eta > 0):
-            raise ValueError(f"eta must be finite and positive, got eta = {self.eta}")
+        _check_positive("eta", self.eta)
 
     def eta_at(self, t: int) -> float:
         eta = self.eta * (1.0 - t / self.max_iters) if self.schedule == "linear" else self.eta

@@ -31,7 +31,7 @@ field of :class:`polarlab.config.LandingConfig`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
@@ -39,12 +39,8 @@ import numpy as np
 from .config import LandingConfig
 from .factorization import spaced_spectrum
 from .runner import advance, run
-from .stiefel import (
-    distance_to_stiefel,
-    pairwise_direction_distances,
-    sample_stiefel_uniform,
-    stable_rank,
-)
+# stable_rank is not called here; the name stays because benchmark/layers.py traces polarlab.landing.stable_rank
+from .stiefel import distance_to_stiefel, sample_stiefel_uniform, stable_rank
 from .trace import RunTrace
 
 # Adam's moment decay rates and denominator guard, the same for every parameter
@@ -448,35 +444,3 @@ def train_lora(task: WhitenedTask, r: int, cfg: LandingConfig) -> tuple[LoraStat
     """Train the Euclidean two-factor baseline with Adam on the same task."""
     state = init_lora_state(task.W0, r, np.random.default_rng(cfg.seed), cfg.alpha)
     return _train(_Lora(task, cfg, AdamState.for_state(state), state), state)
-
-
-# ---------------------------------------------------------------------------
-# diagnostics
-
-
-def merge_theta(state: AdapterState) -> AdapterState:
-    """Fold Theta into X: (X Theta, I, Y) produces the identical DeltaW."""
-    return replace(state, X=state.X @ state.Theta, Theta=np.eye(state.r))
-
-
-@dataclass(frozen=True)
-class DiversityReport:
-    """Stable rank, spectrum and row-direction spread of an update matrix."""
-
-    stable_rank: float
-    spectrum: np.ndarray
-    mean_pairwise_distance: float
-    excluded_rows: tuple
-
-
-def diversity_report(state) -> DiversityReport:
-    """Diagnostics of DeltaW for either adapter flavor (errors on a zero update)."""
-    delta = state.delta_w()
-    summary = stable_rank(delta)
-    spread = pairwise_direction_distances(delta)
-    return DiversityReport(
-        stable_rank=summary.stable_rank,
-        spectrum=summary.singular_values,
-        mean_pairwise_distance=spread.mean_distance,
-        excluded_rows=spread.excluded_rows,
-    )

@@ -20,7 +20,7 @@ from .exceptions import FeasibilityError, RankDeficientError
 SAMPLE_FEASIBILITY_TOL = 1e-10
 # Retraction outputs are certified slightly looser (accumulated rounding).
 RETRACT_FEASIBILITY_TOL = 1e-9
-# Relative singular-value cutoff below which an input counts as rank deficient.
+# Relative eigenvalue cutoff of Z^T Z below which a Gaussian sample counts as rank deficient.
 RANK_DEFICIENCY_RTOL = 1e-12
 # Floor applied to eigenvalues before inverse square roots.
 EIG_FLOOR = 1e-14
@@ -126,33 +126,6 @@ def sample_stiefel_uniform(m: int, r: int, rng: np.random.Generator) -> np.ndarr
                 raise _off_stiefel("sampled X", X.shape, err, SAMPLE_FEASIBILITY_TOL)
             return X
     raise RankDeficientError("Gaussian sample was rank deficient twice in a row")
-
-
-def polar_decompose(Z) -> tuple[np.ndarray, np.ndarray]:
-    """Polar decomposition Z = X Theta with X semi-orthogonal, Theta symmetric PSD.
-
-    Computed from the thin SVD Z = P S Q^T as X = P Q^T, Theta = Q S Q^T.
-    Rank-deficient input is an error; nothing is silently regularized.
-
-    Returns
-    -------
-    (X, Theta) with X in St(m, r) and ||X Theta - Z||_F <= 1e-10 ||Z||_F.
-    """
-    Z = require_matrix(Z, "Z")
-    m, r = Z.shape
-    if m < r:
-        raise ValueError(f"Z must be tall (m >= r), got {Z.shape}")
-    P, s, Qt = np.linalg.svd(Z, full_matrices=False)
-    if s[-1] <= RANK_DEFICIENCY_RTOL * s[0] or s[0] == 0.0:
-        raise RankDeficientError(
-            f"Z is numerically rank deficient (sigma_min/sigma_max = {s[-1] / max(s[0], 1e-300):.3e})"
-        )
-    X = P @ Qt
-    Theta = (Qt.T * s) @ Qt
-    recon = float(np.linalg.norm(X @ Theta - Z))
-    if recon > 1e-10 * float(np.linalg.norm(Z)):
-        raise FeasibilityError(f"polar reconstruction error {recon:.3e} exceeds tolerance")
-    return X, Theta
 
 
 def retract_series_order(x: float) -> int | None:
@@ -292,15 +265,13 @@ def stable_rank(W) -> SpectrumSummary:
 
 @dataclass(frozen=True)
 class AlignmentReport:
-    """Alignment of a Stiefel point X with a reference basis U.
+    """Alignment of a Stiefel point X with a reference basis U, through Phi = U^T X.
 
-    ``phi`` is U^T X. ``trace_phi`` = Tr(Phi Phi^T) grows toward r_A as
-    span(U) is captured by span(X); ``misalignment_trace`` = Tr(I - Phi Phi^T)
-    is the squared chordal distance and satisfies
-    trace_phi + misalignment_trace = r_A.
+    ``trace_phi`` = Tr(Phi Phi^T) grows toward r_A as span(U) is captured by
+    span(X); ``misalignment_trace`` = Tr(I - Phi Phi^T) is the squared
+    chordal distance and satisfies trace_phi + misalignment_trace = r_A.
     """
 
-    phi: np.ndarray
     trace_phi: float
     sigma_min_phi: float
     misalignment_trace: float
@@ -319,38 +290,10 @@ def alignment(U, X) -> AlignmentReport:
     s = np.linalg.svd(phi, compute_uv=False)
     trace_phi = float(np.sum(phi * phi))
     return AlignmentReport(
-        phi=phi,
         trace_phi=trace_phi,
         sigma_min_phi=float(s[-1]),
         misalignment_trace=float(r_a) - trace_phi,
     )
-
-
-def misalignment_trace(U, X) -> float:
-    """Tr(Omega Omega^T) for Omega = U_perp^T X, without forming U_perp.
-
-    Uses the projector identity Tr(X^T (I - U U^T) X) = r - ||U^T X||_F^2.
-    """
-    U = require_stiefel(U, 1e-8, "U")
-    X = require_stiefel(X, 1e-8, "X")
-    if U.shape[0] != X.shape[0]:
-        raise ValueError(f"row mismatch: U {U.shape} vs X {X.shape}")
-    phi = U.T @ X
-    return float(X.shape[1]) - float(np.sum(phi * phi))
-
-
-def orthogonal_complement(U) -> np.ndarray:
-    """Orthonormal basis U_perp of the orthogonal complement of span(U).
-
-    Returns an m x (m - r) matrix; requires m > r. The basis choice is the
-    deterministic QR completion, fixed for a fixed U.
-    """
-    U = require_stiefel(U, 1e-8, "U")
-    m, r = U.shape
-    if m <= r:
-        raise ValueError(f"complement is empty for square U, got shape {U.shape}")
-    Q = np.linalg.qr(U, mode="complete")[0]
-    return Q[:, r:]
 
 
 @dataclass(frozen=True)

@@ -93,13 +93,14 @@ class RunTrace:
 
 
 def trace_basename(trace: RunTrace) -> str:
-    """Canonical file stem ``<algo>_<kappa>_<r>_<seed>``."""
+    """Canonical file stem ``<algo>_<kappa>_<r>_<seed>``. An integral kappa of at most
+    16 digits is written as an int (10.0 as 10), a larger one by repr (1e+300)."""
     md = trace.metadata
     kappa = md.get("kappa", "na")
     if isinstance(kappa, float):
         if not math.isfinite(kappa):
             kappa = "na"
-        elif kappa == int(kappa):
+        elif kappa == int(kappa) and abs(kappa) < 1e16:
             kappa = int(kappa)
     return f"{trace.algorithm}_{kappa}_{md.get('r', 'na')}_{md.get('seed', 'na')}"
 

@@ -10,7 +10,8 @@ in-place Adam over the packed parameters.
 The allocating manifold kernels at the end (retraction, tangent projection,
 Haar sampler and the RGD evaluations) are the plain-expression versions of
 the in-place kernels in ``polarlab.stiefel`` and ``polarlab.factorization``,
-which must reproduce them bit for bit. The matrix CSV writer, which
+which must reproduce them bit for bit. The polar factor and the orthogonal
+complement beside them are the textbook SVD and QR constructions. The matrix CSV writer, which
 formats whole rows at once, must give the bytes of the entry-by-entry
 formula at the end.
 """
@@ -190,6 +191,17 @@ def polar_retract_reference(X, D, eta: float) -> np.ndarray:
 def tangent_project_reference(X: np.ndarray, G: np.ndarray) -> np.ndarray:
     M = X.T @ G
     return G - X @ (0.5 * (M + M.T))
+
+
+def polar_factor(Z) -> np.ndarray:
+    """The semi-orthogonal factor P Q^T of the polar decomposition, from the thin SVD Z = P S Q^T."""
+    P, _, Qt = np.linalg.svd(Z, full_matrices=False)
+    return P @ Qt
+
+
+def orthogonal_complement(U) -> np.ndarray:
+    """Orthonormal basis of the complement of span(U): the last m - r columns of U's complete QR."""
+    return np.linalg.qr(U, mode="complete")[0][:, U.shape[1] :]
 
 
 def sample_stiefel_uniform_reference(m: int, r: int, rng: np.random.Generator, floor=SAMPLE_NS_FLOOR) -> np.ndarray:

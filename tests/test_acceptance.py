@@ -38,7 +38,7 @@ from polarlab.landing import (
     train_polar_landing,
     whitened_task_grads,
 )
-from polarlab.stiefel import distance_to_stiefel, orthogonal_complement, stable_rank
+from polarlab.stiefel import distance_to_stiefel, stable_rank
 
 import oracles
 
@@ -168,8 +168,8 @@ def test_a3_alignment_property_suite():
         kappa = float(rng.choice([1.0, 2.0, 5.0])) if r_a > 1 else 1.0
         eta = float(rng.choice([0.05, 0.1, 0.3]))
         target = pl.make_target(8, 6, r_a, kappa, rng, normalize=True)
-        U_perp = orthogonal_complement(target.U)
-        V_perp = orthogonal_complement(target.V)
+        U_perp = oracles.orthogonal_complement(target.U)
+        V_perp = oracles.orthogonal_complement(target.V)
         f = fx.init_polar_factors(target, r, rng)
         for _ in range(50):
             total += 1

@@ -13,31 +13,9 @@ from polarlab.bench import (
     LAM,
     BenchSpec,
     _verify_kernel,
-    median_micros,
     run_bench,
 )
 from polarlab.landing import grad_distance_to_stiefel, landing_field
-
-
-def test_median_micros_oracle():
-    assert median_micros([3.0, 1.0, 2.0]) == 2.0
-    assert median_micros([4.0, 1.0, 3.0, 2.0]) == 2.5
-    assert median_micros([7.5]) == 7.5
-    with pytest.raises(ValueError, match="no samples"):
-        median_micros([])
-
-
-@pytest.mark.parametrize("seed", range(10))
-def test_median_monotone_under_union(seed):
-    # appending samples that all sit at or above the current median can
-    # never lower the median; dually for samples below
-    rng = np.random.default_rng(seed)
-    a = list(rng.uniform(1.0, 2.0, size=rng.integers(1, 20)))
-    med_a = median_micros(a)
-    high = list(rng.uniform(med_a, med_a + 5.0, size=rng.integers(1, 20)))
-    low = list(rng.uniform(med_a - 1.0, med_a, size=rng.integers(1, 20)))
-    assert median_micros(a + high) >= med_a
-    assert median_micros(a + low) <= med_a
 
 
 def test_bench_spec_validation():
@@ -51,7 +29,7 @@ def test_bench_spec_validation():
 
 @pytest.mark.parametrize("op", ["retraction", "landing", "landing-step"])
 def test_run_bench_smoke(op):
-    res = run_bench(BenchSpec(m=32, r=4, op=op, warmup_iters=2, max_samples=50))
+    res = run_bench(BenchSpec(m=32, r=4, op=op, max_samples=50))
     assert res.median_micros > 0
     assert len(res.samples) >= 5
     assert res.stable is True

@@ -32,13 +32,14 @@ from polarlab.factorization import (
     run_polar_rgd,
     run_sym_rgd,
 )
-from polarlab.stiefel import orthogonal_complement, polar_retract, stiefel_error
+from polarlab.stiefel import polar_retract, stiefel_error
 
 from oracles import (
     euclid_grad_sym,
     euclid_grad_theta,
     euclid_grads_asym,
     euclid_grads_bm,
+    orthogonal_complement,
     riemannian_grad_sym,
     riemannian_grads_asym,
     theta_update,

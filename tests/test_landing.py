@@ -24,7 +24,6 @@ from polarlab.landing import (
     LandingConfig,
     LoraState,
     adam_transform,
-    diversity_report,
     grad_distance_to_stiefel,
     init_adapter_state,
     init_lora_state,
@@ -32,7 +31,6 @@ from polarlab.landing import (
     lora_grads,
     lora_train_step,
     make_whitened_task,
-    merge_theta,
     polar_train_step,
     train_lora,
     train_polar_landing,
@@ -688,23 +686,6 @@ def test_trace_rows_keep_the_bits_of_the_per_parameter_oracle(method, modes):
 
 # ---------------------------------------------------------------------------
 # diagnostics and checkpoints
-
-
-def test_merge_theta_preserves_update():
-    t = _task(11)
-    state, _ = train_polar_landing(t, 4, _small_cfg(50, record_every=25))
-    merged = merge_theta(state)
-    assert np.array_equal(merged.Theta, np.eye(4))
-    assert np.allclose(merged.delta_w(), state.delta_w(), atol=1e-12)
-
-
-def test_diversity_report_fields():
-    t = _task(12)
-    state, _ = train_polar_landing(t, 4, _small_cfg(200, record_every=100))
-    rep = diversity_report(state)
-    assert 1.0 <= rep.stable_rank <= 4.0 + 1e-9
-    assert (np.diff(rep.spectrum) <= 1e-15).all()
-    assert 0.0 <= rep.mean_pairwise_distance <= 2.0
 
 
 def test_adapter_checkpoint_roundtrip(tmp_path):

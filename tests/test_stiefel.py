@@ -1,8 +1,8 @@
 """Oracle and property tests for the manifold primitives and diagnostics.
 
-Closed-form oracle values are derived by hand and frozen; decomposition
-routines are cross-checked against an independent eigendecomposition
-route rather than against themselves.
+Closed-form oracle values are derived by hand and frozen; the retraction
+is cross-checked against the polar factor of an independent SVD route
+rather than against itself.
 """
 
 import math
@@ -13,15 +13,13 @@ import sys
 import numpy as np
 import pytest
 
-from polarlab.exceptions import FeasibilityError, RankDeficientError
+from polarlab.exceptions import FeasibilityError
 from polarlab.stiefel import (
     RETRACT_SERIES_MAX_ORDER,
     UNIT_ROUNDOFF,
     alignment,
     distance_to_stiefel,
-    misalignment_trace,
     pairwise_direction_distances,
-    polar_decompose,
     polar_retract,
     require_stiefel,
     retract_series_order,
@@ -32,15 +30,9 @@ from polarlab.stiefel import (
     tangent_project,
 )
 
+from oracles import polar_factor
+
 SEEDS = [0, 1, 2, 3, 4, 5, 6, 7]
-
-
-def _well_conditioned(m, r, rng):
-    # random matrix with singular values in [0.5, 2]
-    U = sample_stiefel_uniform(m, r, rng)
-    V = sample_stiefel_uniform(r, r, rng)
-    s = np.linspace(2.0, 0.5, r)
-    return (U * s) @ V.T
 
 
 # ---------------------------------------------------------------------------
@@ -79,61 +71,6 @@ def test_gram_residuals_match_the_identity_matrix_forms(seed):
 
 
 # ---------------------------------------------------------------------------
-# polar decomposition
-
-
-def test_polar_decompose_axis_oracle():
-    # Z = 3 e1: direction e1, magnitude 3
-    Z = np.array([[3.0], [0.0]])
-    X, Theta = polar_decompose(Z)
-    np.testing.assert_allclose(X, [[1.0], [0.0]], atol=1e-14)
-    np.testing.assert_allclose(Theta, [[3.0]], atol=1e-14)
-
-
-def test_polar_decompose_rotation_oracle():
-    # Z = [[0,-2],[1,0]]: Theta = (Z^T Z)^{1/2} = diag(1,2), X = Z Theta^{-1}
-    Z = np.array([[0.0, -2.0], [1.0, 0.0]])
-    X, Theta = polar_decompose(Z)
-    np.testing.assert_allclose(Theta, np.diag([1.0, 2.0]), atol=1e-14)
-    np.testing.assert_allclose(X, [[0.0, -1.0], [1.0, 0.0]], atol=1e-14)
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_polar_decompose_matches_eigh_route(seed):
-    # independent oracle: Theta = (Z^T Z)^{1/2} via eigh, X = Z Theta^{-1}
-    rng = np.random.default_rng(seed)
-    Z = _well_conditioned(10, 4, rng)
-    X, Theta = polar_decompose(Z)
-    w, Q = np.linalg.eigh(Z.T @ Z)
-    Theta_ref = (Q * np.sqrt(w)) @ Q.T
-    X_ref = Z @ np.linalg.inv(Theta_ref)
-    np.testing.assert_allclose(Theta, Theta_ref, atol=1e-10)
-    np.testing.assert_allclose(X, X_ref, atol=1e-10)
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_polar_decompose_reconstructs(seed):
-    Z = _well_conditioned(15, 5, np.random.default_rng(seed))
-    X, Theta = polar_decompose(Z)
-    assert stiefel_error(X) <= 1e-10
-    assert np.linalg.norm(X @ Theta - Z) <= 1e-10 * np.linalg.norm(Z)
-    # Theta is symmetric PSD
-    np.testing.assert_allclose(Theta, Theta.T, atol=1e-12)
-    assert np.linalg.eigvalsh(Theta).min() > 0
-
-
-def test_polar_decompose_rejects_rank_deficient():
-    Z = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
-    with pytest.raises(RankDeficientError):
-        polar_decompose(Z)
-
-
-def test_polar_decompose_rejects_wide():
-    with pytest.raises(ValueError):
-        polar_decompose(np.ones((2, 3)))
-
-
-# ---------------------------------------------------------------------------
 # retraction
 
 
@@ -154,7 +91,7 @@ def test_polar_retract_equals_polar_factor(seed):
     D = tangent_project(X, rng.standard_normal((12, 4)))
     eta = 0.3
     out = polar_retract(X, D, eta)
-    ref = polar_decompose(X - eta * D)[0]
+    ref = polar_factor(X - eta * D)
     np.testing.assert_allclose(out, ref, atol=1e-10)
     assert stiefel_error(out) <= 1e-9
 
@@ -377,19 +314,6 @@ def test_alignment_validates():
         alignment(U, X)  # r < r_A
     with pytest.raises(FeasibilityError):
         alignment(2.0 * U, U)
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_misalignment_trace_matches_explicit_complement(seed):
-    # oracle: build U_perp explicitly and compare ||U_perp^T X||_F^2
-    rng = np.random.default_rng(seed)
-    m, r_a, r = 11, 3, 5
-    U = sample_stiefel_uniform(m, r_a, rng)
-    X = sample_stiefel_uniform(m, r, rng)
-    Q = np.linalg.qr(np.hstack([U, rng.standard_normal((m, m - r_a))]))[0]
-    U_perp = Q[:, r_a:]
-    ref = float(np.sum((U_perp.T @ X) ** 2))
-    assert misalignment_trace(U, X) == pytest.approx(ref, abs=1e-10)
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -82,6 +82,13 @@ def test_trace_basename_integerizes_float_kappa():
     assert trace_basename(_trace(kappa=10.0, r=20, seed=3)) == "polar-rgd_10_20_3"
 
 
+def test_trace_basename_keeps_a_huge_integral_kappa_short():
+    # int(1e300) has 301 digits, too long for a file name
+    assert trace_basename(_trace(kappa=1e300)) == "polar-rgd_1e+300_2_0"
+    assert trace_basename(_trace(kappa=1e15)) == "polar-rgd_1000000000000000_2_0"
+    assert trace_basename(_trace(kappa=1e16)) == "polar-rgd_1e+16_2_0"
+
+
 def test_trace_basename_keeps_fractional_kappa():
     assert trace_basename(_trace(kappa=2.5)) == "polar-rgd_2.5_2_0"
 
