@@ -11,9 +11,9 @@ The allocating manifold kernels at the end (retraction, tangent projection,
 Haar sampler and the RGD evaluations) are the plain-expression versions of
 the in-place kernels in ``polarlab.stiefel`` and ``polarlab.factorization``,
 which must reproduce them bit for bit. The polar factor and the orthogonal
-complement beside them are the textbook SVD and QR constructions. The matrix CSV writer, which
-formats whole rows at once, must give the bytes of the entry-by-entry
-formula at the end.
+complement beside them are the textbook SVD and QR constructions. The
+matrix CSV writer, which formats whole rows at once, must give the bytes
+of the entry-by-entry formula at the end.
 """
 
 from __future__ import annotations

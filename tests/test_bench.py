@@ -1,8 +1,7 @@
 """Tests for the manifold-kernel microbenchmark plumbing.
 
 Timing magnitudes are hardware-bound, so the assertions target the
-estimator (median, IQR stopping rule), the spec validation and the
-kernel verification hook.
+IQR stopping rule, the spec validation and the kernel verification hook.
 """
 
 import numpy as np
