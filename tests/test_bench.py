@@ -1,8 +1,13 @@
 """Tests for the manifold-kernel microbenchmark plumbing.
 
 Timing magnitudes are hardware-bound, so the assertions target the
-IQR stopping rule, the spec validation and the kernel verification hook.
+estimator (median, IQR stopping rule), the spec validation and the
+kernel verification hook. The medians across benchmark runs come from
+``tools/collect_bench.py``.
 """
+
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +20,38 @@ from polarlab.bench import (
     run_bench,
 )
 from polarlab.landing import grad_distance_to_stiefel, landing_field
+
+
+def _collect_bench():
+    spec = importlib.util.spec_from_file_location(
+        "collect_bench", Path(__file__).resolve().parent.parent / "tools" / "collect_bench.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_median_micros_oracle():
+    # the reported median and IQR are those of the samples the result carries
+    res = run_bench(BenchSpec(m=16, r=2, op="retraction", max_samples=5))
+    assert len(res.samples) == 5
+    assert res.median_micros == sorted(res.samples)[2]
+    q75, q25 = np.percentile(res.samples, [75, 25])
+    assert res.iqr_over_median == pytest.approx((q75 - q25) / res.median_micros, rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_median_monotone_under_union(seed):
+    # appending runs that all sit at or above the current median can never
+    # lower the median a BENCH file records; dually for runs below
+    summary = _collect_bench().summary
+    rng = np.random.default_rng(seed)
+    a = list(rng.uniform(1.0, 2.0, size=rng.integers(1, 20)))
+    med_a = summary(a)["median"]
+    high = list(rng.uniform(med_a, med_a + 5.0, size=rng.integers(1, 20)))
+    low = list(rng.uniform(med_a - 1.0, med_a, size=rng.integers(1, 20)))
+    assert summary(a + high)["median"] >= med_a
+    assert summary(a + low)["median"] <= med_a
 
 
 def test_bench_spec_validation():

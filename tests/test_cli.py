@@ -98,28 +98,38 @@ def test_unknown_grad_mode_exits_one(tmp_path, capsys, method, flag):
     assert "nope" in capsys.readouterr().err
 
 
-FAST = {"factorize": FAST_FACTORIZE, "finetune-toy": FAST_FINETUNE}
+@pytest.mark.parametrize("command", [["factorize", *FAST_FACTORIZE], ["finetune-toy", *FAST_FINETUNE]])
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--record-every", "0", "record_every must be >= 1, got 0"),
+        ("--max-iters", "-3", "max_iters must be >= 0, got -3"),
+        ("--loss-threshold", "nan", "loss_threshold must be a number, got nan"),
+    ],
+)
+def test_bad_budget_or_cadence_exits_one_with_one_line(tmp_path, capsys, command, flag, value, message):
+    # each bad setting stops the command before its run starts
+    rc = main([*command, flag, value, "--out", str(tmp_path / "r")])
+    captured = capsys.readouterr()
+    assert rc == EXIT_ERROR
+    assert captured.err.splitlines() == [f"error: {message}"]
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize(
     "command, flag, value, message",
     [
-        ("factorize", "--record-every", "0", "record_every must be >= 1, got 0"),
-        ("finetune-toy", "--record-every", "0", "record_every must be >= 1, got 0"),
-        ("factorize", "--max-iters", "-3", "max_iters must be >= 0, got -3"),
-        ("finetune-toy", "--max-iters", "-3", "max_iters must be >= 0, got -3"),
-        ("factorize", "--loss-threshold", "nan", "loss_threshold must be a number, got nan"),
-        ("finetune-toy", "--loss-threshold", "nan", "loss_threshold must be a number, got nan"),
-        ("factorize", "--gamma", "0", "gamma must be finite and positive, got gamma = 0.0"),
-        ("factorize", "--gamma", "nan", "gamma must be finite and positive, got gamma = nan"),
-        ("finetune-toy", "--lam", "inf", "lam must be finite and positive, got lam = inf"),
-        ("finetune-toy", "--alpha", "inf", "alpha must be finite and positive, got alpha = inf"),
-        ("finetune-toy", "--alpha", "0", "alpha must be finite and positive, got alpha = 0.0"),
+        (["factorize", *FAST_FACTORIZE], "--gamma", "0", "gamma must be finite and positive, got gamma = 0.0"),
+        (["factorize", *FAST_FACTORIZE], "--gamma", "nan", "gamma must be finite and positive, got gamma = nan"),
+        (["finetune-toy", *FAST_FINETUNE], "--lam", "inf", "lam must be finite and positive, got lam = inf"),
+        (["finetune-toy", *FAST_FINETUNE], "--alpha", "inf", "alpha must be finite and positive, got alpha = inf"),
+        (["finetune-toy", *FAST_FINETUNE], "--alpha", "0", "alpha must be finite and positive, got alpha = 0.0"),
     ],
+    ids=["factorize-gamma-0", "factorize-gamma-nan", "finetune-toy-lam-inf", "finetune-toy-alpha-inf", "finetune-toy-alpha-0"],
 )
-def test_bad_budget_or_cadence_exits_one_with_one_line(tmp_path, capsys, command, flag, value, message):
-    # each bad setting stops the command before its run starts
-    rc = main([command, *FAST[command], flag, value, "--out", str(tmp_path / "r")])
+def test_bad_step_setting_exits_one_with_one_line(tmp_path, capsys, command, flag, value, message):
+    # a step size or penalty that is not finite and positive stops the command before its run starts
+    rc = main([*command, flag, value, "--out", str(tmp_path / "r")])
     captured = capsys.readouterr()
     assert rc == EXIT_ERROR
     assert captured.err.splitlines() == [f"error: {message}"]

@@ -38,7 +38,13 @@ from polarlab.landing import (
     WhitenedTask,
 )
 from polarlab.runner import advance, run
-from polarlab.stiefel import distance_to_stiefel, sample_stiefel_uniform, skew_part, stable_rank
+from polarlab.stiefel import (
+    distance_to_stiefel,
+    pairwise_direction_distances,
+    sample_stiefel_uniform,
+    skew_part,
+    stable_rank,
+)
 
 from oracles import (
     lora_step_reference,
@@ -686,6 +692,17 @@ def test_trace_rows_keep_the_bits_of_the_per_parameter_oracle(method, modes):
 
 # ---------------------------------------------------------------------------
 # diagnostics and checkpoints
+
+
+def test_diversity_report_fields():
+    # the stable rank, spectrum and row spread of a trained DeltaW, as the adapter demo reports them
+    t = _task(12)
+    state, _ = train_polar_landing(t, 4, _small_cfg(200, record_every=100))
+    summary = stable_rank(state.delta_w())
+    spread = pairwise_direction_distances(state.delta_w())
+    assert 1.0 <= summary.stable_rank <= 4.0 + 1e-9
+    assert (np.diff(summary.singular_values) <= 1e-15).all()
+    assert 0.0 <= spread.mean_distance <= 2.0
 
 
 def test_adapter_checkpoint_roundtrip(tmp_path):

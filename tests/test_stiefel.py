@@ -1,8 +1,8 @@
 """Oracle and property tests for the manifold primitives and diagnostics.
 
 Closed-form oracle values are derived by hand and frozen; the retraction
-is cross-checked against the polar factor of an independent SVD route
-rather than against itself.
+is cross-checked against the polar factor of independent SVD and
+eigendecomposition routes rather than against itself.
 """
 
 import math
@@ -13,7 +13,7 @@ import sys
 import numpy as np
 import pytest
 
-from polarlab.exceptions import FeasibilityError
+from polarlab.exceptions import FeasibilityError, RankDeficientError
 from polarlab.stiefel import (
     RETRACT_SERIES_MAX_ORDER,
     UNIT_ROUNDOFF,
@@ -68,6 +68,78 @@ def test_gram_residuals_match_the_identity_matrix_forms(seed):
             gap = X.T @ X - np.eye(r)
             assert stiefel_error(X) == float(np.linalg.norm(gap))
             assert distance_to_stiefel(X) == float(np.sum(gap * gap))
+
+
+# ---------------------------------------------------------------------------
+# polar decomposition Z = X Theta: the retraction returns the factor X of
+# Z = X0 - eta D, and the sampler that of a Gaussian Z
+
+
+def _polar_pair(Z, X):
+    # Theta = X^T Z completes the pair when X is the polar factor of Z
+    return X, X.T @ Z
+
+
+def test_polar_decompose_axis_oracle():
+    # X0 = e1, D = e2, eta = 0.05: Z = (1, -eta) has direction Z / |Z| and magnitude |Z|
+    eta = 0.05
+    Z = np.array([[1.0], [-eta]])
+    norm = math.sqrt(1.0 + eta * eta)
+    X, Theta = _polar_pair(Z, polar_retract(np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]]), eta))
+    np.testing.assert_allclose(X, Z / norm, atol=1e-14)
+    np.testing.assert_allclose(Theta, [[norm]], atol=1e-14)
+
+
+def test_polar_decompose_rotation_oracle():
+    # X0 = I, skew D = [[0,-1],[1,0]], eta = 3/4: Z = [[1,3/4],[-3/4,1]], Z^T Z = (5/4)^2 I,
+    # so Theta = 5/4 I and X = Z / (5/4) is a rotation
+    Z = np.array([[1.0, 0.75], [-0.75, 1.0]])
+    X, Theta = _polar_pair(Z, polar_retract(np.eye(2), np.array([[0.0, -1.0], [1.0, 0.0]]), 0.75))
+    np.testing.assert_allclose(Theta, 1.25 * np.eye(2), atol=1e-14)
+    np.testing.assert_allclose(X, [[0.8, 0.6], [-0.6, 0.8]], atol=1e-14)
+
+
+# step sizes that take both the binomial series and the eigh branch
+POLAR_ETAS = [0.001, 0.01, 0.03, 0.1, 0.3, 1.0, 3.0, 10.0]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_polar_decompose_matches_eigh_route(seed):
+    # independent oracle: Theta = (Z^T Z)^{1/2} via eigh, X = Z Theta^{-1}
+    rng = np.random.default_rng(seed)
+    X0 = sample_stiefel_uniform(10, 4, rng)
+    D = tangent_project(X0, rng.standard_normal((10, 4)))
+    Z = X0 - POLAR_ETAS[seed] * D
+    X, Theta = _polar_pair(Z, polar_retract(X0, D, POLAR_ETAS[seed]))
+    w, Q = np.linalg.eigh(Z.T @ Z)
+    Theta_ref = (Q * np.sqrt(w)) @ Q.T
+    X_ref = Z @ np.linalg.inv(Theta_ref)
+    np.testing.assert_allclose(Theta, Theta_ref, atol=1e-10 * max(1.0, np.linalg.norm(Z)))
+    np.testing.assert_allclose(X, X_ref, atol=1e-10)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_polar_decompose_reconstructs(seed):
+    rng = np.random.default_rng(seed)
+    X0 = sample_stiefel_uniform(15, 5, rng)
+    D = tangent_project(X0, rng.standard_normal((15, 5)))
+    Z = X0 - POLAR_ETAS[seed] * D
+    X, Theta = _polar_pair(Z, polar_retract(X0, D, POLAR_ETAS[seed]))
+    assert stiefel_error(X) <= 1e-10
+    assert np.linalg.norm(X @ Theta - Z) <= 1e-10 * np.linalg.norm(Z)
+    # Theta is symmetric PSD
+    np.testing.assert_allclose(Theta, Theta.T, atol=1e-12 * max(1.0, np.linalg.norm(Z)))
+    assert np.linalg.eigvalsh(Theta).min() > 0
+
+
+def test_polar_decompose_rejects_rank_deficient():
+    # the sampler's Z (Z^T Z)^{-1/2} has no polar factor when every draw of Z is singular
+    class ZeroNormal:
+        def standard_normal(self, shape):
+            return np.zeros(shape)
+
+    with pytest.raises(RankDeficientError, match="rank deficient twice"):
+        sample_stiefel_uniform(3, 2, ZeroNormal())
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +386,19 @@ def test_alignment_validates():
         alignment(U, X)  # r < r_A
     with pytest.raises(FeasibilityError):
         alignment(2.0 * U, U)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_misalignment_trace_matches_explicit_complement(seed):
+    # oracle: r_A - ||U^T X||_F^2 = ||X_perp^T U||_F^2 with X_perp built explicitly
+    rng = np.random.default_rng(seed)
+    m, r_a, r = 11, 3, 5
+    U = sample_stiefel_uniform(m, r_a, rng)
+    X = sample_stiefel_uniform(m, r, rng)
+    Q = np.linalg.qr(np.hstack([X, rng.standard_normal((m, m - r))]))[0]
+    X_perp = Q[:, r:]
+    ref = float(np.sum((X_perp.T @ U) ** 2))
+    assert alignment(U, X).misalignment_trace == pytest.approx(ref, abs=1e-10)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
