@@ -52,8 +52,7 @@ class RGDConfig:
 
     def __post_init__(self):
         _check_budget(self.max_iters, self.record_every)
-        if not (math.isfinite(self.eta) and self.eta >= 0):
-            raise ValueError(f"eta must be finite and nonnegative, got eta = {self.eta}")
+        _check_positive("eta", self.eta)
         _check_positive("gamma", self.gamma)
         check_loss_threshold(self.loss_threshold)
 

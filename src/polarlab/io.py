@@ -10,9 +10,11 @@ State checkpoint contract: a directory holding one matrix CSV per array
 field of the state, named ``<field>.csv``, and a ``meta.json`` with the
 state class's ``kind``, its scalar fields and the caller's metadata. The
 five state classes are listed in ``STATE_CLASSES``; each declares its
-``kind``, its two ``factors`` and ``delta_w()``. Loading looks the kind up
-there and reads only that class's files, so other files in the directory
-are ignored.
+``kind``, its two ``factors`` and ``delta_w()``. The two adapter states
+extend ``PolarFactors`` and ``BMFactors`` and hold no base weight. Loading
+looks the kind up there and reads only that class's files, so other files
+in the directory are ignored, such as the ``W0.csv`` of an older adapter
+checkpoint.
 """
 
 from __future__ import annotations

@@ -8,10 +8,14 @@ Stiefel manifolds not by retraction but by descending the landing field
 
 whose two components are Frobenius-orthogonal by construction. All three
 parameter updates of one step use gradients evaluated at the pre-step
-state (one backward pass). A state's ``params`` (X, Theta, Y or Z1, Z2)
-are packed in that order into one vector that one elementwise Adam
+state (one backward pass). ``AdapterState`` extends
+:class:`~polarlab.factorization.PolarFactors` and ``LoraState``
+:class:`~polarlab.factorization.BMFactors` by ``scale_alpha``, a checkpoint
+``kind`` and the alpha / r scale of ``delta_w()``; only DeltaW is trained,
+so neither holds the base weight. Their array fields (X, Theta, Y or Z1, Z2)
+are packed in field order into one vector that one elementwise Adam
 transform per step moves, bit for bit as one Adam per parameter would. The
-stepped state's params are views of that vector, so the next step reads
+stepped state's arrays are views of that vector, so the next step reads
 them without repacking. A trace row's stable rank of DeltaW needs no SVD.
 
 The task is least squares against whitened inputs: L = ||(W0 + DeltaW) D
@@ -31,13 +35,13 @@ field of :class:`polarlab.config.LandingConfig`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import ClassVar
 
 import numpy as np
 
 from .config import LandingConfig
-from .factorization import spaced_spectrum
+from .factorization import BMFactors, PolarFactors, spaced_spectrum
 from .runner import advance, run
 # stable_rank is not called here; the name stays because benchmark/layers.py traces polarlab.landing.stable_rank
 from .stiefel import distance_to_stiefel, sample_stiefel_uniform, stable_rank
@@ -53,76 +57,53 @@ ADAM_EPS = 1e-8
 
 
 @dataclass
-class AdapterState:
-    """Frozen base weights plus the polar-parameterized update."""
+class AdapterState(PolarFactors):
+    """The polar-parameterized update of a frozen base weight, DeltaW = (scale_alpha / r) X Theta Y^T."""
 
-    W0: np.ndarray
-    X: np.ndarray
-    Theta: np.ndarray
-    Y: np.ndarray
     scale_alpha: float = 32.0
     kind: ClassVar[str] = "polar-adapter"
-    factors: ClassVar[tuple] = ("X", "Y")
-    params: ClassVar[tuple] = ("X", "Theta", "Y")
-
-    @property
-    def r(self) -> int:
-        return self.X.shape[1]
 
     def delta_w(self) -> np.ndarray:
-        """(scale_alpha / r) * X Theta Y^T."""
-        return (self.scale_alpha / self.r) * ((self.X @ self.Theta) @ self.Y.T)
+        return (self.scale_alpha / self.r) * super().delta_w()
 
 
 @dataclass
-class LoraState:
+class LoraState(BMFactors):
     """Two-factor Euclidean baseline, DeltaW = (scale_alpha / r) Z1 Z2^T."""
 
-    W0: np.ndarray
-    Z1: np.ndarray
-    Z2: np.ndarray
     scale_alpha: float = 32.0
     kind: ClassVar[str] = "lora"
-    factors: ClassVar[tuple] = ("Z1", "Z2")
-    params: ClassVar[tuple] = ("Z1", "Z2")
-
-    @property
-    def r(self) -> int:
-        return self.Z1.shape[1]
 
     def delta_w(self) -> np.ndarray:
-        return (self.scale_alpha / self.r) * (self.Z1 @ self.Z2.T)
+        return (self.scale_alpha / self.r) * super().delta_w()
 
 
-def init_adapter_state(W0, r: int, rng: np.random.Generator, scale_alpha: float = 32.0) -> AdapterState:
-    """Uniform Stiefel X, Y and Theta = 0, so DeltaW = 0 at initialization."""
-    W0 = np.asarray(W0, dtype=np.float64)
-    m, n = W0.shape
-    return AdapterState(
-        W0=W0,
-        X=sample_stiefel_uniform(m, r, rng),
-        Theta=np.zeros((r, r)),
-        Y=sample_stiefel_uniform(n, r, rng),
-        scale_alpha=float(scale_alpha),
-    )
+def _params(state) -> list:
+    """The names of a state's array fields in field order, the parameters one Adam moves."""
+    return [f.name for f in fields(state) if isinstance(getattr(state, f.name), np.ndarray)]
 
 
-def init_lora_state(W0, r: int, rng: np.random.Generator, scale_alpha: float = 32.0) -> LoraState:
-    """Standard LoRA init: Z1 Gaussian, Z2 = 0, so DeltaW = 0 at initialization."""
-    W0 = np.asarray(W0, dtype=np.float64)
-    m, n = W0.shape
-    std = 1.0 / np.sqrt(max(m, n))
-    return LoraState(
-        W0=W0,
-        Z1=std * rng.standard_normal((m, r)),
-        Z2=np.zeros((n, r)),
-        scale_alpha=float(scale_alpha),
-    )
+def init_adapter_state(shape, r: int, rng: np.random.Generator, scale_alpha: float = 32.0) -> AdapterState:
+    """Uniform Stiefel X, Y and Theta = 0 for an (m, n) base weight, so DeltaW = 0; needs 1 <= r <= min(m, n)."""
+    m, n = shape
+    if not (1 <= r <= min(m, n)):
+        raise ValueError(f"need 1 <= r <= min(m, n), got r={r}, m={m}, n={n}")
+    X, Y = sample_stiefel_uniform(m, r, rng), sample_stiefel_uniform(n, r, rng)
+    return AdapterState(X=X, Theta=np.zeros((r, r)), Y=Y, scale_alpha=float(scale_alpha))
+
+
+def init_lora_state(shape, r: int, rng: np.random.Generator, scale_alpha: float = 32.0) -> LoraState:
+    """Standard LoRA init for an (m, n) base weight: Z1 Gaussian, Z2 = 0, so DeltaW = 0; needs r >= 1."""
+    m, n = shape
+    if r < 1:
+        raise ValueError(f"need r >= 1, got r={r}, m={m}, n={n}")
+    Z1 = (1.0 / np.sqrt(max(m, n))) * rng.standard_normal((m, r))
+    return LoraState(Z1=Z1, Z2=np.zeros((n, r)), scale_alpha=float(scale_alpha))
 
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators of one array, e.g. a state's packed ``params``."""
+    """First/second moment accumulators of one array, e.g. a state's packed array fields."""
 
     m: np.ndarray
     v: np.ndarray
@@ -134,8 +115,9 @@ class AdamState:
 
     @classmethod
     def for_state(cls, state) -> "AdamState":
-        """Zero moments over the packed ``params`` of an adapter state."""
-        return cls.zeros_like(np.zeros(sum(getattr(state, name).size for name in state.params)))
+        """Zero moments over the packed array fields of an adapter state."""
+        size = sum(getattr(state, name).size for name in _params(state))
+        return cls(m=np.zeros(size), v=np.zeros(size))
 
 
 def adam_transform(state: AdamState, g: np.ndarray) -> np.ndarray:
@@ -203,7 +185,8 @@ class WhitenedTask:
 
     ``residual`` is the rank-r_A matrix labels D^T - W0 the adapter must
     represent; ``c`` is the constant offset between the direct and factored
-    loss forms (zero when the labels are realizable).
+    loss forms (zero when the labels are realizable); ``kappa`` is the
+    condition number the spectrum was planted with, as given.
     """
 
     W0: np.ndarray
@@ -212,6 +195,7 @@ class WhitenedTask:
     residual: np.ndarray
     c: float
     planted_sigma: np.ndarray
+    kappa: float
 
     @property
     def r_a(self) -> int:
@@ -258,7 +242,7 @@ def make_whitened_task(
     P = (U_p * sigma) @ V_p.T
     labels = (W0 + P) @ D
     c = float(np.sum(labels * labels)) - float(np.sum((labels @ D.T) ** 2))
-    return WhitenedTask(W0=W0, D=D, labels=labels, residual=P, c=c, planted_sigma=sigma)
+    return WhitenedTask(W0=W0, D=D, labels=labels, residual=P, c=c, planted_sigma=sigma, kappa=float(kappa))
 
 
 def whitened_task_grads(task: WhitenedTask, state: AdapterState) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
@@ -295,8 +279,8 @@ def lora_grads(task: WhitenedTask, state: LoraState) -> tuple[np.ndarray, np.nda
 # methods, single steps and runners (the loop itself is polarlab.runner.run)
 
 
-def _adapter_columns(state, left, right) -> dict:
-    """Trace columns of either adapter: N of its two factors and the stable rank of W = DeltaW as
+def _adapter_columns(state) -> dict:
+    """Trace columns of either adapter: N of its two ``factors`` and the stable rank of W = DeltaW as
     trace(B) / lambda_max(B) = ||W||_F^2 / lambda_max(B), B the smaller of W^T W and W W^T: no SVD, equal
     to rounding. NaN where ||W||_F^2 is 0 or not finite, as for LoRA's DeltaW = 0 at initialization."""
     W = state.delta_w()
@@ -304,30 +288,32 @@ def _adapter_columns(state, left, right) -> dict:
     sr = math.nan
     if math.isfinite(fro2) and fro2 > 0.0:
         sr = fro2 / float(np.linalg.eigvalsh(W.T @ W if W.shape[0] >= W.shape[1] else W @ W.T)[-1])
+    left, right = (getattr(state, name) for name in state.factors)
     return {"n_x": distance_to_stiefel(left), "n_y": distance_to_stiefel(right), "stable_rank": sr}
 
 
 class _PackedAdam:
-    """The update both adapters share. ``layout`` maps each of ``state.params``
-    to its slice and shape in one packed vector; a step moves the packed
-    parameters p to p - eta_t * d, with d one Adam transform of the directions,
-    which it packs in the same order into a buffer it owns. It also keeps the
-    packed vector of the state it last returned, whose ``params`` are views of
-    it: a step from that state reads p there, from any other it packs p afresh.
-    The new parameters go into the fresh array Adam returns, so a step never
-    writes the arrays of the state it steps from. The stepped state is built
-    from the old one's fields, so W0 and scale_alpha stay the same objects."""
+    """The step and the trace columns both adapters share. ``layout`` maps each
+    array field of the state, in field order, to its slice and shape in one
+    packed vector; a step moves the packed parameters p to p - eta_t * d, with
+    d one Adam transform of ``directions``, one per field, which it packs in
+    the same order into a buffer it owns. It also keeps the packed vector of
+    the state it last returned, whose arrays are views of it: a step from that
+    state reads p there, from any other it packs p afresh. The new parameters
+    go into the fresh array Adam returns, so a step never writes the arrays of
+    the state it steps from. The stepped state is built from the old one's
+    fields, so scale_alpha stays the same object."""
 
     def __init__(self, task: WhitenedTask, cfg: LandingConfig, opt: AdamState, state):
         self.task, self.cfg, self.opt, self.layout, stop = task, cfg, opt, {}, 0
-        for name in state.params:
+        for name in _params(state):
             a = getattr(state, name)
             self.layout[name], stop = (slice(stop, stop + a.size), a.shape), stop + a.size
         if opt.m.shape != (stop,):
-            raise ValueError(f"opt has moments of shape {opt.m.shape}, the packed {state.params} need ({stop},)")
+            raise ValueError(f"opt has moments of shape {opt.m.shape}, the packed {tuple(self.layout)} need ({stop},)")
         self._directions, self._packed, self._views = np.empty(stop), None, (None,) * len(self.layout)
 
-    def _update(self, state, directions: tuple, it: int):
+    def step(self, state, directions: tuple, it: int):
         eta_t = self.cfg.eta_at(it)
         params = [getattr(state, name) for name in self.layout]
         reuse = all(a is view for a, view in zip(params, self._views))
@@ -337,6 +323,9 @@ class _PackedAdam:
         self._packed = np.subtract(p, d, out=d)
         self._views = tuple(d[s].reshape(shape) for s, shape in self.layout.values())
         return type(state)(**{**vars(state), **dict(zip(self.layout, self._views))})
+
+    def record(self, state, ev) -> dict:
+        return _adapter_columns(state)
 
 
 class _PolarLanding(_PackedAdam):
@@ -362,7 +351,7 @@ class _PolarLanding(_PackedAdam):
             dir_X = G_X + cfg.lam * grad_distance_to_stiefel(state.X)
             dir_Y = G_Y + cfg.lam * grad_distance_to_stiefel(state.Y)
         ev["taken"] = (dir_X, G_Theta, dir_Y)
-        return self._update(state, ev["taken"], it)
+        return super().step(state, ev["taken"], it)
 
     def record(self, state: AdapterState, ev: dict) -> dict:
         # the norm of the direction taken; the state after the last step takes none
@@ -370,23 +359,17 @@ class _PolarLanding(_PackedAdam):
         if "taken" in ev:
             dir_X, G_Theta, dir_Y = ev["taken"]
             grad_norm = float(np.sqrt(np.sum(dir_X**2) + np.sum(dir_Y**2) + np.sum(G_Theta**2)))
-        return {"grad_norm": grad_norm, **_adapter_columns(state, state.X, state.Y)}
+        return {"grad_norm": grad_norm, **super().record(state, ev)}
 
 
 class _Lora(_PackedAdam):
-    """Adam on both Euclidean factors from one backward pass."""
+    """Adam on both Euclidean factors from one backward pass, along their gradients."""
 
     name = "lora"
 
     def evaluate(self, state: LoraState):
         G1, G2, loss = lora_grads(self.task, state)
         return state, loss, (G1, G2)
-
-    def step(self, state: LoraState, ev, it: int) -> LoraState:
-        return self._update(state, ev, it)
-
-    def record(self, state: LoraState, ev) -> dict:
-        return _adapter_columns(state, state.Z1, state.Z2)
 
 
 def polar_train_step(
@@ -420,7 +403,7 @@ def _train(method: _PackedAdam, state):
         "n": task.W0.shape[1],
         "r": state.r,
         "r_A": task.r_a,
-        "kappa": float(task.planted_sigma[0] / task.planted_sigma[-1]),
+        "kappa": task.kappa,
         "lam": cfg.lam,
         "scale_alpha": cfg.alpha,
         "method": method.name,
@@ -436,11 +419,11 @@ def train_polar_landing(task: WhitenedTask, r: int, cfg: LandingConfig) -> tuple
     stable_rank of DeltaW; subspace alignment columns are undefined off
     the manifold and recorded as NaN.
     """
-    state = init_adapter_state(task.W0, r, np.random.default_rng(cfg.seed), cfg.alpha)
+    state = init_adapter_state(task.W0.shape, r, np.random.default_rng(cfg.seed), cfg.alpha)
     return _train(_PolarLanding(task, cfg, AdamState.for_state(state), state), state)
 
 
 def train_lora(task: WhitenedTask, r: int, cfg: LandingConfig) -> tuple[LoraState, RunTrace]:
     """Train the Euclidean two-factor baseline with Adam on the same task."""
-    state = init_lora_state(task.W0, r, np.random.default_rng(cfg.seed), cfg.alpha)
+    state = init_lora_state(task.W0.shape, r, np.random.default_rng(cfg.seed), cfg.alpha)
     return _train(_Lora(task, cfg, AdamState.for_state(state), state), state)

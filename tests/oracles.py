@@ -106,9 +106,13 @@ def euclid_grad_sym(target: FactorizationTarget, f: SymFactors) -> np.ndarray:
 # adapter steps with one Adam per parameter
 
 
+# the trained parameters of each adapter kind, in the order one packed Adam moves them
+PARAMS = {"polar-adapter": ("X", "Theta", "Y"), "lora": ("Z1", "Z2")}
+
+
 def per_parameter_opt(state) -> dict:
     """One zero AdamState per trained parameter of an adapter state."""
-    return {name: AdamState.zeros_like(getattr(state, name)) for name in state.params}
+    return {name: AdamState.zeros_like(getattr(state, name)) for name in PARAMS[state.kind]}
 
 
 def adam_reference(state: AdamState, g: np.ndarray) -> np.ndarray:

@@ -295,13 +295,12 @@ def test_a4_gradient_oracle_suite():
 
         # whitened-task gradients through the scaled adapter map
         task = make_whitened_task(m, n, 16, 2, rng, kappa=4.0)
-        st = init_adapter_state(task.W0, 3, rng)
-        st = AdapterState(W0=st.W0, X=st.X, Theta=rng.standard_normal((3, 3)), Y=st.Y)
+        st = init_adapter_state(task.W0.shape, 3, rng)
+        st = AdapterState(X=st.X, Theta=rng.standard_normal((3, 3)), Y=st.Y)
         G_X, G_Th, G_Y, _ = whitened_task_grads(task, st)
 
         def adapter_loss(**kw):
             s = AdapterState(
-                W0=st.W0,
                 X=kw.get("X", st.X),
                 Theta=kw.get("Theta", st.Theta),
                 Y=kw.get("Y", st.Y),
@@ -312,10 +311,10 @@ def test_a4_gradient_oracle_suite():
         track("task_theta", _rel_err(G_Th, _fd_grad(lambda W: adapter_loss(Theta=W), st.Theta)))
         track("task_y", _rel_err(G_Y, _fd_grad(lambda W: adapter_loss(Y=W), st.Y)))
 
-        lo = LoraState(W0=task.W0, Z1=rng.standard_normal((m, 3)), Z2=rng.standard_normal((n, 3)))
+        lo = LoraState(Z1=rng.standard_normal((m, 3)), Z2=rng.standard_normal((n, 3)))
         L1, L2, _ = lora_grads(task, lo)
-        track("lora_z1", _rel_err(L1, _fd_grad(lambda Z: task.loss(LoraState(W0=task.W0, Z1=Z, Z2=lo.Z2).delta_w()), lo.Z1)))
-        track("lora_z2", _rel_err(L2, _fd_grad(lambda Z: task.loss(LoraState(W0=task.W0, Z1=lo.Z1, Z2=Z).delta_w()), lo.Z2)))
+        track("lora_z1", _rel_err(L1, _fd_grad(lambda Z: task.loss(LoraState(Z1=Z, Z2=lo.Z2).delta_w()), lo.Z1)))
+        track("lora_z2", _rel_err(L2, _fd_grad(lambda Z: task.loss(LoraState(Z1=lo.Z1, Z2=Z).delta_w()), lo.Z2)))
 
     ok = max(worst.values()) <= 1e-5
     assert _report(
@@ -335,7 +334,7 @@ def test_a5_landing_run_lands_on_stiefel():
     total = 3000
     cfg = LandingConfig(lam=1e-3, eta=1e-2, schedule="linear", max_iters=total, seed=0)
     rng = np.random.default_rng(cfg.seed)
-    state = init_adapter_state(task.W0, 8, rng)
+    state = init_adapter_state(task.W0.shape, 8, rng)
     opt = AdamState.for_state(state)
 
     def ortho_violation(s: AdapterState) -> float:
@@ -458,6 +457,7 @@ def test_a8_whitened_loss_is_factorization_plus_constant():
         residual=lam_target - base.W0,
         c=float(np.sum(labels * labels)) - float(np.sum(lam_target * lam_target)),
         planted_sigma=base.planted_sigma,
+        kappa=base.kappa,
     )
     gaps = []
     for _ in range(10):

@@ -124,11 +124,17 @@ def test_bad_budget_or_cadence_exits_one_with_one_line(tmp_path, capsys, command
         (["finetune-toy", *FAST_FINETUNE], "--lam", "inf", "lam must be finite and positive, got lam = inf"),
         (["finetune-toy", *FAST_FINETUNE], "--alpha", "inf", "alpha must be finite and positive, got alpha = inf"),
         (["finetune-toy", *FAST_FINETUNE], "--alpha", "0", "alpha must be finite and positive, got alpha = 0.0"),
+        (["finetune-toy", *FAST_FINETUNE], "--r", "0", "need 1 <= r <= min(m, n), got r=0, m=24, n=16"),
+        (["finetune-toy", *FAST_FINETUNE], "--r", "20", "need 1 <= r <= min(m, n), got r=20, m=24, n=16"),
+        (["finetune-toy", *FAST_FINETUNE, "--method", "lora"], "--r", "0", "need r >= 1, got r=0, m=24, n=16"),
+        (["finetune-toy", *FAST_FINETUNE, "--method", "lora"], "--r", "-1", "need r >= 1, got r=-1, m=24, n=16"),
     ],
-    ids=["factorize-gamma-0", "factorize-gamma-nan", "finetune-toy-lam-inf", "finetune-toy-alpha-inf", "finetune-toy-alpha-0"],
+    ids=["factorize-gamma-0", "factorize-gamma-nan", "finetune-toy-lam-inf", "finetune-toy-alpha-inf", "finetune-toy-alpha-0",
+         "finetune-toy-polar-r-0", "finetune-toy-polar-r-above-n", "finetune-toy-lora-r-0", "finetune-toy-lora-r-negative"],
 )
 def test_bad_step_setting_exits_one_with_one_line(tmp_path, capsys, command, flag, value, message):
-    # a step size or penalty that is not finite and positive stops the command before its run starts
+    # a step size or penalty that is not finite and positive, or an adapter rank out of
+    # range for the base weight, stops the command before its run starts
     rc = main([*command, flag, value, "--out", str(tmp_path / "r")])
     captured = capsys.readouterr()
     assert rc == EXIT_ERROR
@@ -223,12 +229,25 @@ def test_bad_spectrum_exits_one_with_one_line(tmp_path, command, flags, message)
 
 
 @pytest.mark.parametrize("algo", ["polar-rgd", "bm-gd"])
-@pytest.mark.parametrize("eta", ["inf", "nan", "-1"])
+@pytest.mark.parametrize("eta", ["inf", "nan", "-1", "0"])
 def test_non_finite_eta_exits_one_with_one_line(tmp_path, algo, eta):
-    # bm-gd retracts nothing; its config rejects the step before a numpy warning can fire
+    # bm-gd retracts nothing; its config rejects the step before a numpy warning can fire,
+    # and a zero step, which would spend the budget without moving
     proc = _cli_subprocess(tmp_path, "factorize", "--algo", algo, "--eta", eta)
     assert proc.returncode == EXIT_ERROR
-    assert proc.stderr == f"error: eta must be finite and nonnegative, got eta = {float(eta)}\n"
+    assert proc.stderr == f"error: eta must be finite and positive, got eta = {float(eta)}\n"
+
+
+def test_finetune_records_the_kappa_it_was_given(tmp_path):
+    # kappa = 1e5 plants sigma_1 / sigma_r_a = 99999.99999999999; both commands record 1e5 itself
+    main(["finetune-toy", *FAST_FINETUNE, "--kappa", "1e5", "--max-iters", "2", "--out", str(tmp_path / "ft")])
+    main(["factorize", *FAST_FACTORIZE, "--algo", "bm-gd", "--kappa", "1e5", "--eta", "1e-7",
+          "--max-iters", "2", "--out", str(tmp_path / "fx")])
+    assert sorted(os.listdir(tmp_path / "ft")) == ["checkpoint", "config_resolved.txt",
+                                                 "landing-polar_100000_4_0.csv", "landing-polar_100000_4_0.json"]
+    assert "bm-gd_100000_5_1.csv" in os.listdir(tmp_path / "fx")
+    with open(tmp_path / "ft" / "landing-polar_100000_4_0.json") as fh:
+        assert json.load(fh)["kappa"] == 100000.0
 
 
 def test_failed_retraction_names_method_iteration_and_eta(tmp_path):

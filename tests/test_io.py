@@ -135,8 +135,8 @@ def _states():
         "polar-factors": PolarFactors(X=g((m, r)), Theta=g((r, r)), Y=g((n, r))),
         "bm-factors": BMFactors(Z1=g((m, r)), Z2=g((n, r))),
         "sym-factors": SymFactors(X=g((m, r)), Theta=g((r, r))),
-        "polar-adapter": AdapterState(W0=g((m, n)), X=g((m, r)), Theta=g((r, r)), Y=g((n, r)), scale_alpha=12.5),
-        "lora": LoraState(W0=g((m, n)), Z1=g((m, r)), Z2=g((n, r)), scale_alpha=12.5),
+        "polar-adapter": AdapterState(X=g((m, r)), Theta=g((r, r)), Y=g((n, r)), scale_alpha=12.5),
+        "lora": LoraState(Z1=g((m, r)), Z2=g((n, r)), scale_alpha=12.5),
     }
 
 
@@ -176,6 +176,13 @@ def test_load_state_reads_only_its_own_files(tmp_path):
     (tmp_path / "ckpt" / "notes.csv").write_text("a free-form note, not a matrix\n")
     back, _ = load_state(tmp_path / "ckpt")
     assert np.array_equal(back.delta_w(), state.delta_w())
+    # an adapter checkpoint written while the state still held the base weight has a W0.csv too
+    adapter = _states()["polar-adapter"]
+    save_state(tmp_path / "old", adapter, {})
+    save_matrix_csv(tmp_path / "old" / "W0.csv", np.random.default_rng(8).standard_normal((6, 5)))
+    back, _ = load_state(tmp_path / "old")
+    assert type(back) is AdapterState and not hasattr(back, "W0")
+    assert np.array_equal(back.delta_w(), adapter.delta_w())
 
 
 def test_load_state_requires_meta(tmp_path):

@@ -7,7 +7,7 @@ backward pass contract and the runners for determinism.
 """
 
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,6 +15,7 @@ import pytest
 
 from polarlab import io
 from polarlab.exceptions import DivergenceError
+from polarlab.factorization import BMFactors, PolarFactors
 from polarlab.landing import (
     _adapter_columns,
     _Lora,
@@ -47,6 +48,7 @@ from polarlab.stiefel import (
 )
 
 from oracles import (
+    PARAMS,
     lora_step_reference,
     per_parameter_opt,
     polar_directions_reference,
@@ -230,7 +232,7 @@ def test_direct_and_factored_losses_agree(seed):
 def test_factored_loss_leaves_out_c():
     t = _task(0)
     noisy = WhitenedTask(
-        W0=t.W0, D=t.D, labels=t.labels, residual=t.residual, c=-1e-16, planted_sigma=t.planted_sigma
+        W0=t.W0, D=t.D, labels=t.labels, residual=t.residual, c=-1e-16, planted_sigma=t.planted_sigma, kappa=t.kappa
     )
     assert noisy.loss(noisy.residual) == 0.0
 
@@ -253,13 +255,13 @@ def test_task_loss_is_the_trainers_final_loss():
 def test_whitened_task_grads_match_fd(seed):
     t = _task(seed)
     rng = np.random.default_rng(seed + 10)
-    state = init_adapter_state(t.W0, 4, rng)
-    state = AdapterState(W0=state.W0, X=state.X, Theta=rng.standard_normal((4, 4)), Y=state.Y)
+    state = init_adapter_state(t.W0.shape, 4, rng)
+    state = AdapterState(X=state.X, Theta=rng.standard_normal((4, 4)), Y=state.Y)
     G_X, G_Theta, G_Y, loss = whitened_task_grads(t, state)
     assert loss == pytest.approx(t.loss(state.delta_w()), rel=1e-12)
 
     def loss_at(**kw):
-        s = AdapterState(W0=state.W0, X=kw.get("X", state.X), Theta=kw.get("Theta", state.Theta), Y=kw.get("Y", state.Y))
+        s = AdapterState(X=kw.get("X", state.X), Theta=kw.get("Theta", state.Theta), Y=kw.get("Y", state.Y))
         return t.loss(s.delta_w())
 
     assert _rel_err(G_X, _fd_grad(lambda W: loss_at(X=W), state.X)) <= 1e-5
@@ -271,11 +273,11 @@ def test_whitened_task_grads_match_fd(seed):
 def test_lora_grads_match_fd(seed):
     t = _task(seed)
     rng = np.random.default_rng(seed + 20)
-    state = LoraState(W0=t.W0, Z1=rng.standard_normal((12, 4)), Z2=rng.standard_normal((10, 4)))
+    state = LoraState(Z1=rng.standard_normal((12, 4)), Z2=rng.standard_normal((10, 4)))
     G1, G2, loss = lora_grads(t, state)
     assert loss == pytest.approx(t.loss(state.delta_w()), rel=1e-12)
-    fd1 = _fd_grad(lambda Z: t.loss(LoraState(W0=t.W0, Z1=Z, Z2=state.Z2).delta_w()), state.Z1)
-    fd2 = _fd_grad(lambda Z: t.loss(LoraState(W0=t.W0, Z1=state.Z1, Z2=Z).delta_w()), state.Z2)
+    fd1 = _fd_grad(lambda Z: t.loss(LoraState(Z1=Z, Z2=state.Z2).delta_w()), state.Z1)
+    fd2 = _fd_grad(lambda Z: t.loss(LoraState(Z1=state.Z1, Z2=Z).delta_w()), state.Z2)
     assert _rel_err(G1, fd1) <= 1e-5
     assert _rel_err(G2, fd2) <= 1e-5
 
@@ -286,7 +288,7 @@ def test_lora_grads_match_fd(seed):
 
 def test_init_adapter_starts_at_zero_update():
     t = _task(0)
-    state = init_adapter_state(t.W0, 4, np.random.default_rng(0))
+    state = init_adapter_state(t.W0.shape, 4, np.random.default_rng(0))
     assert np.array_equal(state.Theta, np.zeros((4, 4)))
     assert np.array_equal(state.delta_w(), np.zeros((12, 10)))
     assert distance_to_stiefel(state.X) <= 1e-18
@@ -294,8 +296,7 @@ def test_init_adapter_starts_at_zero_update():
 
 
 def test_init_lora_scale_and_zero_update():
-    W0 = np.zeros((64, 64))
-    state = init_lora_state(W0, 40, np.random.default_rng(1))
+    state = init_lora_state((64, 64), 40, np.random.default_rng(1))
     assert np.array_equal(state.Z2, np.zeros((64, 40)))
     assert state.Z1.std() == pytest.approx(1.0 / 8.0, rel=0.1)
     assert np.array_equal(state.delta_w(), np.zeros((64, 64)))
@@ -303,8 +304,24 @@ def test_init_lora_scale_and_zero_update():
 
 def test_delta_w_scaling():
     rng = np.random.default_rng(2)
-    state = AdapterState(W0=np.zeros((6, 5)), X=rng.standard_normal((6, 3)), Theta=np.eye(3), Y=rng.standard_normal((5, 3)), scale_alpha=12.0)
+    state = AdapterState(X=rng.standard_normal((6, 3)), Theta=np.eye(3), Y=rng.standard_normal((5, 3)), scale_alpha=12.0)
     assert np.allclose(state.delta_w(), 4.0 * state.X @ state.Y.T, atol=1e-14)
+
+
+def test_adapter_states_extend_the_factor_states():
+    # each adapter adds scale_alpha, its kind and the alpha / r scale; it holds no base weight
+    g = np.random.default_rng(3).standard_normal
+    X, Theta, Y, Z1, Z2 = g((6, 3)), g((3, 3)), g((5, 3)), g((6, 3)), g((5, 3))
+    polar = AdapterState(X=X, Theta=Theta, Y=Y, scale_alpha=12.0)
+    lora = LoraState(Z1=Z1, Z2=Z2, scale_alpha=12.0)
+    assert isinstance(polar, PolarFactors) and isinstance(lora, BMFactors)
+    assert (polar.kind, lora.kind) == ("polar-adapter", "lora")
+    assert [f.name for f in fields(polar)] == ["X", "Theta", "Y", "scale_alpha"]
+    assert [f.name for f in fields(lora)] == ["Z1", "Z2", "scale_alpha"]
+    assert not hasattr(polar, "params") and not hasattr(lora, "params")
+    # the bits of the expressions each state evaluated when it declared its own factors
+    assert np.array_equal(polar.delta_w(), (12.0 / 3) * ((X @ Theta) @ Y.T))
+    assert np.array_equal(lora.delta_w(), (12.0 / 3) * (Z1 @ Z2.T))
 
 
 def test_config_validates_and_schedules():
@@ -334,7 +351,7 @@ def test_polar_step_at_theta_zero_moves_only_by_penalty():
     # at Theta = 0 the X and Y loss gradients vanish, so the landing field
     # reduces to its penalty component, while Theta picks up the residual
     t = _task(3)
-    state = init_adapter_state(t.W0, 4, np.random.default_rng(5))
+    state = init_adapter_state(t.W0.shape, 4, np.random.default_rng(5))
     G_X, G_Theta, G_Y, _ = whitened_task_grads(t, state)
     assert np.array_equal(G_X, np.zeros_like(state.X))
     assert np.array_equal(G_Y, np.zeros_like(state.Y))
@@ -350,8 +367,8 @@ def test_polar_step_single_backward_pass():
     # all three updates must come from gradients at the pre-step state
     t = _task(4)
     rng = np.random.default_rng(6)
-    state = init_adapter_state(t.W0, 4, rng)
-    state = AdapterState(W0=state.W0, X=state.X, Theta=rng.standard_normal((4, 4)), Y=state.Y)
+    state = init_adapter_state(t.W0.shape, 4, rng)
+    state = AdapterState(X=state.X, Theta=rng.standard_normal((4, 4)), Y=state.Y)
     cfg = LandingConfig(lam=1e-3, eta=1e-2, max_iters=1)
     opt = AdamState.for_state(state)
     new, loss = polar_train_step(t, state, opt, cfg, 0)
@@ -369,7 +386,7 @@ def test_polar_step_single_backward_pass():
 
 def test_polar_step_theta_modes():
     t = _task(5)
-    state = init_adapter_state(t.W0, 4, np.random.default_rng(7))
+    state = init_adapter_state(t.W0.shape, 4, np.random.default_rng(7))
     cfg = LandingConfig(eta=1e-2, max_iters=1, theta_mode="diagonal")
     opt = AdamState.for_state(state)
     new, _ = polar_train_step(t, state, opt, cfg, 0)
@@ -383,8 +400,8 @@ def test_polar_step_theta_modes():
 
 def test_polar_step_divergence_guard():
     t = _task(6)
-    state = init_adapter_state(t.W0, 4, np.random.default_rng(8))
-    state = AdapterState(W0=state.W0, X=state.X, Theta=1e200 * np.eye(4), Y=state.Y)
+    state = init_adapter_state(t.W0.shape, 4, np.random.default_rng(8))
+    state = AdapterState(X=state.X, Theta=1e200 * np.eye(4), Y=state.Y)
     cfg = LandingConfig(eta=1e-2, max_iters=1)
     opt = AdamState.for_state(state)
     with np.errstate(over="ignore"), pytest.raises(DivergenceError):
@@ -394,7 +411,7 @@ def test_polar_step_divergence_guard():
 def test_lora_step_first_move_freezes_z1():
     # Z2 = 0 makes the Z1 gradient exactly zero, so Z1 must not move
     t = _task(7)
-    state = init_lora_state(t.W0, 4, np.random.default_rng(9))
+    state = init_lora_state(t.W0.shape, 4, np.random.default_rng(9))
     cfg = LandingConfig(eta=1e-2, max_iters=1)
     opt = AdamState.for_state(state)
     new, _ = lora_train_step(t, state, opt, cfg, 0)
@@ -418,7 +435,7 @@ def test_packed_adam_matches_per_parameter_oracle(method, modes, schedule):
         "polar": (init_adapter_state, polar_train_step, polar_step_reference),
         "lora": (init_lora_state, lora_train_step, lora_step_reference),
     }[method]
-    state = ref = init(t.W0, 4, np.random.default_rng(14))
+    state = ref = init(t.W0.shape, 4, np.random.default_rng(14))
     cfg = LandingConfig(lam=1e-3, eta=1e-2, schedule=schedule, max_iters=40, **modes)
     opt, ref_opts = AdamState.for_state(state), per_parameter_opt(state)
     for it in range(25):
@@ -426,9 +443,9 @@ def test_packed_adam_matches_per_parameter_oracle(method, modes, schedule):
         ref = reference(t, ref, ref_opts, cfg, it, **modes)
     assert opt.t == 25 and all(o.t == 25 for o in ref_opts.values())
     for moment in ("m", "v"):
-        want = np.concatenate([getattr(ref_opts[name], moment).ravel() for name in state.params])
+        want = np.concatenate([getattr(ref_opts[name], moment).ravel() for name in PARAMS[state.kind]])
         assert np.array_equal(getattr(opt, moment), want)
-    for name in state.params:
+    for name in PARAMS[state.kind]:
         assert np.array_equal(getattr(state, name), getattr(ref, name))
 
 
@@ -436,11 +453,11 @@ def test_packed_adam_matches_per_parameter_oracle(method, modes, schedule):
 def test_step_leaves_the_state_it_steps_from_unchanged(method):
     t = _task(15)
     init, step = {"polar": (init_adapter_state, polar_train_step), "lora": (init_lora_state, lora_train_step)}[method]
-    state = init(t.W0, 4, np.random.default_rng(16))
+    state = init(t.W0.shape, 4, np.random.default_rng(16))
     cfg = LandingConfig(eta=1e-2, max_iters=10)
     opt = AdamState.for_state(state)
     for it in range(3):  # after the first step the parameters are views of one packed vector
-        before = {name: getattr(state, name).copy() for name in state.params}
+        before = {name: getattr(state, name).copy() for name in PARAMS[state.kind]}
         new, _ = step(t, state, opt, cfg, it)
         for name, array in before.items():
             assert np.array_equal(getattr(state, name), array)
@@ -459,7 +476,7 @@ class _Watched:
         return self.method.evaluate(state)
 
     def step(self, state, ev, it):
-        views = tuple(getattr(state, name) for name in state.params)
+        views = tuple(getattr(state, name) for name in PARAMS[state.kind])
         returned_last = all(a is b for a, b in zip(views, self.method._views))
         self.stepped.append((state, [a.copy() for a in views], returned_last))
         return self.method.step(state, ev, it)
@@ -484,7 +501,7 @@ def test_one_method_object_matches_per_parameter_oracle(method, modes, schedule)
         "polar": (init_adapter_state, _PolarLanding, polar_step_reference),
         "lora": (init_lora_state, _Lora, lora_step_reference),
     }[method]
-    state = ref = init(t.W0, 4, np.random.default_rng(18))
+    state = ref = init(t.W0.shape, 4, np.random.default_rng(18))
     cfg = LandingConfig(lam=1e-3, eta=1e-2, schedule=schedule, max_iters=60, **modes)
     opt, ref_opts = AdamState.for_state(state), per_parameter_opt(state)
     watched = _Watched(make(t, cfg, opt, state))
@@ -493,13 +510,13 @@ def test_one_method_object_matches_per_parameter_oracle(method, modes, schedule)
         ref = reference(t, ref, ref_opts, cfg, it, **modes)
     assert opt.t == 60 and all(o.t == 60 for o in ref_opts.values())
     for moment in ("m", "v"):
-        want = np.concatenate([getattr(ref_opts[name], moment).ravel() for name in state.params])
+        want = np.concatenate([getattr(ref_opts[name], moment).ravel() for name in PARAMS[state.kind]])
         assert np.array_equal(getattr(opt, moment), want)
-    for name in state.params:
+    for name in PARAMS[state.kind]:
         assert np.array_equal(getattr(state, name), getattr(ref, name))
     assert [returned_last for _, _, returned_last in watched.stepped] == [False] + [True] * 59
     for stepped_from, copies, _ in watched.stepped:  # no step wrote a state it had stepped from
-        for name, copy in zip(stepped_from.params, copies):
+        for name, copy in zip(PARAMS[stepped_from.kind], copies):
             assert np.array_equal(getattr(stepped_from, name), copy)
 
 
@@ -507,26 +524,26 @@ def test_one_method_object_matches_per_parameter_oracle(method, modes, schedule)
 def test_state_not_returned_by_the_method_is_packed_afresh(method):
     t = _task(19)
     init, make = {"polar": (init_adapter_state, _PolarLanding), "lora": (init_lora_state, _Lora)}[method]
-    state = init(t.W0, 4, np.random.default_rng(20))
+    state = init(t.W0.shape, 4, np.random.default_rng(20))
     cfg = LandingConfig(eta=1e-2, max_iters=10)
     opt = AdamState.for_state(state)
     stepper = make(t, cfg, opt, state)
     for it in range(3):
         state, _ = advance(stepper, state, it)
     # the last parameter replaced by a fresh array; the others are still the method's views
-    last = state.params[-1]
+    last = PARAMS[state.kind][-1]
     hand = replace(state, **{last: getattr(state, last) + 0.5})
     fresh_opt = AdamState(m=opt.m.copy(), v=opt.v.copy(), t=opt.t)
     got, _ = advance(stepper, hand, 3)
     want, _ = advance(make(t, cfg, fresh_opt, hand), hand, 3)
-    for name in state.params:
+    for name in PARAMS[state.kind]:
         assert np.array_equal(getattr(got, name), getattr(want, name))
     assert np.array_equal(opt.m, fresh_opt.m) and np.array_equal(opt.v, fresh_opt.v)
 
 
 def test_step_rejects_opt_of_another_layout():
     t = _task(15)
-    state = init_adapter_state(t.W0, 4, np.random.default_rng(16))
+    state = init_adapter_state(t.W0.shape, 4, np.random.default_rng(16))
     with pytest.raises(ValueError, match="moments"):
         polar_train_step(t, state, AdamState.zeros_like(state.X), LandingConfig(max_iters=1), 0)
 
@@ -541,13 +558,13 @@ def test_linear_schedule_needs_a_budget():
 def test_step_keeps_the_non_param_fields(method):
     t = _task(27)
     init, make = {"polar": (init_adapter_state, _PolarLanding), "lora": (init_lora_state, _Lora)}[method]
-    state = init(t.W0, 4, np.random.default_rng(28), scale_alpha=8.0)
+    state = init(t.W0.shape, 4, np.random.default_rng(28), scale_alpha=8.0)
     stepper = make(t, LandingConfig(eta=1e-2, max_iters=10), AdamState.for_state(state), state)
     for it in range(3):  # the first step packs afresh, the later ones reuse the packed vector
         new, _ = advance(stepper, state, it)
         assert type(new) is type(state)
-        assert new.W0 is state.W0 and new.scale_alpha is state.scale_alpha
-        assert all(getattr(new, name) is view for name, view in zip(new.params, stepper._views))
+        assert new.scale_alpha is state.scale_alpha
+        assert all(getattr(new, name) is view for name, view in zip(PARAMS[new.kind], stepper._views))
         state = new
 
 
@@ -601,7 +618,7 @@ def test_train_lora_descends():
 
 def test_component_orthogonality_along_run():
     t = _task(10)
-    state = init_adapter_state(t.W0, 4, np.random.default_rng(11))
+    state = init_adapter_state(t.W0.shape, 4, np.random.default_rng(11))
     cfg = _small_cfg(100)
     opt = AdamState.for_state(state)
     for step in range(100):
@@ -616,7 +633,7 @@ def test_component_orthogonality_along_run():
 
 def _row_stable_rank(W):
     """The stable_rank a trace row records for an adapter whose DeltaW is W."""
-    return _adapter_columns(SimpleNamespace(delta_w=lambda: W), np.eye(2), np.eye(2))["stable_rank"]
+    return _adapter_columns(SimpleNamespace(delta_w=lambda: W, factors=("F", "F"), F=np.eye(2)))["stable_rank"]
 
 
 def _spectrum_matrix(m, n, sigma, rng):
@@ -668,7 +685,7 @@ def test_trace_rows_keep_the_bits_of_the_per_parameter_oracle(method, modes):
     # with the plain np.sum(d**2) expression; n_x and n_y are distance_to_stiefel's
     t = _task(34)
     init, make = {"polar": (init_adapter_state, _PolarLanding), "lora": (init_lora_state, _Lora)}[method]
-    state = ref = init(t.W0, 4, np.random.default_rng(35))
+    state = ref = init(t.W0.shape, 4, np.random.default_rng(35))
     cfg = LandingConfig(lam=1e-3, eta=1e-2, schedule="linear", max_iters=40, **modes)
     opt, ref_opts = AdamState.for_state(state), per_parameter_opt(state)
     tr, _ = run(make(t, cfg, opt, state), state, {}, cfg.max_iters, record_every=3)
@@ -713,8 +730,9 @@ def test_adapter_checkpoint_roundtrip(tmp_path):
     assert isinstance(loaded, AdapterState)
     assert meta["kind"] == "polar-adapter"
     assert meta["note"] == "test"
-    for name in ("W0", "X", "Theta", "Y"):
+    for name in ("X", "Theta", "Y"):
         assert np.array_equal(getattr(loaded, name), getattr(state, name))
+    assert not (tmp_path / "polar" / "W0.csv").exists()
 
     lstate, _ = train_lora(t, 4, _small_cfg(30, record_every=15))
     io.save_state(tmp_path / "lora", lstate, {})
@@ -722,6 +740,7 @@ def test_adapter_checkpoint_roundtrip(tmp_path):
     assert isinstance(lloaded, LoraState)
     assert np.array_equal(lloaded.Z1, lstate.Z1)
     assert np.array_equal(lloaded.Z2, lstate.Z2)
+    assert not (tmp_path / "lora" / "W0.csv").exists()
 
 
 def test_checkpoint_rejects_unknown_kind(tmp_path):
