@@ -30,6 +30,7 @@ import numpy as np
 
 from .config import RGDConfig
 from .runner import advance, run
+# require_stiefel is not called here; the name stays because benchmark/layers.py traces polarlab.factorization.require_stiefel
 from .stiefel import (
     alignment,
     polar_retract,

@@ -110,10 +110,6 @@ class AdamState:
     t: int = 0
 
     @classmethod
-    def zeros_like(cls, x) -> "AdamState":
-        return cls(m=np.zeros_like(x), v=np.zeros_like(x))
-
-    @classmethod
     def for_state(cls, state) -> "AdamState":
         """Zero moments over the packed array fields of an adapter state."""
         size = sum(getattr(state, name).size for name in _params(state))

@@ -29,12 +29,28 @@ TANGENCY_TOL = 1e-8
 # Unit roundoff of float64; the binomial series in polar_retract is truncated
 # once its tail is below it.
 UNIT_ROUNDOFF = 2.0**-53
-# Highest order of that series; larger orders fall back to eigh, which costs
-# more than the at most 6 r x r products the series needs up to this order.
-RETRACT_SERIES_MAX_ORDER = 8
+# Highest order of that series; larger orders fall back to eigh. Up to this
+# order the series needs at most 10 r x r products, and one eigh with its
+# rebuild costs about as much as 50 of them at r = 32 and 13 at r = 256
+# (OpenBLAS, one thread, on a 2-core x86-64 VM).
+RETRACT_SERIES_MAX_ORDER = 12
 # Binomial coefficients c_k of (1 + x)^{-1/2} = sum_k c_k (-x)^k:
 # c_0 = 1, c_k = c_{k-1} (2k - 1) / (2k).
-_BINOMIAL_COEFFS = (1.0, 1 / 2, 3 / 8, 5 / 16, 35 / 128, 63 / 256, 231 / 1024, 429 / 2048, 6435 / 32768)
+_BINOMIAL_COEFFS = (
+    1.0,
+    1 / 2,
+    3 / 8,
+    5 / 16,
+    35 / 128,
+    63 / 256,
+    231 / 1024,
+    429 / 2048,
+    6435 / 32768,
+    12155 / 65536,
+    46189 / 262144,
+    88179 / 524288,
+    676039 / 4194304,
+)
 # Rows of norm below this are left out of pairwise_direction_distances.
 ZERO_ROW_TOL = 1e-12
 # Newton-Schulz polishing target; effectively machine precision for the
@@ -129,11 +145,11 @@ def sample_stiefel_uniform(m: int, r: int, rng: np.random.Generator) -> np.ndarr
 
 
 def retract_series_order(x: float) -> int | None:
-    """Order n of the binomial series polar_retract uses at x = ||eta^2 D^T D||_F.
+    """Order n of the binomial series for (I + K)^{-1/2} at a bound x >= ||K||_2.
 
     n is the smallest order whose truncation bound c_n x^n / (1 - x) is at
-    most the unit roundoff. ``None`` means the eigendecomposition is used:
-    x >= 1/2, or n would exceed ``RETRACT_SERIES_MAX_ORDER``.
+    most the unit roundoff. ``None`` means no order qualifies: x >= 1/2, or
+    n would exceed ``RETRACT_SERIES_MAX_ORDER``.
     """
     if not x < 0.5:
         return None
@@ -155,17 +171,32 @@ def _binomial_inv_sqrt(K: np.ndarray, n: int) -> np.ndarray:
     return S
 
 
+def _series_order(K: np.ndarray) -> int | None:
+    """Series order polar_retract uses for K = eta^2 D^T D, or ``None`` for eigh.
+
+    The Frobenius norm decides first. Where it selects eigh, the order is
+    taken again at min(||K||_F, ||K||_1): for symmetric K both bound
+    ||K||_2, and ||K||_F overstates it by up to sqrt(r) when the spectrum
+    is flat, as for a random direction at m >> r.
+    """
+    fro = math.sqrt(float(np.vdot(K, K)))
+    n = retract_series_order(fro)
+    if n is None:
+        n = retract_series_order(min(fro, float(np.abs(K).sum(axis=0).max())))
+    return n
+
+
 def polar_retract(X, D, eta: float) -> np.ndarray:
     """Polar retraction (X - eta D)(I + K)^{-1/2} with K = eta^2 D^T D.
 
     The inverse square root is the binomial series
     sum_{k<n} c_k (-K)^k, with c_0 = 1 and c_k = c_{k-1} (2k - 1) / (2k),
-    truncated at the smallest order n whose tail bound c_n x^n / (1 - x),
-    x = ||K||_F >= ||K||_2, is at most the unit roundoff (see
-    :func:`retract_series_order`); at n = 1 the factor is I and no product
-    is formed. When x >= 1/2, or n would exceed
-    ``RETRACT_SERIES_MAX_ORDER``, it comes from the eigendecomposition of
-    D^T D instead.
+    truncated at the smallest order n whose tail bound c_n x^n / (1 - x)
+    is at most the unit roundoff (see :func:`retract_series_order`). x is
+    ||K||_F, or min(||K||_F, ||K||_1) where ||K||_F selects no order; both
+    bound ||K||_2. At n = 1 the factor is I and no product is formed. When
+    x >= 1/2, or n would exceed ``RETRACT_SERIES_MAX_ORDER`` = 12, it comes
+    from the eigendecomposition of D^T D instead.
 
     X and D must be 2-D of one tall shape and eta finite and >= 0, else
     ``ValueError``. D must be tangent at X: ||X^T D + D^T X||_F <= 1e-8
@@ -191,7 +222,7 @@ def polar_retract(X, D, eta: float) -> np.ndarray:
             f" = {TANGENCY_TOL:.0e} max(1, ||D||_F) at eta = {eta:g}"
         )
     K = (eta * eta) * M
-    n = retract_series_order(math.sqrt(float(np.vdot(K, K))))
+    n = _series_order(K)
     # X - eta D in one buffer: -fl(eta d) is exact and x + (-t) rounds like x - t
     step = np.multiply(D, -eta)
     step += X

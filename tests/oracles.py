@@ -18,7 +18,6 @@ of the entry-by-entry formula at the end.
 
 from __future__ import annotations
 
-import math
 from dataclasses import replace
 
 import numpy as np
@@ -112,7 +111,8 @@ PARAMS = {"polar-adapter": ("X", "Theta", "Y"), "lora": ("Z1", "Z2")}
 
 def per_parameter_opt(state) -> dict:
     """One zero AdamState per trained parameter of an adapter state."""
-    return {name: AdamState.zeros_like(getattr(state, name)) for name in PARAMS[state.kind]}
+    params = {name: getattr(state, name) for name in PARAMS[state.kind]}
+    return {name: AdamState(m=np.zeros_like(x), v=np.zeros_like(x)) for name, x in params.items()}
 
 
 def adam_reference(state: AdamState, g: np.ndarray) -> np.ndarray:
@@ -179,7 +179,9 @@ def polar_retract_reference(X, D, eta: float) -> np.ndarray:
     D = np.asarray(D, dtype=np.float64)
     M = D.T @ D
     K = (eta * eta) * M
-    n = retract_series_order(math.sqrt(float(np.vdot(K, K))))
+    n = retract_series_order(np.linalg.norm(K))
+    if n is None:
+        n = retract_series_order(min(np.linalg.norm(K), np.linalg.norm(K, 1)))
     step = X - eta * D
     if n is None:
         w, Q = np.linalg.eigh(M)

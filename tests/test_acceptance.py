@@ -11,10 +11,10 @@ that train_polar_landing runs, against the polar retraction: the landing
 method's point is that a step costs less than a retraction, so the like-
 for-like update must be faster at every rank. A7b compares how the
 retraction and the materialized landing op grow in r: the retraction's
-r x r eigendecomposition makes it superlinear, while the m x m skew product
-of the materialized op makes its cost near-linear in r. Each rank's ops are
-timed back to back, so slow drift of the machine's speed falls on both
-sides of a comparison alike.
+m x r x r products and r x r binomial series make it superlinear, while
+the m x m skew product of the materialized op makes its cost near-linear
+in r. Each rank's ops are timed back to back, so slow drift of the
+machine's speed falls on both sides of a comparison alike.
 """
 
 import numpy as np

@@ -29,8 +29,26 @@ from polarlab.landing import landing_field
 from polarlab.runner import advance
 from polarlab.stiefel import polar_retract, retract_series_order, sample_stiefel_uniform, tangent_project
 
-# x = ||eta^2 D^T D||_F inside each order's interval of retract_series_order; None takes eigh
-ORDER_X = {1: 5e-17, 2: 2e-12, 3: 3.5e-7, 4: 3e-5, 5: 3.5e-4, 6: 1.5e-3, 7: 4.3e-3, 8: 9e-3, None: 0.08}
+# x = ||eta^2 D^T D||_F inside each order's interval of retract_series_order; None takes eigh, as
+# the 1-norm order is above 12 there too
+ORDER_X = {
+    1: 5e-17,
+    2: 2e-12,
+    3: 3.5e-7,
+    4: 3e-5,
+    5: 3.5e-4,
+    6: 1.5e-3,
+    7: 4.3e-3,
+    8: 9e-3,
+    9: 1.6e-2,
+    10: 2.5e-2,
+    11: 3.5e-2,
+    12: 4.7e-2,
+    None: 0.3,
+}
+# (shape, x, order of ||eta^2 D^T D||_1) where the Frobenius order is None: the series runs at the
+# 1-norm's order, and eigh only where that is None too, here with both bounds >= 1/2
+ONE_NORM_CASES = [((4096, 32), 0.08, 10), ((4096, 256), 0.08, 10), ((4096, 32), 4.0, None)]
 
 
 def _tangent_pair(m, r, seed):
@@ -47,6 +65,24 @@ def test_retraction_matches_reference_at_every_order(shape, order):
     eta = float(np.sqrt(ORDER_X[order] / k_norm))
     assert retract_series_order(eta * eta * k_norm) == order
     assert np.array_equal(polar_retract(X, D, eta), polar_retract_reference(X, D, eta))
+
+
+@pytest.mark.parametrize("shape, x, order", ONE_NORM_CASES)
+def test_retraction_takes_the_one_norm_order_where_frobenius_selects_eigh(monkeypatch, shape, x, order):
+    X, D = _tangent_pair(*shape, seed=3)
+    M = D.T @ D
+    eta = float(np.sqrt(x / np.linalg.norm(M)))
+    K = eta * eta * M
+    assert retract_series_order(np.linalg.norm(K)) is None
+    assert retract_series_order(np.linalg.norm(K, 1)) == order
+    assert order is not None or np.linalg.norm(K, 1) >= 0.5
+    eigh_calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda A: eigh_calls.append(A) or eigh(A))
+    out = polar_retract(X, D, eta)
+    monkeypatch.undo()
+    assert len(eigh_calls) == (1 if order is None else 0)
+    assert np.array_equal(out, polar_retract_reference(X, D, eta))
 
 
 @pytest.mark.parametrize("shape", [(12, 4), (50, 20), (4096, 32)])

@@ -82,7 +82,7 @@ def _rel_err(A, B):
 def test_adam_three_step_scalar_oracle():
     # independent recursion: m_t = .9 m + .1 g, v_t = .999 v + .001 g^2,
     # update = (m_t / (1-.9^t)) / (sqrt(v_t / (1-.999^t)) + 1e-8)
-    state = AdamState.zeros_like(np.zeros(1))
+    state = AdamState(m=np.zeros(1), v=np.zeros(1))
     grads = [1.0, -2.0, 0.5]
     expected = [0.9999999900000002, -0.36610352472074836, -0.13669066201746632]
     for g, e in zip(grads, expected):
@@ -92,14 +92,14 @@ def test_adam_three_step_scalar_oracle():
 
 
 def test_adam_first_step_is_sign_like():
-    state = AdamState.zeros_like(np.zeros((3, 2)))
+    state = AdamState(m=np.zeros((3, 2)), v=np.zeros((3, 2)))
     g = np.array([[5.0, -0.01], [100.0, -3.0], [0.5, 2.0]])
     out = adam_transform(state, g)
     assert np.allclose(out, np.sign(g), atol=1e-5)
 
 
 def test_adam_zero_gradient_stays_zero():
-    state = AdamState.zeros_like(np.zeros((2, 2)))
+    state = AdamState(m=np.zeros((2, 2)), v=np.zeros((2, 2)))
     for _ in range(5):
         out = adam_transform(state, np.zeros((2, 2)))
         assert np.array_equal(out, np.zeros((2, 2)))
@@ -374,7 +374,7 @@ def test_polar_step_single_backward_pass():
     new, loss = polar_train_step(t, state, opt, cfg, 0)
 
     G_X, G_Theta, G_Y, loss_ref = whitened_task_grads(t, state)
-    ref_opt = {k: AdamState.zeros_like(getattr(state, k)) for k in ("X", "Theta", "Y")}
+    ref_opt = per_parameter_opt(state)
     want_X = state.X - 1e-2 * adam_transform(ref_opt["X"], landing_field(state.X, G_X, 1e-3))
     want_Th = state.Theta - 1e-2 * adam_transform(ref_opt["Theta"], G_Theta)
     want_Y = state.Y - 1e-2 * adam_transform(ref_opt["Y"], landing_field(state.Y, G_Y, 1e-3))
@@ -544,8 +544,9 @@ def test_state_not_returned_by_the_method_is_packed_afresh(method):
 def test_step_rejects_opt_of_another_layout():
     t = _task(15)
     state = init_adapter_state(t.W0.shape, 4, np.random.default_rng(16))
+    opt = AdamState(m=np.zeros_like(state.X), v=np.zeros_like(state.X))
     with pytest.raises(ValueError, match="moments"):
-        polar_train_step(t, state, AdamState.zeros_like(state.X), LandingConfig(max_iters=1), 0)
+        polar_train_step(t, state, opt, LandingConfig(max_iters=1), 0)
 
 
 def test_linear_schedule_needs_a_budget():
