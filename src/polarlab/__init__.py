@@ -17,7 +17,6 @@ _EXPORTS = {
     # manifold primitives and diagnostics
     "sample_stiefel_uniform": "stiefel",
     "polar_retract": "stiefel",
-    "skew_part": "stiefel",
     "tangent_project": "stiefel",
     "stiefel_error": "stiefel",
     "require_stiefel": "stiefel",
@@ -57,9 +56,6 @@ _EXPORTS = {
     "run_polar_rgd": "factorization",
     "run_bm_gd": "factorization",
     "run_sym_rgd": "factorization",
-    "alignment_gain_predicate": "factorization",
-    "AlignmentGainReport": "factorization",
-    "loss_alignment_bound": "factorization",
     # landing-method adapter training
     "AdapterState": "landing",
     "LoraState": "landing",
@@ -76,10 +72,6 @@ _EXPORTS = {
     "lora_train_step": "landing",
     "train_polar_landing": "landing",
     "train_lora": "landing",
-    # kernel microbenchmarks
-    "BenchSpec": "bench",
-    "BenchResult": "bench",
-    "run_bench": "bench",
 }
 
 __all__ = sorted(_EXPORTS) + ["__version__"]

@@ -238,76 +238,6 @@ def rgd_step_sym(target: FactorizationTarget, f: SymFactors, eta: float, gamma: 
 
 
 # ---------------------------------------------------------------------------
-# alignment monotonicity diagnostics
-
-
-@dataclass(frozen=True)
-class AlignmentGainReport:
-    """Both sides of the increasing-alignment condition and whether it holds."""
-
-    lhs_x: float
-    rhs_x: float
-    lhs_y: float
-    rhs_y: float
-    holds_x: bool
-    holds_y: bool
-
-    @property
-    def holds(self) -> bool:
-        return self.holds_x and self.holds_y
-
-
-def alignment_gain_predicate(target: FactorizationTarget, f: PolarFactors, eta: float) -> AlignmentGainReport:
-    """Sufficient condition under which one gamma = 1 RGD step cannot decrease
-    the alignment traces Tr(Phi Phi^T), Tr(Psi Psi^T).
-
-    With beta = sigma_1(I - Phi Phi^T) and delta = sigma_1(I - Psi Psi^T):
-
-        2 (1 - eta^2 beta) sigma_min^2(Psi) / kappa^2 * Tr((I - Phi Phi^T) Phi Phi^T)
-            >= eta beta Tr(Phi Phi^T)
-
-    and the Psi analogue with the roles of Phi and Psi swapped. The condition
-    is stated for sigma_1 = 1; a step with eta on A equals a step with
-    eta sigma_1^2 on A / sigma_1, so eta is rescaled accordingly.
-    """
-    eta = eta * float(target.sigma[0]) ** 2
-    kappa2 = target.kappa**2
-    s_phi = np.linalg.svd(target.U.T @ f.X, compute_uv=False)
-    s_psi = np.linalg.svd(target.V.T @ f.Y, compute_uv=False)
-    lam_phi = s_phi**2
-    lam_psi = s_psi**2
-    beta = float(1.0 - lam_phi.min())
-    delta = float(1.0 - lam_psi.min())
-    lhs_x = 2.0 * (1.0 - eta**2 * beta) * float(lam_psi.min()) / kappa2 * float(np.sum(lam_phi * (1.0 - lam_phi)))
-    rhs_x = eta * beta * float(np.sum(lam_phi))
-    lhs_y = 2.0 * (1.0 - eta**2 * delta) * float(lam_phi.min()) / kappa2 * float(np.sum(lam_psi * (1.0 - lam_psi)))
-    rhs_y = eta * delta * float(np.sum(lam_psi))
-    return AlignmentGainReport(
-        lhs_x=lhs_x,
-        rhs_x=rhs_x,
-        lhs_y=lhs_y,
-        rhs_y=rhs_y,
-        holds_x=lhs_x >= rhs_x,
-        holds_y=lhs_y >= rhs_y,
-    )
-
-
-def loss_alignment_bound(target: FactorizationTarget, f: PolarFactors) -> tuple[float, float]:
-    """(loss, bound) where bound = 2 sigma_1^2 (rho_1 + rho_2) with
-    rho_1 = Tr(I - Phi Phi^T), rho_2 = Tr(I - Psi Psi^T).
-
-    The bound dominates the full squared residual at a gamma = 1 state
-    (Theta = X^T A Y), hence also the halved loss reported here.
-    """
-    phi = target.U.T @ f.X
-    psi = target.V.T @ f.Y
-    rho1 = target.r_a - float(np.sum(phi * phi))
-    rho2 = target.r_a - float(np.sum(psi * psi))
-    bound = 2.0 * float(target.sigma[0]) ** 2 * (rho1 + rho2)
-    return factor_loss(target, f), bound
-
-
-# ---------------------------------------------------------------------------
 # methods and runners (the loop itself is polarlab.runner.run)
 
 

@@ -240,14 +240,6 @@ def polar_retract(X, D, eta: float) -> np.ndarray:
     return out
 
 
-def skew_part(M) -> np.ndarray:
-    """Skew-symmetric part (M - M^T) / 2 of a square matrix."""
-    M = np.asarray(M, dtype=np.float64)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"M must be square, got shape {M.shape}")
-    return 0.5 * (M - M.T)
-
-
 def tangent_project(X: np.ndarray, G: np.ndarray) -> np.ndarray:
     """Projection of G onto the tangent space of St at X: G - X sym(X^T G)."""
     M = X.T @ G

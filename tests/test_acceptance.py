@@ -5,16 +5,16 @@ before asserting, so a red run still reports every measurement. Budgets and
 tolerances are frozen from single-core calibration runs; everything is
 seeded and deterministic on a fixed BLAS.
 
-A7 times the kernels of polarlab.bench at m=4096. A7a compares the
-landing-step op, the O(m r^2) update X - eta * landing_field(X, G, lam)
-that train_polar_landing runs, against the polar retraction: the landing
-method's point is that a step costs less than a retraction, so the like-
-for-like update must be faster at every rank. A7b compares how the
+A7 times the certified kernels of tests/kernel_timing.py at m=4096. A7a
+compares the landing-step op, the O(m r^2) update that train_polar_landing
+runs, X - eta * landing_field(X, G, lam), against the polar retraction: the
+landing method's point is that a step costs less than a retraction, so the
+like-for-like update must be faster at every rank. A7b compares how the
 retraction and the materialized landing op grow in r: the retraction's
-m x r x r products and r x r binomial series make it superlinear, while
-the m x m skew product of the materialized op makes its cost near-linear
-in r. Each rank's ops are timed back to back, so slow drift of the
-machine's speed falls on both sides of a comparison alike.
+m x r x r products and r x r binomial series make it superlinear, while the
+m x m skew product of the materialized op makes its cost near-linear in r.
+Each rank's ops are timed back to back, so slow drift of the machine's
+speed falls on both sides of a comparison alike.
 """
 
 import numpy as np
@@ -40,6 +40,7 @@ from polarlab.landing import (
 )
 from polarlab.stiefel import distance_to_stiefel, stable_rank
 
+import kernel_timing
 import oracles
 
 
@@ -179,7 +180,7 @@ def test_a3_alignment_property_suite():
             # 2*loss (the full squared residual) may never exceed the
             # alignment bound at the gamma=1 theta
             probe = PolarFactors(X=f.X, Theta=oracles.theta_update(target, f, 1.0), Y=f.Y)
-            loss, bound = fx.loss_alignment_bound(target, probe)
+            loss, bound = oracles.loss_alignment_bound(target, probe)
             if 2.0 * loss > bound + 1e-12:
                 viol["bound"] += 1
             worst["bound"] = max(worst["bound"], 2.0 * loss - bound)
@@ -192,7 +193,7 @@ def test_a3_alignment_property_suite():
                 viol["pair"] += 1
             worst["pair"] = max(worst["pair"], gap)
 
-            rep = fx.alignment_gain_predicate(target, f, eta)
+            rep = oracles.alignment_gain_predicate(target, f, eta)
             f2 = fx.rgd_step_asym(target, f, eta, 1.0)
             phi2, psi2 = target.U.T @ f2.X, target.V.T @ f2.Y
             om_x2, om_y2 = U_perp.T @ f2.X, V_perp.T @ f2.Y
@@ -404,12 +405,11 @@ def test_a6_stable_rank_ordering_polar_vs_lora():
 
 @pytest.fixture(scope="module")
 def kernel_timings():
-    from polarlab.bench import BenchSpec, run_bench
-
     out = {}
     for r in (32, 64, 256):
         for op in ("retraction", "landing-step", "landing"):
-            out[(op, r)] = run_bench(BenchSpec(m=4096, r=r, op=op, max_samples=12)).median_micros
+            samples, _ = kernel_timing.time_op(op, 4096, r, max_samples=12)
+            out[(op, r)] = float(np.median(samples))
     return out
 
 

@@ -4,6 +4,7 @@ bit, and the retraction's certificate still fails on a non-finite output."""
 
 import numpy as np
 import pytest
+from kernel_timing import ETA, KERNELS, LAM
 from oracles import (
     polar_rgd_evaluate_reference,
     polar_retract_reference,
@@ -13,7 +14,6 @@ from oracles import (
 )
 
 from polarlab import stiefel
-from polarlab.bench import ETA, LAM, BenchSpec, _make_kernel
 from polarlab.exceptions import FeasibilityError
 from polarlab.factorization import (
     PolarFactors,
@@ -111,11 +111,10 @@ def test_sampler_matches_reference_when_polishing_stalls(monkeypatch, shape):
 
 @pytest.mark.parametrize("shape", [(50, 20), (4096, 32)])
 def test_landing_step_kernel_matches_reference(shape):
-    spec = BenchSpec(m=shape[0], r=shape[1], op="landing-step")
     rng = np.random.default_rng(6)
     X = sample_stiefel_uniform(*shape, rng)
     G = rng.standard_normal(shape)
-    assert np.array_equal(_make_kernel(spec)(X, G), X - ETA * landing_field(X, G, LAM))
+    assert np.array_equal(KERNELS["landing-step"](X, G), X - ETA * landing_field(X, G, LAM))
 
 
 def _stepped(method, f, steps):

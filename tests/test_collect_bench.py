@@ -5,6 +5,7 @@ import json
 import subprocess
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "collect_bench.py"
@@ -49,6 +50,7 @@ def test_collects_medians_iqr_and_pair_wins(tmp_path, collect_bench):
     assert (bench["parent_commit"], bench["change_commit"], bench["tier1_wall_s"]) == ("aaa", "bbb", 140.0)
     assert bench["fingerprint"] == {"numpy": "2.4.6", "machine": "x86_64"}
     assert set(bench["blas_runtime"]) == {"openblas_core", "openblas_config"}
+    assert bench["src_lines"] == bench["tests_lines"] == {"parent": None, "change": None}  # no such commits
     metrics = bench["workloads"]["finetune"]["metrics"]
     assert set(metrics) == {"step_cost.geomean", "setup_s", "peak_rss_mb", "lora.x_ref"}
     step = metrics["step_cost.geomean"]
@@ -57,6 +59,20 @@ def test_collects_medians_iqr_and_pair_wins(tmp_path, collect_bench):
     assert step["change"]["iqr"] == step["change"]["q3"] - step["change"]["q1"] > 0
     assert (step["pairs"], step["change_wins"]) == (4, 3)
     assert (metrics["lora.x_ref"]["change_wins"], metrics["setup_s"]["change_wins"]) == (3, 0)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_median_monotone_under_union(seed, collect_bench):
+    # appending runs that all sit at or above the current median can never
+    # lower the median a BENCH file records; dually for runs below
+    summary = collect_bench.summary
+    rng = np.random.default_rng(seed)
+    a = list(rng.uniform(1.0, 2.0, size=rng.integers(1, 20)))
+    med_a = summary(a)["median"]
+    high = list(rng.uniform(med_a, med_a + 5.0, size=rng.integers(1, 20)))
+    low = list(rng.uniform(med_a - 1.0, med_a, size=rng.integers(1, 20)))
+    assert summary(a + high)["median"] >= med_a
+    assert summary(a + low)["median"] <= med_a
 
 
 def test_refuses_runs_from_different_environments(tmp_path, collect_bench):
@@ -93,12 +109,21 @@ def test_src_lines_sums_the_package_modules_of_a_commit(tmp_path, collect_bench)
     (package / "b.py").write_text("one\ntwo\n")
     (package / "notes.txt").write_text("not a module\n")
     (tmp_path / "setup.py").write_text("outside the package\n")
+    tests = tmp_path / "tests"
+    (tests / "golden").mkdir(parents=True)
+    (tests / "test_a.py").write_text("one\n")
+    (tests / "golden" / "deep.py").write_text("one\ntwo\n")  # only the directory's own modules count
     subprocess.run([*git, "add", "-A"], check=True)
     subprocess.run([*git, "commit", "-q", "-m", "first"], check=True)
     (package / "b.py").write_text("one\n")
-    subprocess.run([*git, "commit", "-q", "-am", "second"], check=True)
-    assert collect_bench.src_lines("HEAD~1", tmp_path) == 5
-    assert collect_bench.src_lines("HEAD", tmp_path) == 4
-    assert collect_bench.src_lines("0" * 40, tmp_path) is None
-    assert collect_bench.src_lines("HEAD", tmp_path / "src") == 4  # any directory inside the work tree
-    assert collect_bench.src_lines("HEAD", tmp_path.parent / "no-such-repo") is None
+    (tests / "test_b.py").write_text("one\ntwo\nthree\n")
+    subprocess.run([*git, "add", "-A"], check=True)
+    subprocess.run([*git, "commit", "-q", "-m", "second"], check=True)
+    assert collect_bench.py_lines("HEAD~1", "src/polarlab", tmp_path) == 5
+    assert collect_bench.py_lines("HEAD", "src/polarlab", tmp_path) == 4
+    assert collect_bench.py_lines("HEAD~1", "tests", tmp_path) == 1
+    assert collect_bench.py_lines("HEAD", "tests", tmp_path) == 4
+    assert collect_bench.py_lines("HEAD", "no-such-dir", tmp_path) is None
+    assert collect_bench.py_lines("0" * 40, "src/polarlab", tmp_path) is None
+    assert collect_bench.py_lines("HEAD", "tests", tmp_path / "src") == 4  # any directory inside the work tree
+    assert collect_bench.py_lines("HEAD", "src/polarlab", tmp_path.parent / "no-such-repo") is None

@@ -17,13 +17,11 @@ from polarlab.factorization import (
     FactorizationTarget,
     PolarFactors,
     SymFactors,
-    alignment_gain_predicate,
     gd_step_bm,
     init_bm_factors,
     init_polar_factors,
     init_sym_factors,
     factor_loss,
-    loss_alignment_bound,
     make_sym_target,
     make_target,
     rgd_step_asym,
@@ -35,10 +33,12 @@ from polarlab.factorization import (
 from polarlab.stiefel import polar_retract, stiefel_error
 
 from oracles import (
+    alignment_gain_predicate,
     euclid_grad_sym,
     euclid_grad_theta,
     euclid_grads_asym,
     euclid_grads_bm,
+    loss_alignment_bound,
     orthogonal_complement,
     riemannian_grad_sym,
     riemannian_grads_asym,

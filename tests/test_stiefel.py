@@ -9,12 +9,14 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from polarlab.exceptions import FeasibilityError, RankDeficientError
 from polarlab.stiefel import (
+    _BINOMIAL_COEFFS,
     RETRACT_SERIES_MAX_ORDER,
     UNIT_ROUNDOFF,
     alignment,
@@ -24,7 +26,6 @@ from polarlab.stiefel import (
     require_stiefel,
     retract_series_order,
     sample_stiefel_uniform,
-    skew_part,
     stable_rank,
     stiefel_error,
     tangent_project,
@@ -142,6 +143,16 @@ def test_polar_decompose_rejects_rank_deficient():
         sample_stiefel_uniform(3, 2, ZeroNormal())
 
 
+def test_sampler_rejects_a_draw_below_the_relative_rank_cutoff():
+    # Z^T Z = diag(1e6, 1e-7): its smallest eigenvalue is under RANK_DEFICIENCY_RTOL = 1e-12 times the largest
+    class IllConditionedNormal:
+        def standard_normal(self, shape):
+            return np.array([[1e3, 0.0], [0.0, math.sqrt(1e-7)], [0.0, 0.0]])
+
+    with pytest.raises(RankDeficientError, match="rank deficient twice"):
+        sample_stiefel_uniform(3, 2, IllConditionedNormal())
+
+
 # ---------------------------------------------------------------------------
 # retraction
 
@@ -243,6 +254,22 @@ def test_retract_series_order_is_minimal(x):
         assert bound(n - 1) > UNIT_ROUNDOFF
 
 
+def test_binomial_coeffs_follow_their_recurrence():
+    # c_0 = 1 and c_k = c_{k-1} (2k - 1) / (2k), exactly
+    assert len(_BINOMIAL_COEFFS) == RETRACT_SERIES_MAX_ORDER + 1 and _BINOMIAL_COEFFS[0] == 1.0
+    for k in range(1, RETRACT_SERIES_MAX_ORDER + 1):
+        assert Fraction(_BINOMIAL_COEFFS[k]) == Fraction(_BINOMIAL_COEFFS[k - 1]) * Fraction(2 * k - 1, 2 * k), k
+
+
+def test_retract_series_order_matches_the_exact_rule():
+    # the smallest n <= RETRACT_SERIES_MAX_ORDER with c_n x^n / (1 - x) <= 2^-53 in exact arithmetic, else None
+    for x in np.logspace(-17.0, math.log10(0.499), 4000):
+        q = Fraction(float(x))
+        orders = range(1, RETRACT_SERIES_MAX_ORDER + 1)
+        exact = next((n for n in orders if Fraction(_BINOMIAL_COEFFS[n]) * q**n / (1 - q) <= Fraction(UNIT_ROUNDOFF)), None)
+        assert retract_series_order(float(x)) == exact, x
+
+
 NON_TANGENT_SCRIPT = """
 import numpy as np
 from polarlab.exceptions import FeasibilityError
@@ -284,19 +311,6 @@ def test_polar_retract_tangency_check_survives_optimize_flag(flags):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("raised: retraction direction is not tangent")
-
-
-# ---------------------------------------------------------------------------
-# small algebra helpers
-
-
-def test_skew_part_oracle():
-    M = np.array([[1.0, 2.0], [3.0, 4.0]])
-    np.testing.assert_array_equal(skew_part(M), [[0.0, -0.5], [0.5, 0.0]])
-    S = np.array([[2.0, 5.0], [5.0, -1.0]])
-    np.testing.assert_array_equal(skew_part(S), np.zeros((2, 2)))
-    with pytest.raises(ValueError):
-        skew_part(np.ones((2, 3)))
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -354,6 +368,12 @@ def test_stable_rank_summary_consistency():
 def test_stable_rank_rejects_zero():
     with pytest.raises(ValueError):
         stable_rank(np.zeros((3, 3)))
+
+
+def test_stable_rank_of_a_single_nonzero_singular_value():
+    # one column, and a second singular value that is exactly zero
+    assert stable_rank(np.ones((3, 1))).stable_rank == 1.0
+    assert stable_rank(np.diag([2.0, 0.0])).stable_rank == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -428,6 +448,13 @@ def test_pairwise_distances_hand_case():
     np.testing.assert_allclose(rep.distances, expected, atol=1e-12)
     assert rep.mean_distance == pytest.approx((2 * s2 + 2.0) / 3.0, abs=1e-12)
     assert rep.excluded_rows == ()
+
+
+def test_pairwise_distances_normalize_rows_of_any_norm():
+    # directions (1, 1) / sqrt(2), e1 and -e1 from rows of norms 3 sqrt(2), 0.1 and 5
+    rep = pairwise_direction_distances(np.array([[3.0, 3.0], [0.1, 0.0], [-5.0, 0.0]]))
+    a, b = math.sqrt(2.0 - math.sqrt(2.0)), math.sqrt(2.0 + math.sqrt(2.0))
+    np.testing.assert_allclose(rep.distances, [[0.0, a, b], [a, 0.0, 2.0], [b, 2.0, 0.0]], atol=1e-12)
 
 
 def test_pairwise_distances_excludes_zero_rows():

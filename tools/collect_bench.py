@@ -12,8 +12,9 @@ and the value of each run. Runs of the two sides with the same seed form a
 pair; for each metric the file counts the pairs the change won, by the
 metric's direction in BENCHMARK.json. It also records the environment
 fingerprint of the runs, both commits and the tier-1 wall time given,
-``src_lines``, the summed line count of ``src/polarlab/*.py`` at each
-commit as this repository's git reads it (null where it cannot), and
+``src_lines`` and ``tests_lines``, the summed line counts of
+``src/polarlab/*.py`` and of ``tests/*.py`` at each commit as this
+repository's git reads them (null where it cannot), and
 the OpenBLAS core and build configuration that numpy's bundled OpenBLAS
 reports in the collecting process ("unknown" when it cannot be read). Run
 it on the machine and with the environment that ran the benchmark, since
@@ -59,14 +60,14 @@ def blas_runtime(libs: Path | None) -> dict:
     return found
 
 
-def src_lines(commit: str, repo: Path = ROOT) -> int | None:
-    """The summed line count of ``src/polarlab/*.py`` at ``commit``, None when git cannot read the commit."""
+def py_lines(commit: str, directory: str, repo: Path = ROOT) -> int | None:
+    """The summed line count of ``directory/*.py`` at ``commit``, None when git cannot read it there."""
     def git(*args) -> bytes:
         return subprocess.run(["git", "-C", str(repo), *args], capture_output=True, check=True).stdout
 
     try:
-        names = git("ls-tree", "--full-tree", "--name-only", f"{commit}:src/polarlab").decode().split()
-        return sum(git("show", f"{commit}:src/polarlab/{name}").count(b"\n") for name in names if name.endswith(".py"))
+        names = git("ls-tree", "--full-tree", "--name-only", f"{commit}:{directory}").decode().split()
+        return sum(git("show", f"{commit}:{directory}/{name}").count(b"\n") for name in names if name.endswith(".py"))
     except (OSError, subprocess.CalledProcessError):
         return None
 
@@ -148,11 +149,13 @@ def main(argv=None) -> int:
         return 1
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     lower_is_better = {m["name"]: m["better"] == "lower" for m in spec["end_to_end"]}
+    commits = {"parent": args.parent_commit, "change": args.change_commit}
     bench = {
         "parent_commit": args.parent_commit,
         "change_commit": args.change_commit,
         "tier1_wall_s": args.tier1_seconds,
-        "src_lines": {"parent": src_lines(args.parent_commit), "change": src_lines(args.change_commit)},
+        "src_lines": {side: py_lines(commit, "src/polarlab") for side, commit in commits.items()},
+        "tests_lines": {side: py_lines(commit, "tests") for side, commit in commits.items()},
         "fingerprint": machine([r for runs in (*parent.values(), *change.values()) for r in runs]),
         "blas_runtime": blas_runtime(numpy_libs()),
         "workloads": collect(parent, change, lower_is_better),
