@@ -50,9 +50,6 @@ _EXPORTS = {
     "init_bm_factors": "factorization",
     "init_sym_factors": "factorization",
     "factor_loss": "factorization",
-    "rgd_step_asym": "factorization",
-    "gd_step_bm": "factorization",
-    "rgd_step_sym": "factorization",
     "run_polar_rgd": "factorization",
     "run_bm_gd": "factorization",
     "run_sym_rgd": "factorization",
@@ -68,8 +65,6 @@ _EXPORTS = {
     "make_whitened_task": "landing",
     "init_adapter_state": "landing",
     "init_lora_state": "landing",
-    "polar_train_step": "landing",
-    "lora_train_step": "landing",
     "train_polar_landing": "landing",
     "train_lora": "landing",
 }

@@ -332,6 +332,8 @@ def _analyze_one(label: str, ckpt: str | None, trace_csv: str | None, cfg: dict,
 
 
 def _cmd_analyze(cfg: dict, out_dir: str) -> int:
+    if cfg["top_k"] < 0:
+        raise CliError(f"top_k must be >= 0, got {cfg['top_k']}")
     targets = _analyze_targets(cfg["path"])
     reports = [_analyze_one(label, ckpt, trace, cfg, out_dir) for label, ckpt, trace in targets]
 

@@ -14,10 +14,10 @@ planted by :func:`spaced_spectrum` and report :func:`factor_loss`, 0.5 *
 capture the target's singular subspaces.
 
 Each algorithm is a method object that :func:`polarlab.runner.run` iterates
-until the loss threshold or the budget. The single steps (``rgd_step_asym``,
-``gd_step_bm``, ``rgd_step_sym``) are one evaluate and step of the same
-method, so each update is written once. The runners take their settings
-from one :class:`polarlab.config.RGDConfig`.
+until the loss threshold or the budget; a single step is
+:func:`polarlab.runner.advance` on the same object, so each update is
+written once. The runners take their settings from one
+:class:`polarlab.config.RGDConfig`.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import ClassVar
 import numpy as np
 
 from .config import RGDConfig
-from .runner import advance, run
+from .runner import run
 # require_stiefel is not called here; the name stays because benchmark/layers.py traces polarlab.factorization.require_stiefel
 from .stiefel import (
     alignment,
@@ -218,32 +218,13 @@ def factor_loss(target: FactorizationTarget, f: PolarFactors | BMFactors | SymFa
 
 
 # ---------------------------------------------------------------------------
-# single steps
-
-
-def rgd_step_asym(target: FactorizationTarget, f: PolarFactors, eta: float, gamma: float = 1.0) -> PolarFactors:
-    """One full step of the asymmetric algorithm: Theta refresh, then
-    simultaneous retraction updates of X and Y from that same Theta."""
-    return advance(_PolarRGD(target, eta, gamma), f, 0)[0]
-
-
-def gd_step_bm(target: FactorizationTarget, f: BMFactors, eta: float) -> BMFactors:
-    """Simultaneous GD update of both factors from the same residual."""
-    return advance(_BMGD(target, eta), f, 0)[0]
-
-
-def rgd_step_sym(target: FactorizationTarget, f: SymFactors, eta: float, gamma: float = 1.0) -> SymFactors:
-    """One Theta refresh + retraction step of the symmetric algorithm."""
-    return advance(_SymRGD(target, eta, gamma), f, 0)[0]
-
-
-# ---------------------------------------------------------------------------
 # methods and runners (the loop itself is polarlab.runner.run)
 
 
-def _alignment_columns(target, X, Y, grad_sq: float) -> dict:
-    """Trace columns: alignment of X (and Y) with the target's singular subspaces, and the gradient norm."""
+def _alignment_columns(target, X, Y, grads: tuple) -> dict:
+    """Trace columns: alignment of X (and Y) with the target's singular subspaces, and the norm of ``grads``."""
     phi = alignment(target.U, X)
+    grad_sq = sum(float((G * G).sum()) for G in grads)
     columns = {"trace_phi": phi.trace_phi, "sigma_min_phi": phi.sigma_min_phi, "grad_norm": float(np.sqrt(grad_sq))}
     if Y is not None:
         psi = alignment(target.V, Y)
@@ -260,7 +241,7 @@ class _PolarRGD:
         self.target, self.eta, self.gamma = target, eta, gamma
 
     def evaluate(self, f: PolarFactors):
-        """The refreshed-Theta state, its loss and (grad norm^2, E, F)."""
+        """The refreshed-Theta state, its loss and the Riemannian gradients (E, F)."""
         target, gamma = self.target, self.gamma
         AY = target.A @ f.Y
         AtX = target.A.T @ f.X
@@ -282,15 +263,14 @@ class _PolarRGD:
             gY = f.Y @ (Theta.T @ Theta) - AtX @ Theta
             E = tangent_project(f.X, gX)
             F = tangent_project(f.Y, gY)
-        grad_sq = float((E * E).sum() + (F * F).sum())
-        return PolarFactors(X=f.X, Theta=Theta, Y=f.Y), max(loss, 0.0), (grad_sq, E, F)
+        return PolarFactors(X=f.X, Theta=Theta, Y=f.Y), max(loss, 0.0), (E, F)
 
     def step(self, f: PolarFactors, ev, it: int) -> PolarFactors:
-        _, E, F = ev
+        E, F = ev
         return PolarFactors(X=polar_retract(f.X, E, self.eta), Theta=f.Theta, Y=polar_retract(f.Y, F, self.eta))
 
     def record(self, f: PolarFactors, ev) -> dict:
-        return _alignment_columns(self.target, f.X, f.Y, ev[0])
+        return _alignment_columns(self.target, f.X, f.Y, ev)
 
 
 class _BMGD:
@@ -310,11 +290,10 @@ class _BMGD:
         return BMFactors(Z1=f.Z1 - self.eta * G1, Z2=f.Z2 - self.eta * G2)
 
     def record(self, f: BMFactors, ev) -> dict:
-        G1, G2 = ev
         # subspace alignment of the orthonormalized factors
         Q1 = np.linalg.qr(f.Z1)[0]
         Q2 = np.linalg.qr(f.Z2)[0]
-        return _alignment_columns(self.target, Q1, Q2, float(np.sum(G1 * G1) + np.sum(G2 * G2)))
+        return _alignment_columns(self.target, Q1, Q2, ev)
 
 
 class _SymRGD:
@@ -326,7 +305,7 @@ class _SymRGD:
         self.target, self.eta, self.gamma = target, eta, gamma
 
     def evaluate(self, f: SymFactors):
-        """The refreshed-Theta state, its loss and (grad norm^2, G)."""
+        """The refreshed-Theta state, its loss and the Riemannian gradient G."""
         target, gamma = self.target, self.gamma
         AX = target.A @ f.X
         M = f.X.T @ AX
@@ -341,13 +320,13 @@ class _SymRGD:
             # Euclidean gradient R X Theta^T + R^T X Theta expanded under X^T X = I
             gX = f.X @ (Theta @ Theta.T + Theta.T @ Theta) - AX @ (Theta.T + Theta)
             G = tangent_project(f.X, gX)
-        return SymFactors(X=f.X, Theta=Theta), max(loss, 0.0), (float((G * G).sum()), G)
+        return SymFactors(X=f.X, Theta=Theta), max(loss, 0.0), G
 
-    def step(self, f: SymFactors, ev, it: int) -> SymFactors:
-        return SymFactors(X=polar_retract(f.X, ev[1], self.eta), Theta=f.Theta)
+    def step(self, f: SymFactors, G, it: int) -> SymFactors:
+        return SymFactors(X=polar_retract(f.X, G, self.eta), Theta=f.Theta)
 
-    def record(self, f: SymFactors, ev) -> dict:
-        return _alignment_columns(self.target, f.X, None, ev[0])
+    def record(self, f: SymFactors, G) -> dict:
+        return _alignment_columns(self.target, f.X, None, (G,))
 
 
 def _run(method, f, cfg: RGDConfig, gamma: float):

@@ -26,10 +26,10 @@ A plain LoRA-style baseline (two Euclidean factors, Z2 zero-initialized)
 trains on the same task for comparison.
 
 Both trainers are method objects that :func:`polarlab.runner.run` iterates
-for the whole budget, with no early stop; ``polar_train_step`` and
-``lora_train_step`` are one evaluate and step of the same methods. Every
-setting of a trainer or a step, with its default and its range check, is a
-field of :class:`polarlab.config.LandingConfig`.
+for the whole budget, with no early stop; a single step is
+:func:`polarlab.runner.advance` on the same object. Every setting of a
+trainer, with its default and its range check, is a field of
+:class:`polarlab.config.LandingConfig`.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ import numpy as np
 
 from .config import LandingConfig
 from .factorization import BMFactors, PolarFactors, spaced_spectrum
-from .runner import advance, run
+from .runner import run
 # stable_rank is not called here; the name stays because benchmark/layers.py traces polarlab.landing.stable_rank
 from .stiefel import distance_to_stiefel, sample_stiefel_uniform, stable_rank
 from .trace import RunTrace
@@ -108,12 +108,6 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     t: int = 0
-
-    @classmethod
-    def for_state(cls, state) -> "AdamState":
-        """Zero moments over the packed array fields of an adapter state."""
-        size = sum(getattr(state, name).size for name in _params(state))
-        return cls(m=np.zeros(size), v=np.zeros(size))
 
 
 def adam_transform(state: AdamState, g: np.ndarray) -> np.ndarray:
@@ -272,7 +266,7 @@ def lora_grads(task: WhitenedTask, state: LoraState) -> tuple[np.ndarray, np.nda
 
 
 # ---------------------------------------------------------------------------
-# methods, single steps and runners (the loop itself is polarlab.runner.run)
+# methods and runners (the loop itself is polarlab.runner.run)
 
 
 def _adapter_columns(state) -> dict:
@@ -291,22 +285,22 @@ def _adapter_columns(state) -> dict:
 class _PackedAdam:
     """The step and the trace columns both adapters share. ``layout`` maps each
     array field of the state, in field order, to its slice and shape in one
-    packed vector; a step moves the packed parameters p to p - eta_t * d, with
-    d one Adam transform of ``directions``, one per field, which it packs in
-    the same order into a buffer it owns. It also keeps the packed vector of
-    the state it last returned, whose arrays are views of it: a step from that
-    state reads p there, from any other it packs p afresh. The new parameters
-    go into the fresh array Adam returns, so a step never writes the arrays of
-    the state it steps from. The stepped state is built from the old one's
-    fields, so scale_alpha stays the same object."""
+    packed vector, whose Adam state ``opt`` starts at zero; a step moves the
+    packed parameters p to p - eta_t * d, with d the Adam transform of
+    ``directions``, one per field, which it packs in the same order into a
+    buffer it owns. It also keeps the packed vector of the state it last
+    returned, whose arrays are views of it: a step from that state reads p
+    there, from any other it packs p afresh. The new parameters go into the
+    fresh array Adam returns, so a step never writes the arrays of the state it
+    steps from. The stepped state is built from the old one's fields, so
+    scale_alpha stays the same object."""
 
-    def __init__(self, task: WhitenedTask, cfg: LandingConfig, opt: AdamState, state):
-        self.task, self.cfg, self.opt, self.layout, stop = task, cfg, opt, {}, 0
+    def __init__(self, task: WhitenedTask, cfg: LandingConfig, state):
+        self.task, self.cfg, self.layout, stop = task, cfg, {}, 0
         for name in _params(state):
             a = getattr(state, name)
             self.layout[name], stop = (slice(stop, stop + a.size), a.shape), stop + a.size
-        if opt.m.shape != (stop,):
-            raise ValueError(f"opt has moments of shape {opt.m.shape}, the packed {tuple(self.layout)} need ({stop},)")
+        self.opt = AdamState(m=np.zeros(stop), v=np.zeros(stop))
         self._directions, self._packed, self._views = np.empty(stop), None, (None,) * len(self.layout)
 
     def step(self, state, directions: tuple, it: int):
@@ -325,9 +319,10 @@ class _PackedAdam:
 
 
 class _PolarLanding(_PackedAdam):
-    """The landing step of :func:`polar_train_step`. ``cfg.theta_mode="diagonal"``
-    keeps Theta diagonal; ``cfg.grad_mode="euclidean"`` is the ablation arm: the
-    raw loss gradient plus the same penalty instead of the field."""
+    """X and Y move along the landing field (penalty inside), Theta along its
+    gradient, each Adam-transformed. ``cfg.theta_mode="diagonal"`` keeps Theta
+    diagonal; ``cfg.grad_mode="euclidean"`` is the ablation arm: the raw loss
+    gradient plus the same penalty instead of the field."""
 
     name = "landing-polar"
 
@@ -368,26 +363,6 @@ class _Lora(_PackedAdam):
         return state, loss, (G1, G2)
 
 
-def polar_train_step(
-    task: WhitenedTask, state: AdapterState, opt: AdamState, cfg: LandingConfig, t: int
-) -> tuple[AdapterState, float]:
-    """One landing step. All gradients are taken at the pre-step state; X and Y
-    move along the Adam-transformed landing field (penalty inside), Theta along
-    its Adam-transformed Euclidean gradient, as ``cfg.theta_mode`` and
-    ``cfg.grad_mode`` select. ``opt`` is the Adam state of the packed
-    parameters, at first ``AdamState.for_state(state)``. Returns the pre-step
-    loss."""
-    return advance(_PolarLanding(task, cfg, opt, state), state, t)
-
-
-def lora_train_step(
-    task: WhitenedTask, state: LoraState, opt: AdamState, cfg: LandingConfig, t: int
-) -> tuple[LoraState, float]:
-    """One Adam step of the Euclidean two-factor baseline on the same task,
-    ``opt`` as in :func:`polar_train_step`."""
-    return advance(_Lora(task, cfg, opt, state), state, t)
-
-
 def _train(method: _PackedAdam, state):
     """Run ``method`` from ``state`` for its config's whole budget -> (final state, trace)."""
     task, cfg = method.task, method.cfg
@@ -416,10 +391,10 @@ def train_polar_landing(task: WhitenedTask, r: int, cfg: LandingConfig) -> tuple
     the manifold and recorded as NaN.
     """
     state = init_adapter_state(task.W0.shape, r, np.random.default_rng(cfg.seed), cfg.alpha)
-    return _train(_PolarLanding(task, cfg, AdamState.for_state(state), state), state)
+    return _train(_PolarLanding(task, cfg, state), state)
 
 
 def train_lora(task: WhitenedTask, r: int, cfg: LandingConfig) -> tuple[LoraState, RunTrace]:
     """Train the Euclidean two-factor baseline with Adam on the same task."""
     state = init_lora_state(task.W0.shape, r, np.random.default_rng(cfg.seed), cfg.alpha)
-    return _train(_Lora(task, cfg, AdamState.for_state(state), state), state)
+    return _train(_Lora(task, cfg, state), state)

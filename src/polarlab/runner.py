@@ -16,6 +16,8 @@ non-finite loss or one above ``DIVERGENCE_LOSS`` raises DivergenceError),
 the trace rows, each written after the step of its iteration, and the
 evaluation of the state after the last step, whose row reports no step. It
 names the method and the iteration in a FeasibilityError that a step raises.
+:func:`advance` is the single step: one iteration of the same method object
+under the same divergence rule, with no trace.
 """
 
 from __future__ import annotations

@@ -132,12 +132,14 @@ def write_trace(trace: RunTrace, out_dir, basename: str | None = None) -> str:
 
 
 def read_trace_csv(path) -> dict:
-    """Read a trace CSV into a dict of column name -> list of floats."""
+    """Read a trace CSV into a dict of column name -> list of floats; a ragged row raises ValueError."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         columns = {name: [] for name in header}
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             parts = line.strip().split(",")
+            if len(parts) != len(header):
+                raise ValueError(f"{path}:{lineno}: {len(parts)} cells, the header has {len(header)}")
             for name, val in zip(header, parts):
                 columns[name].append(float(val))
     if "iter" in columns:

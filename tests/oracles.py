@@ -63,7 +63,7 @@ def riemannian_grads_asym(target: FactorizationTarget, f: PolarFactors) -> tuple
 
     These equal the Euclidean loss gradients (and are exactly tangent)
     when Theta has just been refreshed with gamma = 1; for damped Theta
-    use the Euclidean + tangent-projection path in :func:`rgd_step_asym`.
+    use the Euclidean + tangent-projection path of ``_PolarRGD.evaluate``.
     """
     T1 = (target.A @ f.Y) @ f.Theta.T
     E = f.X @ (f.X.T @ T1) - T1

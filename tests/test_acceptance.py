@@ -24,7 +24,7 @@ import polarlab as pl
 from polarlab import factorization as fx
 from polarlab.factorization import PolarFactors, SymFactors
 from polarlab.landing import (
-    AdamState,
+    _PolarLanding,
     AdapterState,
     LandingConfig,
     LoraState,
@@ -33,11 +33,11 @@ from polarlab.landing import (
     init_adapter_state,
     lora_grads,
     make_whitened_task,
-    polar_train_step,
     train_lora,
     train_polar_landing,
     whitened_task_grads,
 )
+from polarlab.runner import advance
 from polarlab.stiefel import distance_to_stiefel, stable_rank
 
 import kernel_timing
@@ -171,8 +171,8 @@ def test_a3_alignment_property_suite():
         target = pl.make_target(8, 6, r_a, kappa, rng, normalize=True)
         U_perp = oracles.orthogonal_complement(target.U)
         V_perp = oracles.orthogonal_complement(target.V)
-        f = fx.init_polar_factors(target, r, rng)
-        for _ in range(50):
+        f, method = fx.init_polar_factors(target, r, rng), fx._PolarRGD(target, eta, 1.0)
+        for it in range(50):
             total += 1
             phi, psi = target.U.T @ f.X, target.V.T @ f.Y
             om_x, om_y = U_perp.T @ f.X, V_perp.T @ f.Y
@@ -194,7 +194,7 @@ def test_a3_alignment_property_suite():
             worst["pair"] = max(worst["pair"], gap)
 
             rep = oracles.alignment_gain_predicate(target, f, eta)
-            f2 = fx.rgd_step_asym(target, f, eta, 1.0)
+            f2 = advance(method, f, it)[0]
             phi2, psi2 = target.U.T @ f2.X, target.V.T @ f2.Y
             om_x2, om_y2 = U_perp.T @ f2.X, V_perp.T @ f2.Y
 
@@ -336,7 +336,7 @@ def test_a5_landing_run_lands_on_stiefel():
     cfg = LandingConfig(lam=1e-3, eta=1e-2, schedule="linear", max_iters=total, seed=0)
     rng = np.random.default_rng(cfg.seed)
     state = init_adapter_state(task.W0.shape, 8, rng)
-    opt = AdamState.for_state(state)
+    stepper = _PolarLanding(task, cfg, state)
 
     def ortho_violation(s: AdapterState) -> float:
         # the rotational and penalty components of the landing field are
@@ -354,7 +354,7 @@ def test_a5_landing_run_lands_on_stiefel():
     for t in range(total):
         if t % 50 == 0:
             worst_ortho = max(worst_ortho, ortho_violation(state))
-        state, _ = polar_train_step(task, state, opt, cfg, t)
+        state, _ = advance(stepper, state, t)
     worst_ortho = max(worst_ortho, ortho_violation(state))
     n_x, n_y = distance_to_stiefel(state.X), distance_to_stiefel(state.Y)
     ok = n_x <= 1e-6 and n_y <= 1e-6 and worst_ortho <= 0.0

@@ -9,14 +9,18 @@ whole module stays fast.
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from polarlab import io as pio
 from polarlab.cli import EXIT_BUDGET, EXIT_ERROR, EXIT_OK, _THREAD_ENV_VARS, main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 # small, quickly converging factorization run (converges around iteration 200)
 FAST_FACTORIZE = [
@@ -538,6 +542,32 @@ def test_analyze_empty_directory_exits_one(tmp_path, capsys):
     rc = main(["analyze", "--path", str(empty), "--out", str(tmp_path / "r")])
     assert rc == EXIT_ERROR
     assert "no checkpoint or trace" in capsys.readouterr().err
+
+
+def test_analyze_negative_top_k_exits_one_with_one_line(tmp_path, capsys):
+    # a negative top_k would drop the smallest singular values instead of keeping the largest
+    run = str(tmp_path / "run")
+    shutil.copytree(GOLDEN / "landing-polar-seed0", run)
+    out = tmp_path / "analysis"
+    assert main(["analyze", "--path", run, "--top-k", "-3", "--out", str(out)]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["error: top_k must be >= 0, got -3"]
+    assert captured.out == "" and not (out / "report.json").exists()
+    assert main(["analyze", "--path", run, "--top-k", "0", "--out", str(out)]) == EXIT_OK
+    assert json.loads((out / "report.json").read_text())["top_singular_values"] == []
+
+
+def test_analyze_ragged_trace_exits_one_with_one_line(tmp_path, capsys):
+    # the last row of a golden landing trace cut to 4 cells: read as is, the columns would
+    # come back ragged and the feasibility curve would lose iteration 120
+    run = tmp_path / "run"
+    shutil.copytree(GOLDEN / "landing-polar-seed0", run)
+    csv_path = run / "landing-polar_4_4_0.csv"
+    lines = csv_path.read_text().splitlines()
+    assert lines[-1].startswith("120,")
+    csv_path.write_text("\n".join([*lines[:-1], ",".join(lines[-1].split(",")[:4])]) + "\n")
+    assert main(["analyze", "--path", str(run), "--out", str(tmp_path / "analysis")]) == EXIT_ERROR
+    assert capsys.readouterr().err.splitlines() == [f"error: {csv_path}:8: 4 cells, the header has 10"]
 
 
 def test_analyze_missing_path_exits_one(tmp_path, capsys):

@@ -50,7 +50,8 @@ def test_collects_medians_iqr_and_pair_wins(tmp_path, collect_bench):
     assert (bench["parent_commit"], bench["change_commit"], bench["tier1_wall_s"]) == ("aaa", "bbb", 140.0)
     assert bench["fingerprint"] == {"numpy": "2.4.6", "machine": "x86_64"}
     assert set(bench["blas_runtime"]) == {"openblas_core", "openblas_config"}
-    assert bench["src_lines"] == bench["tests_lines"] == {"parent": None, "change": None}  # no such commits
+    # no such commits
+    assert bench["src_lines"] == bench["tests_lines"] == bench["exports"] == {"parent": None, "change": None}
     metrics = bench["workloads"]["finetune"]["metrics"]
     assert set(metrics) == {"step_cost.geomean", "setup_s", "peak_rss_mb", "lora.x_ref"}
     step = metrics["step_cost.geomean"]
@@ -127,3 +128,25 @@ def test_src_lines_sums_the_package_modules_of_a_commit(tmp_path, collect_bench)
     assert collect_bench.py_lines("0" * 40, "src/polarlab", tmp_path) is None
     assert collect_bench.py_lines("HEAD", "tests", tmp_path / "src") == 4  # any directory inside the work tree
     assert collect_bench.py_lines("HEAD", "src/polarlab", tmp_path.parent / "no-such-repo") is None
+
+
+def test_exports_counts_the_all_of_a_commit(tmp_path, collect_bench):
+    git = ["git", "-C", str(tmp_path), "-c", "user.name=test", "-c", "user.email=test@example.com"]
+    subprocess.run([*git, "init", "-q"], check=True)
+    init = tmp_path / "src" / "polarlab" / "__init__.py"
+    init.parent.mkdir(parents=True)
+    sources = [
+        '_EXPORTS = {"a": "m", "b": "m", "c": "n"}\n__all__ = sorted(_EXPORTS) + ["__version__"]\n',
+        '__version__ = "1"\n__all__ = ["a", "b"]\n',
+        '__all__ = list(("a",)) + _NAMES\n',  # an unbound name
+        "__all__ = make_names()\n",  # not built from literals
+        "__all__ = [\n",  # not python
+    ]
+    for source in sources:
+        init.write_text(source)
+        subprocess.run([*git, "add", "-A"], check=True)
+        subprocess.run([*git, "commit", "-q", "-m", "next"], check=True)
+    got = [collect_bench.exports(f"HEAD~{back}", tmp_path) for back in range(len(sources) - 1, -1, -1)]
+    assert got == [4, 2, None, None, None]
+    assert collect_bench.exports("0" * 40, tmp_path) is None
+    assert collect_bench.exports("HEAD", tmp_path / "no-such-repo") is None

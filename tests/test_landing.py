@@ -30,9 +30,7 @@ from polarlab.landing import (
     init_lora_state,
     landing_field,
     lora_grads,
-    lora_train_step,
     make_whitened_task,
-    polar_train_step,
     train_lora,
     train_polar_landing,
     whitened_task_grads,
@@ -358,8 +356,7 @@ def test_polar_step_at_theta_zero_moves_only_by_penalty():
     assert np.linalg.norm(G_Theta) > 0
     assert np.allclose(landing_field(state.X, G_X, 1e-3), 1e-3 * grad_distance_to_stiefel(state.X), atol=1e-18)
     cfg = LandingConfig(eta=1e-2, max_iters=1)
-    opt = AdamState.for_state(state)
-    new, _ = polar_train_step(t, state, opt, cfg, 0)
+    new, _ = advance(_PolarLanding(t, cfg, state), state, 0)
     assert np.linalg.norm(new.Theta) > 0
 
 
@@ -370,8 +367,7 @@ def test_polar_step_single_backward_pass():
     state = init_adapter_state(t.W0.shape, 4, rng)
     state = AdapterState(X=state.X, Theta=rng.standard_normal((4, 4)), Y=state.Y)
     cfg = LandingConfig(lam=1e-3, eta=1e-2, max_iters=1)
-    opt = AdamState.for_state(state)
-    new, loss = polar_train_step(t, state, opt, cfg, 0)
+    new, loss = advance(_PolarLanding(t, cfg, state), state, 0)
 
     G_X, G_Theta, G_Y, loss_ref = whitened_task_grads(t, state)
     ref_opt = per_parameter_opt(state)
@@ -388,8 +384,7 @@ def test_polar_step_theta_modes():
     t = _task(5)
     state = init_adapter_state(t.W0.shape, 4, np.random.default_rng(7))
     cfg = LandingConfig(eta=1e-2, max_iters=1, theta_mode="diagonal")
-    opt = AdamState.for_state(state)
-    new, _ = polar_train_step(t, state, opt, cfg, 0)
+    new, _ = advance(_PolarLanding(t, cfg, state), state, 0)
     off_diag = new.Theta - np.diag(np.diag(new.Theta))
     assert np.array_equal(off_diag, np.zeros((4, 4)))
     with pytest.raises(ValueError, match="theta_mode"):
@@ -403,9 +398,8 @@ def test_polar_step_divergence_guard():
     state = init_adapter_state(t.W0.shape, 4, np.random.default_rng(8))
     state = AdapterState(X=state.X, Theta=1e200 * np.eye(4), Y=state.Y)
     cfg = LandingConfig(eta=1e-2, max_iters=1)
-    opt = AdamState.for_state(state)
     with np.errstate(over="ignore"), pytest.raises(DivergenceError):
-        polar_train_step(t, state, opt, cfg, 0)
+        advance(_PolarLanding(t, cfg, state), state, 0)
 
 
 def test_lora_step_first_move_freezes_z1():
@@ -413,8 +407,7 @@ def test_lora_step_first_move_freezes_z1():
     t = _task(7)
     state = init_lora_state(t.W0.shape, 4, np.random.default_rng(9))
     cfg = LandingConfig(eta=1e-2, max_iters=1)
-    opt = AdamState.for_state(state)
-    new, _ = lora_train_step(t, state, opt, cfg, 0)
+    new, _ = advance(_Lora(t, cfg, state), state, 0)
     assert np.array_equal(new.Z1, state.Z1)
     assert not np.array_equal(new.Z2, state.Z2)
 
@@ -431,15 +424,16 @@ def test_lora_step_first_move_freezes_z1():
 def test_packed_adam_matches_per_parameter_oracle(method, modes, schedule):
     # one Adam over the packed parameters gives every entry the bits of one Adam per parameter
     t = _task(13)
-    init, step, reference = {
-        "polar": (init_adapter_state, polar_train_step, polar_step_reference),
-        "lora": (init_lora_state, lora_train_step, lora_step_reference),
+    init, make, reference = {
+        "polar": (init_adapter_state, _PolarLanding, polar_step_reference),
+        "lora": (init_lora_state, _Lora, lora_step_reference),
     }[method]
     state = ref = init(t.W0.shape, 4, np.random.default_rng(14))
     cfg = LandingConfig(lam=1e-3, eta=1e-2, schedule=schedule, max_iters=40, **modes)
-    opt, ref_opts = AdamState.for_state(state), per_parameter_opt(state)
+    stepper, ref_opts = make(t, cfg, state), per_parameter_opt(state)
+    opt = stepper.opt
     for it in range(25):
-        state, _ = step(t, state, opt, cfg, it)
+        state, _ = advance(stepper, state, it)
         ref = reference(t, ref, ref_opts, cfg, it, **modes)
     assert opt.t == 25 and all(o.t == 25 for o in ref_opts.values())
     for moment in ("m", "v"):
@@ -452,13 +446,12 @@ def test_packed_adam_matches_per_parameter_oracle(method, modes, schedule):
 @pytest.mark.parametrize("method", ["polar", "lora"])
 def test_step_leaves_the_state_it_steps_from_unchanged(method):
     t = _task(15)
-    init, step = {"polar": (init_adapter_state, polar_train_step), "lora": (init_lora_state, lora_train_step)}[method]
+    init, make = {"polar": (init_adapter_state, _PolarLanding), "lora": (init_lora_state, _Lora)}[method]
     state = init(t.W0.shape, 4, np.random.default_rng(16))
-    cfg = LandingConfig(eta=1e-2, max_iters=10)
-    opt = AdamState.for_state(state)
+    stepper = make(t, LandingConfig(eta=1e-2, max_iters=10), state)
     for it in range(3):  # after the first step the parameters are views of one packed vector
         before = {name: getattr(state, name).copy() for name in PARAMS[state.kind]}
-        new, _ = step(t, state, opt, cfg, it)
+        new, _ = advance(stepper, state, it)
         for name, array in before.items():
             assert np.array_equal(getattr(state, name), array)
             assert not np.shares_memory(getattr(new, name), getattr(state, name))
@@ -503,8 +496,8 @@ def test_one_method_object_matches_per_parameter_oracle(method, modes, schedule)
     }[method]
     state = ref = init(t.W0.shape, 4, np.random.default_rng(18))
     cfg = LandingConfig(lam=1e-3, eta=1e-2, schedule=schedule, max_iters=60, **modes)
-    opt, ref_opts = AdamState.for_state(state), per_parameter_opt(state)
-    watched = _Watched(make(t, cfg, opt, state))
+    watched, ref_opts = _Watched(make(t, cfg, state)), per_parameter_opt(state)
+    opt = watched.method.opt
     _, state = run(watched, state, {}, cfg.max_iters, record_every=7)
     for it in range(cfg.max_iters):
         ref = reference(t, ref, ref_opts, cfg, it, **modes)
@@ -526,27 +519,19 @@ def test_state_not_returned_by_the_method_is_packed_afresh(method):
     init, make = {"polar": (init_adapter_state, _PolarLanding), "lora": (init_lora_state, _Lora)}[method]
     state = init(t.W0.shape, 4, np.random.default_rng(20))
     cfg = LandingConfig(eta=1e-2, max_iters=10)
-    opt = AdamState.for_state(state)
-    stepper = make(t, cfg, opt, state)
+    stepper = make(t, cfg, state)
     for it in range(3):
         state, _ = advance(stepper, state, it)
     # the last parameter replaced by a fresh array; the others are still the method's views
     last = PARAMS[state.kind][-1]
     hand = replace(state, **{last: getattr(state, last) + 0.5})
-    fresh_opt = AdamState(m=opt.m.copy(), v=opt.v.copy(), t=opt.t)
+    opt, fresh = stepper.opt, make(t, cfg, hand)
+    fresh.opt = AdamState(m=opt.m.copy(), v=opt.v.copy(), t=opt.t)
     got, _ = advance(stepper, hand, 3)
-    want, _ = advance(make(t, cfg, fresh_opt, hand), hand, 3)
+    want, _ = advance(fresh, hand, 3)
     for name in PARAMS[state.kind]:
         assert np.array_equal(getattr(got, name), getattr(want, name))
-    assert np.array_equal(opt.m, fresh_opt.m) and np.array_equal(opt.v, fresh_opt.v)
-
-
-def test_step_rejects_opt_of_another_layout():
-    t = _task(15)
-    state = init_adapter_state(t.W0.shape, 4, np.random.default_rng(16))
-    opt = AdamState(m=np.zeros_like(state.X), v=np.zeros_like(state.X))
-    with pytest.raises(ValueError, match="moments"):
-        polar_train_step(t, state, opt, LandingConfig(max_iters=1), 0)
+    assert np.array_equal(opt.m, fresh.opt.m) and np.array_equal(opt.v, fresh.opt.v)
 
 
 def test_linear_schedule_needs_a_budget():
@@ -560,7 +545,7 @@ def test_step_keeps_the_non_param_fields(method):
     t = _task(27)
     init, make = {"polar": (init_adapter_state, _PolarLanding), "lora": (init_lora_state, _Lora)}[method]
     state = init(t.W0.shape, 4, np.random.default_rng(28), scale_alpha=8.0)
-    stepper = make(t, LandingConfig(eta=1e-2, max_iters=10), AdamState.for_state(state), state)
+    stepper = make(t, LandingConfig(eta=1e-2, max_iters=10), state)
     for it in range(3):  # the first step packs afresh, the later ones reuse the packed vector
         new, _ = advance(stepper, state, it)
         assert type(new) is type(state)
@@ -621,7 +606,7 @@ def test_component_orthogonality_along_run():
     t = _task(10)
     state = init_adapter_state(t.W0.shape, 4, np.random.default_rng(11))
     cfg = _small_cfg(100)
-    opt = AdamState.for_state(state)
+    stepper = _PolarLanding(t, cfg, state)
     for step in range(100):
         G_X, _, G_Y, _ = whitened_task_grads(t, state)
         for Xmat, G in ((state.X, G_X), (state.Y, G_Y)):
@@ -629,7 +614,7 @@ def test_component_orthogonality_along_run():
             loss_part = landing_field(Xmat, G, cfg.lam) - cfg.lam * pen
             inner = abs(float(np.sum(loss_part * pen)))
             assert inner <= 1e-8 * max(np.linalg.norm(loss_part) * np.linalg.norm(pen), 1e-30)
-        state, _ = polar_train_step(t, state, opt, cfg, step)
+        state, _ = advance(stepper, state, step)
 
 
 def _row_stable_rank(W):
@@ -688,8 +673,8 @@ def test_trace_rows_keep_the_bits_of_the_per_parameter_oracle(method, modes):
     init, make = {"polar": (init_adapter_state, _PolarLanding), "lora": (init_lora_state, _Lora)}[method]
     state = ref = init(t.W0.shape, 4, np.random.default_rng(35))
     cfg = LandingConfig(lam=1e-3, eta=1e-2, schedule="linear", max_iters=40, **modes)
-    opt, ref_opts = AdamState.for_state(state), per_parameter_opt(state)
-    tr, _ = run(make(t, cfg, opt, state), state, {}, cfg.max_iters, record_every=3)
+    ref_opts = per_parameter_opt(state)
+    tr, _ = run(make(t, cfg, state), state, {}, cfg.max_iters, record_every=3)
     rows = dict(zip(tr.iters, range(len(tr.iters))))
     for it in range(cfg.max_iters + 1):
         if it in rows:

@@ -134,6 +134,20 @@ def test_write_trace_roundtrip(tmp_path):
         assert cols[name] == getattr(tr, name)
 
 
+@pytest.mark.parametrize("cells", [4, 9])
+def test_read_trace_csv_rejects_a_row_of_another_width(tmp_path, cells):
+    # a short or long row would leave the columns of unequal length
+    csv_path = write_trace(_filled_trace(include_extras=True), tmp_path)
+    with open(csv_path) as fh:
+        lines = fh.read().splitlines()
+    lines[-1] = ",".join((lines[-1].split(",") * 2)[:cells])
+    with open(csv_path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as info:
+        read_trace_csv(csv_path)
+    assert str(info.value) == f"{csv_path}:6: {cells} cells, the header has 8"
+
+
 def test_write_trace_header_excludes_wall_time_by_default(tmp_path):
     csv_path = write_trace(_filled_trace(), tmp_path)
     header = open(csv_path).readline().strip().split(",")

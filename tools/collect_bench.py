@@ -14,8 +14,9 @@ metric's direction in BENCHMARK.json. It also records the environment
 fingerprint of the runs, both commits and the tier-1 wall time given,
 ``src_lines`` and ``tests_lines``, the summed line counts of
 ``src/polarlab/*.py`` and of ``tests/*.py`` at each commit as this
-repository's git reads them (null where it cannot), and
-the OpenBLAS core and build configuration that numpy's bundled OpenBLAS
+repository's git reads them, ``exports``, the size of ``polarlab.__all__``
+at each commit read with ast from its ``src/polarlab/__init__.py`` (each
+null where it cannot be read), and the OpenBLAS core and build configuration that numpy's bundled OpenBLAS
 reports in the collecting process ("unknown" when it cannot be read). Run
 it on the machine and with the environment that ran the benchmark, since
 OpenBLAS picks its core at load time from the CPU and OPENBLAS_CORETYPE.
@@ -24,6 +25,7 @@ OpenBLAS picks its core at load time from the CPU and OPENBLAS_CORETYPE.
 from __future__ import annotations
 
 import argparse
+import ast
 import ctypes
 import importlib.util
 import json
@@ -70,6 +72,38 @@ def py_lines(commit: str, directory: str, repo: Path = ROOT) -> int | None:
         return sum(git("show", f"{commit}:{directory}/{name}").count(b"\n") for name in names if name.endswith(".py"))
     except (OSError, subprocess.CalledProcessError):
         return None
+
+
+def exports(commit: str, repo: Path = ROOT) -> int | None:
+    """The size of ``polarlab.__all__`` at ``commit``, None when git or ast cannot read it there. The
+    ``__all__`` of ``src/polarlab/__init__.py`` may be built from its module-level literals with
+    ``sorted``, ``list`` or ``tuple`` of one of them and ``+``."""
+    try:
+        source = subprocess.run(["git", "-C", str(repo), "show", f"{commit}:src/polarlab/__init__.py"],
+                                capture_output=True, check=True).stdout
+        body = ast.parse(source).body
+    except (OSError, subprocess.CalledProcessError, SyntaxError, ValueError):
+        return None
+    bound = {}
+
+    def value(node):
+        if isinstance(node, ast.Name):
+            return bound[node.id]
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+            return value(node.left) + value(node.right)
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and not node.keywords
+                and node.func.id in ("sorted", "list", "tuple") and len(node.args) == 1):
+            return list(value(node.args[0]))
+        return ast.literal_eval(node)
+
+    for node in body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1 and isinstance(node.targets[0], ast.Name):
+            try:
+                bound[node.targets[0].id] = value(node.value)
+            except (KeyError, TypeError, ValueError):
+                bound.pop(node.targets[0].id, None)
+    names = bound.get("__all__")
+    return len(names) if isinstance(names, (list, tuple)) else None
 
 
 def load_runs(directory: Path) -> dict:
@@ -156,6 +190,7 @@ def main(argv=None) -> int:
         "tier1_wall_s": args.tier1_seconds,
         "src_lines": {side: py_lines(commit, "src/polarlab") for side, commit in commits.items()},
         "tests_lines": {side: py_lines(commit, "tests") for side, commit in commits.items()},
+        "exports": {side: exports(commit) for side, commit in commits.items()},
         "fingerprint": machine([r for runs in (*parent.values(), *change.values()) for r in runs]),
         "blas_runtime": blas_runtime(numpy_libs()),
         "workloads": collect(parent, change, lower_is_better),
