@@ -16,8 +16,9 @@ fingerprint of the runs, both commits and the tier-1 wall time given,
 ``src/polarlab/*.py`` and of ``tests/*.py`` at each commit as this
 repository's git reads them, ``exports``, the size of ``polarlab.__all__``
 at each commit read with ast from its ``src/polarlab/__init__.py`` (each
-null where it cannot be read), and the OpenBLAS core and build configuration that numpy's bundled OpenBLAS
-reports in the collecting process ("unknown" when it cannot be read). Run
+null where it cannot be read), and the OpenBLAS core and build
+configuration that numpy's bundled OpenBLAS reports in the collecting
+process ("unknown" when it cannot be read). Run
 it on the machine and with the environment that ran the benchmark, since
 OpenBLAS picks its core at load time from the CPU and OPENBLAS_CORETYPE.
 """
