@@ -42,7 +42,8 @@ def main():
     # a zero loss threshold runs the whole budget: the loss is below the default 1e-8 before iteration 1200
     cfg = pl.RGDConfig(eta=0.01, seed=1, max_iters=1200, record_every=300, loss_threshold=0.0)
     trace, _ = pl.run_polar_rgd(target, 9, cfg)
-    for it, left, right, phi in zip(trace.iters, trace.sigma_min_phi, trace.sigma_min_psi, trace.trace_phi):
+    cols = trace.columns
+    for it, left, right, phi in zip(cols["iter"], cols["sigma_min_phi"], cols["sigma_min_psi"], cols["trace_phi"]):
         print(f"  iter {it:>4}: smallest left cosine {left:.4f}, "
               f"smallest right cosine {right:.4f}, "
               f"left misalignment trace {target.r_a - phi:.4f}")

@@ -22,9 +22,10 @@ classes define what a checkpoint holds.
 Exit codes: 0 the run converged (or the command has no convergence
 notion), 2 the iteration budget ran out first, 1 any error.
 
-Only the standard library is imported at module load; ``--threads`` must
-take effect through the BLAS environment variables before numpy first
-loads, so all numerical imports happen inside the subcommand handlers.
+Only the standard library and the numpy-free ``config`` and ``trace``
+modules are imported at module load; ``--threads`` must take effect through
+the BLAS environment variables before numpy first loads, so all numerical
+imports happen inside the subcommand handlers.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ import os
 import sys
 
 from .config import LandingConfig, RGDConfig, check_loss_threshold
+from .trace import CORE_COLUMNS, read_trace_csv, write_table
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -242,19 +244,23 @@ def _trace_csvs(path: str) -> list:
             continue
         with open(full) as fh:
             header = fh.readline().strip().split(",")
-        if header[:2] == ["iter", "loss"]:
+        if tuple(header[:2]) == CORE_COLUMNS[:2]:
             out.append(full)
     return out
 
 
 def _classify(path: str, label: str):
     """(label, checkpoint dir or None, trace csv or None) if ``path`` is a
-    checkpoint or a run directory, else None."""
+    checkpoint or a run directory, else None. A run directory holds at most
+    one trace CSV."""
     if _is_checkpoint_dir(path):
         return (label or "checkpoint", path, None)
     ckpt = os.path.join(path, "checkpoint")
     ckpt = ckpt if _is_checkpoint_dir(ckpt) else None
     traces = _trace_csvs(path)
+    if len(traces) > 1:
+        names = ", ".join(os.path.basename(t) for t in traces)
+        raise CliError(f"{path}: {len(traces)} trace CSVs in one run directory ({names}); expected at most one")
     if ckpt or traces:
         return (label or "run", ckpt, traces[0] if traces else None)
     return None
@@ -284,7 +290,6 @@ def _analyze_one(label: str, ckpt: str | None, trace_csv: str | None, cfg: dict,
 
     from . import io as pio
     from .stiefel import distance_to_stiefel, pairwise_direction_distances, stable_rank
-    from .trace import read_trace_csv
 
     report: dict = {"label": label}
     if ckpt is not None:
@@ -321,12 +326,8 @@ def _analyze_one(label: str, ckpt: str | None, trace_csv: str | None, cfg: dict,
         report["final_loss"] = columns["loss"][-1] if columns["loss"] else float("nan")
         if "n_x" in columns and "n_y" in columns:
             # feasibility curve: squared distance to the Stiefel manifold per iterate
-            lines = ["iter,n_x,n_y"]
-            for it, nx, ny in zip(columns["iter"], columns["n_x"], columns["n_y"]):
-                lines.append(f"{it},{nx!r},{ny!r}")
             feas_path = os.path.join(out_dir, f"feasibility_{label}.csv")
-            with open(feas_path, "w") as fh:
-                fh.write("\n".join(lines) + "\n")
+            write_table(feas_path, {name: columns[name] for name in ("iter", "n_x", "n_y")})
             report["feasibility_csv"] = feas_path
     return report
 
@@ -337,13 +338,10 @@ def _cmd_analyze(cfg: dict, out_dir: str) -> int:
     targets = _analyze_targets(cfg["path"])
     reports = [_analyze_one(label, ckpt, trace, cfg, out_dir) for label, ckpt, trace in targets]
 
-    sr_lines = ["label,stable_rank"]
-    for rep in reports:
-        if "stable_rank" in rep:
-            sr_lines.append(f"{rep['label']},{rep['stable_rank']!r}")
-    if len(sr_lines) > 1:
-        with open(os.path.join(out_dir, "stable_rank.csv"), "w") as fh:
-            fh.write("\n".join(sr_lines) + "\n")
+    ranked = [rep for rep in reports if "stable_rank" in rep]
+    if ranked:
+        table = {name: [rep[name] for rep in ranked] for name in ("label", "stable_rank")}
+        write_table(os.path.join(out_dir, "stable_rank.csv"), table)
 
     path = os.path.join(out_dir, "report.json")
     with open(path, "w") as fh:

@@ -49,8 +49,11 @@ def load_matrix_csv(path) -> np.ndarray:
         header = fh.readline().strip()
         if header != "rows,cols":
             raise ValueError(f"{path}: expected 'rows,cols' header, got {header!r}")
-        dims = fh.readline().strip().split(",")
-        rows, cols = int(dims[0]), int(dims[1])
+        dims = fh.readline().strip()
+        try:
+            rows, cols = map(int, dims.split(","))
+        except ValueError:
+            raise ValueError(f"{path}: expected two integer dimensions on line 2, got {dims!r}") from None
         data = np.loadtxt(fh, delimiter=",", ndmin=2)
     if data.shape != (rows, cols):
         raise ValueError(f"{path}: declared shape ({rows},{cols}) != data shape {data.shape}")
@@ -91,6 +94,9 @@ def load_state(directory):
     cls = _BY_KIND.get(meta.get("kind"))
     if cls is None:
         raise ValueError(f"{directory}: unknown checkpoint kind {meta.get('kind')!r}")
+    missing = [f.name for f in dataclasses.fields(cls) if _is_scalar(f) and f.name not in meta]
+    if missing:
+        raise ValueError(f"{directory}: meta.json of a {cls.kind!r} checkpoint lacks {', '.join(missing)}")
     values = {
         f.name: float(meta[f.name]) if _is_scalar(f) else load_matrix_csv(os.path.join(directory, f"{f.name}.csv"))
         for f in dataclasses.fields(cls)

@@ -20,8 +20,8 @@ them without repacking. A trace row's stable rank of DeltaW needs no SVD.
 
 The task is least squares against whitened inputs: L = ||(W0 + DeltaW) D
 - labels||_F^2 with D D^T = I, which collapses to the factored form
-||DeltaW - residual||_F^2 + c. The trainers and ``WhitenedTask.loss``
-report the factored residual, which leaves out c.
+||DeltaW - residual||_F^2 + c. The trainers report the factored
+residual, which leaves out c.
 A plain LoRA-style baseline (two Euclidean factors, Z2 zero-initialized)
 trains on the same task for comparison.
 
@@ -190,15 +190,6 @@ class WhitenedTask:
     @property
     def r_a(self) -> int:
         return self.planted_sigma.size
-
-    def loss(self, delta_w, direct: bool = False) -> float:
-        """||delta_w - residual||_F^2 as the trainers report it, without c;
-        with ``direct``, ||(W0 + delta_w) D - labels||_F^2, which includes c."""
-        if direct:
-            resid = (self.W0 + delta_w) @ self.D - self.labels
-            return float(np.sum(resid * resid))
-        diff = delta_w - self.residual
-        return float(np.sum(diff * diff))
 
 
 def make_whitened_task(

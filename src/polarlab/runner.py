@@ -8,13 +8,14 @@ An optimizer is a method object with a ``name`` and three operations:
   stepped from and returned.
 * ``step(state, ev, it) -> state``: the update of iteration ``it``. It may
   add to ``ev`` what the trace row reports about the step taken.
-* ``record(state, ev) -> columns``: the trace columns besides iter, loss and
-  wall_time.
+* ``record(state, ev) -> columns``: the trace row's columns besides iter
+  and loss, by name (see :mod:`polarlab.trace`).
 
 :func:`run` owns the budget, the loss threshold, the divergence rule (a
 non-finite loss or one above ``DIVERGENCE_LOSS`` raises DivergenceError),
-the trace rows, each written after the step of its iteration, and the
-evaluation of the state after the last step, whose row reports no step. It
+the trace rows, each written after the step of its iteration, the
+evaluation of the state after the last step, whose row reports no step, and
+the run's wall clock, one number on the trace (``trace.wall_time``). It
 names the method and the iteration in a FeasibilityError that a step raises.
 :func:`advance` is the single step: one iteration of the same method object
 under the same divergence rule, with no trace.
@@ -48,7 +49,8 @@ def run(method, state, metadata: dict, max_iters: int, record_every: int, loss_t
     """Iterate ``method`` from ``state`` for at most ``max_iters`` steps; returns (trace, final state).
 
     The trace's metadata is ``metadata`` plus the run's settings and final
-    loss. With a ``loss_threshold`` the run stops at the first evaluated
+    loss; the seconds the run took go in ``trace.wall_time``, not in the
+    metadata, which checkpoints copy. With a ``loss_threshold`` the run stops at the first evaluated
     state at or below it, ``converged`` says whether it did and
     ``iterations`` is the stopping iteration (``max_iters`` when the budget
     ran out); without one the whole budget runs. The configs of
@@ -56,24 +58,21 @@ def run(method, state, metadata: dict, max_iters: int, record_every: int, loss_t
     """
     trace = RunTrace(algorithm=method.name, metadata=metadata)
     t0 = time.perf_counter()
-
-    def record(it, state, loss, ev):
-        trace.append(it, loss, wall_time=time.perf_counter() - t0, **method.record(state, ev))
-
     for it in range(max_iters + 1):
         state, loss, ev = method.evaluate(state)
         _check_loss(loss, method.name, it)
         converged = loss_threshold is not None and loss <= loss_threshold
         if converged or it == max_iters:
-            record(it, state, loss, ev)
+            trace.append(it, loss, **method.record(state, ev))
             break
         try:
             stepped = method.step(state, ev, it)
         except FeasibilityError as exc:  # a failed retraction: say where
             raise FeasibilityError(f"{exc} ({method.name}, iteration {it})") from exc
         if it % record_every == 0:
-            record(it, state, loss, ev)
+            trace.append(it, loss, **method.record(state, ev))
         state = stepped
+    trace.wall_time = time.perf_counter() - t0
     trace.metadata.update(max_iters=max_iters, record_every=record_every, final_loss=trace.final_loss)
     if loss_threshold is not None:
         trace.metadata.update(loss_threshold=loss_threshold, converged=converged, iterations=it)

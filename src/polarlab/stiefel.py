@@ -260,7 +260,6 @@ class SpectrumSummary:
     """Singular spectrum of a matrix with its stable rank."""
 
     singular_values: np.ndarray  # descending
-    fro: float
     spectral: float
     stable_rank: float
 
@@ -280,7 +279,6 @@ def stable_rank(W) -> SpectrumSummary:
     fro2 = float(np.sum(s * s))
     return SpectrumSummary(
         singular_values=s,
-        fro=float(np.sqrt(fro2)),
         spectral=float(s[0]),
         stable_rank=fro2 / float(s[0]) ** 2,
     )
@@ -291,13 +289,12 @@ class AlignmentReport:
     """Alignment of a Stiefel point X with a reference basis U, through Phi = U^T X.
 
     ``trace_phi`` = Tr(Phi Phi^T) grows toward r_A as span(U) is captured by
-    span(X); ``misalignment_trace`` = Tr(I - Phi Phi^T) is the squared
-    chordal distance and satisfies trace_phi + misalignment_trace = r_A.
+    span(X); r_A - trace_phi = Tr(I - Phi Phi^T) is the squared chordal
+    distance between the two spans.
     """
 
     trace_phi: float
     sigma_min_phi: float
-    misalignment_trace: float
 
 
 def alignment(U, X) -> AlignmentReport:
@@ -311,11 +308,9 @@ def alignment(U, X) -> AlignmentReport:
         raise ValueError(f"need r_A <= r, got r_A={r_a}, r={r}")
     phi = U.T @ X
     s = np.linalg.svd(phi, compute_uv=False)
-    trace_phi = float(np.sum(phi * phi))
     return AlignmentReport(
-        trace_phi=trace_phi,
+        trace_phi=float(np.sum(phi * phi)),
         sigma_min_phi=float(s[-1]),
-        misalignment_trace=float(r_a) - trace_phi,
     )
 
 

@@ -1,10 +1,14 @@
 """Per-iteration run traces and their CSV/JSON serialization.
 
-A trace CSV holds only the deterministic per-iteration columns; identical
-config + seed reproduces it byte for byte in single-threaded runs. The
-per-iteration wall clock is kept in memory and summarized in the JSON
-metadata sidecar (``total_wall_time``), the one field outside the
-determinism contract; timings never go in the CSV.
+A trace is one table, ``RunTrace.columns``: column name -> per-row values.
+Its CSV, written by :func:`write_table` and read back in the same shape by
+:func:`read_trace_csv`, is the header, then one line per row. The
+``CORE_COLUMNS`` come first, with NaN where a method gives none; the columns
+a method adds (the landing trainers add n_x, n_y and stable_rank) follow,
+sorted. The first cell of a line is written by ``str``, the rest by ``repr``,
+so identical config + seed reproduces the CSV byte for byte in
+single-threaded runs. The run's wall clock goes only in the JSON sidecar, as
+``total_wall_time``, the one field outside this determinism contract.
 """
 
 from __future__ import annotations
@@ -25,71 +29,51 @@ CORE_COLUMNS = (
     "sigma_min_psi",
     "grad_norm",
 )
+_CORE = frozenset(CORE_COLUMNS)
+_NAN_ROW = dict.fromkeys(CORE_COLUMNS, math.nan)
 
 
 @dataclass
 class RunTrace:
-    """Recorded iterates of one optimization run.
+    """Recorded rows of one optimization run.
 
-    ``metadata`` carries at least seed, eta, gamma, m, n, r, r_A, kappa and
-    algorithm. ``extras`` holds additional per-iteration columns (the
-    landing trainers add n_x, n_y and stable_rank).
+    ``algorithm`` names the method. ``metadata`` carries at least seed, eta,
+    gamma, m, n, r, r_A and kappa. ``columns`` is the table, column name ->
+    per-row values, in CSV order. ``wall_time`` is the run's wall clock in
+    seconds, set by :func:`polarlab.runner.run`.
     """
 
     algorithm: str
     metadata: dict
-    iters: list = field(default_factory=list)
-    loss: list = field(default_factory=list)
-    trace_phi: list = field(default_factory=list)
-    trace_psi: list = field(default_factory=list)
-    sigma_min_phi: list = field(default_factory=list)
-    sigma_min_psi: list = field(default_factory=list)
-    grad_norm: list = field(default_factory=list)
-    wall_time: list = field(default_factory=list)
-    extras: dict = field(default_factory=dict)
+    columns: dict = field(default_factory=lambda: {name: [] for name in CORE_COLUMNS})
+    wall_time: float | None = None
 
-    def append(
-        self,
-        it: int,
-        loss: float,
-        trace_phi: float = math.nan,
-        trace_psi: float = math.nan,
-        sigma_min_phi: float = math.nan,
-        sigma_min_psi: float = math.nan,
-        grad_norm: float = math.nan,
-        wall_time: float = math.nan,
-        **extras,
-    ) -> None:
-        if self.iters and it <= self.iters[-1]:
-            raise ValueError(f"iterations must be strictly increasing, got {it} after {self.iters[-1]}")
+    def append(self, it: int, loss: float, **values) -> None:
+        """Record one row: ``values`` gives core columns besides iter and loss,
+        and the added columns, which must be the first row's."""
+        columns = self.columns
+        iters = columns["iter"]
+        if iters and it <= iters[-1]:
+            raise ValueError(f"iterations must be strictly increasing, got {it} after {iters[-1]}")
         if not loss >= 0.0:
             raise ValueError(f"loss must be nonnegative, got {loss}")
-        if self.iters and set(extras) != set(self.extras):
-            raise ValueError(f"extras keys changed: {sorted(extras)} vs {sorted(self.extras)}")
-        self.iters.append(int(it))
-        self.loss.append(float(loss))
-        self.trace_phi.append(float(trace_phi))
-        self.trace_psi.append(float(trace_psi))
-        self.sigma_min_phi.append(float(sigma_min_phi))
-        self.sigma_min_psi.append(float(sigma_min_psi))
-        self.grad_norm.append(float(grad_norm))
-        self.wall_time.append(float(wall_time))
-        for key, value in extras.items():
-            self.extras.setdefault(key, []).append(float(value))
+        row = {**_NAN_ROW, **values}
+        if not iters:
+            columns.update((name, []) for name in sorted(row.keys() - _CORE))
+        elif row.keys() != columns.keys():
+            raise ValueError(f"added columns changed: {sorted(row.keys() - _CORE)} vs {sorted(columns.keys() - _CORE)}")
+        row["loss"] = loss
+        iters.append(int(it))
+        for name, column in columns.items():
+            if column is not iters:
+                column.append(float(row[name]))
 
     def __len__(self) -> int:
-        return len(self.iters)
+        return len(self.columns["iter"])
 
     @property
     def final_loss(self) -> float:
-        return self.loss[-1]
-
-    def column(self, name: str) -> list:
-        if name == "iter":
-            return self.iters
-        if name in CORE_COLUMNS:
-            return getattr(self, name)
-        return self.extras[name]
+        return self.columns["loss"][-1]
 
 
 def trace_basename(trace: RunTrace) -> str:
@@ -105,6 +89,16 @@ def trace_basename(trace: RunTrace) -> str:
     return f"{trace.algorithm}_{kappa}_{md.get('r', 'na')}_{md.get('seed', 'na')}"
 
 
+def write_table(path, columns: dict) -> None:
+    """Write ``columns`` (name -> per-row values) as CSV: the header, then
+    each row with its first cell by ``str`` and the rest by ``repr``."""
+    first, *rest = columns.values()
+    cells = [map(str, first), *(map(repr, column) for column in rest)]
+    lines = [",".join(columns), *map(",".join, zip(*cells, strict=True))]
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def write_trace(trace: RunTrace, out_dir, basename: str | None = None) -> str:
     """Write ``<basename>.csv`` and ``<basename>.json`` into ``out_dir``.
 
@@ -112,19 +106,14 @@ def write_trace(trace: RunTrace, out_dir, basename: str | None = None) -> str:
     """
     os.makedirs(out_dir, exist_ok=True)
     stem = basename or trace_basename(trace)
-    columns = list(CORE_COLUMNS) + sorted(trace.extras)
-    cells = [map(str, trace.iters)] + [map(repr, trace.column(name)) for name in columns[1:]]
-    lines = [",".join(columns), *map(",".join, zip(*cells, strict=True))]
     csv_path = os.path.join(out_dir, f"{stem}.csv")
-    with open(csv_path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_table(csv_path, trace.columns)
 
     meta = dict(trace.metadata)
     meta["algorithm"] = trace.algorithm
     meta["polarlab_version"] = __version__
     meta["n_records"] = len(trace)
-    finite_wall = [t for t in trace.wall_time if not math.isnan(t)]
-    meta["total_wall_time"] = finite_wall[-1] if finite_wall else None
+    meta["total_wall_time"] = trace.wall_time
     with open(os.path.join(out_dir, f"{stem}.json"), "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True, default=str)
         fh.write("\n")
@@ -132,7 +121,8 @@ def write_trace(trace: RunTrace, out_dir, basename: str | None = None) -> str:
 
 
 def read_trace_csv(path) -> dict:
-    """Read a trace CSV into a dict of column name -> list of floats; a ragged row raises ValueError."""
+    """Read a trace CSV into the shape of ``RunTrace.columns``: column name ->
+    list, ints for iter and floats elsewhere. A ragged row raises ValueError."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         columns = {name: [] for name in header}

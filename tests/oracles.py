@@ -5,7 +5,9 @@ three factorization losses, each written out directly. The optimizers in
 ``polarlab.factorization`` compute the same quantities in fused, expanded
 forms; these are the plain versions. The alignment-gain predicate and the
 loss-alignment bound after them are the theory that A3 checks along RGD
-trajectories. The adapter steps below run one out-of-place Adam per
+trajectories. The whitened task's loss, in its factored and direct forms,
+is the function the adapter gradients are checked against by finite
+differences. The adapter steps below run one out-of-place Adam per
 parameter, where ``polarlab.landing`` runs one in-place Adam over the
 packed parameters.
 
@@ -171,6 +173,20 @@ def loss_alignment_bound(target: FactorizationTarget, f: PolarFactors) -> tuple[
     rho2 = target.r_a - float(np.sum(psi * psi))
     bound = 2.0 * float(target.sigma[0]) ** 2 * (rho1 + rho2)
     return factor_loss(target, f), bound
+
+
+# ---------------------------------------------------------------------------
+# the whitened task's loss
+
+
+def whitened_task_loss(task, delta_w, direct: bool = False) -> float:
+    """||delta_w - residual||_F^2 as the trainers report it, without c;
+    with ``direct``, ||(W0 + delta_w) D - labels||_F^2, which includes c."""
+    if direct:
+        resid = (task.W0 + delta_w) @ task.D - task.labels
+        return float(np.sum(resid * resid))
+    diff = delta_w - task.residual
+    return float(np.sum(diff * diff))
 
 
 # ---------------------------------------------------------------------------

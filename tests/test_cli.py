@@ -570,6 +570,56 @@ def test_analyze_ragged_trace_exits_one_with_one_line(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == [f"error: {csv_path}:8: 4 cells, the header has 10"]
 
 
+def test_analyze_run_with_two_traces_exits_one_with_one_line(tmp_path, capsys):
+    # analyze reads one trace per run; a second one would be skipped without a word
+    run = tmp_path / "run"
+    shutil.copytree(GOLDEN / "landing-polar-seed0", run)
+    shutil.copy(GOLDEN / "lora-seed0" / "lora_4_4_0.csv", run)
+    out = tmp_path / "analysis"
+    assert main(["analyze", "--path", str(run), "--out", str(out)]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"error: {run}: 2 trace CSVs in one run directory (landing-polar_4_4_0.csv, lora_4_4_0.csv); expected at most one"
+    ]
+    assert captured.out == "" and not (out / "report.json").exists()
+
+
+def test_analyze_matrix_with_one_dimension_exits_one_with_one_line(tmp_path, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(GOLDEN / "landing-polar-seed0", run)
+    matrix = run / "checkpoint" / "X.csv"
+    lines = matrix.read_text().splitlines()
+    assert lines[1] == "16,4"
+    matrix.write_text("\n".join([lines[0], "16", *lines[2:]]) + "\n")
+    assert main(["analyze", "--path", str(run), "--out", str(tmp_path / "analysis")]) == EXIT_ERROR
+    assert capsys.readouterr().err.splitlines() == [f"error: {matrix}: expected two integer dimensions on line 2, got '16'"]
+
+
+def test_analyze_files_hold_the_trace_columns_and_the_report_values(tmp_path):
+    from polarlab.config import LandingConfig
+    from polarlab.landing import make_whitened_task, train_polar_landing
+    from polarlab.trace import read_trace_csv, write_trace
+
+    root = tmp_path / "grid"
+    traces = {}
+    for seed in (0, 1):
+        task = make_whitened_task(24, 16, 48, 2, np.random.default_rng(7), kappa=4.0)
+        cfg = LandingConfig(eta=0.05, lam=1e-3, max_iters=60, record_every=20, seed=seed)
+        state, traces[f"seed{seed}"] = train_polar_landing(task, 4, cfg)
+        write_trace(traces[f"seed{seed}"], root / f"seed{seed}")
+        pio.save_state(root / f"seed{seed}" / "checkpoint", state, {})
+    out = tmp_path / "analysis"
+    assert main(["analyze", "--path", str(root), "--out", str(out)]) == EXIT_OK
+    for label, trace in traces.items():
+        feasibility = read_trace_csv(out / f"feasibility_{label}.csv")
+        assert feasibility == {name: trace.columns[name] for name in ("iter", "n_x", "n_y")}
+    reports = json.loads((out / "report.json").read_text())
+    lines = (out / "stable_rank.csv").read_text().splitlines()
+    assert lines[0] == "label,stable_rank"
+    ranks = {label: float(value) for label, value in (line.split(",") for line in lines[1:])}
+    assert ranks == {rep["label"]: rep["stable_rank"] for rep in reports} and len(ranks) == 2
+
+
 def test_analyze_missing_path_exits_one(tmp_path, capsys):
     rc = main(["analyze", "--path", str(tmp_path / "nothing-here"), "--out", str(tmp_path / "r")])
     assert rc == EXIT_ERROR

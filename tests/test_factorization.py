@@ -510,8 +510,8 @@ def test_run_polar_is_deterministic():
     t = make_target(10, 8, 2, 3.0, np.random.default_rng(5))
     tr1, f1 = run_polar_rgd(t, 4, RGDConfig(eta=1e-2, seed=7, max_iters=200, loss_threshold=0.0, record_every=50))
     tr2, f2 = run_polar_rgd(t, 4, RGDConfig(eta=1e-2, seed=7, max_iters=200, loss_threshold=0.0, record_every=50))
-    assert tr1.loss == tr2.loss
-    assert tr1.iters == tr2.iters
+    assert tr1.columns["loss"] == tr2.columns["loss"]
+    assert tr1.columns["iter"] == tr2.columns["iter"]
     assert np.array_equal(f1.X, f2.X)
     assert np.array_equal(f1.Y, f2.Y)
 
@@ -519,7 +519,7 @@ def test_run_polar_is_deterministic():
 def test_run_polar_recording_cadence_and_budget_endpoint():
     t = make_target(10, 8, 2, 3.0, np.random.default_rng(5))
     tr, f = run_polar_rgd(t, 4, RGDConfig(eta=1e-2, seed=7, max_iters=200, loss_threshold=0.0, record_every=50))
-    assert tr.iters == [0, 50, 100, 150, 200]
+    assert tr.columns["iter"] == [0, 50, 100, 150, 200]
     assert tr.metadata["converged"] is False
     assert tr.metadata["iterations"] == 200
     # returned factors are the recorded endpoint state
@@ -531,12 +531,12 @@ def test_run_polar_crossing_iteration_is_exact():
     tr, _ = run_polar_rgd(t, 4, RGDConfig(eta=0.05, seed=3, max_iters=50000, loss_threshold=1e-6, record_every=1000))
     k = tr.metadata["iterations"]
     assert tr.metadata["converged"] is True
-    assert tr.iters[-1] == k
+    assert tr.columns["iter"][-1] == k
     # the previous iteration must still be above threshold
     tr2, _ = run_polar_rgd(t, 4, RGDConfig(eta=0.05, seed=3, max_iters=k, loss_threshold=0.0, record_every=k))
-    assert tr2.loss[-1] <= 1e-6  # iterate k as recorded by the run above
+    assert tr2.columns["loss"][-1] <= 1e-6  # iterate k as recorded by the run above
     tr3, _ = run_polar_rgd(t, 4, RGDConfig(eta=0.05, seed=3, max_iters=k - 1, loss_threshold=0.0, record_every=k))
-    assert tr3.loss[-1] > 1e-6
+    assert tr3.columns["loss"][-1] > 1e-6
 
 
 def test_run_traces_have_alignment_columns():
@@ -544,13 +544,13 @@ def test_run_traces_have_alignment_columns():
     trp, _ = run_polar_rgd(t, 4, RGDConfig(eta=1e-2, seed=7, max_iters=100, loss_threshold=0.0, record_every=50))
     trb, _ = run_bm_gd(t, 4, RGDConfig(eta=1e-2, seed=7, max_iters=100, loss_threshold=0.0, record_every=50))
     for tr in (trp, trb):
-        assert all(0.0 <= v <= t.r_a + 1e-9 for v in tr.trace_phi)
-        assert all(0.0 <= v <= t.r_a + 1e-9 for v in tr.trace_psi)
-        assert all(v >= 0.0 for v in tr.grad_norm)
+        assert all(0.0 <= v <= t.r_a + 1e-9 for v in tr.columns["trace_phi"])
+        assert all(0.0 <= v <= t.r_a + 1e-9 for v in tr.columns["trace_psi"])
+        assert all(v >= 0.0 for v in tr.columns["grad_norm"])
     ts = make_sym_target(10, 2, 3.0, np.random.default_rng(5))
     trs, _ = run_sym_rgd(ts, 4, RGDConfig(eta=1e-2, seed=7, max_iters=100, loss_threshold=0.0, record_every=50))
-    assert all(0.0 <= v <= ts.r_a + 1e-9 for v in trs.trace_phi)
-    assert all(np.isnan(v) for v in trs.trace_psi)
+    assert all(0.0 <= v <= ts.r_a + 1e-9 for v in trs.columns["trace_phi"])
+    assert all(np.isnan(v) for v in trs.columns["trace_psi"])
 
 
 def test_run_bm_converges_on_easy_target():
@@ -619,7 +619,7 @@ def test_misalignment_sigma_min_nondecreasing_on_short_run():
     # r_A <= m/2 regime: smallest alignment singular value cannot shrink
     t = make_target(8, 6, 2, 2.0, np.random.default_rng(6), normalize=True)
     tr, _ = run_polar_rgd(t, 3, RGDConfig(eta=0.1, seed=8, max_iters=300, loss_threshold=0.0, record_every=10))
-    s_phi = np.array(tr.sigma_min_phi)
-    s_psi = np.array(tr.sigma_min_psi)
+    s_phi = np.array(tr.columns["sigma_min_phi"])
+    s_psi = np.array(tr.columns["sigma_min_psi"])
     assert (np.diff(s_phi) >= -1e-9).all()
     assert (np.diff(s_psi) >= -1e-9).all()

@@ -101,6 +101,15 @@ def test_load_rejects_shape_mismatch(tmp_path):
         load_matrix_csv(path)
 
 
+@pytest.mark.parametrize("dims", ["5", "5,x", "5,2,1", ""])
+def test_load_rejects_a_malformed_dimension_line(tmp_path, dims):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"rows,cols\n{dims}\n1.0,2.0\n")
+    with pytest.raises(ValueError) as info:
+        load_matrix_csv(path)
+    assert str(info.value) == f"{path}: expected two integer dimensions on line 2, got {dims!r}"
+
+
 # ---------------------------------------------------------------------------
 # checkpoints
 
@@ -189,6 +198,16 @@ def test_load_state_requires_meta(tmp_path):
     (tmp_path / "notckpt").mkdir()
     with pytest.raises(FileNotFoundError, match="meta.json"):
         load_state(tmp_path / "notckpt")
+
+
+def test_load_state_names_a_missing_scalar_field(tmp_path):
+    save_state(tmp_path / "ckpt", _states()["polar-adapter"], {})
+    meta = json.loads((tmp_path / "ckpt" / "meta.json").read_text())
+    del meta["scale_alpha"]
+    (tmp_path / "ckpt" / "meta.json").write_text(json.dumps(meta))
+    with pytest.raises(ValueError) as info:
+        load_state(tmp_path / "ckpt")
+    assert str(info.value) == f"{tmp_path / 'ckpt'}: meta.json of a 'polar-adapter' checkpoint lacks scale_alpha"
 
 
 @pytest.mark.parametrize("meta", [{"kind": "mystery"}, {"note": "no kind at all"}])

@@ -50,6 +50,7 @@ from oracles import (
     per_parameter_opt,
     polar_directions_reference,
     polar_step_reference,
+    whitened_task_loss,
 )
 
 
@@ -178,8 +179,8 @@ def test_task_whitening_and_realizability():
     assert np.linalg.norm(t.D @ t.D.T - np.eye(10)) <= 1e-10
     assert abs(t.c) <= 1e-10
     # the planted matrix is the exact minimizer, under both loss forms
-    assert t.loss(t.residual) <= 1e-18
-    assert t.loss(t.residual, direct=True) <= 1e-18
+    assert whitened_task_loss(t, t.residual) <= 1e-18
+    assert whitened_task_loss(t, t.residual, direct=True) <= 1e-18
 
 
 def test_task_planted_spectrum():
@@ -222,8 +223,8 @@ def test_task_rejects_non_finite_kappa_before_drawing(kappa):
 def test_direct_and_factored_losses_agree(seed):
     t = _task(seed)
     dw = np.random.default_rng(seed + 100).standard_normal((12, 10))
-    direct = t.loss(dw, direct=True)
-    factored = t.loss(dw)
+    direct = whitened_task_loss(t, dw, direct=True)
+    factored = whitened_task_loss(t, dw)
     assert direct == pytest.approx(factored, rel=1e-10)
 
 
@@ -232,7 +233,7 @@ def test_factored_loss_leaves_out_c():
     noisy = WhitenedTask(
         W0=t.W0, D=t.D, labels=t.labels, residual=t.residual, c=-1e-16, planted_sigma=t.planted_sigma, kappa=t.kappa
     )
-    assert noisy.loss(noisy.residual) == 0.0
+    assert whitened_task_loss(noisy, noisy.residual) == 0.0
 
 
 def test_task_loss_is_the_trainers_final_loss():
@@ -242,7 +243,7 @@ def test_task_loss_is_the_trainers_final_loss():
     cfg = LandingConfig(eta=2e-2, lam=1e-3, schedule="constant", seed=47, max_iters=2000)
     state, trace = train_lora(task, 24, cfg)
     assert task.c < 0.0
-    assert task.loss(state.delta_w()) == trace.final_loss > 0.0
+    assert whitened_task_loss(task, state.delta_w()) == trace.final_loss > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -256,11 +257,11 @@ def test_whitened_task_grads_match_fd(seed):
     state = init_adapter_state(t.W0.shape, 4, rng)
     state = AdapterState(X=state.X, Theta=rng.standard_normal((4, 4)), Y=state.Y)
     G_X, G_Theta, G_Y, loss = whitened_task_grads(t, state)
-    assert loss == pytest.approx(t.loss(state.delta_w()), rel=1e-12)
+    assert loss == pytest.approx(whitened_task_loss(t, state.delta_w()), rel=1e-12)
 
     def loss_at(**kw):
         s = AdapterState(X=kw.get("X", state.X), Theta=kw.get("Theta", state.Theta), Y=kw.get("Y", state.Y))
-        return t.loss(s.delta_w())
+        return whitened_task_loss(t, s.delta_w())
 
     assert _rel_err(G_X, _fd_grad(lambda W: loss_at(X=W), state.X)) <= 1e-5
     assert _rel_err(G_Theta, _fd_grad(lambda W: loss_at(Theta=W), state.Theta)) <= 1e-5
@@ -273,9 +274,9 @@ def test_lora_grads_match_fd(seed):
     rng = np.random.default_rng(seed + 20)
     state = LoraState(Z1=rng.standard_normal((12, 4)), Z2=rng.standard_normal((10, 4)))
     G1, G2, loss = lora_grads(t, state)
-    assert loss == pytest.approx(t.loss(state.delta_w()), rel=1e-12)
-    fd1 = _fd_grad(lambda Z: t.loss(LoraState(Z1=Z, Z2=state.Z2).delta_w()), state.Z1)
-    fd2 = _fd_grad(lambda Z: t.loss(LoraState(Z1=state.Z1, Z2=Z).delta_w()), state.Z2)
+    assert loss == pytest.approx(whitened_task_loss(t, state.delta_w()), rel=1e-12)
+    fd1 = _fd_grad(lambda Z: whitened_task_loss(t, LoraState(Z1=Z, Z2=state.Z2).delta_w()), state.Z1)
+    fd2 = _fd_grad(lambda Z: whitened_task_loss(t, LoraState(Z1=state.Z1, Z2=Z).delta_w()), state.Z2)
     assert _rel_err(G1, fd1) <= 1e-5
     assert _rel_err(G2, fd2) <= 1e-5
 
@@ -565,20 +566,20 @@ def _small_cfg(T, record_every=10, seed=0):
 def test_train_polar_landing_descends_and_lands():
     t = make_whitened_task(16, 16, 24, 2, np.random.default_rng(3), kappa=5.0)
     state, tr = train_polar_landing(t, 4, _small_cfg(800, record_every=100))
-    assert tr.loss[-1] < 1e-6 * tr.loss[0]
-    assert tr.extras["n_x"][-1] <= 1e-2
-    assert tr.extras["n_y"][-1] <= 1e-2
-    assert tr.iters == [0, 100, 200, 300, 400, 500, 600, 700, 800]
+    assert tr.columns["loss"][-1] < 1e-6 * tr.columns["loss"][0]
+    assert tr.columns["n_x"][-1] <= 1e-2
+    assert tr.columns["n_y"][-1] <= 1e-2
+    assert tr.columns["iter"] == [0, 100, 200, 300, 400, 500, 600, 700, 800]
     assert tr.metadata["method"] == "landing-polar"
-    assert tr.metadata["final_loss"] == tr.loss[-1]
-    assert t.loss(state.delta_w()) == pytest.approx(tr.loss[-1], abs=1e-18, rel=1e-9)
+    assert tr.metadata["final_loss"] == tr.columns["loss"][-1]
+    assert whitened_task_loss(t, state.delta_w()) == pytest.approx(tr.columns["loss"][-1], abs=1e-18, rel=1e-9)
 
 
 def test_train_polar_landing_is_deterministic():
     t = _task(8)
     s1, t1 = train_polar_landing(t, 4, _small_cfg(120, record_every=40))
     s2, t2 = train_polar_landing(t, 4, _small_cfg(120, record_every=40))
-    assert t1.loss == t2.loss
+    assert t1.columns["loss"] == t2.columns["loss"]
     assert np.array_equal(s1.X, s2.X)
     assert np.array_equal(s1.Theta, s2.Theta)
     assert np.array_equal(s1.Y, s2.Y)
@@ -588,18 +589,18 @@ def test_train_polar_trace_alignment_columns_are_nan():
     # off-manifold iterates have no subspace-alignment reading
     t = _task(9)
     _, tr = train_polar_landing(t, 4, _small_cfg(60, record_every=30))
-    assert all(np.isnan(v) for v in tr.trace_phi)
-    assert all(np.isnan(v) for v in tr.trace_psi)
-    assert all(np.isfinite(v) for v in tr.extras["n_x"])
-    assert all(np.isfinite(v) for v in tr.extras["stable_rank"][1:])
+    assert all(np.isnan(v) for v in tr.columns["trace_phi"])
+    assert all(np.isnan(v) for v in tr.columns["trace_psi"])
+    assert all(np.isfinite(v) for v in tr.columns["n_x"])
+    assert all(np.isfinite(v) for v in tr.columns["stable_rank"][1:])
 
 
 def test_train_lora_descends():
     t = make_whitened_task(16, 16, 24, 2, np.random.default_rng(3), kappa=5.0)
     state, tr = train_lora(t, 4, _small_cfg(800, record_every=100))
-    assert tr.loss[-1] < 1e-4 * tr.loss[0]
+    assert tr.columns["loss"][-1] < 1e-4 * tr.columns["loss"][0]
     assert tr.metadata["method"] == "lora"
-    assert t.loss(state.delta_w()) == pytest.approx(tr.loss[-1], abs=1e-18, rel=1e-9)
+    assert whitened_task_loss(t, state.delta_w()) == pytest.approx(tr.columns["loss"][-1], abs=1e-18, rel=1e-9)
 
 
 def test_component_orthogonality_along_run():
@@ -658,8 +659,8 @@ def test_trace_row_stable_rank_is_nan_for_zero_or_non_finite(entry):
 def test_last_trace_row_stable_rank_is_the_final_states(train):
     final, tr = train(_task(33), 4, _small_cfg(90, record_every=30))
     want = stable_rank(final.delta_w()).stable_rank
-    assert abs(tr.extras["stable_rank"][-1] - want) <= 1e-13 * want
-    assert np.isnan(tr.extras["stable_rank"][0])  # DeltaW = 0 at initialization, Theta = 0 or Z2 = 0
+    assert abs(tr.columns["stable_rank"][-1] - want) <= 1e-13 * want
+    assert np.isnan(tr.columns["stable_rank"][0])  # DeltaW = 0 at initialization, Theta = 0 or Z2 = 0
 
 
 @pytest.mark.parametrize(
@@ -675,22 +676,22 @@ def test_trace_rows_keep_the_bits_of_the_per_parameter_oracle(method, modes):
     cfg = LandingConfig(lam=1e-3, eta=1e-2, schedule="linear", max_iters=40, **modes)
     ref_opts = per_parameter_opt(state)
     tr, _ = run(make(t, cfg, state), state, {}, cfg.max_iters, record_every=3)
-    rows = dict(zip(tr.iters, range(len(tr.iters))))
+    rows = dict(zip(tr.columns["iter"], range(len(tr.columns["iter"]))))
     for it in range(cfg.max_iters + 1):
         if it in rows:
             left, right = state.factors
-            assert tr.extras["n_x"][rows[it]] == distance_to_stiefel(getattr(ref, left))
-            assert tr.extras["n_y"][rows[it]] == distance_to_stiefel(getattr(ref, right))
+            assert tr.columns["n_x"][rows[it]] == distance_to_stiefel(getattr(ref, left))
+            assert tr.columns["n_y"][rows[it]] == distance_to_stiefel(getattr(ref, right))
             if method == "polar" and it < cfg.max_iters:
                 d = polar_directions_reference(t, ref, cfg, **modes)
                 want = float(np.sqrt(np.sum(d["X"] ** 2) + np.sum(d["Y"] ** 2) + np.sum(d["Theta"] ** 2)))
-                assert tr.grad_norm[rows[it]] == want
+                assert tr.columns["grad_norm"][rows[it]] == want
         if it < cfg.max_iters:
             step = polar_step_reference if method == "polar" else lora_step_reference
             ref = step(t, ref, ref_opts, cfg, it, **modes)
     assert sorted(rows) == list(range(0, 40, 3)) + [40]
     if method == "polar":
-        assert np.isnan(tr.grad_norm[-1])
+        assert np.isnan(tr.columns["grad_norm"][-1])
 
 
 # ---------------------------------------------------------------------------

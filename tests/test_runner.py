@@ -44,12 +44,13 @@ def test_run_records_after_each_step_and_evaluates_the_final_state():
     trace, x = run(method, 1.0, {"seed": 0}, max_iters=10, record_every=4)
     assert method.steps == list(range(10))
     assert x == 2.0**-10
-    assert trace.iters == [0, 4, 8, 10]
-    assert trace.loss == [1.0, 2.0**-8, 2.0**-16, 2.0**-20]
+    assert trace.columns["iter"] == [0, 4, 8, 10]
+    assert trace.columns["loss"] == [1.0, 2.0**-8, 2.0**-16, 2.0**-20]
     # a recorded row sees the step of its iteration; the final state takes none
-    assert trace.extras["step"][:3] == [0.5, 2.0**-5, 2.0**-9]
-    assert math.isnan(trace.extras["step"][3])
+    assert trace.columns["step"][:3] == [0.5, 2.0**-5, 2.0**-9]
+    assert math.isnan(trace.columns["step"][3])
     assert trace.metadata == {"seed": 0, "max_iters": 10, "record_every": 4, "final_loss": 2.0**-20}
+    assert trace.wall_time > 0.0  # on the trace, not in the metadata that checkpoints copy
 
 
 def test_run_stops_at_the_threshold_without_stepping():
@@ -57,7 +58,7 @@ def test_run_stops_at_the_threshold_without_stepping():
     trace, x = run(method, 1.0, {}, max_iters=10, record_every=4, loss_threshold=2.0**-10)
     assert method.steps == [0, 1, 2, 3, 4]
     assert x == 2.0**-5
-    assert trace.iters == [0, 4, 5]
+    assert trace.columns["iter"] == [0, 4, 5]
     assert trace.metadata["converged"] is True
     assert trace.metadata["iterations"] == 5
     assert trace.metadata["loss_threshold"] == 2.0**-10
@@ -68,7 +69,7 @@ def test_run_judges_the_state_after_the_last_step_against_the_threshold(max_iter
     trace, _ = run(_Halving(), 1.0, {}, max_iters=max_iters, record_every=1, loss_threshold=2.0**-10)
     assert trace.metadata["converged"] is converged
     assert trace.metadata["iterations"] == max_iters
-    assert trace.iters == list(range(max_iters + 1))
+    assert trace.columns["iter"] == list(range(max_iters + 1))
 
 
 def test_advance_applies_the_divergence_rule():

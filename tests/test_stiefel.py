@@ -360,8 +360,9 @@ def test_stable_rank_summary_consistency():
     W = np.random.default_rng(3).standard_normal((8, 5))
     summary = stable_rank(W)
     assert summary.spectral == pytest.approx(summary.singular_values[0])
-    assert summary.fro**2 == pytest.approx(np.sum(summary.singular_values**2), rel=1e-12)
-    assert summary.stable_rank == pytest.approx(summary.fro**2 / summary.spectral**2, rel=1e-12)
+    fro2 = float(np.sum(W * W))
+    assert np.sum(summary.singular_values**2) == pytest.approx(fro2, rel=1e-12)
+    assert summary.stable_rank == pytest.approx(fro2 / summary.spectral**2, rel=1e-12)
     assert np.all(np.diff(summary.singular_values) <= 0)
 
 
@@ -387,7 +388,7 @@ def test_alignment_hand_case():
     rep = alignment(U, X)
     assert rep.trace_phi == pytest.approx(1.0, abs=1e-14)
     assert rep.sigma_min_phi == pytest.approx(0.0, abs=1e-14)
-    assert rep.misalignment_trace == pytest.approx(1.0, abs=1e-14)
+    assert 2 - rep.trace_phi == pytest.approx(1.0, abs=1e-14)  # misalignment Tr(I - Phi Phi^T), r_A = 2
 
 
 def test_alignment_perfect():
@@ -418,7 +419,7 @@ def test_misalignment_trace_matches_explicit_complement(seed):
     Q = np.linalg.qr(np.hstack([X, rng.standard_normal((m, m - r))]))[0]
     X_perp = Q[:, r:]
     ref = float(np.sum((X_perp.T @ U) ** 2))
-    assert alignment(U, X).misalignment_trace == pytest.approx(ref, abs=1e-10)
+    assert r_a - alignment(U, X).trace_phi == pytest.approx(ref, abs=1e-10)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
