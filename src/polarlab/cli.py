@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -111,6 +112,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_ERROR)
 
 
+@functools.cache  # parse_args leaves the parser unchanged and returns a fresh Namespace
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="polarlab", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)

@@ -283,7 +283,7 @@ class _BMGD:
 
     def evaluate(self, f: BMFactors):
         resid = f.delta_w() - self.target.A
-        return f, 0.5 * float(np.sum(resid * resid)), (resid @ f.Z2, resid.T @ f.Z1)
+        return f, 0.5 * float((resid * resid).sum()), (resid @ f.Z2, resid.T @ f.Z1)
 
     def step(self, f: BMFactors, ev, it: int) -> BMFactors:
         G1, G2 = ev

@@ -54,7 +54,16 @@ def load_matrix_csv(path) -> np.ndarray:
             rows, cols = map(int, dims.split(","))
         except ValueError:
             raise ValueError(f"{path}: expected two integer dimensions on line 2, got {dims!r}") from None
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        data = []
+        for lineno, line in enumerate(fh, start=3):
+            try:
+                row = [float(cell) for cell in line.strip().split(",")]
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            if len(row) != cols:
+                raise ValueError(f"{path}:{lineno}: {len(row)} cells, the dimensions line has {cols}")
+            data.append(row)
+    data = np.array(data).reshape(len(data), cols)
     if data.shape != (rows, cols):
         raise ValueError(f"{path}: declared shape ({rows},{cols}) != data shape {data.shape}")
     return data
@@ -97,8 +106,11 @@ def load_state(directory):
     missing = [f.name for f in dataclasses.fields(cls) if _is_scalar(f) and f.name not in meta]
     if missing:
         raise ValueError(f"{directory}: meta.json of a {cls.kind!r} checkpoint lacks {', '.join(missing)}")
-    values = {
-        f.name: float(meta[f.name]) if _is_scalar(f) else load_matrix_csv(os.path.join(directory, f"{f.name}.csv"))
-        for f in dataclasses.fields(cls)
-    }
+    values = {f.name: load_matrix_csv(os.path.join(directory, f"{f.name}.csv"))
+              for f in dataclasses.fields(cls) if not _is_scalar(f)}
+    for f in filter(_is_scalar, dataclasses.fields(cls)):
+        try:
+            values[f.name] = float(meta[f.name])
+        except (TypeError, ValueError):
+            raise ValueError(f"{directory}: meta.json of a {cls.kind!r} checkpoint has a non-numeric {f.name}") from None
     return cls(**values), meta

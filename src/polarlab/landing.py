@@ -112,7 +112,8 @@ class AdamState:
 
 def adam_transform(state: AdamState, g: np.ndarray) -> np.ndarray:
     """Bias-corrected Adam direction m_hat / (sqrt(v_hat) + eps) in a fresh array. Advances the
-    state, updating ``m`` and ``v`` in place through one scratch array, in the plain expressions' order."""
+    state, updating ``m`` and ``v`` in place through one scratch array, in the plain expressions' order.
+    From t = 356 on, 1 - beta1^t rounds to 1.0, so m_hat is ``m`` itself: x / 1.0 == x, the bits stay."""
     state.t += 1
     scratch = (1.0 - ADAM_BETA1) * g
     state.m *= ADAM_BETA1
@@ -123,8 +124,9 @@ def adam_transform(state: AdamState, g: np.ndarray) -> np.ndarray:
     state.v += scratch
     d = np.sqrt(np.divide(state.v, 1.0 - ADAM_BETA2**state.t, out=scratch))
     d += ADAM_EPS
-    np.divide(state.m, 1.0 - ADAM_BETA1**state.t, out=scratch)
-    return np.divide(scratch, d, out=d)
+    bc1 = 1.0 - ADAM_BETA1**state.t
+    m_hat = state.m if bc1 == 1.0 else np.divide(state.m, bc1, out=scratch)
+    return np.divide(m_hat, d, out=d)
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +137,7 @@ def grad_distance_to_stiefel(X) -> np.ndarray:
     """Gradient of N(X) = ||X^T X - I||_F^2, namely 4 X (X^T X - I)."""
     X = np.asarray(X, dtype=np.float64)
     gap = X.T @ X
-    gap.flat[:: X.shape[1] + 1] -= 1.0
+    gap.ravel()[:: X.shape[1] + 1] -= 1.0
     return 4.0 * (X @ gap)
 
 
@@ -160,7 +162,7 @@ def landing_field(X, grad_x, lam: float) -> np.ndarray:
         raise ValueError(f"shape mismatch: X {X.shape} vs grad {grad_x.shape}")
     A = X.T @ X
     out = grad_x @ (0.5 * A)
-    A.flat[:: A.shape[0] + 1] -= 1.0  # A - I, in place
+    A.ravel()[:: A.shape[0] + 1] -= 1.0  # A - I, in place
     out += X @ ((4.0 * lam) * A - 0.5 * (grad_x.T @ X))
     return out
 
@@ -296,9 +298,8 @@ class _PackedAdam:
 
     def step(self, state, directions: tuple, it: int):
         eta_t = self.cfg.eta_at(it)
-        params = [getattr(state, name) for name in self.layout]
-        reuse = all(a is view for a, view in zip(params, self._views))
-        p = self._packed if reuse else np.concatenate([a.ravel() for a in params])
+        reuse = all(getattr(state, name) is view for name, view in zip(self.layout, self._views))
+        p = self._packed if reuse else np.concatenate([getattr(state, name).ravel() for name in self.layout])
         d = adam_transform(self.opt, np.concatenate([g.ravel() for g in directions], out=self._directions))
         d *= eta_t
         self._packed = np.subtract(p, d, out=d)
@@ -340,7 +341,7 @@ class _PolarLanding(_PackedAdam):
         grad_norm = float("nan")
         if "taken" in ev:
             dir_X, G_Theta, dir_Y = ev["taken"]
-            grad_norm = float(np.sqrt(np.sum(dir_X**2) + np.sum(dir_Y**2) + np.sum(G_Theta**2)))
+            grad_norm = float(np.sqrt((dir_X**2).sum() + (dir_Y**2).sum() + (G_Theta**2).sum()))
         return {"grad_norm": grad_norm, **super().record(state, ev)}
 
 

@@ -251,8 +251,8 @@ def distance_to_stiefel(X) -> float:
     """Squared feasibility gap N(X) = ||X^T X - I_r||_F^2."""
     X = require_matrix(X, "X")
     gap = X.T @ X
-    gap.flat[:: X.shape[1] + 1] -= 1.0
-    return float(np.sum(gap * gap))
+    gap.ravel()[:: X.shape[1] + 1] -= 1.0
+    return float((gap * gap).sum())
 
 
 @dataclass(frozen=True)

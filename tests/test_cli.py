@@ -455,6 +455,43 @@ def test_repeated_runs_are_byte_identical(tmp_path):
                 assert fa.read() == fb.read(), name
 
 
+def _run_files(run_dir: Path) -> dict:
+    """Relative path -> bytes of every file of a run directory; the sidecar without its wall time."""
+    files = {}
+    for path in sorted(p for p in run_dir.rglob("*") if p.is_file()):
+        data = path.read_bytes()
+        if path.parent == run_dir and path.suffix == ".json":
+            meta = json.loads(data)
+            del meta["total_wall_time"]
+            data = json.dumps(meta, sort_keys=True).encode()
+        files[str(path.relative_to(run_dir))] = data
+    return files
+
+
+def test_calls_in_one_process_match_fresh_processes(tmp_path, capsys):
+    # the parser is built once per process, so a call may not see the flags or the failure of an earlier one
+    calls = [
+        ["factorize", "--m", "not-an-int"],
+        ["factorize", *FAST_FACTORIZE, "--algo", "bm-gd", "--eta", "0.02", "--max-iters", "300"],
+        ["finetune-toy", *FAST_FINETUNE, "--method", "lora", "--schedule", "linear", "--alpha", "16"],
+        ["factorize", "--max-iters", "40", "--record-every", "10"],
+    ]
+    run = tmp_path / "r"
+    for i, argv in enumerate(calls):
+        try:
+            code = main([*argv, "--out", str(run)])
+        except SystemExit as exc:
+            code = exc.code
+        in_process = capsys.readouterr()
+        files = _run_files(run) if run.exists() else {}
+        shutil.rmtree(run, ignore_errors=True)
+        fresh = _cli_subprocess(tmp_path, *argv)
+        assert (code, in_process.out, in_process.err) == (fresh.returncode, fresh.stdout, fresh.stderr), i
+        assert files == (_run_files(run) if run.exists() else {}), i
+        assert i == 0 or files, i
+        shutil.rmtree(run, ignore_errors=True)
+
+
 # ---------------------------------------------------------------------------
 # analyze
 
@@ -593,6 +630,17 @@ def test_analyze_matrix_with_one_dimension_exits_one_with_one_line(tmp_path, cap
     matrix.write_text("\n".join([lines[0], "16", *lines[2:]]) + "\n")
     assert main(["analyze", "--path", str(run), "--out", str(tmp_path / "analysis")]) == EXIT_ERROR
     assert capsys.readouterr().err.splitlines() == [f"error: {matrix}: expected two integer dimensions on line 2, got '16'"]
+
+
+def test_analyze_non_numeric_matrix_cell_exits_one_with_one_line(tmp_path, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(GOLDEN / "landing-polar-seed0", run)
+    matrix = run / "checkpoint" / "X.csv"
+    lines = matrix.read_text().splitlines()
+    lines[2] = ",".join(["abc", *lines[2].split(",")[1:]])
+    matrix.write_text("\n".join(lines) + "\n")
+    assert main(["analyze", "--path", str(run), "--out", str(tmp_path / "analysis")]) == EXIT_ERROR
+    assert capsys.readouterr().err.splitlines() == [f"error: {matrix}:3: could not convert string to float: 'abc'"]
 
 
 def test_analyze_files_hold_the_trace_columns_and_the_report_values(tmp_path):

@@ -19,7 +19,7 @@ def collect_bench():
     return module
 
 
-def _write_run(directory, seed, step_cost, call_x_ref, trace=0, numpy="2.4.6"):
+def _write_run(directory, seed, step_cost, call_x_ref, trace=0, numpy="2.4.6", call_us=1.0):
     directory.mkdir(exist_ok=True)
     record = {
         "workload": "finetune",
@@ -32,15 +32,21 @@ def _write_run(directory, seed, step_cost, call_x_ref, trace=0, numpy="2.4.6"):
             "setup_s": {"value": 0.3, "unit": "s"},
             "peak_rss_mb": {"value": 40.0, "unit": "MB"},
         }},
-        "detail": {"lora.x_ref": {"unit": "x_ref", "median": call_x_ref}, "lora.us": {"unit": "us", "median": 1.0}},
+        "detail": {
+            "lora.x_ref": {"unit": "x_ref", "median": call_x_ref},
+            "lora.us_per_iter": {"unit": "us", "median": call_us},
+            "landing_step_r32.us": {"unit": "us", "median": 2 * call_us},
+            "landing_a5.time_to_tol_s": {"unit": "s", "median": 0.5},
+            "failed_frac": {"unit": "frac", "median": 0.0},
+        },
     }
     (directory / f"finetune-seed{seed}-trace{trace}.json").write_text(json.dumps(record))
 
 
 def test_collects_medians_iqr_and_pair_wins(tmp_path, collect_bench):
     for seed, (p, c) in enumerate([(1.5, 1.3), (1.6, 1.4), (1.4, 1.45), (1.55, 1.35)]):
-        _write_run(tmp_path / "parent", seed, p, 2 * p)
-        _write_run(tmp_path / "change", seed, c, 2 * c)
+        _write_run(tmp_path / "parent", seed, p, 2 * p, call_us=100 * p)
+        _write_run(tmp_path / "change", seed, c, 2 * c, call_us=100 * c)
     _write_run(tmp_path / "change", 9, 5.0, 5.0, trace=1)  # traced runs are left out
     out = tmp_path / "BENCH.json"
     argv = [str(tmp_path / "parent"), str(tmp_path / "change"), "--parent-commit", "aaa", "--change-commit", "bbb",
@@ -53,7 +59,13 @@ def test_collects_medians_iqr_and_pair_wins(tmp_path, collect_bench):
     # no such commits
     assert bench["src_lines"] == bench["tests_lines"] == bench["exports"] == {"parent": None, "change": None}
     metrics = bench["workloads"]["finetune"]["metrics"]
-    assert set(metrics) == {"step_cost.geomean", "setup_s", "peak_rss_mb", "lora.x_ref"}
+    assert set(metrics) == {"step_cost.geomean", "setup_s", "peak_rss_mb", "lora.x_ref", "lora.us_per_iter",
+                            "landing_step_r32.us"}
+    # a call's absolute time is kept next to its x_ref, as a cost in us
+    us = metrics["lora.us_per_iter"]
+    assert us["unit"] == "us" and us["parent"]["values"] == pytest.approx([150, 160, 140, 155])
+    assert us["change"]["median"] == pytest.approx(137.5) and (us["pairs"], us["change_wins"]) == (4, 3)
+    assert metrics["landing_step_r32.us"]["change"]["median"] == pytest.approx(275)
     step = metrics["step_cost.geomean"]
     assert step["parent"]["median"] == pytest.approx(1.525)
     assert step["change"]["median"] == pytest.approx(1.375)

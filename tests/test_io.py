@@ -110,6 +110,23 @@ def test_load_rejects_a_malformed_dimension_line(tmp_path, dims):
     assert str(info.value) == f"{path}: expected two integer dimensions on line 2, got {dims!r}"
 
 
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("abc,4.0", "could not convert string to float: 'abc'"),
+        ("3.0,", "could not convert string to float: ''"),
+        ("3.0", "1 cells, the dimensions line has 2"),
+        ("3.0,4.0,5.0", "3 cells, the dimensions line has 2"),
+    ],
+)
+def test_load_names_the_file_and_line_of_a_bad_row(tmp_path, row, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"rows,cols\n3,2\n1.0,2.0\n{row}\n5.0,6.0\n")
+    with pytest.raises(ValueError) as info:
+        load_matrix_csv(path)
+    assert str(info.value) == f"{path}:4: {message}"
+
+
 # ---------------------------------------------------------------------------
 # checkpoints
 
@@ -208,6 +225,17 @@ def test_load_state_names_a_missing_scalar_field(tmp_path):
     with pytest.raises(ValueError) as info:
         load_state(tmp_path / "ckpt")
     assert str(info.value) == f"{tmp_path / 'ckpt'}: meta.json of a 'polar-adapter' checkpoint lacks scale_alpha"
+
+
+@pytest.mark.parametrize("value", ["abc", None, [1.0]])
+def test_load_state_names_a_non_numeric_scalar_field(tmp_path, value):
+    save_state(tmp_path / "ckpt", _states()["polar-adapter"], {})
+    meta = json.loads((tmp_path / "ckpt" / "meta.json").read_text())
+    meta["scale_alpha"] = value
+    (tmp_path / "ckpt" / "meta.json").write_text(json.dumps(meta))
+    with pytest.raises(ValueError) as info:
+        load_state(tmp_path / "ckpt")
+    assert str(info.value) == f"{tmp_path / 'ckpt'}: meta.json of a 'polar-adapter' checkpoint has a non-numeric scale_alpha"
 
 
 @pytest.mark.parametrize("meta", [{"kind": "mystery"}, {"note": "no kind at all"}])

@@ -20,6 +20,7 @@ from polarlab.landing import (
     _adapter_columns,
     _Lora,
     _PolarLanding,
+    ADAM_BETA1,
     AdamState,
     AdapterState,
     LandingConfig,
@@ -440,6 +441,29 @@ def test_packed_adam_matches_per_parameter_oracle(method, modes, schedule):
     for moment in ("m", "v"):
         want = np.concatenate([getattr(ref_opts[name], moment).ravel() for name in PARAMS[state.kind]])
         assert np.array_equal(getattr(opt, moment), want)
+    for name in PARAMS[state.kind]:
+        assert np.array_equal(getattr(state, name), getattr(ref, name))
+
+
+@pytest.mark.parametrize("method", ["polar", "lora"])
+def test_packed_adam_matches_the_oracle_past_the_bias_correction_crossover(method):
+    # from t = 356 on, 1 - beta1^t rounds to 1.0, where the oracle still divides m by it
+    assert 1.0 - ADAM_BETA1**355 < 1.0 == 1.0 - ADAM_BETA1**356
+    t = _task(13)
+    init, make, reference = {
+        "polar": (init_adapter_state, _PolarLanding, polar_step_reference),
+        "lora": (init_lora_state, _Lora, lora_step_reference),
+    }[method]
+    state = ref = init(t.W0.shape, 4, np.random.default_rng(14))
+    cfg = LandingConfig(lam=1e-3, eta=1e-2, schedule="constant", max_iters=400)
+    stepper, ref_opts = make(t, cfg, state), per_parameter_opt(state)
+    for it in range(400):
+        state, _ = advance(stepper, state, it)
+        ref = reference(t, ref, ref_opts, cfg, it)
+    assert stepper.opt.t == 400 and all(o.t == 400 for o in ref_opts.values())
+    for moment in ("m", "v"):
+        want = np.concatenate([getattr(ref_opts[name], moment).ravel() for name in PARAMS[state.kind]])
+        assert np.array_equal(getattr(stepper.opt, moment), want)
     for name in PARAMS[state.kind]:
         assert np.array_equal(getattr(state, name), getattr(ref, name))
 

@@ -7,8 +7,9 @@
 PARENT_RESULTS and CHANGE_RESULTS are ``.bench_results/`` directories
 written by ``benchmark/run.py --trace 0`` in a checkout of each commit.
 For every workload, side and end-to-end metric, and for the per-call
-x_ref of every call, the file records the median, the quartiles, the IQR
-and the value of each run. Runs of the two sides with the same seed form a
+x_ref and absolute time (``us_per_iter`` of a CLI call, ``us`` per step of
+a kernel) of every call, the file records the median, the quartiles, the
+IQR and the value of each run. Runs of the two sides with the same seed form a
 pair; for each metric the file counts the pairs the change won, by the
 metric's direction in BENCHMARK.json. It also records the environment
 fingerprint of the runs, both commits and the tier-1 wall time given,
@@ -117,11 +118,16 @@ def load_runs(directory: Path) -> dict:
     return runs
 
 
+# the per-call detail a BENCH file keeps: the cost relative to the call's reference, and the absolute
+# time per iteration of a CLI call or per step of a kernel
+CALL_METRICS = (".x_ref", ".us_per_iter", ".us")
+
+
 def metric_values(record: dict) -> dict:
-    """name -> (unit, value): the end-to-end metrics and the per-call x_ref medians of one run."""
+    """name -> (unit, value): the end-to-end metrics and the per-call x_ref and us medians of one run."""
     out = {name: (entry["unit"], entry["value"]) for name, entry in record["output"]["metrics"].items()}
     out.update({name: (entry["unit"], entry["median"]) for name, entry in record["detail"].items()
-                if name.endswith(".x_ref")})
+                if name.endswith(CALL_METRICS)})
     return out
 
 
@@ -154,7 +160,7 @@ def collect(parent: dict, change: dict, lower_is_better: dict) -> dict:
                 entry[side] = summary(values)
                 by_seed[side] = dict(zip(seeds[side], values))
             pairs = sorted(set(by_seed["parent"]) & set(by_seed["change"]))
-            lower = lower_is_better.get(name, True)  # per-call x_ref is a cost
+            lower = lower_is_better.get(name, True)  # a per-call x_ref or time is a cost
             wins = sum((by_seed["change"][s] < by_seed["parent"][s]) == lower
                        and by_seed["change"][s] != by_seed["parent"][s] for s in pairs)
             entry.update(pairs=len(pairs), change_wins=wins,
