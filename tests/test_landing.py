@@ -47,6 +47,7 @@ from polarlab.stiefel import (
 
 from oracles import (
     PARAMS,
+    adam_reference,
     lora_step_reference,
     per_parameter_opt,
     polar_directions_reference,
@@ -103,6 +104,16 @@ def test_adam_zero_gradient_stays_zero():
         out = adam_transform(state, np.zeros((2, 2)))
         assert np.array_equal(out, np.zeros((2, 2)))
     assert state.t == 5
+
+
+def test_adam_transform_has_the_oracle_bits_on_both_sides_of_the_crossover():
+    # 1 - beta1^t rounds to 1.0 from t = 356 on; each direction must keep the oracle's bits there too
+    rng = np.random.default_rng(5)
+    state, ref = AdamState(m=np.zeros(50), v=np.zeros(50)), AdamState(m=np.zeros(50), v=np.zeros(50))
+    for _ in range(400):
+        g = rng.standard_normal(50)
+        assert np.array_equal(adam_transform(state, g), adam_reference(ref, g)), state.t
+    assert np.array_equal(state.m, ref.m) and np.array_equal(state.v, ref.v)
 
 
 # ---------------------------------------------------------------------------
