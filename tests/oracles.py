@@ -14,7 +14,10 @@ packed parameters.
 The allocating manifold kernels at the end (retraction, tangent projection,
 Haar sampler and the RGD evaluations) are the plain-expression versions of
 the in-place kernels in ``polarlab.stiefel`` and ``polarlab.factorization``,
-which must reproduce them bit for bit. The polar factor and the orthogonal
+which must reproduce them bit for bit. So must the bm-gd evaluation and
+step, the landing field, both adapters' gradients and an adapter trace
+row, whose references form every product with ``@`` in the library's
+operation order. The polar factor and the orthogonal
 complement beside them are the textbook SVD and QR constructions. The
 matrix CSV writer, which formats whole rows at once, must give the bytes
 of the entry-by-entry formula at the end.
@@ -350,6 +353,59 @@ def sym_rgd_evaluate_reference(target: FactorizationTarget, f: SymFactors, gamma
         gX = f.X @ (Theta @ Theta.T + Theta.T @ Theta) - AX @ (Theta.T + Theta)
         G = tangent_project_reference(f.X, gX)
     return Theta, max(loss, 0.0), float(np.sum(G * G)), G
+
+
+def bm_gd_evaluate_reference(target: FactorizationTarget, f: BMFactors):
+    """(loss, G1, G2) of one bm-gd evaluation."""
+    resid = f.Z1 @ f.Z2.T - target.A
+    return 0.5 * float(np.sum(resid * resid)), resid @ f.Z2, resid.T @ f.Z1
+
+
+def bm_gd_step_reference(f: BMFactors, G1: np.ndarray, G2: np.ndarray, eta: float):
+    """(Z1, Z2) after one bm-gd step."""
+    return f.Z1 - eta * G1, f.Z2 - eta * G2
+
+
+# ---------------------------------------------------------------------------
+# adapter kernels in the library's operation order
+
+
+def landing_field_reference(X, G, lam: float) -> np.ndarray:
+    """G (A / 2) + X (4 lam (A - I) - (G^T X) / 2) with A = X^T X, a fresh array per term."""
+    A = X.T @ X
+    return G @ (0.5 * A) + X @ ((4.0 * lam) * (A - np.eye(A.shape[0])) - 0.5 * (G.T @ X))
+
+
+def whitened_task_grads_reference(task, state):
+    """(G_X, G_Theta, G_Y, loss) of the factored task loss at a polar adapter state."""
+    s = state.scale_alpha / state.r
+    XT = state.X @ state.Theta
+    diff = (XT @ state.Y.T) * s - task.residual
+    loss = float(np.sum(diff * diff))
+    G = 2.0 * diff
+    return (G @ (state.Y @ state.Theta.T)) * s, (state.X.T @ G @ state.Y) * s, (G.T @ XT) * s, loss
+
+
+def lora_grads_reference(task, state):
+    """(G_Z1, G_Z2, loss) of the factored task loss at a LoRA state."""
+    s = state.scale_alpha / state.r
+    diff = (state.Z1 @ state.Z2.T) * s - task.residual
+    loss = float(np.sum(diff * diff))
+    G = 2.0 * diff
+    return (G @ state.Z2) * s, (G.T @ state.Z1) * s, loss
+
+
+def adapter_columns_reference(state) -> dict:
+    """n_x, n_y and the stable rank of DeltaW from its smaller Gram matrix, as an adapter trace row has them."""
+    s = state.scale_alpha / state.r
+    W = s * ((state.X @ state.Theta) @ state.Y.T) if state.kind == "polar-adapter" else s * (state.Z1 @ state.Z2.T)
+    gram = W.T @ W if W.shape[0] >= W.shape[1] else W @ W.T
+    gaps = [F.T @ F - np.eye(F.shape[1]) for F in (getattr(state, name) for name in state.factors)]
+    return {
+        "n_x": float(np.sum(gaps[0] * gaps[0])),
+        "n_y": float(np.sum(gaps[1] * gaps[1])),
+        "stable_rank": float(np.vdot(W, W)) / float(np.linalg.eigvalsh(gram)[-1]),
+    }
 
 
 # ---------------------------------------------------------------------------

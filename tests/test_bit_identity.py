@@ -1,31 +1,52 @@
-"""The in-place retraction, projection, sampler, RGD evaluations and
-landing-step kernel reproduce their plain-expression references bit for
-bit, and the retraction's certificate still fails on a non-finite output."""
+"""The in-place retraction, projection, sampler, RGD and BM-GD evaluations,
+landing-step kernel, adapter gradients and adapter trace row reproduce their
+plain-expression references bit for bit, and the retraction's certificate
+still fails on a non-finite output."""
 
 import numpy as np
 import pytest
 from kernel_timing import ETA, KERNELS, LAM
 from oracles import (
+    adapter_columns_reference,
+    bm_gd_evaluate_reference,
+    bm_gd_step_reference,
+    landing_field_reference,
+    lora_grads_reference,
     polar_rgd_evaluate_reference,
     polar_retract_reference,
     sample_stiefel_uniform_reference,
     sym_rgd_evaluate_reference,
     tangent_project_reference,
+    whitened_task_grads_reference,
 )
 
 from polarlab import stiefel
 from polarlab.exceptions import FeasibilityError
+from polarlab.config import LandingConfig
 from polarlab.factorization import (
+    BMFactors,
     PolarFactors,
     SymFactors,
+    _BMGD,
     _PolarRGD,
     _SymRGD,
+    init_bm_factors,
     init_polar_factors,
     init_sym_factors,
     make_sym_target,
     make_target,
 )
-from polarlab.landing import landing_field
+from polarlab.landing import (
+    _adapter_columns,
+    _Lora,
+    _PolarLanding,
+    init_adapter_state,
+    init_lora_state,
+    landing_field,
+    lora_grads,
+    make_whitened_task,
+    whitened_task_grads,
+)
 from polarlab.runner import advance
 from polarlab.stiefel import polar_retract, retract_series_order, sample_stiefel_uniform, tangent_project
 
@@ -156,3 +177,62 @@ def test_non_finite_series_fails_the_certificate(monkeypatch):
     monkeypatch.setattr(stiefel, "_binomial_inv_sqrt", lambda K, n: np.full_like(K, np.nan))
     with pytest.raises(FeasibilityError, match=r"^retracted X is off St\(50,20\): .* = nan > 1\.0e-09 at eta = "):
         polar_retract(X, D, eta)
+
+
+# (m, n, r) of the A1b, A6 and A5 settings
+SWEPT_SHAPES = [(50, 50, 20), (64, 32, 24), (32, 32, 8)]
+
+
+@pytest.mark.parametrize("m, n, r", SWEPT_SHAPES)
+def test_bm_gd_evaluate_and_step_match_reference(m, n, r):
+    rng = np.random.default_rng(21)
+    target = make_target(m, n, 4, 100.0, rng)
+    method = _BMGD(target, 1e-3)
+    f = _stepped(method, init_bm_factors(target, r, rng), 5)
+    state, loss, (G1, G2) = method.evaluate(f)
+    ref_loss, ref_G1, ref_G2 = bm_gd_evaluate_reference(target, f)
+    assert state is f and loss == ref_loss
+    assert np.array_equal(G1, ref_G1) and np.array_equal(G2, ref_G2)
+    stepped = method.step(f, (G1, G2), 5)
+    ref_Z1, ref_Z2 = bm_gd_step_reference(f, G1, G2, 1e-3)
+    assert isinstance(stepped, BMFactors)
+    assert np.array_equal(stepped.Z1, ref_Z1) and np.array_equal(stepped.Z2, ref_Z2)
+
+
+def _adapter(kind, m, n, r, steps=5):
+    # an adapter state a few Adam steps from its initialization, so that Theta and Z2 are nonzero
+    # and X, Y have left their Stiefel manifolds; the task is built with it
+    rng = np.random.default_rng(22)
+    task = make_whitened_task(m, n, 4 * n, 4, rng)
+    init, make = {"polar": (init_adapter_state, _PolarLanding), "lora": (init_lora_state, _Lora)}[kind]
+    state = init(task.W0.shape, r, rng)
+    return task, _stepped(make(task, LandingConfig(eta=2e-2, lam=1e-3, max_iters=10), state), state, steps)
+
+
+@pytest.mark.parametrize("m, n, r", SWEPT_SHAPES)
+def test_landing_field_matches_reference(m, n, r):
+    task, state = _adapter("polar", m, n, r)
+    G_X, _, G_Y, _ = whitened_task_grads(task, state)
+    for X, G in ((state.X, G_X), (state.Y, G_Y)):
+        assert np.array_equal(landing_field(X, G, 1e-3), landing_field_reference(X, G, 1e-3))
+
+
+@pytest.mark.parametrize("m, n, r", SWEPT_SHAPES)
+def test_adapter_grads_match_reference(m, n, r):
+    task, state = _adapter("polar", m, n, r)
+    *grads, loss = whitened_task_grads(task, state)
+    *ref_grads, ref_loss = whitened_task_grads_reference(task, state)
+    assert loss == ref_loss and all(np.array_equal(G, ref) for G, ref in zip(grads, ref_grads))
+    task, state = _adapter("lora", m, n, r)
+    *grads, loss = lora_grads(task, state)
+    *ref_grads, ref_loss = lora_grads_reference(task, state)
+    assert loss == ref_loss and all(np.array_equal(G, ref) for G, ref in zip(grads, ref_grads))
+
+
+@pytest.mark.parametrize("kind", ["polar", "lora"])
+@pytest.mark.parametrize("m, n, r", SWEPT_SHAPES)
+def test_adapter_trace_row_matches_reference(kind, m, n, r):
+    _, state = _adapter(kind, m, n, r)
+    assert _adapter_columns(state) == adapter_columns_reference(state)
+    _, state = _adapter(kind, n, m, r)  # the wide DeltaW, whose smaller Gram matrix is W W^T
+    assert _adapter_columns(state) == adapter_columns_reference(state)

@@ -138,3 +138,45 @@ def test_every_runner_raises_divergence_error_naming_itself_and_the_iteration(na
     eta, kappa = DIVERGING[name]
     with pytest.raises(DivergenceError, match=f"^{name} diverged at iteration \\d+: loss = "):
         RUNNERS[name](eta, kappa, 200, 10)
+
+
+def _arrays(ev) -> dict:
+    """Every array in ``ev``, an array or a nest of tuples and dicts of them, by its path."""
+    if isinstance(ev, np.ndarray):
+        return {(): ev}
+    items = ev.items() if isinstance(ev, dict) else enumerate(ev)
+    return {(key, *path): a for key, value in items for path, a in _arrays(value).items()}
+
+
+def _method_and_state(name):
+    """The method object of optimizer ``name`` with its initial state."""
+    rng = np.random.default_rng(4)
+    if name in ("polar-rgd", "bm-gd"):
+        target = _target()
+        if name == "bm-gd":
+            return fx._BMGD(target, 1e-2), fx.init_bm_factors(target, 4, rng)
+        return fx._PolarRGD(target, 1e-2, 1.0), fx.init_polar_factors(target, 4, rng)
+    if name == "polar-rgd-sym":
+        target = _sym_target()
+        return fx._SymRGD(target, 1e-2, 1.0), fx.init_sym_factors(target, 4, rng)
+    task, cfg = _task(), LandingConfig(eta=1e-2, max_iters=10)
+    init, make = {"landing-polar": (ld.init_adapter_state, ld._PolarLanding), "lora": (ld.init_lora_state, ld._Lora)}[name]
+    state = init(task.W0.shape, 4, rng)
+    return make(task, cfg, state), state
+
+
+@pytest.mark.parametrize("name", RUNNERS)
+def test_a_step_leaves_every_array_of_its_ev_unchanged(name):
+    # run records the row of an iteration after its step, from the same ev: a step that wrote
+    # an ev array in place (say, a gradient scaled by -eta) would corrupt that row's grad_norm
+    method, state = _method_and_state(name)
+    assert method.name == name
+    for it in range(3):
+        state, _, ev = method.evaluate(state)
+        before = {path: a.copy() for path, a in _arrays(ev).items()}
+        assert before
+        stepped = method.step(state, ev, it)
+        after = _arrays(ev)
+        for path, a in before.items():
+            assert np.array_equal(after[path], a), path
+        state = stepped
