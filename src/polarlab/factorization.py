@@ -148,7 +148,7 @@ class PolarFactors:
         return self.X.shape[1]
 
     def delta_w(self) -> np.ndarray:
-        return (self.X @ self.Theta) @ self.Y.T
+        return np.dot(np.dot(self.X, self.Theta), self.Y.T)
 
 
 @dataclass
@@ -163,7 +163,7 @@ class BMFactors:
         return self.Z1.shape[1]
 
     def delta_w(self) -> np.ndarray:
-        return self.Z1 @ self.Z2.T
+        return np.dot(self.Z1, self.Z2.T)
 
 
 @dataclass
@@ -178,7 +178,7 @@ class SymFactors:
         return self.X.shape[1]
 
     def delta_w(self) -> np.ndarray:
-        return (self.X @ self.Theta) @ self.X.T
+        return np.dot(np.dot(self.X, self.Theta), self.X.T)
 
 
 def init_polar_factors(target: FactorizationTarget, r: int, rng: np.random.Generator) -> PolarFactors:
@@ -243,24 +243,24 @@ class _PolarRGD:
     def evaluate(self, f: PolarFactors):
         """The refreshed-Theta state, its loss and the Riemannian gradients (E, F)."""
         target, gamma = self.target, self.gamma
-        AY = target.A @ f.Y
-        AtX = target.A.T @ f.X
-        M = f.X.T @ AY
+        AY = np.dot(target.A, f.Y)
+        AtX = np.dot(target.A.T, f.X)
+        M = np.dot(f.X.T, AY)
         Theta = M if gamma == 1.0 else (1.0 - gamma) * f.Theta + gamma * M
         # 0.5||X Theta Y^T - A||^2 expanded under X^T X = Y^T Y = I
         theta_m = float((Theta * M).sum())  # and ||Theta||^2 too at gamma = 1, where Theta is M
         loss = 0.5 * (target.a2 - 2.0 * theta_m + (theta_m if gamma == 1.0 else float((Theta * Theta).sum())))
         if gamma == 1.0:
-            T1 = AY @ Theta.T
-            E = f.X @ (f.X.T @ T1)
+            T1 = np.dot(AY, Theta.T)
+            E = np.dot(f.X, np.dot(f.X.T, T1))
             E -= T1
-            T2 = AtX @ Theta
-            F = f.Y @ (f.Y.T @ T2)
+            T2 = np.dot(AtX, Theta)
+            F = np.dot(f.Y, np.dot(f.Y.T, T2))
             F -= T2
         else:
             # Euclidean gradients at fixed (damped) Theta, then tangent projection
-            gX = f.X @ (Theta @ Theta.T) - AY @ Theta.T
-            gY = f.Y @ (Theta.T @ Theta) - AtX @ Theta
+            gX = np.dot(f.X, np.dot(Theta, Theta.T)) - np.dot(AY, Theta.T)
+            gY = np.dot(f.Y, np.dot(Theta.T, Theta)) - np.dot(AtX, Theta)
             E = tangent_project(f.X, gX)
             F = tangent_project(f.Y, gY)
         return PolarFactors(X=f.X, Theta=Theta, Y=f.Y), max(loss, 0.0), (E, F)
@@ -282,12 +282,19 @@ class _BMGD:
         self.target, self.eta = target, eta
 
     def evaluate(self, f: BMFactors):
-        resid = f.delta_w() - self.target.A
-        return f, 0.5 * float((resid * resid).sum()), (resid @ f.Z2, resid.T @ f.Z1)
+        resid = f.delta_w()
+        resid -= self.target.A
+        return f, 0.5 * float((resid * resid).sum()), (np.dot(resid, f.Z2), np.dot(resid.T, f.Z1))
 
     def step(self, f: BMFactors, ev, it: int) -> BMFactors:
+        # Z - eta G as Z + (-eta G): -fl(eta g) is exact and z + (-t) rounds like z - t. G is
+        # not written, as the row of this iteration reads its norm after the step
         G1, G2 = ev
-        return BMFactors(Z1=f.Z1 - self.eta * G1, Z2=f.Z2 - self.eta * G2)
+        Z1 = np.multiply(G1, -self.eta)
+        Z1 += f.Z1
+        Z2 = np.multiply(G2, -self.eta)
+        Z2 += f.Z2
+        return BMFactors(Z1=Z1, Z2=Z2)
 
     def record(self, f: BMFactors, ev) -> dict:
         # subspace alignment of the orthonormalized factors
@@ -307,18 +314,18 @@ class _SymRGD:
     def evaluate(self, f: SymFactors):
         """The refreshed-Theta state, its loss and the Riemannian gradient G."""
         target, gamma = self.target, self.gamma
-        AX = target.A @ f.X
-        M = f.X.T @ AX
+        AX = np.dot(target.A, f.X)
+        M = np.dot(f.X.T, AX)
         Theta = M if gamma == 1.0 else (1.0 - gamma) * f.Theta + gamma * M
         theta_m = float((Theta * M).sum())  # and ||Theta||^2 too at gamma = 1, where Theta is M
         loss = 0.5 * (target.a2 - 2.0 * theta_m + (theta_m if gamma == 1.0 else float((Theta * Theta).sum())))
         if gamma == 1.0:
-            P = AX @ M
-            G = f.X @ (f.X.T @ P)
+            P = np.dot(AX, M)
+            G = np.dot(f.X, np.dot(f.X.T, P))
             G -= P
         else:
             # Euclidean gradient R X Theta^T + R^T X Theta expanded under X^T X = I
-            gX = f.X @ (Theta @ Theta.T + Theta.T @ Theta) - AX @ (Theta.T + Theta)
+            gX = np.dot(f.X, np.dot(Theta, Theta.T) + np.dot(Theta.T, Theta)) - np.dot(AX, Theta.T + Theta)
             G = tangent_project(f.X, gX)
         return SymFactors(X=f.X, Theta=Theta), max(loss, 0.0), G
 

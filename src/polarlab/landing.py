@@ -136,9 +136,9 @@ def adam_transform(state: AdamState, g: np.ndarray) -> np.ndarray:
 def grad_distance_to_stiefel(X) -> np.ndarray:
     """Gradient of N(X) = ||X^T X - I||_F^2, namely 4 X (X^T X - I)."""
     X = np.asarray(X, dtype=np.float64)
-    gap = X.T @ X
+    gap = np.dot(X.T, X)
     gap.ravel()[:: X.shape[1] + 1] -= 1.0
-    return 4.0 * (X @ gap)
+    return 4.0 * np.dot(X, gap)
 
 
 def landing_field(X, grad_x, lam: float) -> np.ndarray:
@@ -160,10 +160,10 @@ def landing_field(X, grad_x, lam: float) -> np.ndarray:
     grad_x = np.asarray(grad_x, dtype=np.float64)
     if X.shape != grad_x.shape:
         raise ValueError(f"shape mismatch: X {X.shape} vs grad {grad_x.shape}")
-    A = X.T @ X
-    out = grad_x @ (0.5 * A)
+    A = np.dot(X.T, X)
+    out = np.dot(grad_x, 0.5 * A)
     A.ravel()[:: A.shape[0] + 1] -= 1.0  # A - I, in place
-    out += X @ ((4.0 * lam) * A - 0.5 * (grad_x.T @ X))
+    out += np.dot(X, (4.0 * lam) * A - 0.5 * np.dot(grad_x.T, X))
     return out
 
 
@@ -232,13 +232,17 @@ def whitened_task_grads(task: WhitenedTask, state: AdapterState) -> tuple[np.nda
     """(G_X, G_Theta, G_Y, loss) of the task loss at the adapter state; the loss
     is the factored residual ||DeltaW - residual||_F^2, nonnegative by construction."""
     s = state.scale_alpha / state.r
-    XT = state.X @ state.Theta
-    diff = XT @ state.Y.T
+    XT = np.dot(state.X, state.Theta)
+    diff = np.dot(XT, state.Y.T)
     diff *= s
     diff -= task.residual
     loss = float((diff * diff).sum())
     diff *= 2.0  # the gradient in DeltaW; each product below is scaled by s in place
-    grads = diff @ (state.Y @ state.Theta.T), state.X.T @ diff @ state.Y, diff.T @ XT
+    grads = (
+        np.dot(diff, np.dot(state.Y, state.Theta.T)),
+        np.dot(np.dot(state.X.T, diff), state.Y),
+        np.dot(diff.T, XT),
+    )
     for G in grads:
         G *= s
     return (*grads, loss)
@@ -247,12 +251,12 @@ def whitened_task_grads(task: WhitenedTask, state: AdapterState) -> tuple[np.nda
 def lora_grads(task: WhitenedTask, state: LoraState) -> tuple[np.ndarray, np.ndarray, float]:
     """(G_Z1, G_Z2, loss) of the task loss at the LoRA state, loss as in :func:`whitened_task_grads`."""
     s = state.scale_alpha / state.r
-    diff = state.Z1 @ state.Z2.T
+    diff = np.dot(state.Z1, state.Z2.T)
     diff *= s
     diff -= task.residual
     loss = float((diff * diff).sum())
     diff *= 2.0
-    G1, G2 = diff @ state.Z2, diff.T @ state.Z1
+    G1, G2 = np.dot(diff, state.Z2), np.dot(diff.T, state.Z1)
     G1 *= s
     G2 *= s
     return G1, G2, loss
@@ -270,7 +274,7 @@ def _adapter_columns(state) -> dict:
     fro2 = float(np.vdot(W, W))  # checked before B is formed, so a W holding inf or nan warns nowhere
     sr = math.nan
     if math.isfinite(fro2) and fro2 > 0.0:
-        sr = fro2 / float(np.linalg.eigvalsh(W.T @ W if W.shape[0] >= W.shape[1] else W @ W.T)[-1])
+        sr = fro2 / float(np.linalg.eigvalsh(np.dot(W.T, W) if W.shape[0] >= W.shape[1] else np.dot(W, W.T))[-1])
     left, right = (getattr(state, name) for name in state.factors)
     return {"n_x": distance_to_stiefel(left), "n_y": distance_to_stiefel(right), "stable_rank": sr}
 

@@ -4,7 +4,12 @@ Conventions used throughout the package:
 
 * matrices are dense 2-D float64 numpy arrays,
 * St(m, r) = {X in R^{m x r} : X^T X = I_r} with m >= r,
-* randomness always flows through an explicit ``numpy.random.Generator``.
+* randomness always flows through an explicit ``numpy.random.Generator``,
+* 2-D products on the step path and the trace-row path call ``np.dot``,
+  which runs the same BLAS routine as ``@`` (gemm, or syrk for A^T A) with
+  less dispatch, so the bits are the same; products over stacked arrays,
+  such as one kernel run for several seeds at once, use ``np.matmul``,
+  which broadcasts and shares its dispatch across the stack.
 """
 
 from __future__ import annotations
@@ -81,7 +86,7 @@ def _off_stiefel(name: str, shape, err: float, tol: float, where: str = "") -> F
 def stiefel_error(X) -> float:
     """Frobenius norm of X^T X - I."""
     X = np.asarray(X, dtype=np.float64)
-    return _gram_error(X.T @ X)
+    return _gram_error(np.dot(X.T, X))
 
 
 def require_stiefel(X, tol: float = SAMPLE_FEASIBILITY_TOL, name: str = "X") -> np.ndarray:
@@ -165,7 +170,7 @@ def _binomial_inv_sqrt(K: np.ndarray, n: int) -> np.ndarray:
     S = np.multiply(K, -_BINOMIAL_COEFFS[n - 1])
     S.ravel()[diag] += _BINOMIAL_COEFFS[n - 2]
     for c in reversed(_BINOMIAL_COEFFS[: n - 2]):
-        S = K @ S
+        S = np.dot(K, S)
         np.negative(S, out=S)
         S.ravel()[diag] += c
     return S
@@ -179,7 +184,7 @@ def _series_order(K: np.ndarray) -> int | None:
     ||K||_2, and ||K||_F overstates it by up to sqrt(r) when the spectrum
     is flat, as for a random direction at m >> r.
     """
-    fro = math.sqrt(float(np.vdot(K, K)))
+    fro = math.sqrt(np.vdot(K, K))
     n = retract_series_order(fro)
     if n is None:
         n = retract_series_order(min(fro, float(np.abs(K).sum(axis=0).max())))
@@ -210,31 +215,30 @@ def polar_retract(X, D, eta: float) -> np.ndarray:
         raise ValueError(f"X and D must be 2-D of one tall shape (m >= r), got X {X.shape} and D {D.shape}")
     if not (math.isfinite(eta) and eta >= 0):
         raise ValueError(f"eta must be finite and nonnegative, got eta = {eta}")
-    M = D.T @ D
-    XtD = X.T @ D
-    sym = XtD + XtD.T  # zero for tangent D
-    err = math.sqrt(float(np.vdot(sym, sym)))
-    d_norm = math.sqrt(float(M.trace()))
-    tol = TANGENCY_TOL * max(1.0, d_norm)
+    K = np.dot(D.T, D)
+    sym = np.dot(X.T, D)
+    sym += sym.T  # X^T D + D^T X, zero for tangent D
+    err = math.sqrt(np.vdot(sym, sym))
+    tol = TANGENCY_TOL * max(1.0, math.sqrt(K.trace()))
     if not err <= tol:
         raise FeasibilityError(
             f"retraction direction is not tangent: ||X'D + D'X||_F = {err:.3e} > {tol:.3e}"
             f" = {TANGENCY_TOL:.0e} max(1, ||D||_F) at eta = {eta:g}"
         )
-    K = (eta * eta) * M
+    K *= eta * eta  # D^T D scaled in place, formed again for eigh
     n = _series_order(K)
     # X - eta D in one buffer: -fl(eta d) is exact and x + (-t) rounds like x - t
     step = np.multiply(D, -eta)
     step += X
     if n is None:
-        w, Q = np.linalg.eigh(M)
+        w, Q = np.linalg.eigh(np.dot(D.T, D))
         scale = 1.0 / np.sqrt(np.maximum(1.0 + eta * eta * w, EIG_FLOOR))
-        out = step @ ((Q * scale) @ Q.T)
+        out = np.dot(step, np.dot(Q * scale, Q.T))
     elif n == 1:
         out = step
     else:
-        out = step @ _binomial_inv_sqrt(K, n)
-    err = _gram_error(out.T @ out)
+        out = np.dot(step, _binomial_inv_sqrt(K, n))
+    err = _gram_error(np.dot(out.T, out))
     if not err <= RETRACT_FEASIBILITY_TOL:
         raise _off_stiefel("retracted X", out.shape, err, RETRACT_FEASIBILITY_TOL, f" at eta = {eta:g}")
     return out
@@ -242,15 +246,15 @@ def polar_retract(X, D, eta: float) -> np.ndarray:
 
 def tangent_project(X: np.ndarray, G: np.ndarray) -> np.ndarray:
     """Projection of G onto the tangent space of St at X: G - X sym(X^T G)."""
-    M = X.T @ G
-    out = X @ (0.5 * (M + M.T))
+    M = np.dot(X.T, G)
+    out = np.dot(X, 0.5 * (M + M.T))
     return np.subtract(G, out, out=out)
 
 
 def distance_to_stiefel(X) -> float:
     """Squared feasibility gap N(X) = ||X^T X - I_r||_F^2."""
     X = require_matrix(X, "X")
-    gap = X.T @ X
+    gap = np.dot(X.T, X)
     gap.ravel()[:: X.shape[1] + 1] -= 1.0
     return float((gap * gap).sum())
 
@@ -306,7 +310,7 @@ def alignment(U, X) -> AlignmentReport:
     r_a, r = U.shape[1], X.shape[1]
     if r_a > r:
         raise ValueError(f"need r_A <= r, got r_A={r_a}, r={r}")
-    phi = U.T @ X
+    phi = np.dot(U.T, X)
     s = np.linalg.svd(phi, compute_uv=False)
     return AlignmentReport(
         trace_phi=float(np.sum(phi * phi)),
