@@ -22,8 +22,8 @@ classes define what a checkpoint holds.
 Exit codes: 0 the run converged (or the command has no convergence
 notion), 2 the iteration budget ran out first, 1 any error.
 
-Only the standard library and the numpy-free ``config`` and ``trace``
-modules are imported at module load; ``--threads`` must take effect through
+Only the standard library and the numpy-free ``config``, ``exceptions`` and
+``trace`` modules are imported at module load; ``--threads`` must take effect through
 the BLAS environment variables before numpy first loads, so all numerical
 imports happen inside the subcommand handlers.
 """
@@ -38,6 +38,7 @@ import os
 import sys
 
 from .config import LandingConfig, RGDConfig, check_loss_threshold
+from .exceptions import DivergenceError
 from .trace import CORE_COLUMNS, read_trace_csv, write_table
 
 EXIT_OK = 0
@@ -65,6 +66,15 @@ def _schema(keys: dict, config_cls) -> dict:
 def _config(config_cls, cfg: dict):
     """The ``config_cls`` instance of a resolved configuration; it checks every range."""
     return config_cls(**{f.name: cfg[f.name] for f in dataclasses.fields(config_cls)})
+
+
+def _target_rng(cfg: dict):
+    """The generator the target or task is drawn from; numpy's own error for a negative seed names no flag."""
+    import numpy as np
+
+    if cfg["target_seed"] < 0:
+        raise CliError(f"target_seed must be >= 0, got {cfg['target_seed']}")
+    return np.random.default_rng(cfg["target_seed"])
 
 
 # schema: config key -> (caster, default); None default means required
@@ -178,13 +188,11 @@ def _echo_config(out_dir: str, cfg: dict) -> None:
 
 
 def _cmd_factorize(cfg: dict, out_dir: str) -> int:
-    import numpy as np
-
     from . import factorization as fx
     from . import io as pio
     from .trace import write_trace
 
-    target_rng = np.random.default_rng(cfg["target_seed"])
+    target_rng = _target_rng(cfg)
     algorithm = cfg["algo"]
     if algorithm in ("polar-rgd", "bm-gd"):
         target = fx.make_target(cfg["m"], cfg["n"], cfg["r_a"], cfg["kappa"], target_rng)
@@ -206,14 +214,12 @@ def _cmd_factorize(cfg: dict, out_dir: str) -> int:
 
 
 def _cmd_finetune_toy(cfg: dict, out_dir: str) -> int:
-    import numpy as np
-
     from . import io as pio
     from . import landing as ld
     from .trace import write_trace
 
     check_loss_threshold(cfg["loss_threshold"])  # a key of this command, not of LandingConfig
-    task_rng = np.random.default_rng(cfg["target_seed"])
+    task_rng = _target_rng(cfg)
     task = ld.make_whitened_task(cfg["m"], cfg["n"], cfg["n_cols"], cfg["r_a"], task_rng, kappa=cfg["kappa"])
     config = _config(LandingConfig, cfg)
     method = cfg["method"]
@@ -383,6 +389,9 @@ def main(argv=None) -> int:
         cfg = _resolve_config(args.command, args)
         _echo_config(args.out, cfg)
         return COMMANDS[args.command][1](cfg, args.out)
+    except DivergenceError as exc:  # the configured step size is the first setting to revisit
+        print(f"error: {exc}; eta = {cfg['eta']:g}", file=sys.stderr)
+        return EXIT_ERROR
     except (CliError, ValueError, RuntimeError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -28,6 +28,11 @@ def check_loss_threshold(loss_threshold: float) -> None:
         raise ValueError(f"loss_threshold must be a number, got {loss_threshold}")
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:  # numpy's own error for it names no setting
+        raise ValueError(f"seed must be >= 0, got {seed}")
+
+
 def _check_positive(name: str, value: float) -> None:
     if not (math.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be finite and positive, got {name} = {value}")
@@ -52,6 +57,7 @@ class RGDConfig:
 
     def __post_init__(self):
         _check_budget(self.max_iters, self.record_every)
+        _check_seed(self.seed)
         _check_positive("eta", self.eta)
         _check_positive("gamma", self.gamma)
         check_loss_threshold(self.loss_threshold)
@@ -93,6 +99,7 @@ class LandingConfig:
         if self.grad_mode not in ("landing", "euclidean"):
             raise ValueError(f"unknown grad_mode {self.grad_mode!r}")
         _check_budget(self.max_iters, self.record_every)
+        _check_seed(self.seed)
         _check_positive("eta", self.eta)
 
     def eta_at(self, t: int) -> float:

@@ -12,7 +12,8 @@ An optimizer is a method object with a ``name`` and three operations:
   and loss, by name (see :mod:`polarlab.trace`).
 
 :func:`run` owns the budget, the loss threshold, the divergence rule (a
-non-finite loss or one above ``DIVERGENCE_LOSS`` raises DivergenceError),
+non-finite loss or one above ``DIVERGENCE_LOSS`` raises DivergenceError,
+whose message names the last loss within the limit and its iteration),
 the trace rows, each written after the step of its iteration, the
 evaluation of the state after the last step, whose row reports no step, and
 the run's wall clock, one number on the trace (``trace.wall_time``). It
@@ -32,9 +33,11 @@ from .trace import RunTrace
 DIVERGENCE_LOSS = 1e12
 
 
-def _check_loss(loss: float, name: str, it: int) -> None:
+def _check_loss(loss: float, name: str, it: int, last: tuple | None = None) -> None:
+    """The divergence rule; ``last`` is (iteration, loss) of the last loss that passed it, if any."""
     if not math.isfinite(loss) or loss > DIVERGENCE_LOSS:
-        raise DivergenceError(f"{name} diverged at iteration {it}: loss = {loss:.3e}")
+        since = "" if last is None else f"; last loss within the limit = {last[1]:.3e} at iteration {last[0]}"
+        raise DivergenceError(f"{name} diverged at iteration {it}: loss = {loss:.3e}{since}")
 
 
 def advance(method, state, it: int):
@@ -58,9 +61,11 @@ def run(method, state, metadata: dict, max_iters: int, record_every: int, loss_t
     """
     trace = RunTrace(algorithm=method.name, metadata=metadata)
     t0 = time.perf_counter()
+    last = None
     for it in range(max_iters + 1):
         state, loss, ev = method.evaluate(state)
-        _check_loss(loss, method.name, it)
+        _check_loss(loss, method.name, it, last)
+        last = it, loss
         converged = loss_threshold is not None and loss <= loss_threshold
         if converged or it == max_iters:
             trace.append(it, loss, **method.record(state, ev))

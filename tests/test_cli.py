@@ -146,6 +146,34 @@ def test_bad_step_setting_exits_one_with_one_line(tmp_path, capsys, command, fla
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        (["factorize", *FAST_FACTORIZE], "--seed", "-5"),
+        (["factorize", *FAST_FACTORIZE], "--target-seed", "-1"),
+        (["finetune-toy", *FAST_FINETUNE], "--seed", "-1"),
+        (["finetune-toy", *FAST_FINETUNE], "--target-seed", "-1"),
+    ],
+    ids=["factorize-seed", "factorize-target-seed", "finetune-toy-seed", "finetune-toy-target-seed"],
+)
+def test_negative_seed_exits_one_with_one_line_naming_the_flag(tmp_path, capsys, command, flag, value):
+    # numpy's own error for a negative seed names no flag
+    rc = main([*command, flag, value, "--out", str(tmp_path / "r")])
+    captured = capsys.readouterr()
+    assert rc == EXIT_ERROR
+    assert captured.err.splitlines() == [f"error: {flag[2:].replace('-', '_')} must be >= 0, got {value}"]
+    assert captured.out == ""
+
+
+def test_bm_gd_divergence_names_the_last_loss_and_eta(tmp_path, capsys):
+    rc = main(["factorize", "--algo", "bm-gd", "--r", "20", "--kappa", "100", "--eta", "50", "--out", str(tmp_path / "r")])
+    assert rc == EXIT_ERROR
+    assert capsys.readouterr().err.splitlines() == [
+        "error: bm-gd diverged at iteration 1: loss = 3.321e+13; last loss within the limit = 7.852e+03 at iteration 0;"
+        " eta = 50"
+    ]
+
+
 @pytest.mark.parametrize("eta", ["nan", "0"])
 def test_bad_landing_eta_exits_one_with_one_line(tmp_path, capsys, eta):
     rc = main(["finetune-toy", *FAST_FINETUNE, "--eta", eta, "--out", str(tmp_path / "r")])
@@ -180,7 +208,10 @@ def test_finetune_divergence_exits_one_with_one_line(tmp_path, capsys):
     lines = capsys.readouterr().err.splitlines()
     assert rc == EXIT_ERROR
     assert len(lines) == 1
-    assert re.fullmatch(r"error: landing-polar diverged at iteration \d+: loss = \S+", lines[0])
+    pattern = r"error: landing-polar diverged at iteration (\d+): loss = \S+; last loss within the limit = \S+ at iteration (\d+); eta = 5"
+    match = re.fullmatch(pattern, lines[0])
+    assert match, lines[0]
+    assert int(match[2]) == int(match[1]) - 1
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]])

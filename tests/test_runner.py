@@ -8,6 +8,7 @@ divergence rule, which ``run`` owns for all of them.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -74,7 +75,8 @@ def test_run_judges_the_state_after_the_last_step_against_the_threshold(max_iter
 
 def test_advance_applies_the_divergence_rule():
     assert advance(_Halving(), 3.0, 7) == (1.5, 9.0)
-    with pytest.raises(DivergenceError, match="halving diverged at iteration 7: loss = 4.000e\\+12"):
+    # a single step has no earlier loss to name
+    with pytest.raises(DivergenceError, match="^halving diverged at iteration 7: loss = 4\\.000e\\+12$"):
         advance(_Halving(), 2e6, 7)
     with pytest.raises(DivergenceError, match="loss = nan"):
         advance(_Halving(), math.nan, 0)
@@ -123,6 +125,12 @@ def test_every_runner_rejects_a_negative_budget_and_a_zero_cadence(name, max_ite
         RUNNERS[name](1e-2, 2.0, max_iters, record_every)
 
 
+@pytest.mark.parametrize("config", [RGDConfig, LandingConfig])
+def test_both_configs_reject_a_negative_seed(config):
+    with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+        config(seed=-1)
+
+
 # (eta, kappa): the RGD losses are bounded on the manifold, so their targets are scaled past the limit
 DIVERGING = {
     "polar-rgd": (1e-3, 1e7),
@@ -136,8 +144,36 @@ DIVERGING = {
 @pytest.mark.parametrize("name", RUNNERS)
 def test_every_runner_raises_divergence_error_naming_itself_and_the_iteration(name):
     eta, kappa = DIVERGING[name]
-    with pytest.raises(DivergenceError, match=f"^{name} diverged at iteration \\d+: loss = "):
+    with pytest.raises(DivergenceError) as info:
         RUNNERS[name](eta, kappa, 200, 10)
+    pattern = rf"{name} diverged at iteration (\d+): loss = \S+(?:; last loss within the limit = (\S+) at iteration (\d+))?"
+    match = re.fullmatch(pattern, str(info.value))
+    assert match, str(info.value)
+    it, last_loss, last_it = match.groups()
+    if it == "0":  # the scaled RGD targets put the first loss past the limit, before any step
+        assert last_loss is None
+    else:
+        assert int(last_it) == int(it) - 1 and float(last_loss) <= DIVERGENCE_LOSS
+
+
+class _Doubling(_Halving):
+    """x -> 2 x with loss x^2."""
+
+    name = "doubling"
+
+    def step(self, x, ev, it):
+        return 2 * x
+
+
+@pytest.mark.parametrize("x0, message", [
+    (1e5, "doubling diverged at iteration 4: loss = 2.560e+12; last loss within the limit = 6.400e+11 at iteration 3"),
+    (2e6, "doubling diverged at iteration 0: loss = 4.000e+12"),
+    (math.inf, "doubling diverged at iteration 0: loss = inf"),
+])
+def test_run_names_the_last_loss_within_the_limit(x0, message):
+    with pytest.raises(DivergenceError) as info:
+        run(_Doubling(), x0, {}, max_iters=10, record_every=1)
+    assert str(info.value) == message
 
 
 def _arrays(ev) -> dict:
