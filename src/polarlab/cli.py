@@ -23,9 +23,9 @@ Exit codes: 0 the run converged (or the command has no convergence
 notion), 2 the iteration budget ran out first, 1 any error.
 
 Only the standard library and the numpy-free ``config``, ``exceptions`` and
-``trace`` modules are imported at module load; ``--threads`` must take effect through
-the BLAS environment variables before numpy first loads, so all numerical
-imports happen inside the subcommand handlers.
+``trace`` modules are imported at module load; ``--threads`` must take
+effect through the BLAS environment variables before numpy first loads, so
+all numerical imports happen inside the subcommand handlers.
 """
 
 from __future__ import annotations

@@ -238,11 +238,7 @@ def whitened_task_grads(task: WhitenedTask, state: AdapterState) -> tuple[np.nda
     diff -= task.residual
     loss = float((diff * diff).sum())
     diff *= 2.0  # the gradient in DeltaW; each product below is scaled by s in place
-    grads = (
-        np.dot(diff, np.dot(state.Y, state.Theta.T)),
-        np.dot(np.dot(state.X.T, diff), state.Y),
-        np.dot(diff.T, XT),
-    )
+    grads = np.dot(diff, np.dot(state.Y, state.Theta.T)), np.dot(np.dot(state.X.T, diff), state.Y), np.dot(diff.T, XT)
     for G in grads:
         G *= s
     return (*grads, loss)

@@ -125,12 +125,6 @@ def test_every_runner_rejects_a_negative_budget_and_a_zero_cadence(name, max_ite
         RUNNERS[name](1e-2, 2.0, max_iters, record_every)
 
 
-@pytest.mark.parametrize("config", [RGDConfig, LandingConfig])
-def test_both_configs_reject_a_negative_seed(config):
-    with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
-        config(seed=-1)
-
-
 # (eta, kappa): the RGD losses are bounded on the manifold, so their targets are scaled past the limit
 DIVERGING = {
     "polar-rgd": (1e-3, 1e7),
