@@ -42,7 +42,7 @@ def _check_positive(name: str, value: float) -> None:
 class RGDConfig:
     """Settings of ``run_polar_rgd``, ``run_bm_gd`` and ``run_sym_rgd``.
 
-    ``gamma`` > 0 damps the Theta refresh of the two RGD methods, and above 1
+    ``gamma`` > 0 damps the Theta refresh of the two RGD runners, and above 1
     over-relaxes it; bm-gd has no Theta and ignores it. A run stops at the
     first loss at or below ``loss_threshold`` or after ``max_iters`` steps,
     and records every ``record_every``-th iteration.

@@ -1,19 +1,20 @@
 """Low-rank matrix factorization testbed.
 
-Three algorithms on synthetic targets with controlled spectrum:
+Two methods on synthetic targets with controlled spectrum:
 
 * ``polar-rgd``: overparameterized X Theta Y^T with X, Y on Stiefel
   manifolds, Theta refreshed by a gamma-damped closed-form update, X and Y
-  moved by Riemannian gradient descent with the polar retraction,
-* ``bm-gd``: plain gradient descent on the two-factor form Z1 Z2^T,
-* ``polar-rgd-sym``: the symmetric PSD variant X Theta X^T.
+  moved by Riemannian gradient descent with the polar retraction. On a
+  symmetric PSD target, ``polar-rgd-sym`` is the same method with Y tied
+  to X: X Theta X^T, with X retracted along the sum of both directions,
+* ``bm-gd``: plain gradient descent on the two-factor form Z1 Z2^T.
 
-All three fit a :class:`FactorizationTarget` (V = U for the symmetric one)
-planted by :func:`spaced_spectrum` and report :func:`factor_loss`, 0.5 *
+Each fits a :class:`FactorizationTarget` (V = U for the symmetric one)
+planted by :func:`spaced_spectrum` and reports :func:`factor_loss`, 0.5 *
 ||DeltaW - A||_F^2. Alignment diagnostics track how the factor subspaces
 capture the target's singular subspaces.
 
-Each algorithm is a method object that :func:`polarlab.runner.run` iterates
+Each method is an object that :func:`polarlab.runner.run` iterates
 until the loss threshold or the budget; a single step is
 :func:`polarlab.runner.advance` on the same object, so each update is
 written once. The runners take their settings from one
@@ -233,44 +234,56 @@ def _alignment_columns(target, X, Y, grads: tuple) -> dict:
 
 
 class _PolarRGD:
-    """Theta refresh, then retraction of X along E and of Y along F."""
+    """Theta refresh, then retraction of X along E and of Y along F. ``tied`` steps a
+    :class:`SymFactors` state as Y tied to X, on a symmetric A: one retraction of X along E + F."""
 
-    name = "polar-rgd"
+    def __init__(self, target: FactorizationTarget, eta: float, gamma: float, tied: bool = False):
+        if tied and not np.array_equal(target.A, target.A.T):  # the tied step reads A X for A^T X
+            asym = float(np.abs(target.A - target.A.T).max())
+            raise ValueError(f"Y tied to X needs an exactly symmetric A, got max |A - A^T| = {asym:.3e}")
+        self.target, self.eta, self.gamma, self.tied = target, eta, gamma, tied
+        self.name = "polar-rgd-sym" if tied else "polar-rgd"
 
-    def __init__(self, target: FactorizationTarget, eta: float, gamma: float):
-        self.target, self.eta, self.gamma = target, eta, gamma
-
-    def evaluate(self, f: PolarFactors):
-        """The refreshed-Theta state, its loss and the Riemannian gradients (E, F)."""
-        target, gamma = self.target, self.gamma
-        AY = np.dot(target.A, f.Y)
-        AtX = np.dot(target.A.T, f.X)
-        M = np.dot(f.X.T, AY)
+    def evaluate(self, f: PolarFactors | SymFactors):
+        """The refreshed-Theta state, its loss and the Riemannian gradients (E, F), or (E + F,) when tied."""
+        target, gamma, tied, X = self.target, self.gamma, self.tied, f.X
+        Y = X if tied else f.Y
+        AY = np.dot(target.A, Y)
+        AtX = AY if tied else np.dot(target.A.T, X)
+        M = np.dot(X.T, AY)
         Theta = M if gamma == 1.0 else (1.0 - gamma) * f.Theta + gamma * M
         # 0.5||X Theta Y^T - A||^2 expanded under X^T X = Y^T Y = I
         theta_m = float((Theta * M).sum())  # and ||Theta||^2 too at gamma = 1, where Theta is M
         loss = 0.5 * (target.a2 - 2.0 * theta_m + (theta_m if gamma == 1.0 else float((Theta * Theta).sum())))
-        if gamma == 1.0:
+        if gamma == 1.0 and tied:
+            # E + F = (XX^T - I) A X (Theta^T + Theta), formed as (X M - A X)(Theta^T + Theta) since X^T A X = M
+            E = np.dot(np.dot(X, M) - AY, Theta.T + Theta)
+        elif gamma == 1.0:
+            # projector forms (XX^T - I) A Y Theta^T and (YY^T - I) A^T X Theta
             T1 = np.dot(AY, Theta.T)
-            E = np.dot(f.X, np.dot(f.X.T, T1))
+            E = np.dot(X, np.dot(X.T, T1))
             E -= T1
             T2 = np.dot(AtX, Theta)
-            F = np.dot(f.Y, np.dot(f.Y.T, T2))
+            F = np.dot(Y, np.dot(Y.T, T2))
             F -= T2
         else:
-            # Euclidean gradients at fixed (damped) Theta, then tangent projection
-            gX = np.dot(f.X, np.dot(Theta, Theta.T)) - np.dot(AY, Theta.T)
-            gY = np.dot(f.Y, np.dot(Theta.T, Theta)) - np.dot(AtX, Theta)
-            E = tangent_project(f.X, gX)
-            F = tangent_project(f.Y, gY)
-        return PolarFactors(X=f.X, Theta=Theta, Y=f.Y), max(loss, 0.0), (E, F)
+            # Euclidean gradients at fixed (damped) Theta, then tangent projection; tied, of gX + gY
+            gX = np.dot(X, np.dot(Theta, Theta.T)) - np.dot(AY, Theta.T)
+            gY = np.dot(Y, np.dot(Theta.T, Theta)) - np.dot(AtX, Theta)
+            E = tangent_project(X, gX + gY if tied else gX)
+            if not tied:
+                F = tangent_project(Y, gY)
+        state = SymFactors(X=X, Theta=Theta) if tied else PolarFactors(X=X, Theta=Theta, Y=Y)
+        return state, max(loss, 0.0), (E,) if tied else (E, F)
 
-    def step(self, f: PolarFactors, ev, it: int) -> PolarFactors:
-        E, F = ev
-        return PolarFactors(X=polar_retract(f.X, E, self.eta), Theta=f.Theta, Y=polar_retract(f.Y, F, self.eta))
+    def step(self, f: PolarFactors | SymFactors, ev, it: int) -> PolarFactors | SymFactors:
+        X = polar_retract(f.X, ev[0], self.eta)
+        if self.tied:
+            return SymFactors(X=X, Theta=f.Theta)
+        return PolarFactors(X=X, Theta=f.Theta, Y=polar_retract(f.Y, ev[1], self.eta))
 
-    def record(self, f: PolarFactors, ev) -> dict:
-        return _alignment_columns(self.target, f.X, f.Y, ev)
+    def record(self, f: PolarFactors | SymFactors, ev) -> dict:
+        return _alignment_columns(self.target, f.X, None if self.tied else f.Y, ev)
 
 
 class _BMGD:
@@ -301,39 +314,6 @@ class _BMGD:
         Q1 = np.linalg.qr(f.Z1)[0]
         Q2 = np.linalg.qr(f.Z2)[0]
         return _alignment_columns(self.target, Q1, Q2, ev)
-
-
-class _SymRGD:
-    """Theta refresh, then retraction of X along G; psi diagnostics are undefined."""
-
-    name = "polar-rgd-sym"
-
-    def __init__(self, target: FactorizationTarget, eta: float, gamma: float):
-        self.target, self.eta, self.gamma = target, eta, gamma
-
-    def evaluate(self, f: SymFactors):
-        """The refreshed-Theta state, its loss and the Riemannian gradient G."""
-        target, gamma = self.target, self.gamma
-        AX = np.dot(target.A, f.X)
-        M = np.dot(f.X.T, AX)
-        Theta = M if gamma == 1.0 else (1.0 - gamma) * f.Theta + gamma * M
-        theta_m = float((Theta * M).sum())  # and ||Theta||^2 too at gamma = 1, where Theta is M
-        loss = 0.5 * (target.a2 - 2.0 * theta_m + (theta_m if gamma == 1.0 else float((Theta * Theta).sum())))
-        if gamma == 1.0:
-            P = np.dot(AX, M)
-            G = np.dot(f.X, np.dot(f.X.T, P))
-            G -= P
-        else:
-            # Euclidean gradient R X Theta^T + R^T X Theta expanded under X^T X = I
-            gX = np.dot(f.X, np.dot(Theta, Theta.T) + np.dot(Theta.T, Theta)) - np.dot(AX, Theta.T + Theta)
-            G = tangent_project(f.X, gX)
-        return SymFactors(X=f.X, Theta=Theta), max(loss, 0.0), G
-
-    def step(self, f: SymFactors, G, it: int) -> SymFactors:
-        return SymFactors(X=polar_retract(f.X, G, self.eta), Theta=f.Theta)
-
-    def record(self, f: SymFactors, G) -> dict:
-        return _alignment_columns(self.target, f.X, None, (G,))
 
 
 def _run(method, f, cfg: RGDConfig, gamma: float):
@@ -372,6 +352,6 @@ def run_bm_gd(target: FactorizationTarget, r: int, cfg: RGDConfig) -> tuple[RunT
 
 
 def run_sym_rgd(target: FactorizationTarget, r: int, cfg: RGDConfig) -> tuple[RunTrace, SymFactors]:
-    """Symmetric-variant runner; psi diagnostics are undefined and recorded as NaN."""
-    f = init_sym_factors(target, r, np.random.default_rng(cfg.seed))
-    return _run(_SymRGD(target, cfg.eta, cfg.gamma), f, cfg, cfg.gamma)
+    """polar-rgd with Y tied to X, on a target whose A equals A^T exactly; psi columns are NaN."""
+    method = _PolarRGD(target, cfg.eta, cfg.gamma, tied=True)  # rejects an asymmetric A before the draw
+    return _run(method, init_sym_factors(target, r, np.random.default_rng(cfg.seed)), cfg, cfg.gamma)

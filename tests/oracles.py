@@ -77,13 +77,6 @@ def riemannian_grads_asym(target: FactorizationTarget, f: PolarFactors) -> tuple
     return E, F
 
 
-def riemannian_grad_sym(target: FactorizationTarget, f: SymFactors) -> np.ndarray:
-    """G = -(I - XX^T) A X X^T A X, the symmetric-variant descent direction at gamma = 1."""
-    W = target.A @ f.X
-    P = W @ (f.X.T @ W)
-    return f.X @ (f.X.T @ P) - P
-
-
 def euclid_grads_asym(target: FactorizationTarget, f: PolarFactors) -> tuple[np.ndarray, np.ndarray]:
     """Euclidean gradients of the polar factor loss in X and Y at fixed Theta."""
     resid = (f.X @ f.Theta) @ f.Y.T - target.A
@@ -322,37 +315,33 @@ def sample_stiefel_uniform_reference(m: int, r: int, rng: np.random.Generator, f
     raise RankDeficientError("Gaussian sample was rank deficient twice in a row")
 
 
-def polar_rgd_evaluate_reference(target: FactorizationTarget, f: PolarFactors, gamma: float):
-    """(Theta, expanded loss, grad norm^2, E, F) of one polar-rgd evaluation."""
-    AY = target.A @ f.Y
-    AtX = target.A.T @ f.X
-    M = f.X.T @ AY
+def polar_rgd_evaluate_reference(target: FactorizationTarget, f: PolarFactors | SymFactors, gamma: float):
+    """(Theta, expanded loss, grad norm^2, directions) of one polar-rgd evaluation.
+
+    The directions are (E, F), or for a SymFactors state, Y tied to X, the
+    one direction (E + F,), from A X in place of A^T X; at gamma = 1 its
+    projector form (XX^T - I) A X (Theta^T + Theta) is formed with M = X^T A X.
+    """
+    tied = isinstance(f, SymFactors)
+    X = f.X
+    Y = X if tied else f.Y
+    AY = target.A @ Y
+    AtX = AY if tied else target.A.T @ X
+    M = X.T @ AY
     Theta = M if gamma == 1.0 else (1.0 - gamma) * f.Theta + gamma * M
     loss = 0.5 * (target.a2 - 2.0 * float(np.sum(Theta * M)) + float(np.sum(Theta * Theta)))
-    if gamma == 1.0:
+    if gamma == 1.0 and tied:
+        directions = ((X @ M - AY) @ (Theta.T + Theta),)
+    elif gamma == 1.0:
         T1 = AY @ Theta.T
-        E = f.X @ (f.X.T @ T1) - T1
         T2 = AtX @ Theta
-        F = f.Y @ (f.Y.T @ T2) - T2
+        directions = (X @ (X.T @ T1) - T1, Y @ (Y.T @ T2) - T2)
     else:
-        E = tangent_project_reference(f.X, f.X @ (Theta @ Theta.T) - AY @ Theta.T)
-        F = tangent_project_reference(f.Y, f.Y @ (Theta.T @ Theta) - AtX @ Theta)
-    return Theta, max(loss, 0.0), float(np.sum(E * E) + np.sum(F * F)), E, F
-
-
-def sym_rgd_evaluate_reference(target: FactorizationTarget, f: SymFactors, gamma: float):
-    """(Theta, expanded loss, grad norm^2, G) of one polar-rgd-sym evaluation."""
-    AX = target.A @ f.X
-    M = f.X.T @ AX
-    Theta = M if gamma == 1.0 else (1.0 - gamma) * f.Theta + gamma * M
-    loss = 0.5 * (target.a2 - 2.0 * float(np.sum(Theta * M)) + float(np.sum(Theta * Theta)))
-    if gamma == 1.0:
-        P = AX @ M
-        G = f.X @ (f.X.T @ P) - P
-    else:
-        gX = f.X @ (Theta @ Theta.T + Theta.T @ Theta) - AX @ (Theta.T + Theta)
-        G = tangent_project_reference(f.X, gX)
-    return Theta, max(loss, 0.0), float(np.sum(G * G)), G
+        gX = X @ (Theta @ Theta.T) - AY @ Theta.T
+        gY = Y @ (Theta.T @ Theta) - AtX @ Theta
+        pairs = [(X, gX + gY)] if tied else [(X, gX), (Y, gY)]
+        directions = tuple(tangent_project_reference(Z, g) for Z, g in pairs)
+    return Theta, max(loss, 0.0), sum(float(np.sum(D * D)) for D in directions), directions
 
 
 def bm_gd_evaluate_reference(target: FactorizationTarget, f: BMFactors):

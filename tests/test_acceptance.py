@@ -277,18 +277,10 @@ def test_a4_gradient_oracle_suite():
         track("bm_z1", _rel_err(G1, _fd_grad(lambda Z: fx.factor_loss(t, fx.BMFactors(Z1=Z, Z2=fb.Z2)), fb.Z1)))
         track("bm_z2", _rel_err(G2, _fd_grad(lambda Z: fx.factor_loss(t, fx.BMFactors(Z1=fb.Z1, Z2=Z)), fb.Z2)))
 
-        # symmetric gradient; the Euclidean one is exactly twice the
-        # Riemannian one at the refreshed theta
+        # the tied direction E + F of polar-rgd-sym, the Euclidean gradient at the refreshed theta
         ts = pl.make_sym_target(m, r_a, kappa, rng)
-        fs = fx.init_sym_factors(ts, r, rng)
-        fs = SymFactors(X=fs.X, Theta=oracles.theta_update_sym(ts, fs, 1.0))
-        track(
-            "G",
-            _rel_err(
-                2.0 * oracles.riemannian_grad_sym(ts, fs),
-                _fd_grad(lambda W: fx.factor_loss(ts, SymFactors(X=W, Theta=fs.Theta)), fs.X),
-            ),
-        )
+        fs, _, (D,) = fx._PolarRGD(ts, 1e-3, 1.0, tied=True).evaluate(fx.init_sym_factors(ts, r, rng))
+        track("G", _rel_err(D, _fd_grad(lambda W: fx.factor_loss(ts, SymFactors(X=W, Theta=fs.Theta)), fs.X)))
 
         # landing penalty gradient at a generic off-manifold point
         Xo = rng.standard_normal((m, r))

@@ -40,7 +40,6 @@ from oracles import (
     euclid_grads_bm,
     loss_alignment_bound,
     orthogonal_complement,
-    riemannian_grad_sym,
     riemannian_grads_asym,
     theta_update,
     theta_update_sym,
@@ -346,22 +345,29 @@ def test_sym_grads_match_fd_and_riemannian_relation(seed):
     g = euclid_grad_sym(t, f)
     fd = _fd_grad(lambda W: factor_loss(t, SymFactors(X=W, Theta=f.Theta)), f.X)
     assert _rel_err(g, fd) <= 1e-5
-    # at a refreshed symmetric Theta the Euclidean gradient is twice the
-    # projector-form direction, and both are tangent
-    G = riemannian_grad_sym(t, f)
-    assert np.allclose(g, 2.0 * G, atol=1e-10)
-    assert np.linalg.norm(f.X.T @ G + G.T @ f.X) <= 1e-8
+    # at a refreshed symmetric Theta the Euclidean gradient is E + F, the
+    # projector-form directions with Y tied to X, and it is tangent
+    E, F = riemannian_grads_asym(t, PolarFactors(X=f.X, Theta=f.Theta, Y=f.X))
+    assert np.allclose(g, E + F, atol=1e-10)
+    assert np.linalg.norm(f.X.T @ g + g.T @ f.X) <= 1e-8
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 4: at gamma = 1 _SymRGD steps along half the gradient of its loss")
-def test_sym_rgd_direction_is_the_riemannian_gradient_of_its_loss():
-    # for the Riemannian gradient G, the derivative of the loss along G is <G, G>; today it is 2 <G, G>
-    t = make_sym_target(50, 4, 10.0, np.random.default_rng(0))
-    X = init_sym_factors(t, 20, np.random.default_rng(1)).X
-    state, _, G = fx._SymRGD(t, 1e-3, 1.0).evaluate(SymFactors(X=X, Theta=np.zeros((20, 20))))
+@pytest.mark.parametrize("gamma", [1.0, 0.5])
+@pytest.mark.parametrize("tied", [False, True], ids=["polar-rgd", "polar-rgd-sym"])
+def test_rgd_direction_is_the_riemannian_gradient_of_its_loss(tied, gamma):
+    # for the Riemannian gradient D of the loss in one factor, the derivative of the loss along D is <D, D>
+    rng = np.random.default_rng(0)
+    t = make_sym_target(50, 4, 10.0, rng) if tied else make_target(50, 50, 4, 10.0, rng)
+    f = (init_sym_factors if tied else init_polar_factors)(t, 20, np.random.default_rng(1))
+    method = fx._PolarRGD(t, 1e-3, gamma, tied=tied)
+    for it in range(3):  # off Theta = 0, so that the damped refresh reads a nonzero Theta
+        f = advance(method, f, it)[0]
+    state, _, ev = method.evaluate(f)
     h = 1e-6
-    slope = (factor_loss(t, replace(state, X=X + h * G)) - factor_loss(t, replace(state, X=X - h * G))) / (2 * h)
-    assert slope / float(np.sum(G * G)) == pytest.approx(1.0, rel=1e-6)
+    for name, D in zip(("X",) if tied else ("X", "Y"), ev):
+        W = getattr(state, name)
+        slope = factor_loss(t, replace(state, **{name: W + h * D})) - factor_loss(t, replace(state, **{name: W - h * D}))
+        assert slope / (2 * h) / float(np.sum(D * D)) == pytest.approx(1.0, rel=1e-6), name
 
 
 # ---------------------------------------------------------------------------
@@ -421,15 +427,25 @@ def test_bm_step_noop_at_solution():
     assert np.allclose(f.Z2[:, :2], Z2, atol=1e-14)
 
 
-def test_sym_step_matches_asym_on_shared_state():
-    # the symmetric target is a FactorizationTarget with V = U, so with X = Y
-    # the two updates produce the same new X
+@pytest.mark.parametrize("gamma", [1.0, 0.5])
+def test_tied_step_is_the_untied_step_at_twice_eta(gamma):
+    # the symmetric target is a FactorizationTarget with V = U. From Y = X and Theta = 0 the refreshed
+    # Theta is symmetric up to rounding, so E = F and the tied direction E + F is 2 E
     ts = make_sym_target(8, 2, 3.0, np.random.default_rng(3))
     X0 = init_sym_factors(ts, 3, np.random.default_rng(4)).X
-    fs = advance(fx._SymRGD(ts, 1e-2, 1.0), SymFactors(X=X0, Theta=np.zeros((3, 3))), 0)[0]
-    fa = advance(fx._PolarRGD(ts, 1e-2, 1.0), PolarFactors(X=X0, Theta=np.zeros((3, 3)), Y=X0.copy()), 0)[0]
-    assert np.allclose(fs.X, fa.X, atol=1e-12)
-    assert np.allclose(fs.Theta, fa.Theta, atol=1e-12)
+    fs = advance(fx._PolarRGD(ts, 1e-2, gamma, tied=True), SymFactors(X=X0, Theta=np.zeros((3, 3))), 0)[0]
+    fa = advance(fx._PolarRGD(ts, 2e-2, gamma), PolarFactors(X=X0, Theta=np.zeros((3, 3)), Y=X0.copy()), 0)[0]
+    assert np.abs(fs.X - fa.X).max() <= 1e-12 and np.abs(fs.X - fa.Y).max() <= 1e-12
+    assert np.abs(fs.Theta - fa.Theta).max() <= 1e-12
+
+
+def test_run_sym_rgd_rejects_an_asymmetric_target():
+    # the tied step reads A X for A^T X, so an A one ulp off symmetric is refused before any step
+    ts = make_sym_target(8, 2, 3.0, np.random.default_rng(3))
+    A = ts.A.copy()
+    A[0, 1] = np.nextafter(A[0, 1], np.inf)
+    with pytest.raises(ValueError, match=r"exactly symmetric A, got max \|A - A\^T\| = [0-9.]+e-[0-9]+$"):
+        run_sym_rgd(replace(ts, A=A), 4, RGDConfig(max_iters=1))
 
 
 # ---------------------------------------------------------------------------

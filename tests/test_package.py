@@ -36,8 +36,6 @@ STEP_PATH = {
         "_PolarRGD.step",
         "_BMGD.evaluate",
         "_BMGD.step",
-        "_SymRGD.evaluate",
-        "_SymRGD.step",
     ),
     "landing": (
         "AdapterState.delta_w",

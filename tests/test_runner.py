@@ -188,7 +188,7 @@ def _method_and_state(name):
         return fx._PolarRGD(target, 1e-2, 1.0), fx.init_polar_factors(target, 4, rng)
     if name == "polar-rgd-sym":
         target = _sym_target()
-        return fx._SymRGD(target, 1e-2, 1.0), fx.init_sym_factors(target, 4, rng)
+        return fx._PolarRGD(target, 1e-2, 1.0, tied=True), fx.init_sym_factors(target, 4, rng)
     task, cfg = _task(), LandingConfig(eta=1e-2, max_iters=10)
     init, make = {"landing-polar": (ld.init_adapter_state, ld._PolarLanding), "lora": (ld.init_lora_state, ld._Lora)}[name]
     state = init(task.W0.shape, 4, rng)
