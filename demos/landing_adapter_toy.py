@@ -13,13 +13,9 @@ import os
 
 import numpy as np
 
+from polarlab.factorization import make_whitened_task
 from polarlab.io import save_state
-from polarlab.landing import (
-    LandingConfig,
-    make_whitened_task,
-    train_lora,
-    train_polar_landing,
-)
+from polarlab.landing import LandingConfig, train_lora, train_polar_landing
 from polarlab.stiefel import distance_to_stiefel, pairwise_direction_distances, stable_rank
 from polarlab.trace import write_trace
 
@@ -48,7 +44,7 @@ def main():
     print("  (the baseline has no constraint; its factors are generic)")
 
     print("\n== update spectrum ==")
-    planted = ", ".join(f"{s:.3f}" for s in task.planted_sigma)
+    planted = ", ".join(f"{s:.3f}" for s in task.sigma)
     print(f"  planted     singular values [{planted}]")
     for name, state in (("polar", polar), ("two-factor", lora)):
         summary = stable_rank(state.delta_w())

@@ -43,6 +43,7 @@ _EXPORTS = {
     "FactorizationTarget": "factorization",
     "make_target": "factorization",
     "make_sym_target": "factorization",
+    "make_whitened_task": "factorization",
     "PolarFactors": "factorization",
     "BMFactors": "factorization",
     "SymFactors": "factorization",
@@ -61,8 +62,6 @@ _EXPORTS = {
     "adam_transform": "landing",
     "landing_field": "landing",
     "grad_distance_to_stiefel": "landing",
-    "WhitenedTask": "landing",
-    "make_whitened_task": "landing",
     "init_adapter_state": "landing",
     "init_lora_state": "landing",
     "train_polar_landing": "landing",

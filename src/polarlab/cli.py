@@ -216,19 +216,17 @@ def _cmd_factorize(cfg: dict, out_dir: str) -> int:
 def _cmd_finetune_toy(cfg: dict, out_dir: str) -> int:
     from . import io as pio
     from . import landing as ld
+    from .factorization import make_whitened_task
     from .trace import write_trace
 
+    method = cfg["method"]
+    trainer = {"landing-polar": ld.train_polar_landing, "lora": ld.train_lora}.get(method)
+    if trainer is None:
+        raise CliError(f"unknown method {method!r} (expected landing-polar or lora)")
     check_loss_threshold(cfg["loss_threshold"])  # a key of this command, not of LandingConfig
     task_rng = _target_rng(cfg)
-    task = ld.make_whitened_task(cfg["m"], cfg["n"], cfg["n_cols"], cfg["r_a"], task_rng, kappa=cfg["kappa"])
-    config = _config(LandingConfig, cfg)
-    method = cfg["method"]
-    if method == "landing-polar":
-        state, trace = ld.train_polar_landing(task, cfg["r"], config)
-    elif method == "lora":
-        state, trace = ld.train_lora(task, cfg["r"], config)
-    else:
-        raise CliError(f"unknown method {method!r} (expected landing-polar or lora)")
+    target = make_whitened_task(cfg["m"], cfg["n"], cfg["n_cols"], cfg["r_a"], task_rng, kappa=cfg["kappa"])
+    state, trace = trainer(target, cfg["r"], _config(LandingConfig, cfg))
     csv_path = write_trace(trace, out_dir)
     pio.save_state(os.path.join(out_dir, "checkpoint"), state, {"method": method})
     converged = trace.final_loss <= cfg["loss_threshold"]

@@ -9,10 +9,12 @@ Two methods on synthetic targets with controlled spectrum:
   to X: X Theta X^T, with X retracted along the sum of both directions,
 * ``bm-gd``: plain gradient descent on the two-factor form Z1 Z2^T.
 
-Each fits a :class:`FactorizationTarget` (V = U for the symmetric one)
-planted by :func:`spaced_spectrum` and reports :func:`factor_loss`, 0.5 *
-||DeltaW - A||_F^2. Alignment diagnostics track how the factor subspaces
-capture the target's singular subspaces.
+Each fits a :class:`FactorizationTarget` with a :func:`spaced_spectrum`
+and reports :func:`factor_loss`, 0.5 * ||DeltaW - A||_F^2. Three
+constructors plant one: :func:`make_target`, :func:`make_sym_target` (V = U)
+and :func:`make_whitened_task`, the target the adapter trainers of
+``polarlab.landing`` fit. Alignment diagnostics track how the factor
+subspaces capture the target's singular subspaces.
 
 Each method is an object that :func:`polarlab.runner.run` iterates
 until the loss threshold or the budget; a single step is
@@ -89,6 +91,13 @@ def spaced_spectrum(r_a: int, kappa: float, normalize: bool) -> np.ndarray:
     return sigma / kappa if normalize else sigma
 
 
+def _planted(m: int, n: int, sigma: np.ndarray, kappa: float, rng: np.random.Generator) -> FactorizationTarget:
+    """The (m, n) target A = U diag(sigma) V^T with U, then V, drawn uniform from their Stiefel manifolds."""
+    U = sample_stiefel_uniform(m, sigma.size, rng)
+    V = sample_stiefel_uniform(n, sigma.size, rng)
+    return FactorizationTarget(A=(U * sigma) @ V.T, U=U, V=V, sigma=sigma, kappa=float(kappa))
+
+
 def make_target(
     m: int,
     n: int,
@@ -108,11 +117,7 @@ def make_target(
         m, n = n, m
     if not (1 <= r_a <= min(m, n) / 2):
         raise ValueError(f"need 1 <= r_a <= min(m, n)/2, got r_a={r_a}, m={m}, n={n}")
-    sigma = spaced_spectrum(r_a, float(kappa), normalize)
-    U = sample_stiefel_uniform(m, r_a, rng)
-    V = sample_stiefel_uniform(n, r_a, rng)
-    A = (U * sigma) @ V.T
-    return FactorizationTarget(A=A, U=U, V=V, sigma=sigma, kappa=float(kappa))
+    return _planted(m, n, spaced_spectrum(r_a, float(kappa), normalize), kappa, rng)
 
 
 def make_sym_target(
@@ -130,6 +135,32 @@ def make_sym_target(
     B = (U * sigma) @ U.T
     B = 0.5 * (B + B.T)
     return FactorizationTarget(A=B, U=U, V=U, sigma=sigma, kappa=float(kappa))
+
+
+def make_whitened_task(
+    m: int,
+    n: int,
+    n_cols: int,
+    r_a: int,
+    rng: np.random.Generator,
+    kappa: float = 10.0,
+) -> FactorizationTarget:
+    """The planted target P of the whitened adapter task, an (m, n) target of rank r_a.
+
+    The task is least squares ||(W0 + DeltaW) D - (W0 + P) D||_F^2 against n x n_cols
+    whitened inputs D (D D^T = I, so n_cols >= n); it equals ||DeltaW - P||_F^2, so the
+    adapter trainers fit P alone. The generator still draws D's (n_cols, n) and W0's (m, n)
+    normals first, so P keeps the bits it has had since D and W0 were formed. P's spectrum
+    is ``spaced_spectrum(r_a, kappa, normalize=True)``. Every check runs before ``rng`` draws.
+    """
+    if n_cols < n:
+        raise ValueError(f"need n_cols >= n for D D^T = I, got n_cols={n_cols}, n={n}")
+    if not (1 <= r_a <= min(m, n)):
+        raise ValueError(f"need 1 <= r_a <= min(m, n), got r_a={r_a}")
+    sigma = spaced_spectrum(r_a, float(kappa), normalize=True)
+    rng.standard_normal((n_cols, n))  # D's draw
+    rng.standard_normal((m, n))  # W0's draw
+    return _planted(m, n, sigma, kappa, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -183,9 +214,9 @@ class SymFactors:
 
 
 def init_polar_factors(target: FactorizationTarget, r: int, rng: np.random.Generator) -> PolarFactors:
-    """Uniform Stiefel X, Y and Theta = 0. Requires r_a < r <= n."""
-    if not (target.r_a < r <= target.n):
-        raise ValueError(f"need r_a < r <= n, got r={r}, r_a={target.r_a}, n={target.n}")
+    """Uniform Stiefel X, Y and Theta = 0. Requires r_a < r <= min(m, n)."""
+    if not (target.r_a < r <= min(target.m, target.n)):
+        raise ValueError(f"need r_a < r <= min(m, n), got r={r}, r_a={target.r_a}, m={target.m}, n={target.n}")
     X = sample_stiefel_uniform(target.m, r, rng)
     Y = sample_stiefel_uniform(target.n, r, rng)
     return PolarFactors(X=X, Theta=np.zeros((r, r)), Y=Y)

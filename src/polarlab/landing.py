@@ -18,12 +18,14 @@ transform per step moves, bit for bit as one Adam per parameter would. The
 stepped state's arrays are views of that vector, so the next step reads
 them without repacking. A trace row's stable rank of DeltaW needs no SVD.
 
-The task is least squares against whitened inputs: L = ||(W0 + DeltaW) D
-- labels||_F^2 with D D^T = I, which collapses to the factored form
-||DeltaW - residual||_F^2 + c. The trainers report the factored
-residual, which leaves out c.
-A plain LoRA-style baseline (two Euclidean factors, Z2 zero-initialized)
-trains on the same task for comparison.
+The loss is ||DeltaW - A||_F^2 on a
+:class:`~polarlab.factorization.FactorizationTarget`, as
+:func:`~polarlab.factorization.make_whitened_task` plants it. Least squares
+against whitened inputs, ||(W0 + DeltaW) D - labels||_F^2 with D D^T = I, is
+this loss plus a constant c; that whitened form and c live in
+``tests/oracles.py``, where A8 checks the identity. A plain LoRA-style
+baseline (two Euclidean factors, Z2 zero-initialized) trains on the same
+target for comparison.
 
 Both trainers are method objects that :func:`polarlab.runner.run` iterates
 for the whole budget, with no early stop; a single step is
@@ -41,7 +43,7 @@ from typing import ClassVar
 import numpy as np
 
 from .config import LandingConfig
-from .factorization import BMFactors, PolarFactors, spaced_spectrum
+from .factorization import BMFactors, FactorizationTarget, PolarFactors
 from .runner import run
 # stable_rank is not called here; the name stays because benchmark/layers.py traces polarlab.landing.stable_rank
 from .stiefel import distance_to_stiefel, sample_stiefel_uniform, stable_rank
@@ -168,74 +170,16 @@ def landing_field(X, grad_x, lam: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# whitened task
+# task gradients
 
 
-@dataclass(frozen=True)
-class WhitenedTask:
-    """Least squares against whitened inputs with a planted low-rank residual.
-
-    ``residual`` is the rank-r_A matrix labels D^T - W0 the adapter must
-    represent; ``c`` is the constant offset between the direct and factored
-    loss forms (zero when the labels are realizable); ``kappa`` is the
-    condition number the spectrum was planted with, as given.
-    """
-
-    W0: np.ndarray
-    D: np.ndarray
-    labels: np.ndarray
-    residual: np.ndarray
-    c: float
-    planted_sigma: np.ndarray
-    kappa: float
-
-    @property
-    def r_a(self) -> int:
-        return self.planted_sigma.size
-
-
-def make_whitened_task(
-    m: int,
-    n: int,
-    n_cols: int,
-    r_a: int,
-    rng: np.random.Generator,
-    kappa: float = 10.0,
-) -> WhitenedTask:
-    """Build a whitened task whose optimal adapter is a known rank-r_a matrix.
-
-    D is n x n_cols with orthonormal rows (n_cols >= n), W0 has i.i.d.
-    N(0, 1/n) entries, and labels are (W0 + P) D, so the equivalent factored
-    target is exactly the planted P. P's spectrum is ``spaced_spectrum(r_a,
-    kappa, normalize=True)``, checked before anything is drawn from ``rng``.
-    """
-    if n_cols < n:
-        raise ValueError(f"need n_cols >= n for D D^T = I, got n_cols={n_cols}, n={n}")
-    if not (1 <= r_a <= min(m, n)):
-        raise ValueError(f"need 1 <= r_a <= min(m, n), got r_a={r_a}")
-    sigma = spaced_spectrum(r_a, float(kappa), normalize=True)
-    Q = np.linalg.qr(rng.standard_normal((n_cols, n)))[0]
-    D = Q.T
-    gram_err = float(np.linalg.norm(D @ D.T - np.eye(n)))
-    if gram_err > 1e-10:
-        raise ValueError(f"whitening failed: ||D D^T - I|| = {gram_err:.3e}")
-    W0 = (1.0 / np.sqrt(n)) * rng.standard_normal((m, n))
-    U_p = sample_stiefel_uniform(m, r_a, rng)
-    V_p = sample_stiefel_uniform(n, r_a, rng)
-    P = (U_p * sigma) @ V_p.T
-    labels = (W0 + P) @ D
-    c = float(np.sum(labels * labels)) - float(np.sum((labels @ D.T) ** 2))
-    return WhitenedTask(W0=W0, D=D, labels=labels, residual=P, c=c, planted_sigma=sigma, kappa=float(kappa))
-
-
-def whitened_task_grads(task: WhitenedTask, state: AdapterState) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """(G_X, G_Theta, G_Y, loss) of the task loss at the adapter state; the loss
-    is the factored residual ||DeltaW - residual||_F^2, nonnegative by construction."""
+def whitened_task_grads(target: FactorizationTarget, state: AdapterState) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """(G_X, G_Theta, G_Y, loss) of the task loss ||DeltaW - A||_F^2 at the adapter state."""
     s = state.scale_alpha / state.r
     XT = np.dot(state.X, state.Theta)
     diff = np.dot(XT, state.Y.T)
     diff *= s
-    diff -= task.residual
+    diff -= target.A
     loss = float((diff * diff).sum())
     diff *= 2.0  # the gradient in DeltaW; each product below is scaled by s in place
     grads = np.dot(diff, np.dot(state.Y, state.Theta.T)), np.dot(np.dot(state.X.T, diff), state.Y), np.dot(diff.T, XT)
@@ -244,12 +188,12 @@ def whitened_task_grads(task: WhitenedTask, state: AdapterState) -> tuple[np.nda
     return (*grads, loss)
 
 
-def lora_grads(task: WhitenedTask, state: LoraState) -> tuple[np.ndarray, np.ndarray, float]:
+def lora_grads(target: FactorizationTarget, state: LoraState) -> tuple[np.ndarray, np.ndarray, float]:
     """(G_Z1, G_Z2, loss) of the task loss at the LoRA state, loss as in :func:`whitened_task_grads`."""
     s = state.scale_alpha / state.r
     diff = np.dot(state.Z1, state.Z2.T)
     diff *= s
-    diff -= task.residual
+    diff -= target.A
     loss = float((diff * diff).sum())
     diff *= 2.0
     G1, G2 = np.dot(diff, state.Z2), np.dot(diff.T, state.Z1)
@@ -288,8 +232,8 @@ class _PackedAdam:
     steps from. The stepped state is built from the old one's fields, so
     scale_alpha stays the same object."""
 
-    def __init__(self, task: WhitenedTask, cfg: LandingConfig, state):
-        self.task, self.cfg, self.layout, stop = task, cfg, {}, 0
+    def __init__(self, target: FactorizationTarget, cfg: LandingConfig, state):
+        self.target, self.cfg, self.layout, stop = target, cfg, {}, 0
         for name in _params(state):
             a = getattr(state, name)
             self.layout[name], stop = (slice(stop, stop + a.size), a.shape), stop + a.size
@@ -319,7 +263,7 @@ class _PolarLanding(_PackedAdam):
     name = "landing-polar"
 
     def evaluate(self, state: AdapterState):
-        G_X, G_Theta, G_Y, loss = whitened_task_grads(self.task, state)
+        G_X, G_Theta, G_Y, loss = whitened_task_grads(self.target, state)
         return state, loss, {"grads": (G_X, G_Theta, G_Y)}
 
     def step(self, state: AdapterState, ev: dict, it: int) -> AdapterState:
@@ -351,22 +295,22 @@ class _Lora(_PackedAdam):
     name = "lora"
 
     def evaluate(self, state: LoraState):
-        G1, G2, loss = lora_grads(self.task, state)
+        G1, G2, loss = lora_grads(self.target, state)
         return state, loss, (G1, G2)
 
 
 def _train(method: _PackedAdam, state):
     """Run ``method`` from ``state`` for its config's whole budget -> (final state, trace)."""
-    task, cfg = method.task, method.cfg
+    target, cfg = method.target, method.cfg
     metadata = {
         "seed": cfg.seed,
         "eta": cfg.eta,
         "gamma": float("nan"),
-        "m": task.W0.shape[0],
-        "n": task.W0.shape[1],
+        "m": target.m,
+        "n": target.n,
         "r": state.r,
-        "r_A": task.r_a,
-        "kappa": task.kappa,
+        "r_A": target.r_a,
+        "kappa": target.kappa,
         "lam": cfg.lam,
         "scale_alpha": cfg.alpha,
         "method": method.name,
@@ -375,18 +319,18 @@ def _train(method: _PackedAdam, state):
     return state, trace
 
 
-def train_polar_landing(task: WhitenedTask, r: int, cfg: LandingConfig) -> tuple[AdapterState, RunTrace]:
+def train_polar_landing(target: FactorizationTarget, r: int, cfg: LandingConfig) -> tuple[AdapterState, RunTrace]:
     """Train the polar adapter with the landing method for ``cfg.max_iters`` steps.
 
     The trace adds per-iteration columns n_x = N(X), n_y = N(Y) and
     stable_rank of DeltaW; subspace alignment columns are undefined off
     the manifold and recorded as NaN.
     """
-    state = init_adapter_state(task.W0.shape, r, np.random.default_rng(cfg.seed), cfg.alpha)
-    return _train(_PolarLanding(task, cfg, state), state)
+    state = init_adapter_state(target.A.shape, r, np.random.default_rng(cfg.seed), cfg.alpha)
+    return _train(_PolarLanding(target, cfg, state), state)
 
 
-def train_lora(task: WhitenedTask, r: int, cfg: LandingConfig) -> tuple[LoraState, RunTrace]:
-    """Train the Euclidean two-factor baseline with Adam on the same task."""
-    state = init_lora_state(task.W0.shape, r, np.random.default_rng(cfg.seed), cfg.alpha)
-    return _train(_Lora(task, cfg, state), state)
+def train_lora(target: FactorizationTarget, r: int, cfg: LandingConfig) -> tuple[LoraState, RunTrace]:
+    """Train the Euclidean two-factor baseline with Adam on the same target."""
+    state = init_lora_state(target.A.shape, r, np.random.default_rng(cfg.seed), cfg.alpha)
+    return _train(_Lora(target, cfg, state), state)

@@ -5,11 +5,12 @@ three factorization losses, each written out directly. The optimizers in
 ``polarlab.factorization`` compute the same quantities in fused, expanded
 forms; these are the plain versions. The alignment-gain predicate and the
 loss-alignment bound after them are the theory that A3 checks along RGD
-trajectories. The whitened task's loss, in its factored and direct forms,
-is the function the adapter gradients are checked against by finite
-differences. The adapter steps below run one out-of-place Adam per
-parameter, where ``polarlab.landing`` runs one in-place Adam over the
-packed parameters.
+trajectories. The whitened task, replayed from the draws of
+``make_whitened_task``, gives the direct loss that A8 checks is the
+factored one plus a constant; the factored loss is the function the
+adapter gradients are checked against by finite differences. The adapter
+steps below run one out-of-place Adam per parameter, where
+``polarlab.landing`` runs one in-place Adam over the packed parameters.
 
 The allocating manifold kernels at the end (retraction, tangent projection,
 Haar sampler and the RGD evaluations) are the plain-expression versions of
@@ -172,17 +173,35 @@ def loss_alignment_bound(target: FactorizationTarget, f: PolarFactors) -> tuple[
 
 
 # ---------------------------------------------------------------------------
-# the whitened task's loss
+# the whitened task
 
 
-def whitened_task_loss(task, delta_w, direct: bool = False) -> float:
-    """||delta_w - residual||_F^2 as the trainers report it, without c;
-    with ``direct``, ||(W0 + delta_w) D - labels||_F^2, which includes c."""
-    if direct:
-        resid = (task.W0 + delta_w) @ task.D - task.labels
-        return float(np.sum(resid * resid))
-    diff = delta_w - task.residual
+def whitened_form(m: int, n: int, n_cols: int, r_a: int, rng: np.random.Generator, kappa: float = 10.0):
+    """The whitened least-squares task behind ``make_whitened_task``, on the same draws:
+    (target, W0, D, labels, c). D is n x n_cols with orthonormal rows, W0 has i.i.d.
+    N(0, 1/n) entries and labels = (W0 + P) D for the planted P = ``target.A``, so that
+    ||(W0 + DeltaW) D - labels||_F^2 = ||DeltaW - P||_F^2 + c, c zero up to rounding."""
+    sigma = np.linspace(kappa, 1.0, r_a) / kappa
+    D = np.linalg.qr(rng.standard_normal((n_cols, n)))[0].T
+    W0 = (1.0 / np.sqrt(n)) * rng.standard_normal((m, n))
+    U = sample_stiefel_uniform_reference(m, r_a, rng)
+    V = sample_stiefel_uniform_reference(n, r_a, rng)
+    target = FactorizationTarget(A=(U * sigma) @ V.T, U=U, V=V, sigma=sigma, kappa=float(kappa))
+    labels = (W0 + target.A) @ D
+    c = float(np.sum(labels * labels)) - float(np.sum((labels @ D.T) ** 2))
+    return target, W0, D, labels, c
+
+
+def whitened_task_loss(target: FactorizationTarget, delta_w) -> float:
+    """||delta_w - A||_F^2, the task loss as the trainers report it, without c."""
+    diff = delta_w - target.A
     return float(np.sum(diff * diff))
+
+
+def whitened_direct_loss(W0, D, labels, delta_w) -> float:
+    """||(W0 + delta_w) D - labels||_F^2, the loss of the whitened form, which includes c."""
+    resid = (W0 + delta_w) @ D - labels
+    return float(np.sum(resid * resid))
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +388,7 @@ def whitened_task_grads_reference(task, state):
     """(G_X, G_Theta, G_Y, loss) of the factored task loss at a polar adapter state."""
     s = state.scale_alpha / state.r
     XT = state.X @ state.Theta
-    diff = (XT @ state.Y.T) * s - task.residual
+    diff = (XT @ state.Y.T) * s - task.A
     loss = float(np.sum(diff * diff))
     G = 2.0 * diff
     return (G @ (state.Y @ state.Theta.T)) * s, (state.X.T @ G @ state.Y) * s, (G.T @ XT) * s, loss
@@ -378,7 +397,7 @@ def whitened_task_grads_reference(task, state):
 def lora_grads_reference(task, state):
     """(G_Z1, G_Z2, loss) of the factored task loss at a LoRA state."""
     s = state.scale_alpha / state.r
-    diff = (state.Z1 @ state.Z2.T) * s - task.residual
+    diff = (state.Z1 @ state.Z2.T) * s - task.A
     loss = float(np.sum(diff * diff))
     G = 2.0 * diff
     return (G @ state.Z2) * s, (G.T @ state.Z1) * s, loss

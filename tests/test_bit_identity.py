@@ -33,6 +33,7 @@ from polarlab.factorization import (
     init_sym_factors,
     make_sym_target,
     make_target,
+    make_whitened_task,
 )
 from polarlab.landing import (
     _adapter_columns,
@@ -42,7 +43,6 @@ from polarlab.landing import (
     init_lora_state,
     landing_field,
     lora_grads,
-    make_whitened_task,
     whitened_task_grads,
 )
 from polarlab.runner import advance
@@ -203,7 +203,7 @@ def _adapter(kind, m, n, r, steps=5):
     rng = np.random.default_rng(22)
     task = make_whitened_task(m, n, 4 * n, 4, rng)
     init, make = {"polar": (init_adapter_state, _PolarLanding), "lora": (init_lora_state, _Lora)}[kind]
-    state = init(task.W0.shape, r, rng)
+    state = init(task.A.shape, r, rng)
     return task, _stepped(make(task, LandingConfig(eta=2e-2, lam=1e-3, max_iters=10), state), state, steps)
 
 

@@ -87,6 +87,14 @@ def test_unknown_algorithm_exits_one(tmp_path, capsys):
     assert "newton" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra", [[], ["--n-cols", "8", "--loss-threshold", "-1"]])
+def test_unknown_method_exits_one_before_the_task_is_drawn(tmp_path, capsys, extra):
+    # with a bad n_cols and loss threshold as well, the method is the error reported
+    argv = ["finetune-toy", "--out", str(tmp_path / "r"), "--method", "adamw", *FAST_FINETUNE, *extra]
+    assert main(argv) == EXIT_ERROR
+    assert capsys.readouterr().err.splitlines() == ["error: unknown method 'adamw' (expected landing-polar or lora)"]
+
+
 def test_unknown_schedule_exits_one(tmp_path, capsys):
     rc = main(["finetune-toy", "--out", str(tmp_path / "r"), "--schedule", "cosine", *FAST_FINETUNE])
     assert rc == EXIT_ERROR
@@ -664,7 +672,8 @@ def test_analyze_non_numeric_matrix_cell_exits_one_with_one_line(tmp_path, capsy
 
 def test_analyze_files_hold_the_trace_columns_and_the_report_values(tmp_path):
     from polarlab.config import LandingConfig
-    from polarlab.landing import make_whitened_task, train_polar_landing
+    from polarlab.factorization import make_whitened_task
+    from polarlab.landing import train_polar_landing
     from polarlab.trace import read_trace_csv, write_trace
 
     root = tmp_path / "grid"

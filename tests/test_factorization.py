@@ -25,6 +25,7 @@ from polarlab.factorization import (
     factor_loss,
     make_sym_target,
     make_target,
+    make_whitened_task,
     run_bm_gd,
     run_polar_rgd,
     run_sym_rgd,
@@ -159,6 +160,12 @@ def test_init_requires_overparameterization():
         init_polar_factors(t, 2, np.random.default_rng(0))
     with pytest.raises(ValueError):
         init_bm_factors(t, 2, np.random.default_rng(0))
+    # a wide target, m < n, as make_whitened_task leaves it: r is bounded by m, not by n
+    wide = make_whitened_task(16, 32, 64, 2, np.random.default_rng(0))
+    assert (wide.m, wide.n) == (16, 32)
+    with pytest.raises(ValueError, match=r"^need r_a < r <= min\(m, n\), got r=20, r_a=2, m=16, n=32$"):
+        init_polar_factors(wide, 20, np.random.default_rng(0))
+    assert init_polar_factors(wide, 16, np.random.default_rng(0)).X.shape == (16, 16)
 
 
 def test_init_bm_scale():
@@ -567,6 +574,18 @@ def test_run_traces_have_alignment_columns():
     trs, _ = run_sym_rgd(ts, 4, RGDConfig(eta=1e-2, seed=7, max_iters=100, loss_threshold=0.0, record_every=50))
     assert all(0.0 <= v <= ts.r_a + 1e-9 for v in trs.columns["trace_phi"])
     assert all(np.isnan(v) for v in trs.columns["trace_psi"])
+
+
+def test_runners_fit_the_adapter_target():
+    # the adapter task is a factorization target, which both asymmetric runners take as it is
+    t = make_whitened_task(64, 32, 128, 4, np.random.default_rng(1000))
+    cfg = RGDConfig(eta=0.5, seed=0, max_iters=200, loss_threshold=0.0, record_every=50)
+    for runner in (run_polar_rgd, run_bm_gd):
+        tr, f = runner(t, 24, cfg)
+        assert tr.metadata["m"] == 64 and tr.metadata["n"] == 32 and tr.metadata["r_A"] == 4
+        for name in ("trace_phi", "sigma_min_phi", "trace_psi", "sigma_min_psi", "grad_norm"):
+            assert all(np.isfinite(v) for v in tr.columns[name]), (runner.__name__, name)
+        assert tr.final_loss < tr.columns["loss"][0]
 
 
 def test_run_bm_converges_on_easy_target():

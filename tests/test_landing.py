@@ -15,7 +15,7 @@ import pytest
 
 from polarlab import io
 from polarlab.exceptions import DivergenceError
-from polarlab.factorization import BMFactors, PolarFactors
+from polarlab.factorization import BMFactors, PolarFactors, make_whitened_task
 from polarlab.landing import (
     _adapter_columns,
     _Lora,
@@ -31,11 +31,9 @@ from polarlab.landing import (
     init_lora_state,
     landing_field,
     lora_grads,
-    make_whitened_task,
     train_lora,
     train_polar_landing,
     whitened_task_grads,
-    WhitenedTask,
 )
 from polarlab.runner import advance, run
 from polarlab.stiefel import (
@@ -52,6 +50,8 @@ from oracles import (
     per_parameter_opt,
     polar_directions_reference,
     polar_step_reference,
+    whitened_direct_loss,
+    whitened_form,
     whitened_task_loss,
 )
 
@@ -187,32 +187,50 @@ def test_landing_field_shape_mismatch():
 
 
 def test_task_whitening_and_realizability():
-    t = _task(0)
-    assert np.linalg.norm(t.D @ t.D.T - np.eye(10)) <= 1e-10
-    assert abs(t.c) <= 1e-10
+    t, W0, D, labels, c = whitened_form(12, 10, 20, 2, np.random.default_rng(0), kappa=3.0)
+    assert np.linalg.norm(D @ D.T - np.eye(10)) <= 1e-10
+    assert abs(c) <= 1e-10
     # the planted matrix is the exact minimizer, under both loss forms
-    assert whitened_task_loss(t, t.residual) <= 1e-18
-    assert whitened_task_loss(t, t.residual, direct=True) <= 1e-18
+    assert whitened_task_loss(t, t.A) <= 1e-18
+    assert whitened_direct_loss(W0, D, labels, t.A) <= 1e-18
+
+
+@pytest.mark.parametrize(
+    "m, n, n_cols, r_a, kappa",
+    [(16, 12, 32, 2, 4.0), (64, 32, 256, 4, 10.0)],  # the golden finetune runs' task and the CLI defaults
+)
+@pytest.mark.parametrize("seed", [0, 1234])
+def test_whitened_form_replays_the_library_draws(m, n, n_cols, r_a, kappa, seed):
+    rng, replay = np.random.default_rng(seed), np.random.default_rng(seed)
+    t = make_whitened_task(m, n, n_cols, r_a, rng, kappa=kappa)
+    ref, W0, D, labels, _ = whitened_form(m, n, n_cols, r_a, replay, kappa=kappa)
+    for name in ("A", "U", "V", "sigma"):
+        assert np.array_equal(getattr(t, name), getattr(ref, name))
+    assert t.kappa == ref.kappa and rng.bit_generator.state == replay.bit_generator.state
+    assert np.array_equal(labels, (W0 + t.A) @ D)
 
 
 def test_task_planted_spectrum():
     t = make_whitened_task(12, 10, 20, 3, np.random.default_rng(1), kappa=10.0)
-    assert np.allclose(t.planted_sigma, [1.0, 0.55, 0.1], atol=1e-15)
+    assert np.allclose(t.sigma, [1.0, 0.55, 0.1], atol=1e-15)
     # the factorization targets' spectrum rule, with the bits of linspace(kappa, 1, r_a) / kappa
-    assert np.array_equal(t.planted_sigma, np.linspace(10.0, 1.0, 3) / 10.0)
+    assert np.array_equal(t.sigma, np.linspace(10.0, 1.0, 3) / 10.0)
     assert t.r_a == 3
     t1 = make_whitened_task(12, 10, 20, 1, np.random.default_rng(1), kappa=1.0)
-    assert np.array_equal(t1.planted_sigma, np.ones(1))
+    assert np.array_equal(t1.sigma, np.ones(1))
     with pytest.raises(ValueError, match="r_a = 1 forces kappa = 1"):
         make_whitened_task(12, 10, 20, 1, np.random.default_rng(1), kappa=10.0)
 
 
 def test_task_validates():
+    # a bad n_cols or r_a is rejected before anything is drawn, as a bad kappa is below
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match="n_cols"):
         make_whitened_task(12, 10, 8, 2, rng)
-    with pytest.raises(ValueError, match="r_a"):
-        make_whitened_task(12, 10, 20, 11, rng)
+    for r_a in (0, 11):
+        with pytest.raises(ValueError, match="r_a"):
+            make_whitened_task(12, 10, 20, r_a, rng)
+    assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
 
 @pytest.mark.parametrize("kappa", [0.5, 0.0, -2.0])
@@ -233,28 +251,28 @@ def test_task_rejects_non_finite_kappa_before_drawing(kappa):
 
 @pytest.mark.parametrize("seed", range(5))
 def test_direct_and_factored_losses_agree(seed):
-    t = _task(seed)
+    t, W0, D, labels, _ = whitened_form(12, 10, 20, 2, np.random.default_rng(seed), kappa=3.0)
     dw = np.random.default_rng(seed + 100).standard_normal((12, 10))
-    direct = whitened_task_loss(t, dw, direct=True)
+    direct = whitened_direct_loss(W0, D, labels, dw)
     factored = whitened_task_loss(t, dw)
     assert direct == pytest.approx(factored, rel=1e-10)
 
 
 def test_factored_loss_leaves_out_c():
-    t = _task(0)
-    noisy = WhitenedTask(
-        W0=t.W0, D=t.D, labels=t.labels, residual=t.residual, c=-1e-16, planted_sigma=t.planted_sigma, kappa=t.kappa
-    )
-    assert whitened_task_loss(noisy, noisy.residual) == 0.0
+    # seed 0's whitened form carries c = -3.6e-15; the reported loss at P is 0.0, not c
+    t, *_, c = whitened_form(12, 10, 20, 2, np.random.default_rng(0), kappa=3.0)
+    assert c < 0.0
+    assert whitened_task_loss(t, t.A) == 0.0
 
 
 def test_task_loss_is_the_trainers_final_loss():
-    # the A6 shape at workload seed 47, whose task carries c = -1.4e-14: adding
+    # the A6 shape at workload seed 47, whose whitened form carries c = -1.4e-14: adding
     # c and clamping at 0 read 0.0 where the trace reads 3.5e-27
     task = make_whitened_task(64, 32, 128, 4, np.random.default_rng(1281), kappa=10.0)
+    *_, c = whitened_form(64, 32, 128, 4, np.random.default_rng(1281), kappa=10.0)
     cfg = LandingConfig(eta=2e-2, lam=1e-3, schedule="constant", seed=47, max_iters=2000)
     state, trace = train_lora(task, 24, cfg)
-    assert task.c < 0.0
+    assert c < 0.0
     assert whitened_task_loss(task, state.delta_w()) == trace.final_loss > 0.0
 
 
@@ -266,7 +284,7 @@ def test_task_loss_is_the_trainers_final_loss():
 def test_whitened_task_grads_match_fd(seed):
     t = _task(seed)
     rng = np.random.default_rng(seed + 10)
-    state = init_adapter_state(t.W0.shape, 4, rng)
+    state = init_adapter_state(t.A.shape, 4, rng)
     state = AdapterState(X=state.X, Theta=rng.standard_normal((4, 4)), Y=state.Y)
     G_X, G_Theta, G_Y, loss = whitened_task_grads(t, state)
     assert loss == pytest.approx(whitened_task_loss(t, state.delta_w()), rel=1e-12)
@@ -299,7 +317,7 @@ def test_lora_grads_match_fd(seed):
 
 def test_init_adapter_starts_at_zero_update():
     t = _task(0)
-    state = init_adapter_state(t.W0.shape, 4, np.random.default_rng(0))
+    state = init_adapter_state(t.A.shape, 4, np.random.default_rng(0))
     assert np.array_equal(state.Theta, np.zeros((4, 4)))
     assert np.array_equal(state.delta_w(), np.zeros((12, 10)))
     assert distance_to_stiefel(state.X) <= 1e-18
@@ -362,7 +380,7 @@ def test_polar_step_at_theta_zero_moves_only_by_penalty():
     # at Theta = 0 the X and Y loss gradients vanish, so the landing field
     # reduces to its penalty component, while Theta picks up the residual
     t = _task(3)
-    state = init_adapter_state(t.W0.shape, 4, np.random.default_rng(5))
+    state = init_adapter_state(t.A.shape, 4, np.random.default_rng(5))
     G_X, G_Theta, G_Y, _ = whitened_task_grads(t, state)
     assert np.array_equal(G_X, np.zeros_like(state.X))
     assert np.array_equal(G_Y, np.zeros_like(state.Y))
@@ -377,7 +395,7 @@ def test_polar_step_single_backward_pass():
     # all three updates must come from gradients at the pre-step state
     t = _task(4)
     rng = np.random.default_rng(6)
-    state = init_adapter_state(t.W0.shape, 4, rng)
+    state = init_adapter_state(t.A.shape, 4, rng)
     state = AdapterState(X=state.X, Theta=rng.standard_normal((4, 4)), Y=state.Y)
     cfg = LandingConfig(lam=1e-3, eta=1e-2, max_iters=1)
     new, loss = advance(_PolarLanding(t, cfg, state), state, 0)
@@ -395,7 +413,7 @@ def test_polar_step_single_backward_pass():
 
 def test_polar_step_theta_modes():
     t = _task(5)
-    state = init_adapter_state(t.W0.shape, 4, np.random.default_rng(7))
+    state = init_adapter_state(t.A.shape, 4, np.random.default_rng(7))
     cfg = LandingConfig(eta=1e-2, max_iters=1, theta_mode="diagonal")
     new, _ = advance(_PolarLanding(t, cfg, state), state, 0)
     off_diag = new.Theta - np.diag(np.diag(new.Theta))
@@ -408,7 +426,7 @@ def test_polar_step_theta_modes():
 
 def test_polar_step_divergence_guard():
     t = _task(6)
-    state = init_adapter_state(t.W0.shape, 4, np.random.default_rng(8))
+    state = init_adapter_state(t.A.shape, 4, np.random.default_rng(8))
     state = AdapterState(X=state.X, Theta=1e200 * np.eye(4), Y=state.Y)
     cfg = LandingConfig(eta=1e-2, max_iters=1)
     with np.errstate(over="ignore"), pytest.raises(DivergenceError):
@@ -418,7 +436,7 @@ def test_polar_step_divergence_guard():
 def test_lora_step_first_move_freezes_z1():
     # Z2 = 0 makes the Z1 gradient exactly zero, so Z1 must not move
     t = _task(7)
-    state = init_lora_state(t.W0.shape, 4, np.random.default_rng(9))
+    state = init_lora_state(t.A.shape, 4, np.random.default_rng(9))
     cfg = LandingConfig(eta=1e-2, max_iters=1)
     new, _ = advance(_Lora(t, cfg, state), state, 0)
     assert np.array_equal(new.Z1, state.Z1)
@@ -441,7 +459,7 @@ def test_packed_adam_matches_per_parameter_oracle(method, modes, schedule):
         "polar": (init_adapter_state, _PolarLanding, polar_step_reference),
         "lora": (init_lora_state, _Lora, lora_step_reference),
     }[method]
-    state = ref = init(t.W0.shape, 4, np.random.default_rng(14))
+    state = ref = init(t.A.shape, 4, np.random.default_rng(14))
     cfg = LandingConfig(lam=1e-3, eta=1e-2, schedule=schedule, max_iters=40, **modes)
     stepper, ref_opts = make(t, cfg, state), per_parameter_opt(state)
     opt = stepper.opt
@@ -465,7 +483,7 @@ def test_packed_adam_matches_the_oracle_past_the_bias_correction_crossover(metho
         "polar": (init_adapter_state, _PolarLanding, polar_step_reference),
         "lora": (init_lora_state, _Lora, lora_step_reference),
     }[method]
-    state = ref = init(t.W0.shape, 4, np.random.default_rng(14))
+    state = ref = init(t.A.shape, 4, np.random.default_rng(14))
     cfg = LandingConfig(lam=1e-3, eta=1e-2, schedule="constant", max_iters=400)
     stepper, ref_opts = make(t, cfg, state), per_parameter_opt(state)
     for it in range(400):
@@ -483,7 +501,7 @@ def test_packed_adam_matches_the_oracle_past_the_bias_correction_crossover(metho
 def test_step_leaves_the_state_it_steps_from_unchanged(method):
     t = _task(15)
     init, make = {"polar": (init_adapter_state, _PolarLanding), "lora": (init_lora_state, _Lora)}[method]
-    state = init(t.W0.shape, 4, np.random.default_rng(16))
+    state = init(t.A.shape, 4, np.random.default_rng(16))
     stepper = make(t, LandingConfig(eta=1e-2, max_iters=10), state)
     for it in range(3):  # after the first step the parameters are views of one packed vector
         before = {name: getattr(state, name).copy() for name in PARAMS[state.kind]}
@@ -530,7 +548,7 @@ def test_one_method_object_matches_per_parameter_oracle(method, modes, schedule)
         "polar": (init_adapter_state, _PolarLanding, polar_step_reference),
         "lora": (init_lora_state, _Lora, lora_step_reference),
     }[method]
-    state = ref = init(t.W0.shape, 4, np.random.default_rng(18))
+    state = ref = init(t.A.shape, 4, np.random.default_rng(18))
     cfg = LandingConfig(lam=1e-3, eta=1e-2, schedule=schedule, max_iters=60, **modes)
     watched, ref_opts = _Watched(make(t, cfg, state)), per_parameter_opt(state)
     opt = watched.method.opt
@@ -553,7 +571,7 @@ def test_one_method_object_matches_per_parameter_oracle(method, modes, schedule)
 def test_state_not_returned_by_the_method_is_packed_afresh(method):
     t = _task(19)
     init, make = {"polar": (init_adapter_state, _PolarLanding), "lora": (init_lora_state, _Lora)}[method]
-    state = init(t.W0.shape, 4, np.random.default_rng(20))
+    state = init(t.A.shape, 4, np.random.default_rng(20))
     cfg = LandingConfig(eta=1e-2, max_iters=10)
     stepper = make(t, cfg, state)
     for it in range(3):
@@ -580,7 +598,7 @@ def test_linear_schedule_needs_a_budget():
 def test_step_keeps_the_non_param_fields(method):
     t = _task(27)
     init, make = {"polar": (init_adapter_state, _PolarLanding), "lora": (init_lora_state, _Lora)}[method]
-    state = init(t.W0.shape, 4, np.random.default_rng(28), scale_alpha=8.0)
+    state = init(t.A.shape, 4, np.random.default_rng(28), scale_alpha=8.0)
     stepper = make(t, LandingConfig(eta=1e-2, max_iters=10), state)
     for it in range(3):  # the first step packs afresh, the later ones reuse the packed vector
         new, _ = advance(stepper, state, it)
@@ -640,7 +658,7 @@ def test_train_lora_descends():
 
 def test_component_orthogonality_along_run():
     t = _task(10)
-    state = init_adapter_state(t.W0.shape, 4, np.random.default_rng(11))
+    state = init_adapter_state(t.A.shape, 4, np.random.default_rng(11))
     cfg = _small_cfg(100)
     stepper = _PolarLanding(t, cfg, state)
     for step in range(100):
@@ -707,7 +725,7 @@ def test_trace_rows_keep_the_bits_of_the_per_parameter_oracle(method, modes):
     # with the plain np.sum(d**2) expression; n_x and n_y are distance_to_stiefel's
     t = _task(34)
     init, make = {"polar": (init_adapter_state, _PolarLanding), "lora": (init_lora_state, _Lora)}[method]
-    state = ref = init(t.W0.shape, 4, np.random.default_rng(35))
+    state = ref = init(t.A.shape, 4, np.random.default_rng(35))
     cfg = LandingConfig(lam=1e-3, eta=1e-2, schedule="linear", max_iters=40, **modes)
     ref_opts = per_parameter_opt(state)
     tr, _ = run(make(t, cfg, state), state, {}, cfg.max_iters, record_every=3)

@@ -92,7 +92,7 @@ def _sym_target(kappa=2.0):
 
 
 def _task():
-    return ld.make_whitened_task(12, 10, 20, 2, np.random.default_rng(0), kappa=3.0)
+    return fx.make_whitened_task(12, 10, 20, 2, np.random.default_rng(0), kappa=3.0)
 
 
 # name -> call(eta, kappa, max_iters, record_every); kappa only scales the factorization targets
@@ -191,7 +191,7 @@ def _method_and_state(name):
         return fx._PolarRGD(target, 1e-2, 1.0, tied=True), fx.init_sym_factors(target, 4, rng)
     task, cfg = _task(), LandingConfig(eta=1e-2, max_iters=10)
     init, make = {"landing-polar": (ld.init_adapter_state, ld._PolarLanding), "lora": (ld.init_lora_state, ld._Lora)}[name]
-    state = init(task.W0.shape, 4, rng)
+    state = init(task.A.shape, 4, rng)
     return make(task, cfg, state), state
 
 
