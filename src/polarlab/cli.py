@@ -192,15 +192,15 @@ def _cmd_factorize(cfg: dict, out_dir: str) -> int:
     from . import io as pio
     from .trace import write_trace
 
-    target_rng = _target_rng(cfg)
     algorithm = cfg["algo"]
-    if algorithm in ("polar-rgd", "bm-gd"):
-        target = fx.make_target(cfg["m"], cfg["n"], cfg["r_a"], cfg["kappa"], target_rng)
-    elif algorithm == "polar-rgd-sym":
+    runner = {"polar-rgd": fx.run_polar_rgd, "bm-gd": fx.run_bm_gd, "polar-rgd-sym": fx.run_sym_rgd}.get(algorithm)
+    if runner is None:
+        raise CliError(f"unknown algorithm {algorithm!r}")
+    target_rng = _target_rng(cfg)
+    if algorithm == "polar-rgd-sym":
         target = fx.make_sym_target(cfg["m"], cfg["r_a"], cfg["kappa"], target_rng)
     else:
-        raise CliError(f"unknown algorithm {algorithm!r}")
-    runner = {"polar-rgd": fx.run_polar_rgd, "bm-gd": fx.run_bm_gd, "polar-rgd-sym": fx.run_sym_rgd}[algorithm]
+        target = fx.make_target(cfg["m"], cfg["n"], cfg["r_a"], cfg["kappa"], target_rng)
     trace, factors = runner(target, cfg["r"], _config(RGDConfig, cfg))
     csv_path = write_trace(trace, out_dir)
     pio.save_state(os.path.join(out_dir, "checkpoint"), factors, trace.metadata)

@@ -145,13 +145,14 @@ def make_whitened_task(
     rng: np.random.Generator,
     kappa: float = 10.0,
 ) -> FactorizationTarget:
-    """The planted target P of the whitened adapter task, an (m, n) target of rank r_a.
+    """The planted target P of the whitened adapter task: an (m, n) target of rank r_a.
 
-    The task is least squares ||(W0 + DeltaW) D - (W0 + P) D||_F^2 against n x n_cols
-    whitened inputs D (D D^T = I, so n_cols >= n); it equals ||DeltaW - P||_F^2, so the
-    adapter trainers fit P alone. The generator still draws D's (n_cols, n) and W0's (m, n)
-    normals first, so P keeps the bits it has had since D and W0 were formed. P's spectrum
-    is ``spaced_spectrum(r_a, kappa, normalize=True)``. Every check runs before ``rng`` draws.
+    The task is least squares ||(W0 + DeltaW) D - labels||_F^2 with labels = (W0 + P) D
+    and n x n_cols whitened inputs D (D D^T = I, so n_cols >= n). It is ||DeltaW - P||_F^2
+    plus a constant, so the adapter trainers fit P alone. ``rng`` still draws the (n_cols, n)
+    and (m, n) normals that D and W0 are formed from, and discards them, so that P is the P of
+    that task on the same generator. P's spectrum is ``spaced_spectrum(r_a, kappa,
+    normalize=True)``. Every check runs before ``rng`` draws.
     """
     if n_cols < n:
         raise ValueError(f"need n_cols >= n for D D^T = I, got n_cols={n_cols}, n={n}")

@@ -87,12 +87,20 @@ def test_unknown_algorithm_exits_one(tmp_path, capsys):
     assert "newton" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("extra", [[], ["--n-cols", "8", "--loss-threshold", "-1"]])
-def test_unknown_method_exits_one_before_the_task_is_drawn(tmp_path, capsys, extra):
-    # with a bad n_cols and loss threshold as well, the method is the error reported
-    argv = ["finetune-toy", "--out", str(tmp_path / "r"), "--method", "adamw", *FAST_FINETUNE, *extra]
-    assert main(argv) == EXIT_ERROR
-    assert capsys.readouterr().err.splitlines() == ["error: unknown method 'adamw' (expected landing-polar or lora)"]
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["finetune-toy", "--method", "adamw", *FAST_FINETUNE], "unknown method 'adamw' (expected landing-polar or lora)"),
+        # with a bad task and loss threshold as well, the method is the error reported
+        (["finetune-toy", "--method", "adamw", *FAST_FINETUNE, "--n-cols", "8", "--loss-threshold", "-1"],
+         "unknown method 'adamw' (expected landing-polar or lora)"),
+        (["factorize", "--algo", "newton", *FAST_FACTORIZE, "--target-seed", "-1"], "unknown algorithm 'newton'"),
+    ],
+    ids=["finetune", "finetune-bad-task", "factorize-bad-seed"],
+)
+def test_unknown_method_exits_one_before_the_target_is_drawn(tmp_path, capsys, argv, message):
+    assert main([*argv, "--out", str(tmp_path / "r")]) == EXIT_ERROR
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
 
 def test_unknown_schedule_exits_one(tmp_path, capsys):
