@@ -3,12 +3,14 @@
 Runs the polar-parameterized Riemannian descent against the plain
 two-factor baseline on the same m x n target, once well-conditioned and
 once ill-conditioned, then shows the effect of extra rank headroom.
-Traces land in --out as plot-ready CSV.
+Traces land in --out as plot-ready CSV, the two headroom runs' in its
+subdirectories headroom_r20/ and headroom_r9/.
 
     python demos/factorization_convergence.py [--quick] [--out runs/demo-factorize]
 """
 
 import argparse
+import os
 import time
 
 import numpy as np
@@ -59,9 +61,9 @@ def main():
 
     for tr in (tr_polar, tr_bm, tr_polar_h, tr_bm_h):
         print(f"  wrote {write_trace(tr, args.out)}")
-    # the headroom runs share algo/kappa/seed with the first pair, so name them apart
-    print(f"  wrote {write_trace(tr_r20, args.out, basename='headroom_r20')}")
-    print(f"  wrote {write_trace(tr_r9, args.out, basename='headroom_r9')}")
+    # the r=20 headroom run shares algo/kappa/r/seed with the first, so each headroom run gets its own directory
+    for tr, label in ((tr_r20, "headroom_r20"), (tr_r9, "headroom_r9")):
+        print(f"  wrote {write_trace(tr, os.path.join(args.out, label))}")
 
 
 if __name__ == "__main__":

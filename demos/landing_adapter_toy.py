@@ -32,8 +32,8 @@ def main():
     cfg = LandingConfig(lam=1e-3, eta=2e-2, schedule="linear", max_iters=args.iters, seed=args.seed, record_every=100)
     print(f"task: 64x32, planted rank 4, kappa=10, adapter rank 16, {args.iters} Adam iterations")
 
-    polar, tr_polar = train_polar_landing(task, 16, cfg)
-    lora, tr_lora = train_lora(task, 16, cfg)
+    tr_polar, polar = train_polar_landing(task, 16, cfg)
+    tr_lora, lora = train_lora(task, 16, cfg)
 
     print("\n== final loss ==")
     print(f"  polar+landing : {tr_polar.final_loss:.3e}")

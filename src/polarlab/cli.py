@@ -226,7 +226,7 @@ def _cmd_finetune_toy(cfg: dict, out_dir: str) -> int:
     check_loss_threshold(cfg["loss_threshold"])  # a key of this command, not of LandingConfig
     task_rng = _target_rng(cfg)
     target = make_whitened_task(cfg["m"], cfg["n"], cfg["n_cols"], cfg["r_a"], task_rng, kappa=cfg["kappa"])
-    state, trace = trainer(target, cfg["r"], _config(LandingConfig, cfg))
+    trace, state = trainer(target, cfg["r"], _config(LandingConfig, cfg))
     csv_path = write_trace(trace, out_dir)
     pio.save_state(os.path.join(out_dir, "checkpoint"), state, {"method": method})
     converged = trace.final_loss <= cfg["loss_threshold"]

@@ -31,7 +31,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .config import RGDConfig
+from .config import LandingConfig, RGDConfig
 from .runner import run
 # require_stiefel is not called here; the name stays because benchmark/layers.py traces polarlab.factorization.require_stiefel
 from .stiefel import (
@@ -125,12 +125,11 @@ def make_sym_target(
     r_a: int,
     kappa: float,
     rng: np.random.Generator,
-    normalize: bool = False,
 ) -> FactorizationTarget:
-    """Symmetric PSD analogue of :func:`make_target`: A = U diag(sigma) U^T, V = U."""
+    """Symmetric PSD analogue of :func:`make_target`, spectrum on [1, kappa]: A = U diag(sigma) U^T, V = U."""
     if not (1 <= r_a <= m / 2):
         raise ValueError(f"need 1 <= r_a <= m/2, got r_a={r_a}, m={m}")
-    sigma = spaced_spectrum(r_a, float(kappa), normalize)
+    sigma = spaced_spectrum(r_a, float(kappa), normalize=False)
     U = sample_stiefel_uniform(m, r_a, rng)
     B = (U * sigma) @ U.T
     B = 0.5 * (B + B.T)
@@ -224,9 +223,9 @@ def init_polar_factors(target: FactorizationTarget, r: int, rng: np.random.Gener
 
 
 def init_bm_factors(target: FactorizationTarget, r: int, rng: np.random.Generator) -> BMFactors:
-    """i.i.d. Gaussian factors with std 1/sqrt(max(m, n))."""
-    if not (target.r_a < r <= target.n):
-        raise ValueError(f"need r_a < r <= n, got r={r}, r_a={target.r_a}, n={target.n}")
+    """i.i.d. Gaussian factors with std 1/sqrt(max(m, n)). Requires r_a < r <= min(m, n)."""
+    if not (target.r_a < r <= min(target.m, target.n)):
+        raise ValueError(f"need r_a < r <= min(m, n), got r={r}, r_a={target.r_a}, m={target.m}, n={target.n}")
     std = 1.0 / np.sqrt(max(target.m, target.n))
     Z1 = std * rng.standard_normal((target.m, r))
     Z2 = std * rng.standard_normal((target.n, r))
@@ -348,8 +347,10 @@ class _BMGD:
         return _alignment_columns(self.target, Q1, Q2, ev)
 
 
-def _run(method, f, cfg: RGDConfig, gamma: float):
-    """Run ``method`` from ``f`` under ``cfg``; the trace's metadata records ``gamma`` as given."""
+def _run(method, f, cfg: RGDConfig | LandingConfig, gamma: float, loss_threshold: float | None = None, /, **extra):
+    """Run ``method`` from ``f`` under ``cfg`` -> (trace, final state); the one builder of run metadata
+    for all five runners. The trace's metadata records ``gamma`` as given, then the ``extra`` keys,
+    which may be named like a parameter of this function (the adapters pass ``method``)."""
     target = method.target
     metadata = {
         "seed": cfg.seed,
@@ -360,8 +361,9 @@ def _run(method, f, cfg: RGDConfig, gamma: float):
         "r": f.r,
         "r_A": target.r_a,
         "kappa": target.kappa,
+        **extra,
     }
-    return run(method, f, metadata, cfg.max_iters, cfg.record_every, cfg.loss_threshold)
+    return run(method, f, metadata, cfg.max_iters, cfg.record_every, loss_threshold)
 
 
 def run_polar_rgd(target: FactorizationTarget, r: int, cfg: RGDConfig) -> tuple[RunTrace, PolarFactors]:
@@ -373,17 +375,18 @@ def run_polar_rgd(target: FactorizationTarget, r: int, cfg: RGDConfig) -> tuple[
     and ``max_iters`` otherwise.
     """
     f = init_polar_factors(target, r, np.random.default_rng(cfg.seed))
-    return _run(_PolarRGD(target, cfg.eta, cfg.gamma), f, cfg, cfg.gamma)
+    return _run(_PolarRGD(target, cfg.eta, cfg.gamma), f, cfg, cfg.gamma, cfg.loss_threshold)
 
 
 def run_bm_gd(target: FactorizationTarget, r: int, cfg: RGDConfig) -> tuple[RunTrace, BMFactors]:
     """Plain GD baseline on the two-factor parameterization; ``cfg.gamma`` is
     unused and recorded as NaN."""
     f = init_bm_factors(target, r, np.random.default_rng(cfg.seed))
-    return _run(_BMGD(target, cfg.eta), f, cfg, float("nan"))
+    return _run(_BMGD(target, cfg.eta), f, cfg, float("nan"), cfg.loss_threshold)
 
 
 def run_sym_rgd(target: FactorizationTarget, r: int, cfg: RGDConfig) -> tuple[RunTrace, SymFactors]:
     """polar-rgd with Y tied to X, on a target whose A equals A^T exactly; psi columns are NaN."""
     method = _PolarRGD(target, cfg.eta, cfg.gamma, tied=True)  # rejects an asymmetric A before the draw
-    return _run(method, init_sym_factors(target, r, np.random.default_rng(cfg.seed)), cfg, cfg.gamma)
+    f = init_sym_factors(target, r, np.random.default_rng(cfg.seed))
+    return _run(method, f, cfg, cfg.gamma, cfg.loss_threshold)

@@ -28,7 +28,8 @@ baseline (two Euclidean factors, Z2 zero-initialized) trains on the same
 target for comparison.
 
 Both trainers are method objects that :func:`polarlab.runner.run` iterates
-for the whole budget, with no early stop; a single step is
+for the whole budget, with no early stop; like the factorization runners, each
+inits from the target and returns (trace, final state). A single step is
 :func:`polarlab.runner.advance` on the same object. Every setting of a
 trainer, with its default and its range check, is a field of
 :class:`polarlab.config.LandingConfig`.
@@ -43,8 +44,7 @@ from typing import ClassVar
 import numpy as np
 
 from .config import LandingConfig
-from .factorization import BMFactors, FactorizationTarget, PolarFactors
-from .runner import run
+from .factorization import BMFactors, FactorizationTarget, PolarFactors, _run
 # stable_rank is not called here; the name stays because benchmark/layers.py traces polarlab.landing.stable_rank
 from .stiefel import distance_to_stiefel, sample_stiefel_uniform, stable_rank
 from .trace import RunTrace
@@ -85,18 +85,18 @@ def _params(state) -> list:
     return [f.name for f in fields(state) if isinstance(getattr(state, f.name), np.ndarray)]
 
 
-def init_adapter_state(shape, r: int, rng: np.random.Generator, scale_alpha: float = 32.0) -> AdapterState:
-    """Uniform Stiefel X, Y and Theta = 0 for an (m, n) base weight, so DeltaW = 0; needs 1 <= r <= min(m, n)."""
-    m, n = shape
+def init_adapter_state(target: FactorizationTarget, r: int, rng: np.random.Generator, scale_alpha: float = 32.0) -> AdapterState:
+    """Uniform Stiefel X, Y and Theta = 0 for the (m, n) ``target``, so DeltaW = 0; needs 1 <= r <= min(m, n)."""
+    m, n = target.m, target.n
     if not (1 <= r <= min(m, n)):
         raise ValueError(f"need 1 <= r <= min(m, n), got r={r}, m={m}, n={n}")
     X, Y = sample_stiefel_uniform(m, r, rng), sample_stiefel_uniform(n, r, rng)
     return AdapterState(X=X, Theta=np.zeros((r, r)), Y=Y, scale_alpha=float(scale_alpha))
 
 
-def init_lora_state(shape, r: int, rng: np.random.Generator, scale_alpha: float = 32.0) -> LoraState:
-    """Standard LoRA init for an (m, n) base weight: Z1 Gaussian, Z2 = 0, so DeltaW = 0; needs r >= 1."""
-    m, n = shape
+def init_lora_state(target: FactorizationTarget, r: int, rng: np.random.Generator, scale_alpha: float = 32.0) -> LoraState:
+    """Standard LoRA init for the (m, n) ``target``: Z1 Gaussian, Z2 = 0, so DeltaW = 0; needs r >= 1."""
+    m, n = target.m, target.n
     if r < 1:
         raise ValueError(f"need r >= 1, got r={r}, m={m}, n={n}")
     Z1 = (1.0 / np.sqrt(max(m, n))) * rng.standard_normal((m, r))
@@ -299,38 +299,21 @@ class _Lora(_PackedAdam):
         return state, loss, (G1, G2)
 
 
-def _train(method: _PackedAdam, state):
-    """Run ``method`` from ``state`` for its config's whole budget -> (final state, trace)."""
-    target, cfg = method.target, method.cfg
-    metadata = {
-        "seed": cfg.seed,
-        "eta": cfg.eta,
-        "gamma": float("nan"),
-        "m": target.m,
-        "n": target.n,
-        "r": state.r,
-        "r_A": target.r_a,
-        "kappa": target.kappa,
-        "lam": cfg.lam,
-        "scale_alpha": cfg.alpha,
-        "method": method.name,
-    }
-    trace, state = run(method, state, metadata, cfg.max_iters, cfg.record_every)
-    return state, trace
-
-
-def train_polar_landing(target: FactorizationTarget, r: int, cfg: LandingConfig) -> tuple[AdapterState, RunTrace]:
-    """Train the polar adapter with the landing method for ``cfg.max_iters`` steps.
+def train_polar_landing(target: FactorizationTarget, r: int, cfg: LandingConfig) -> tuple[RunTrace, AdapterState]:
+    """Train the polar adapter with the landing method for ``cfg.max_iters`` steps -> (trace, final state).
 
     The trace adds per-iteration columns n_x = N(X), n_y = N(Y) and
     stable_rank of DeltaW; subspace alignment columns are undefined off
-    the manifold and recorded as NaN.
+    the manifold and recorded as NaN. Its metadata records gamma as NaN and
+    adds lam, scale_alpha and method.
     """
-    state = init_adapter_state(target.A.shape, r, np.random.default_rng(cfg.seed), cfg.alpha)
-    return _train(_PolarLanding(target, cfg, state), state)
+    state = init_adapter_state(target, r, np.random.default_rng(cfg.seed), cfg.alpha)
+    method = _PolarLanding(target, cfg, state)
+    return _run(method, state, cfg, math.nan, None, lam=cfg.lam, scale_alpha=cfg.alpha, method=method.name)
 
 
-def train_lora(target: FactorizationTarget, r: int, cfg: LandingConfig) -> tuple[LoraState, RunTrace]:
-    """Train the Euclidean two-factor baseline with Adam on the same target."""
-    state = init_lora_state(target.A.shape, r, np.random.default_rng(cfg.seed), cfg.alpha)
-    return _train(_Lora(target, cfg, state), state)
+def train_lora(target: FactorizationTarget, r: int, cfg: LandingConfig) -> tuple[RunTrace, LoraState]:
+    """Train the Euclidean two-factor baseline with Adam on the same target, as :func:`train_polar_landing` runs."""
+    state = init_lora_state(target, r, np.random.default_rng(cfg.seed), cfg.alpha)
+    method = _Lora(target, cfg, state)
+    return _run(method, state, cfg, math.nan, None, lam=cfg.lam, scale_alpha=cfg.alpha, method=method.name)

@@ -18,6 +18,8 @@ the trace rows, each written after the step of its iteration, the
 evaluation of the state after the last step, whose row reports no step, and
 the run's wall clock, one number on the trace (``trace.wall_time``). It
 names the method and the iteration in a FeasibilityError that a step raises.
+The five public runners reach it through ``factorization._run``, which builds
+their metadata, and return what it returns: (trace, final state).
 :func:`advance` is the single step: one iteration of the same method object
 under the same divergence rule, with no trace.
 """

@@ -99,13 +99,12 @@ def write_table(path, columns: dict) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def write_trace(trace: RunTrace, out_dir, basename: str | None = None) -> str:
-    """Write ``<basename>.csv`` and ``<basename>.json`` into ``out_dir``.
-
-    Returns the CSV path.
+def write_trace(trace: RunTrace, out_dir) -> str:
+    """Write ``<stem>.csv`` and ``<stem>.json`` into ``out_dir``, the stem by
+    :func:`trace_basename`. Returns the CSV path.
     """
     os.makedirs(out_dir, exist_ok=True)
-    stem = basename or trace_basename(trace)
+    stem = trace_basename(trace)
     csv_path = os.path.join(out_dir, f"{stem}.csv")
     write_table(csv_path, trace.columns)
 

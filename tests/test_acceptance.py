@@ -286,7 +286,7 @@ def test_a4_gradient_oracle_suite():
 
         # whitened-task gradients through the scaled adapter map
         task = make_whitened_task(m, n, 16, 2, rng, kappa=4.0)
-        st = init_adapter_state(task.A.shape, 3, rng)
+        st = init_adapter_state(task, 3, rng)
         st = AdapterState(X=st.X, Theta=rng.standard_normal((3, 3)), Y=st.Y)
         G_X, G_Th, G_Y, _ = whitened_task_grads(task, st)
 
@@ -329,7 +329,7 @@ def test_a5_landing_run_lands_on_stiefel():
     total = 3000
     cfg = LandingConfig(lam=1e-3, eta=1e-2, schedule="linear", max_iters=total, seed=0)
     rng = np.random.default_rng(cfg.seed)
-    state = init_adapter_state(task.A.shape, 8, rng)
+    state = init_adapter_state(task, 8, rng)
     stepper = _PolarLanding(task, cfg, state)
 
     def ortho_violation(s: AdapterState) -> float:
@@ -378,8 +378,8 @@ def test_a6_stable_rank_ordering_polar_vs_lora():
     for s in STABLE_RANK_SEEDS:
         task = make_whitened_task(64, 32, 128, 4, np.random.default_rng(1000 + s))
         cfg = LandingConfig(lam=1e-3, eta=2e-2, max_iters=2000, seed=s, record_every=2000)
-        stp, _ = train_polar_landing(task, 24, cfg)
-        stl, _ = train_lora(task, 24, cfg)
+        _, stp = train_polar_landing(task, 24, cfg)
+        _, stl = train_lora(task, 24, cfg)
         srp = stable_rank(stp.delta_w()).stable_rank
         srl = stable_rank(stl.delta_w()).stable_rank
         wins += srp > srl

@@ -203,7 +203,7 @@ def _adapter(kind, m, n, r, steps=5):
     rng = np.random.default_rng(22)
     task = make_whitened_task(m, n, 4 * n, 4, rng)
     init, make = {"polar": (init_adapter_state, _PolarLanding), "lora": (init_lora_state, _Lora)}[kind]
-    state = init(task.A.shape, r, rng)
+    state = init(task, r, rng)
     return task, _stepped(make(task, LandingConfig(eta=2e-2, lam=1e-3, max_iters=10), state), state, steps)
 
 

@@ -689,7 +689,7 @@ def test_analyze_files_hold_the_trace_columns_and_the_report_values(tmp_path):
     for seed in (0, 1):
         task = make_whitened_task(24, 16, 48, 2, np.random.default_rng(7), kappa=4.0)
         cfg = LandingConfig(eta=0.05, lam=1e-3, max_iters=60, record_every=20, seed=seed)
-        state, traces[f"seed{seed}"] = train_polar_landing(task, 4, cfg)
+        traces[f"seed{seed}"], state = train_polar_landing(task, 4, cfg)
         write_trace(traces[f"seed{seed}"], root / f"seed{seed}")
         pio.save_state(root / f"seed{seed}" / "checkpoint", state, {})
     out = tmp_path / "analysis"

@@ -163,9 +163,10 @@ def test_init_requires_overparameterization():
     # a wide target, m < n, as make_whitened_task leaves it: r is bounded by m, not by n
     wide = make_whitened_task(16, 32, 64, 2, np.random.default_rng(0))
     assert (wide.m, wide.n) == (16, 32)
-    with pytest.raises(ValueError, match=r"^need r_a < r <= min\(m, n\), got r=20, r_a=2, m=16, n=32$"):
-        init_polar_factors(wide, 20, np.random.default_rng(0))
-    assert init_polar_factors(wide, 16, np.random.default_rng(0)).X.shape == (16, 16)
+    for init in (init_polar_factors, init_bm_factors):
+        with pytest.raises(ValueError, match=r"^need r_a < r <= min\(m, n\), got r=20, r_a=2, m=16, n=32$"):
+            init(wide, 20, np.random.default_rng(0))
+        assert init(wide, 16, np.random.default_rng(0)).r == 16
 
 
 def test_init_bm_scale():

@@ -271,7 +271,7 @@ def test_task_loss_is_the_trainers_final_loss():
     task = make_whitened_task(64, 32, 128, 4, np.random.default_rng(1281), kappa=10.0)
     *_, c = whitened_form(64, 32, 128, 4, np.random.default_rng(1281), kappa=10.0)
     cfg = LandingConfig(eta=2e-2, lam=1e-3, schedule="constant", seed=47, max_iters=2000)
-    state, trace = train_lora(task, 24, cfg)
+    trace, state = train_lora(task, 24, cfg)
     assert c < 0.0
     assert whitened_task_loss(task, state.delta_w()) == trace.final_loss > 0.0
 
@@ -284,7 +284,7 @@ def test_task_loss_is_the_trainers_final_loss():
 def test_whitened_task_grads_match_fd(seed):
     t = _task(seed)
     rng = np.random.default_rng(seed + 10)
-    state = init_adapter_state(t.A.shape, 4, rng)
+    state = init_adapter_state(t, 4, rng)
     state = AdapterState(X=state.X, Theta=rng.standard_normal((4, 4)), Y=state.Y)
     G_X, G_Theta, G_Y, loss = whitened_task_grads(t, state)
     assert loss == pytest.approx(whitened_task_loss(t, state.delta_w()), rel=1e-12)
@@ -317,7 +317,7 @@ def test_lora_grads_match_fd(seed):
 
 def test_init_adapter_starts_at_zero_update():
     t = _task(0)
-    state = init_adapter_state(t.A.shape, 4, np.random.default_rng(0))
+    state = init_adapter_state(t, 4, np.random.default_rng(0))
     assert np.array_equal(state.Theta, np.zeros((4, 4)))
     assert np.array_equal(state.delta_w(), np.zeros((12, 10)))
     assert distance_to_stiefel(state.X) <= 1e-18
@@ -325,7 +325,7 @@ def test_init_adapter_starts_at_zero_update():
 
 
 def test_init_lora_scale_and_zero_update():
-    state = init_lora_state((64, 64), 40, np.random.default_rng(1))
+    state = init_lora_state(make_whitened_task(64, 64, 64, 4, np.random.default_rng(0)), 40, np.random.default_rng(1))
     assert np.array_equal(state.Z2, np.zeros((64, 40)))
     assert state.Z1.std() == pytest.approx(1.0 / 8.0, rel=0.1)
     assert np.array_equal(state.delta_w(), np.zeros((64, 64)))
@@ -380,7 +380,7 @@ def test_polar_step_at_theta_zero_moves_only_by_penalty():
     # at Theta = 0 the X and Y loss gradients vanish, so the landing field
     # reduces to its penalty component, while Theta picks up the residual
     t = _task(3)
-    state = init_adapter_state(t.A.shape, 4, np.random.default_rng(5))
+    state = init_adapter_state(t, 4, np.random.default_rng(5))
     G_X, G_Theta, G_Y, _ = whitened_task_grads(t, state)
     assert np.array_equal(G_X, np.zeros_like(state.X))
     assert np.array_equal(G_Y, np.zeros_like(state.Y))
@@ -395,7 +395,7 @@ def test_polar_step_single_backward_pass():
     # all three updates must come from gradients at the pre-step state
     t = _task(4)
     rng = np.random.default_rng(6)
-    state = init_adapter_state(t.A.shape, 4, rng)
+    state = init_adapter_state(t, 4, rng)
     state = AdapterState(X=state.X, Theta=rng.standard_normal((4, 4)), Y=state.Y)
     cfg = LandingConfig(lam=1e-3, eta=1e-2, max_iters=1)
     new, loss = advance(_PolarLanding(t, cfg, state), state, 0)
@@ -413,7 +413,7 @@ def test_polar_step_single_backward_pass():
 
 def test_polar_step_theta_modes():
     t = _task(5)
-    state = init_adapter_state(t.A.shape, 4, np.random.default_rng(7))
+    state = init_adapter_state(t, 4, np.random.default_rng(7))
     cfg = LandingConfig(eta=1e-2, max_iters=1, theta_mode="diagonal")
     new, _ = advance(_PolarLanding(t, cfg, state), state, 0)
     off_diag = new.Theta - np.diag(np.diag(new.Theta))
@@ -426,7 +426,7 @@ def test_polar_step_theta_modes():
 
 def test_polar_step_divergence_guard():
     t = _task(6)
-    state = init_adapter_state(t.A.shape, 4, np.random.default_rng(8))
+    state = init_adapter_state(t, 4, np.random.default_rng(8))
     state = AdapterState(X=state.X, Theta=1e200 * np.eye(4), Y=state.Y)
     cfg = LandingConfig(eta=1e-2, max_iters=1)
     with np.errstate(over="ignore"), pytest.raises(DivergenceError):
@@ -436,7 +436,7 @@ def test_polar_step_divergence_guard():
 def test_lora_step_first_move_freezes_z1():
     # Z2 = 0 makes the Z1 gradient exactly zero, so Z1 must not move
     t = _task(7)
-    state = init_lora_state(t.A.shape, 4, np.random.default_rng(9))
+    state = init_lora_state(t, 4, np.random.default_rng(9))
     cfg = LandingConfig(eta=1e-2, max_iters=1)
     new, _ = advance(_Lora(t, cfg, state), state, 0)
     assert np.array_equal(new.Z1, state.Z1)
@@ -459,7 +459,7 @@ def test_packed_adam_matches_per_parameter_oracle(method, modes, schedule):
         "polar": (init_adapter_state, _PolarLanding, polar_step_reference),
         "lora": (init_lora_state, _Lora, lora_step_reference),
     }[method]
-    state = ref = init(t.A.shape, 4, np.random.default_rng(14))
+    state = ref = init(t, 4, np.random.default_rng(14))
     cfg = LandingConfig(lam=1e-3, eta=1e-2, schedule=schedule, max_iters=40, **modes)
     stepper, ref_opts = make(t, cfg, state), per_parameter_opt(state)
     opt = stepper.opt
@@ -483,7 +483,7 @@ def test_packed_adam_matches_the_oracle_past_the_bias_correction_crossover(metho
         "polar": (init_adapter_state, _PolarLanding, polar_step_reference),
         "lora": (init_lora_state, _Lora, lora_step_reference),
     }[method]
-    state = ref = init(t.A.shape, 4, np.random.default_rng(14))
+    state = ref = init(t, 4, np.random.default_rng(14))
     cfg = LandingConfig(lam=1e-3, eta=1e-2, schedule="constant", max_iters=400)
     stepper, ref_opts = make(t, cfg, state), per_parameter_opt(state)
     for it in range(400):
@@ -501,7 +501,7 @@ def test_packed_adam_matches_the_oracle_past_the_bias_correction_crossover(metho
 def test_step_leaves_the_state_it_steps_from_unchanged(method):
     t = _task(15)
     init, make = {"polar": (init_adapter_state, _PolarLanding), "lora": (init_lora_state, _Lora)}[method]
-    state = init(t.A.shape, 4, np.random.default_rng(16))
+    state = init(t, 4, np.random.default_rng(16))
     stepper = make(t, LandingConfig(eta=1e-2, max_iters=10), state)
     for it in range(3):  # after the first step the parameters are views of one packed vector
         before = {name: getattr(state, name).copy() for name in PARAMS[state.kind]}
@@ -548,7 +548,7 @@ def test_one_method_object_matches_per_parameter_oracle(method, modes, schedule)
         "polar": (init_adapter_state, _PolarLanding, polar_step_reference),
         "lora": (init_lora_state, _Lora, lora_step_reference),
     }[method]
-    state = ref = init(t.A.shape, 4, np.random.default_rng(18))
+    state = ref = init(t, 4, np.random.default_rng(18))
     cfg = LandingConfig(lam=1e-3, eta=1e-2, schedule=schedule, max_iters=60, **modes)
     watched, ref_opts = _Watched(make(t, cfg, state)), per_parameter_opt(state)
     opt = watched.method.opt
@@ -571,7 +571,7 @@ def test_one_method_object_matches_per_parameter_oracle(method, modes, schedule)
 def test_state_not_returned_by_the_method_is_packed_afresh(method):
     t = _task(19)
     init, make = {"polar": (init_adapter_state, _PolarLanding), "lora": (init_lora_state, _Lora)}[method]
-    state = init(t.A.shape, 4, np.random.default_rng(20))
+    state = init(t, 4, np.random.default_rng(20))
     cfg = LandingConfig(eta=1e-2, max_iters=10)
     stepper = make(t, cfg, state)
     for it in range(3):
@@ -598,7 +598,7 @@ def test_linear_schedule_needs_a_budget():
 def test_step_keeps_the_non_param_fields(method):
     t = _task(27)
     init, make = {"polar": (init_adapter_state, _PolarLanding), "lora": (init_lora_state, _Lora)}[method]
-    state = init(t.A.shape, 4, np.random.default_rng(28), scale_alpha=8.0)
+    state = init(t, 4, np.random.default_rng(28), scale_alpha=8.0)
     stepper = make(t, LandingConfig(eta=1e-2, max_iters=10), state)
     for it in range(3):  # the first step packs afresh, the later ones reuse the packed vector
         new, _ = advance(stepper, state, it)
@@ -618,7 +618,7 @@ def _small_cfg(T, record_every=10, seed=0):
 
 def test_train_polar_landing_descends_and_lands():
     t = make_whitened_task(16, 16, 24, 2, np.random.default_rng(3), kappa=5.0)
-    state, tr = train_polar_landing(t, 4, _small_cfg(800, record_every=100))
+    tr, state = train_polar_landing(t, 4, _small_cfg(800, record_every=100))
     assert tr.columns["loss"][-1] < 1e-6 * tr.columns["loss"][0]
     assert tr.columns["n_x"][-1] <= 1e-2
     assert tr.columns["n_y"][-1] <= 1e-2
@@ -630,8 +630,8 @@ def test_train_polar_landing_descends_and_lands():
 
 def test_train_polar_landing_is_deterministic():
     t = _task(8)
-    s1, t1 = train_polar_landing(t, 4, _small_cfg(120, record_every=40))
-    s2, t2 = train_polar_landing(t, 4, _small_cfg(120, record_every=40))
+    t1, s1 = train_polar_landing(t, 4, _small_cfg(120, record_every=40))
+    t2, s2 = train_polar_landing(t, 4, _small_cfg(120, record_every=40))
     assert t1.columns["loss"] == t2.columns["loss"]
     assert np.array_equal(s1.X, s2.X)
     assert np.array_equal(s1.Theta, s2.Theta)
@@ -641,7 +641,7 @@ def test_train_polar_landing_is_deterministic():
 def test_train_polar_trace_alignment_columns_are_nan():
     # off-manifold iterates have no subspace-alignment reading
     t = _task(9)
-    _, tr = train_polar_landing(t, 4, _small_cfg(60, record_every=30))
+    tr, _ = train_polar_landing(t, 4, _small_cfg(60, record_every=30))
     assert all(np.isnan(v) for v in tr.columns["trace_phi"])
     assert all(np.isnan(v) for v in tr.columns["trace_psi"])
     assert all(np.isfinite(v) for v in tr.columns["n_x"])
@@ -650,7 +650,7 @@ def test_train_polar_trace_alignment_columns_are_nan():
 
 def test_train_lora_descends():
     t = make_whitened_task(16, 16, 24, 2, np.random.default_rng(3), kappa=5.0)
-    state, tr = train_lora(t, 4, _small_cfg(800, record_every=100))
+    tr, state = train_lora(t, 4, _small_cfg(800, record_every=100))
     assert tr.columns["loss"][-1] < 1e-4 * tr.columns["loss"][0]
     assert tr.metadata["method"] == "lora"
     assert whitened_task_loss(t, state.delta_w()) == pytest.approx(tr.columns["loss"][-1], abs=1e-18, rel=1e-9)
@@ -658,7 +658,7 @@ def test_train_lora_descends():
 
 def test_component_orthogonality_along_run():
     t = _task(10)
-    state = init_adapter_state(t.A.shape, 4, np.random.default_rng(11))
+    state = init_adapter_state(t, 4, np.random.default_rng(11))
     cfg = _small_cfg(100)
     stepper = _PolarLanding(t, cfg, state)
     for step in range(100):
@@ -710,7 +710,7 @@ def test_trace_row_stable_rank_is_nan_for_zero_or_non_finite(entry):
 
 @pytest.mark.parametrize("train", [train_polar_landing, train_lora])
 def test_last_trace_row_stable_rank_is_the_final_states(train):
-    final, tr = train(_task(33), 4, _small_cfg(90, record_every=30))
+    tr, final = train(_task(33), 4, _small_cfg(90, record_every=30))
     want = stable_rank(final.delta_w()).stable_rank
     assert abs(tr.columns["stable_rank"][-1] - want) <= 1e-13 * want
     assert np.isnan(tr.columns["stable_rank"][0])  # DeltaW = 0 at initialization, Theta = 0 or Z2 = 0
@@ -725,7 +725,7 @@ def test_trace_rows_keep_the_bits_of_the_per_parameter_oracle(method, modes):
     # with the plain np.sum(d**2) expression; n_x and n_y are distance_to_stiefel's
     t = _task(34)
     init, make = {"polar": (init_adapter_state, _PolarLanding), "lora": (init_lora_state, _Lora)}[method]
-    state = ref = init(t.A.shape, 4, np.random.default_rng(35))
+    state = ref = init(t, 4, np.random.default_rng(35))
     cfg = LandingConfig(lam=1e-3, eta=1e-2, schedule="linear", max_iters=40, **modes)
     ref_opts = per_parameter_opt(state)
     tr, _ = run(make(t, cfg, state), state, {}, cfg.max_iters, record_every=3)
@@ -754,7 +754,7 @@ def test_trace_rows_keep_the_bits_of_the_per_parameter_oracle(method, modes):
 def test_diversity_report_fields():
     # the stable rank, spectrum and row spread of a trained DeltaW, as the adapter demo reports them
     t = _task(12)
-    state, _ = train_polar_landing(t, 4, _small_cfg(200, record_every=100))
+    _, state = train_polar_landing(t, 4, _small_cfg(200, record_every=100))
     summary = stable_rank(state.delta_w())
     spread = pairwise_direction_distances(state.delta_w())
     assert 1.0 <= summary.stable_rank <= 4.0 + 1e-9
@@ -764,7 +764,7 @@ def test_diversity_report_fields():
 
 def test_adapter_checkpoint_roundtrip(tmp_path):
     t = _task(13)
-    state, _ = train_polar_landing(t, 4, _small_cfg(30, record_every=15))
+    _, state = train_polar_landing(t, 4, _small_cfg(30, record_every=15))
     io.save_state(tmp_path / "polar", state, {"note": "test"})
     loaded, meta = io.load_state(tmp_path / "polar")
     assert isinstance(loaded, AdapterState)
@@ -774,7 +774,7 @@ def test_adapter_checkpoint_roundtrip(tmp_path):
         assert np.array_equal(getattr(loaded, name), getattr(state, name))
     assert not (tmp_path / "polar" / "W0.csv").exists()
 
-    lstate, _ = train_lora(t, 4, _small_cfg(30, record_every=15))
+    _, lstate = train_lora(t, 4, _small_cfg(30, record_every=15))
     io.save_state(tmp_path / "lora", lstate, {})
     lloaded, lmeta = io.load_state(tmp_path / "lora")
     assert isinstance(lloaded, LoraState)

@@ -2,9 +2,11 @@
 
 A toy method pins the loop itself: when it evaluates, steps and records,
 and what it writes into the metadata. The five public runners are then
-checked for the budget and cadence checks, which their configs
-(``RGDConfig``, ``LandingConfig``) make when they are built, and for the
-divergence rule, which ``run`` owns for all of them.
+checked for their one interface, (trace, state) with the metadata that
+``factorization._run`` builds for all of them, for the budget and cadence
+checks, which their configs (``RGDConfig``, ``LandingConfig``) make when
+they are built, and for the divergence rule, which ``run`` owns for all of
+them.
 """
 
 import math
@@ -18,6 +20,7 @@ from polarlab import landing as ld
 from polarlab.config import LandingConfig, RGDConfig
 from polarlab.exceptions import DivergenceError
 from polarlab.runner import DIVERGENCE_LOSS, advance, run
+from polarlab.trace import RunTrace
 
 
 class _Halving:
@@ -125,6 +128,32 @@ def test_every_runner_rejects_a_negative_budget_and_a_zero_cadence(name, max_ite
         RUNNERS[name](1e-2, 2.0, max_iters, record_every)
 
 
+# name -> (kind of the returned state, the trace's metadata keys in order): the keys every run
+# records, then the adapters' own, then those run adds; the RGD runners also pass a loss threshold
+_RUN_KEYS = ("seed", "eta", "gamma", "m", "n", "r", "r_A", "kappa")
+_FACTOR_KEYS = (*_RUN_KEYS, "max_iters", "record_every", "final_loss", "loss_threshold", "converged", "iterations")
+_ADAPTER_KEYS = (*_RUN_KEYS, "lam", "scale_alpha", "method", "max_iters", "record_every", "final_loss")
+INTERFACE = {
+    "polar-rgd": ("polar-factors", _FACTOR_KEYS),
+    "bm-gd": ("bm-factors", _FACTOR_KEYS),
+    "polar-rgd-sym": ("sym-factors", _FACTOR_KEYS),
+    "landing-polar": ("polar-adapter", _ADAPTER_KEYS),
+    "lora": ("lora", _ADAPTER_KEYS),
+}
+
+
+@pytest.mark.parametrize("name", RUNNERS)
+def test_every_runner_returns_its_trace_then_its_state(name):
+    kind, keys = INTERFACE[name]
+    trace, state = RUNNERS[name](1e-2, 2.0, 10, 5)
+    assert isinstance(trace, RunTrace) and trace.algorithm == name
+    assert state.kind == kind
+    assert tuple(trace.metadata) == keys
+    assert trace.metadata["r"] == state.r == 4
+    if keys == _ADAPTER_KEYS:
+        assert math.isnan(trace.metadata["gamma"]) and trace.metadata["method"] == name
+
+
 # (eta, kappa): the RGD losses are bounded on the manifold, so their targets are scaled past the limit
 DIVERGING = {
     "polar-rgd": (1e-3, 1e7),
@@ -191,7 +220,7 @@ def _method_and_state(name):
         return fx._PolarRGD(target, 1e-2, 1.0, tied=True), fx.init_sym_factors(target, 4, rng)
     task, cfg = _task(), LandingConfig(eta=1e-2, max_iters=10)
     init, make = {"landing-polar": (ld.init_adapter_state, ld._PolarLanding), "lora": (ld.init_lora_state, ld._Lora)}[name]
-    state = init(task.A.shape, 4, rng)
+    state = init(task, 4, rng)
     return make(task, cfg, state), state
 
 

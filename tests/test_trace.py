@@ -166,13 +166,6 @@ def test_write_trace_header_excludes_wall_time_by_default(tmp_path):
     assert header == list(CORE_COLUMNS)
 
 
-def test_write_trace_custom_basename(tmp_path):
-    csv_path = write_trace(_filled_trace(), tmp_path, basename="prof")
-    assert csv_path == str(tmp_path / "prof.csv")
-    assert (tmp_path / "prof.json").is_file()
-    assert "wall_time" not in read_trace_csv(csv_path)
-
-
 def test_write_trace_extras_sorted_after_core(tmp_path):
     tr = _filled_trace(include_extras=True)
     csv_path = write_trace(tr, tmp_path)
