@@ -28,11 +28,11 @@ baseline (two Euclidean factors, Z2 zero-initialized) trains on the same
 target for comparison.
 
 Both trainers are method objects that :func:`polarlab.runner.run` iterates
-for the whole budget, with no early stop; like the factorization runners, each
-inits from the target and returns (trace, final state). A single step is
-:func:`polarlab.runner.advance` on the same object. Every setting of a
-trainer, with its default and its range check, is a field of
-:class:`polarlab.config.LandingConfig`.
+for the whole budget, with no early stop; like the factorization runners,
+each inits from the target and runs through ``factorization._run``, which
+returns (trace, final state). A single step is :func:`polarlab.runner.advance`
+on the same object. Every setting of a trainer, with its default and its
+range check, is a field of :class:`polarlab.config.LandingConfig`.
 """
 
 from __future__ import annotations
