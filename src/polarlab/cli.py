@@ -118,7 +118,7 @@ class CliError(Exception):
 class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on usage errors; 2 is reserved for exhausted budgets here
     def error(self, message):
-        self.print_usage(sys.stderr)
+        print(f"error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_ERROR)
 
 
@@ -196,6 +196,8 @@ def _cmd_factorize(cfg: dict, out_dir: str) -> int:
     runner = {"polar-rgd": fx.run_polar_rgd, "bm-gd": fx.run_bm_gd, "polar-rgd-sym": fx.run_sym_rgd}.get(algorithm)
     if runner is None:
         raise CliError(f"unknown algorithm {algorithm!r}")
+    if algorithm == "polar-rgd-sym" and cfg["n"] != cfg["m"]:  # the target is m x m; n would be echoed unread
+        raise CliError(f"polar-rgd-sym fits an m x m target, got m = {cfg['m']} and n = {cfg['n']}")
     target_rng = _target_rng(cfg)
     if algorithm == "polar-rgd-sym":
         target = fx.make_sym_target(cfg["m"], cfg["r_a"], cfg["kappa"], target_rng)

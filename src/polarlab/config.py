@@ -70,10 +70,9 @@ class LandingConfig:
     ``schedule`` is "constant", a step of ``eta`` throughout, or "linear",
     a step of ``eta * (1 - t / max_iters)`` at iteration t, positive for
     t < max_iters. ``alpha`` scales the adapter update by alpha / r.
-    ``theta_mode="diagonal"`` keeps Theta diagonal and
     ``grad_mode="euclidean"`` replaces the landing field by the raw loss
-    gradient plus the same penalty; the LoRA trainer has neither and
-    ignores both. Adam uses ADAM_BETA1, ADAM_BETA2 and ADAM_EPS of
+    gradient plus the same penalty; the LoRA trainer has no field and
+    ignores it. Adam uses ADAM_BETA1, ADAM_BETA2 and ADAM_EPS of
     ``polarlab.landing``.
     """
 
@@ -84,7 +83,6 @@ class LandingConfig:
     seed: int = 0
     alpha: float = 32.0
     record_every: int = 10
-    theta_mode: str = "full"
     grad_mode: str = "landing"
 
     def __post_init__(self):
@@ -94,8 +92,6 @@ class LandingConfig:
             raise ValueError(f"unknown schedule {self.schedule!r} (expected constant or linear)")
         if self.schedule == "linear" and self.max_iters < 1:
             raise ValueError(f"a linear schedule needs max_iters >= 1, got {self.max_iters}")
-        if self.theta_mode not in ("full", "diagonal"):
-            raise ValueError(f"unknown theta_mode {self.theta_mode!r}")
         if self.grad_mode not in ("landing", "euclidean"):
             raise ValueError(f"unknown grad_mode {self.grad_mode!r}")
         _check_budget(self.max_iters, self.record_every)

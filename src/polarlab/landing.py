@@ -250,15 +250,19 @@ class _PackedAdam:
         self._views = tuple(d[s].reshape(shape) for s, shape in self.layout.values())
         return type(state)(**{**vars(state), **dict(zip(self.layout, self._views))})
 
-    def record(self, state, ev) -> dict:
-        return _adapter_columns(state)
+    def record(self, state, ev: dict) -> dict:
+        # the norm of the directions a step handed to Adam, summed in the order of ev["taken"],
+        # which the subclass's step sets; the state after the last step takes none
+        taken = ev.get("taken")
+        grad_norm = math.nan if taken is None else float(np.sqrt(sum((d**2).sum() for d in taken)))
+        return {"grad_norm": grad_norm, **_adapter_columns(state)}
 
 
 class _PolarLanding(_PackedAdam):
     """X and Y move along the landing field (penalty inside), Theta along its
-    gradient, each Adam-transformed. ``cfg.theta_mode="diagonal"`` keeps Theta
-    diagonal; ``cfg.grad_mode="euclidean"`` is the ablation arm: the raw loss
-    gradient plus the same penalty instead of the field."""
+    gradient, each Adam-transformed. ``cfg.grad_mode="euclidean"`` is the
+    ablation arm: the raw loss gradient plus the same penalty instead of the
+    field."""
 
     name = "landing-polar"
 
@@ -269,24 +273,14 @@ class _PolarLanding(_PackedAdam):
     def step(self, state: AdapterState, ev: dict, it: int) -> AdapterState:
         cfg = self.cfg
         G_X, G_Theta, G_Y = ev["grads"]
-        if cfg.theta_mode == "diagonal":
-            G_Theta = np.diag(np.diag(G_Theta))
         if cfg.grad_mode == "landing":
             dir_X = landing_field(state.X, G_X, cfg.lam)
             dir_Y = landing_field(state.Y, G_Y, cfg.lam)
         else:
             dir_X = G_X + cfg.lam * grad_distance_to_stiefel(state.X)
             dir_Y = G_Y + cfg.lam * grad_distance_to_stiefel(state.Y)
-        ev["taken"] = (dir_X, G_Theta, dir_Y)
-        return super().step(state, ev["taken"], it)
-
-    def record(self, state: AdapterState, ev: dict) -> dict:
-        # the norm of the direction taken; the state after the last step takes none
-        grad_norm = float("nan")
-        if "taken" in ev:
-            dir_X, G_Theta, dir_Y = ev["taken"]
-            grad_norm = float(np.sqrt((dir_X**2).sum() + (dir_Y**2).sum() + (G_Theta**2).sum()))
-        return {"grad_norm": grad_norm, **super().record(state, ev)}
+        ev["taken"] = (dir_X, dir_Y, G_Theta)  # the factors' first, the order of grad_norm's sum
+        return super().step(state, (dir_X, G_Theta, dir_Y), it)
 
 
 class _Lora(_PackedAdam):
@@ -296,7 +290,11 @@ class _Lora(_PackedAdam):
 
     def evaluate(self, state: LoraState):
         G1, G2, loss = lora_grads(self.target, state)
-        return state, loss, (G1, G2)
+        return state, loss, {"grads": (G1, G2)}
+
+    def step(self, state: LoraState, ev: dict, it: int) -> LoraState:
+        ev["taken"] = ev["grads"]
+        return super().step(state, ev["taken"], it)
 
 
 def train_polar_landing(target: FactorizationTarget, r: int, cfg: LandingConfig) -> tuple[RunTrace, AdapterState]:

@@ -233,11 +233,9 @@ def _per_parameter_update(state, opts: dict, eta_t: float, directions: dict):
     return replace(state, **moved)
 
 
-def polar_directions_reference(task, state, cfg, theta_mode="full", grad_mode="landing") -> dict:
+def polar_directions_reference(task, state, cfg, grad_mode="landing") -> dict:
     """The directions a landing step of the polar adapter takes, by parameter, in fresh arrays."""
     G_X, G_Theta, G_Y, _ = whitened_task_grads(task, state)
-    if theta_mode == "diagonal":
-        G_Theta = np.diag(np.diag(G_Theta))
     if grad_mode == "landing":
         dir_X, dir_Y = landing_field(state.X, G_X, cfg.lam), landing_field(state.Y, G_Y, cfg.lam)
     else:
@@ -246,9 +244,9 @@ def polar_directions_reference(task, state, cfg, theta_mode="full", grad_mode="l
     return {"X": dir_X, "Theta": G_Theta, "Y": dir_Y}
 
 
-def polar_step_reference(task, state, opts: dict, cfg, t: int, theta_mode="full", grad_mode="landing"):
+def polar_step_reference(task, state, opts: dict, cfg, t: int, grad_mode="landing"):
     """One landing step of the polar adapter, each parameter through its own Adam."""
-    directions = polar_directions_reference(task, state, cfg, theta_mode, grad_mode)
+    directions = polar_directions_reference(task, state, cfg, grad_mode)
     return _per_parameter_update(state, opts, cfg.eta_at(t), directions)
 
 

@@ -110,12 +110,33 @@ def test_unknown_schedule_exits_one(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("method", ["landing-polar", "lora"])
-@pytest.mark.parametrize("flag", ["--grad-mode", "--theta-mode"])
-def test_unknown_grad_mode_exits_one(tmp_path, capsys, method, flag):
-    # the LoRA trainer has no modes, but its config rejects a bad one all the same
-    argv = ["finetune-toy", "--out", str(tmp_path / "r"), "--method", method, flag, "nope", *FAST_FINETUNE]
+def test_unknown_grad_mode_exits_one(tmp_path, capsys, method):
+    # the LoRA trainer has no landing field, but its config rejects a bad mode all the same
+    argv = ["finetune-toy", "--out", str(tmp_path / "r"), "--method", method, "--grad-mode", "nope", *FAST_FINETUNE]
     assert main(argv) == EXIT_ERROR
     assert "nope" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_theta_mode_is_not_a_setting(tmp_path, capsys, source):
+    # Theta is always the full r x r matrix: the flag is unknown to the parser, the key to the schema
+    argv = ["finetune-toy", *FAST_FINETUNE, "--out", str(tmp_path / "r")]
+    if source == "flag":
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--theta-mode", "full"])
+        rc, message = exc.value.code, "unrecognized arguments: --theta-mode full"
+    else:
+        (tmp_path / "run.cfg").write_text("theta_mode=full\n")
+        rc, message = main([*argv, "--config", str(tmp_path / "run.cfg")]), "unknown config key 'theta_mode' for finetune-toy"
+    assert rc == EXIT_ERROR
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
+def test_sym_target_needs_n_equal_to_m(tmp_path, capsys):
+    # the symmetric target is m x m; a bad target seed as well shows that n is checked before the draw
+    argv = ["factorize", "--algo", "polar-rgd-sym", *FAST_FACTORIZE, "--n", "10", "--target-seed", "-1"]
+    assert main([*argv, "--out", str(tmp_path / "r")]) == EXIT_ERROR
+    assert capsys.readouterr().err.splitlines() == ["error: polar-rgd-sym fits an m x m target, got m = 12 and n = 10"]
 
 
 @pytest.mark.parametrize("command", [["factorize", *FAST_FACTORIZE], ["finetune-toy", *FAST_FINETUNE]])
@@ -302,6 +323,23 @@ def test_failed_retraction_names_method_iteration_and_eta(tmp_path):
     )
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 6: the tied direction drifts off St and stops the run "
+                   "with a tangency error at iteration 17")
+def test_tied_rgd_above_its_stable_step_does_not_stop_on_geometry(tmp_path, capsys):
+    argv = ["factorize", "--algo", "polar-rgd-sym", "--eta", "0.01", "--max-iters", "400", "--loss-threshold", "0"]
+    assert main([*argv, "--out", str(tmp_path / "r")]) == EXIT_BUDGET, capsys.readouterr().err
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 6: a step above polar-rgd's stable limit stops with a "
+                   "FeasibilityError at iteration 15, not a divergence")
+def test_polar_rgd_above_its_stable_step_ends_without_a_geometry_fault(tmp_path, capsys):
+    argv = ["factorize", "--algo", "polar-rgd", "--r", "20", "--kappa", "100", "--eta", "2e-4",
+            "--max-iters", "300", "--loss-threshold", "0"]
+    rc = main([*argv, "--out", str(tmp_path / "r")])
+    err = capsys.readouterr().err
+    assert rc == EXIT_BUDGET or (rc == EXIT_ERROR and "diverged" in err), err
+
+
 def test_usage_errors_raise_system_exit_one():
     # argparse normally exits 2 on usage errors; 2 means budget exhausted here
     with pytest.raises(SystemExit) as exc:
@@ -367,7 +405,6 @@ PINNED_FINETUNE_SCHEMA = {
     "eta": (float, 1e-2),
     "lam": (float, 1e-3),
     "schedule": (str, "constant"),
-    "theta_mode": (str, "full"),
     "grad_mode": (str, "landing"),
     "seed": (int, 0),
     "target_seed": (int, 1234),

@@ -57,7 +57,8 @@ def test_collects_medians_iqr_and_pair_wins(tmp_path, collect_bench):
     assert bench["fingerprint"] == {"numpy": "2.4.6", "machine": "x86_64"}
     assert set(bench["blas_runtime"]) == {"openblas_core", "openblas_config"}
     # no such commits
-    assert bench["src_lines"] == bench["tests_lines"] == bench["exports"] == {"parent": None, "change": None}
+    assert bench["src_lines"] == bench["tests_lines"] == bench["exports"] == bench["options"] == {
+        "parent": None, "change": None}
     metrics = bench["workloads"]["finetune"]["metrics"]
     assert set(metrics) == {"step_cost.geomean", "setup_s", "peak_rss_mb", "lora.x_ref", "lora.us_per_iter",
                             "landing_step_r32.us"}
@@ -162,3 +163,34 @@ def test_exports_counts_the_all_of_a_commit(tmp_path, collect_bench):
     assert got == [4, 2, None, None, None]
     assert collect_bench.exports("0" * 40, tmp_path) is None
     assert collect_bench.exports("HEAD", tmp_path / "no-such-repo") is None
+
+
+def test_options_counts_the_settings_of_a_commit(tmp_path, collect_bench):
+    git = ["git", "-C", str(tmp_path), "-c", "user.name=test", "-c", "user.email=test@example.com"]
+    subprocess.run([*git, "init", "-q"], check=True)
+    package = tmp_path / "src" / "polarlab"
+    package.mkdir(parents=True)
+    config = "class A:\n    x: int = 1\n    y: float = 2.0\n    z = 3\n" \
+             "    def f(self):\n        w: int = 4\nclass B:\n    x: int = 1\n"
+    sources = [
+        # 3 fields (A's x and y, B's x); a_SCHEMA adds k and m but not A's x, B_SCHEMA nothing, the plain dict p
+        (config, 'a_SCHEMA = _schema({"k": 1, "m": 2, "x": 3}, A)\nB_SCHEMA = _schema({"x": 1}, B)\n'
+                 'C_SCHEMA = {"p": 1}\nOTHER = {"q": 1}\n'),
+        (config, 'a_SCHEMA = _schema({"k": 1}, A)\n'),
+        (config, 'a_SCHEMA = _schema({"k": 1}, Missing)\n'),  # not a config class
+        (config, 'a_SCHEMA = make_schema()\n'),  # another form
+        (config, "a_SCHEMA = {\n"),  # not python
+    ]
+    for config_source, cli_source in sources:
+        (package / "config.py").write_text(config_source)
+        (package / "cli.py").write_text(cli_source)
+        subprocess.run([*git, "add", "-A"], check=True)
+        subprocess.run([*git, "commit", "-q", "-m", "next"], check=True)
+    got = [collect_bench.options(f"HEAD~{back}", tmp_path) for back in range(len(sources) - 1, -1, -1)]
+    assert got == [6, 4, None, None, None]
+    (package / "cli.py").unlink()
+    subprocess.run([*git, "add", "-A"], check=True)
+    subprocess.run([*git, "commit", "-q", "-m", "no cli"], check=True)
+    assert collect_bench.options("HEAD", tmp_path) is None
+    assert collect_bench.options("0" * 40, tmp_path) is None
+    assert collect_bench.options("HEAD", tmp_path / "no-such-repo") is None

@@ -55,10 +55,10 @@ CONFIGS = {
     "polar-rgd": ["factorize", "--algo", "polar-rgd", *_FACTORIZE, "--loss-threshold", "1e-6"],
     "polar-rgd-gamma0.5": ["factorize", "--algo", "polar-rgd", "--gamma", "0.5", *_FACTORIZE, "--loss-threshold", "0"],
     "bm-gd": ["factorize", "--algo", "bm-gd", *_FACTORIZE, "--loss-threshold", "0"],
-    "polar-rgd-sym": ["factorize", "--algo", "polar-rgd-sym", *_FACTORIZE, "--loss-threshold", "0"],
+    "polar-rgd-sym": ["factorize", "--algo", "polar-rgd-sym", *_FACTORIZE, "--n", "12", "--loss-threshold", "0"],
     "landing-polar": ["finetune-toy", "--method", "landing-polar", *_FINETUNE],
-    "landing-polar-ablation": ["finetune-toy", "--method", "landing-polar", "--theta-mode", "diagonal",
-                               "--grad-mode", "euclidean", "--schedule", "linear", *_FINETUNE],
+    "landing-polar-ablation": ["finetune-toy", "--method", "landing-polar", "--grad-mode", "euclidean",
+                               "--schedule", "linear", *_FINETUNE],
     "lora": ["finetune-toy", "--method", "lora", *_FINETUNE],
 }
 SEEDS = {"factorize": (0, 1, 2), "finetune-toy": (0, 1)}

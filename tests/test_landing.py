@@ -46,6 +46,7 @@ from polarlab.stiefel import (
 from oracles import (
     PARAMS,
     adam_reference,
+    lora_grads_reference,
     lora_step_reference,
     per_parameter_opt,
     polar_directions_reference,
@@ -412,14 +413,9 @@ def test_polar_step_single_backward_pass():
 
 
 def test_polar_step_theta_modes():
-    t = _task(5)
-    state = init_adapter_state(t, 4, np.random.default_rng(7))
-    cfg = LandingConfig(eta=1e-2, max_iters=1, theta_mode="diagonal")
-    new, _ = advance(_PolarLanding(t, cfg, state), state, 0)
-    off_diag = new.Theta - np.diag(np.diag(new.Theta))
-    assert np.array_equal(off_diag, np.zeros((4, 4)))
-    with pytest.raises(ValueError, match="theta_mode"):
-        LandingConfig(eta=1e-2, max_iters=1, theta_mode="banded")
+    # Theta is always the full r x r matrix; there is no setting for its shape
+    with pytest.raises(TypeError):
+        LandingConfig(eta=1e-2, max_iters=1, theta_mode="full")
     with pytest.raises(ValueError, match="grad_mode"):
         LandingConfig(eta=1e-2, max_iters=1, grad_mode="newton")
 
@@ -447,7 +443,7 @@ def test_lora_step_first_move_freezes_z1():
     "method, modes, schedule",
     [
         ("polar", {}, "constant"),
-        ("polar", {"theta_mode": "diagonal", "grad_mode": "euclidean"}, "linear"),
+        ("polar", {"grad_mode": "euclidean"}, "linear"),
         ("lora", {}, "constant"),
         ("lora", {}, "linear"),
     ],
@@ -536,7 +532,7 @@ class _Watched:
     "method, modes, schedule",
     [
         ("polar", {}, "constant"),
-        ("polar", {"theta_mode": "diagonal", "grad_mode": "euclidean"}, "linear"),
+        ("polar", {"grad_mode": "euclidean"}, "linear"),
         ("lora", {}, "constant"),
     ],
 )
@@ -718,11 +714,13 @@ def test_last_trace_row_stable_rank_is_the_final_states(train):
 
 @pytest.mark.parametrize(
     "method, modes",
-    [("polar", {}), ("polar", {"theta_mode": "diagonal", "grad_mode": "euclidean"}), ("lora", {})],
+    [("polar", {}), ("polar", {"grad_mode": "euclidean"}), ("lora", {})],
 )
 def test_trace_rows_keep_the_bits_of_the_per_parameter_oracle(method, modes):
-    # grad_norm is the norm of the direction the oracle takes at each recorded iteration,
-    # with the plain np.sum(d**2) expression; n_x and n_y are distance_to_stiefel's
+    # grad_norm is the norm of the directions the oracle hands to Adam at each recorded iteration
+    # (the polar adapter's X, Y and Theta, LoRA's Z1 and Z2, in that order), with the plain
+    # np.sum(d**2) expression, and NaN on the last row, which takes no step; n_x and n_y are
+    # distance_to_stiefel's
     t = _task(34)
     init, make = {"polar": (init_adapter_state, _PolarLanding), "lora": (init_lora_state, _Lora)}[method]
     state = ref = init(t, 4, np.random.default_rng(35))
@@ -735,16 +733,19 @@ def test_trace_rows_keep_the_bits_of_the_per_parameter_oracle(method, modes):
             left, right = state.factors
             assert tr.columns["n_x"][rows[it]] == distance_to_stiefel(getattr(ref, left))
             assert tr.columns["n_y"][rows[it]] == distance_to_stiefel(getattr(ref, right))
-            if method == "polar" and it < cfg.max_iters:
-                d = polar_directions_reference(t, ref, cfg, **modes)
-                want = float(np.sqrt(np.sum(d["X"] ** 2) + np.sum(d["Y"] ** 2) + np.sum(d["Theta"] ** 2)))
+            if it < cfg.max_iters:
+                if method == "polar":
+                    d = polar_directions_reference(t, ref, cfg, **modes)
+                    terms = (d["X"], d["Y"], d["Theta"])
+                else:
+                    terms = lora_grads_reference(t, ref)[:2]
+                want = float(np.sqrt(sum(np.sum(g**2) for g in terms)))
                 assert tr.columns["grad_norm"][rows[it]] == want
         if it < cfg.max_iters:
             step = polar_step_reference if method == "polar" else lora_step_reference
             ref = step(t, ref, ref_opts, cfg, it, **modes)
     assert sorted(rows) == list(range(0, 40, 3)) + [40]
-    if method == "polar":
-        assert np.isnan(tr.columns["grad_norm"][-1])
+    assert np.isnan(tr.columns["grad_norm"][-1])
 
 
 # ---------------------------------------------------------------------------

@@ -47,8 +47,9 @@ STEP_PATH = {
         "lora_grads",
         "_adapter_columns",
         "_PackedAdam.step",
+        "_PackedAdam.record",
         "_PolarLanding.step",
-        "_PolarLanding.record",
+        "_Lora.step",
     ),
 }
 

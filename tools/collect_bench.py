@@ -16,7 +16,9 @@ fingerprint of the runs, both commits and the tier-1 wall time given,
 ``src_lines`` and ``tests_lines``, the summed line counts of
 ``src/polarlab/*.py`` and of ``tests/*.py`` at each commit as this
 repository's git reads them, ``exports``, the size of ``polarlab.__all__``
-at each commit read with ast from its ``src/polarlab/__init__.py`` (each
+at each commit read with ast from its ``src/polarlab/__init__.py``,
+``options``, the fields of the config classes of ``src/polarlab/config.py``
+plus the keys the CLI schemas add beyond them, also read with ast (each
 null where it cannot be read), and the OpenBLAS core and build
 configuration that numpy's bundled OpenBLAS reports in the collecting
 process ("unknown" when it cannot be read). Run
@@ -76,15 +78,22 @@ def py_lines(commit: str, directory: str, repo: Path = ROOT) -> int | None:
         return None
 
 
+def _module_body(commit: str, path: str, repo: Path) -> list | None:
+    """The top-level statements of the python file ``path`` at ``commit``, None when git or ast cannot read it."""
+    try:
+        source = subprocess.run(["git", "-C", str(repo), "show", f"{commit}:{path}"],
+                                capture_output=True, check=True).stdout
+        return ast.parse(source).body
+    except (OSError, subprocess.CalledProcessError, SyntaxError, ValueError):
+        return None
+
+
 def exports(commit: str, repo: Path = ROOT) -> int | None:
     """The size of ``polarlab.__all__`` at ``commit``, None when git or ast cannot read it there. The
     ``__all__`` of ``src/polarlab/__init__.py`` may be built from its module-level literals with
     ``sorted``, ``list`` or ``tuple`` of one of them and ``+``."""
-    try:
-        source = subprocess.run(["git", "-C", str(repo), "show", f"{commit}:src/polarlab/__init__.py"],
-                                capture_output=True, check=True).stdout
-        body = ast.parse(source).body
-    except (OSError, subprocess.CalledProcessError, SyntaxError, ValueError):
+    body = _module_body(commit, "src/polarlab/__init__.py", repo)
+    if body is None:
         return None
     bound = {}
 
@@ -106,6 +115,34 @@ def exports(commit: str, repo: Path = ROOT) -> int | None:
                 bound.pop(node.targets[0].id, None)
     names = bound.get("__all__")
     return len(names) if isinstance(names, (list, tuple)) else None
+
+
+def options(commit: str, repo: Path = ROOT) -> int | None:
+    """The number of settings at ``commit``: the fields of every class in ``src/polarlab/config.py``, plus
+    the keys each CLI schema (a module-level ``*_SCHEMA`` of ``src/polarlab/cli.py``) adds beyond them,
+    read with ast. A schema is a dict literal, all of whose keys are its own, or ``_schema(<dict literal>,
+    <config class>)``, whose own keys are the literal's that are not fields of the class. None when git or
+    ast cannot read them there, or a schema has another form."""
+    config, cli = (_module_body(commit, f"src/polarlab/{name}.py", repo) for name in ("config", "cli"))
+    if config is None or cli is None:
+        return None
+    fields = {node.name: {stmt.target.id for stmt in node.body
+                          if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)}
+              for node in config if isinstance(node, ast.ClassDef)}
+    count = sum(len(names) for names in fields.values())
+    for node in cli:
+        if not (isinstance(node, ast.Assign) and len(node.targets) == 1 and isinstance(node.targets[0], ast.Name)
+                and node.targets[0].id.endswith("_SCHEMA")):
+            continue
+        schema, inherited = node.value, set()
+        if (isinstance(schema, ast.Call) and isinstance(schema.func, ast.Name) and schema.func.id == "_schema"
+                and len(schema.args) == 2 and isinstance(schema.args[1], ast.Name)
+                and schema.args[1].id in fields):
+            schema, inherited = schema.args[0], fields[schema.args[1].id]
+        if not isinstance(schema, ast.Dict) or not all(isinstance(k, ast.Constant) for k in schema.keys):
+            return None
+        count += len({k.value for k in schema.keys} - inherited)
+    return count
 
 
 def load_runs(directory: Path) -> dict:
@@ -198,6 +235,7 @@ def main(argv=None) -> int:
         "src_lines": {side: py_lines(commit, "src/polarlab") for side, commit in commits.items()},
         "tests_lines": {side: py_lines(commit, "tests") for side, commit in commits.items()},
         "exports": {side: exports(commit) for side, commit in commits.items()},
+        "options": {side: options(commit) for side, commit in commits.items()},
         "fingerprint": machine([r for runs in (*parent.values(), *change.values()) for r in runs]),
         "blas_runtime": blas_runtime(numpy_libs()),
         "workloads": collect(parent, change, lower_is_better),
