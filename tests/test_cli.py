@@ -124,11 +124,12 @@ def test_theta_mode_is_not_a_setting(tmp_path, capsys, source):
     if source == "flag":
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--theta-mode", "full"])
-        rc, message = exc.value.code, "unrecognized arguments: --theta-mode full"
+        assert exc.value.code == EXIT_ERROR
+        message = "unrecognized arguments: --theta-mode full"
     else:
         (tmp_path / "run.cfg").write_text("theta_mode=full\n")
-        rc, message = main([*argv, "--config", str(tmp_path / "run.cfg")]), "unknown config key 'theta_mode' for finetune-toy"
-    assert rc == EXIT_ERROR
+        assert main([*argv, "--config", str(tmp_path / "run.cfg")]) == EXIT_ERROR
+        message = "unknown config key 'theta_mode' for finetune-toy"
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
 
