@@ -13,11 +13,13 @@ target or task keys plus the fields of ``polarlab.config.RGDConfig`` and
 name is its config key and, with dashes, its flag. Configuration is
 resolved in three layers: the schema's defaults, then a flat ``key=value``
 config file (``--config``), then explicit flags. Unknown config keys are an
-error. Output goes to ``--out``, by default ``runs/<subcommand>``, and the
-resolved configuration is echoed to ``<out>/config_resolved.txt`` so a run
-can be reproduced from its output directory alone. Checkpoints are written
-and read by ``polarlab.io.save_state`` and ``load_state``; the state
-classes define what a checkpoint holds.
+error. Output goes to ``--out``, by default ``runs/<subcommand>``. A command
+that finished (exit 0 or 2) echoes the resolved configuration to
+``<out>/config_resolved.txt``, so a run can be reproduced from its output
+directory alone; a command rejected before its run, or stopped by a
+divergence or a geometry fault, creates no file and no directory.
+Checkpoints are written and read by ``polarlab.io.save_state`` and
+``load_state``; the state classes define what a checkpoint holds.
 
 Exit codes: 0 the run converged (or the command has no convergence
 notion), 2 the iteration budget ran out first, 1 any error.
@@ -344,6 +346,7 @@ def _cmd_analyze(cfg: dict, out_dir: str) -> int:
     if cfg["top_k"] < 0:
         raise CliError(f"top_k must be >= 0, got {cfg['top_k']}")
     targets = _analyze_targets(cfg["path"])
+    os.makedirs(out_dir, exist_ok=True)
     reports = [_analyze_one(label, ckpt, trace, cfg, out_dir) for label, ckpt, trace in targets]
 
     ranked = [rep for rep in reports if "stable_rank" in rep]
@@ -387,8 +390,9 @@ def main(argv=None) -> int:
             os.environ[var] = str(args.threads)
     try:
         cfg = _resolve_config(args.command, args)
+        code = COMMANDS[args.command][1](cfg, args.out)
         _echo_config(args.out, cfg)
-        return COMMANDS[args.command][1](cfg, args.out)
+        return code
     except DivergenceError as exc:  # the configured step size is the first setting to revisit
         print(f"error: {exc}; eta = {cfg['eta']:g}", file=sys.stderr)
         return EXIT_ERROR

@@ -42,14 +42,11 @@ def _check_positive(name: str, value: float) -> None:
 class RGDConfig:
     """Settings of ``run_polar_rgd``, ``run_bm_gd`` and ``run_sym_rgd``.
 
-    ``gamma`` > 0 damps the Theta refresh of the two RGD runners, and above 1
-    over-relaxes it; bm-gd has no Theta and ignores it. A run stops at the
-    first loss at or below ``loss_threshold`` or after ``max_iters`` steps,
-    and records every ``record_every``-th iteration.
+    A run stops at the first loss at or below ``loss_threshold`` or after
+    ``max_iters`` steps, and records every ``record_every``-th iteration.
     """
 
     eta: float = 1e-3
-    gamma: float = 1.0
     seed: int = 0
     max_iters: int = 100_000
     loss_threshold: float = 1e-8
@@ -59,7 +56,6 @@ class RGDConfig:
         _check_budget(self.max_iters, self.record_every)
         _check_seed(self.seed)
         _check_positive("eta", self.eta)
-        _check_positive("gamma", self.gamma)
         check_loss_threshold(self.loss_threshold)
 
 

@@ -3,7 +3,7 @@
 Two methods on synthetic targets with controlled spectrum:
 
 * ``polar-rgd``: overparameterized X Theta Y^T with X, Y on Stiefel
-  manifolds, Theta refreshed by a gamma-damped closed-form update, X and Y
+  manifolds, Theta refreshed in closed form as X^T A Y, X and Y
   moved by Riemannian gradient descent with the polar retraction. On a
   symmetric PSD target, ``polar-rgd-sym`` is the same method with Y tied
   to X: X Theta X^T, with X retracted along the sum of both directions,
@@ -33,7 +33,7 @@ import numpy as np
 
 from .config import LandingConfig, RGDConfig
 from .runner import run
-# require_stiefel is not called here; the name stays because benchmark/layers.py traces polarlab.factorization.require_stiefel
+# require_stiefel and tangent_project are not called here; they stay because benchmark/layers.py traces both names here
 from .stiefel import (
     alignment,
     polar_retract,
@@ -268,28 +268,27 @@ class _PolarRGD:
     """Theta refresh, then retraction of X along E and of Y along F. ``tied`` steps a
     :class:`SymFactors` state as Y tied to X, on a symmetric A: one retraction of X along E + F."""
 
-    def __init__(self, target: FactorizationTarget, eta: float, gamma: float, tied: bool = False):
+    def __init__(self, target: FactorizationTarget, eta: float, tied: bool = False):
         if tied and not np.array_equal(target.A, target.A.T):  # the tied step reads A X for A^T X
             asym = float(np.abs(target.A - target.A.T).max())
             raise ValueError(f"Y tied to X needs an exactly symmetric A, got max |A - A^T| = {asym:.3e}")
-        self.target, self.eta, self.gamma, self.tied = target, eta, gamma, tied
+        self.target, self.eta, self.tied = target, eta, tied
         self.name = "polar-rgd-sym" if tied else "polar-rgd"
 
     def evaluate(self, f: PolarFactors | SymFactors):
-        """The refreshed-Theta state, its loss and the Riemannian gradients (E, F), or (E + F,) when tied."""
-        target, gamma, tied, X = self.target, self.gamma, self.tied, f.X
+        """The refreshed state, Theta = X^T A Y, its loss and the Riemannian gradients (E, F), or (E + F,) when tied."""
+        target, tied, X = self.target, self.tied, f.X
         Y = X if tied else f.Y
         AY = np.dot(target.A, Y)
         AtX = AY if tied else np.dot(target.A.T, X)
-        M = np.dot(X.T, AY)
-        Theta = M if gamma == 1.0 else (1.0 - gamma) * f.Theta + gamma * M
-        # 0.5||X Theta Y^T - A||^2 expanded under X^T X = Y^T Y = I
-        theta_m = float((Theta * M).sum())  # and ||Theta||^2 too at gamma = 1, where Theta is M
-        loss = 0.5 * (target.a2 - 2.0 * theta_m + (theta_m if gamma == 1.0 else float((Theta * Theta).sum())))
-        if gamma == 1.0 and tied:
-            # E + F = (XX^T - I) A X (Theta^T + Theta), formed as (X M - A X)(Theta^T + Theta) since X^T A X = M
-            E = np.dot(np.dot(X, M) - AY, Theta.T + Theta)
-        elif gamma == 1.0:
+        Theta = np.dot(X.T, AY)
+        # 0.5||X Theta Y^T - A||^2 expanded under X^T X = Y^T Y = I; a2 - theta_m would round differently
+        theta_m = float((Theta * Theta).sum())
+        loss = 0.5 * (target.a2 - 2.0 * theta_m + theta_m)
+        if tied:
+            # E + F = (XX^T - I) A X (Theta^T + Theta), formed as (X Theta - A X)(Theta^T + Theta) since X^T A X = Theta
+            E = np.dot(np.dot(X, Theta) - AY, Theta.T + Theta)
+        else:
             # projector forms (XX^T - I) A Y Theta^T and (YY^T - I) A^T X Theta
             T1 = np.dot(AY, Theta.T)
             E = np.dot(X, np.dot(X.T, T1))
@@ -297,13 +296,6 @@ class _PolarRGD:
             T2 = np.dot(AtX, Theta)
             F = np.dot(Y, np.dot(Y.T, T2))
             F -= T2
-        else:
-            # Euclidean gradients at fixed (damped) Theta, then tangent projection; tied, of gX + gY
-            gX = np.dot(X, np.dot(Theta, Theta.T)) - np.dot(AY, Theta.T)
-            gY = np.dot(Y, np.dot(Theta.T, Theta)) - np.dot(AtX, Theta)
-            E = tangent_project(X, gX + gY if tied else gX)
-            if not tied:
-                F = tangent_project(Y, gY)
         state = SymFactors(X=X, Theta=Theta) if tied else PolarFactors(X=X, Theta=Theta, Y=Y)
         return state, max(loss, 0.0), (E,) if tied else (E, F)
 
@@ -347,15 +339,14 @@ class _BMGD:
         return _alignment_columns(self.target, Q1, Q2, ev)
 
 
-def _run(method, f, cfg: RGDConfig | LandingConfig, gamma: float, loss_threshold: float | None = None, /, **extra):
+def _run(method, f, cfg: RGDConfig | LandingConfig, loss_threshold: float | None = None, /, **extra):
     """Run ``method`` from ``f`` under ``cfg`` -> (trace, final state); the one builder of run metadata
-    for all five runners. The trace's metadata records ``gamma`` as given, then the ``extra`` keys,
-    which may be named like a parameter of this function (the adapters pass ``method``)."""
+    for all five runners. The trace's metadata ends with the ``extra`` keys, which may be named
+    like a parameter of this function (the adapters pass ``method``)."""
     target = method.target
     metadata = {
         "seed": cfg.seed,
         "eta": cfg.eta,
-        "gamma": gamma,
         "m": target.m,
         "n": target.n,
         "r": f.r,
@@ -375,18 +366,17 @@ def run_polar_rgd(target: FactorizationTarget, r: int, cfg: RGDConfig) -> tuple[
     and ``max_iters`` otherwise.
     """
     f = init_polar_factors(target, r, np.random.default_rng(cfg.seed))
-    return _run(_PolarRGD(target, cfg.eta, cfg.gamma), f, cfg, cfg.gamma, cfg.loss_threshold)
+    return _run(_PolarRGD(target, cfg.eta), f, cfg, cfg.loss_threshold)
 
 
 def run_bm_gd(target: FactorizationTarget, r: int, cfg: RGDConfig) -> tuple[RunTrace, BMFactors]:
-    """Plain GD baseline on the two-factor parameterization; ``cfg.gamma`` is
-    unused and recorded as NaN."""
+    """Plain GD baseline on the two-factor parameterization."""
     f = init_bm_factors(target, r, np.random.default_rng(cfg.seed))
-    return _run(_BMGD(target, cfg.eta), f, cfg, float("nan"), cfg.loss_threshold)
+    return _run(_BMGD(target, cfg.eta), f, cfg, cfg.loss_threshold)
 
 
 def run_sym_rgd(target: FactorizationTarget, r: int, cfg: RGDConfig) -> tuple[RunTrace, SymFactors]:
     """polar-rgd with Y tied to X, on a target whose A equals A^T exactly; psi columns are NaN."""
-    method = _PolarRGD(target, cfg.eta, cfg.gamma, tied=True)  # rejects an asymmetric A before the draw
+    method = _PolarRGD(target, cfg.eta, tied=True)  # rejects an asymmetric A before the draw
     f = init_sym_factors(target, r, np.random.default_rng(cfg.seed))
-    return _run(method, f, cfg, cfg.gamma, cfg.loss_threshold)
+    return _run(method, f, cfg, cfg.loss_threshold)

@@ -302,16 +302,16 @@ def train_polar_landing(target: FactorizationTarget, r: int, cfg: LandingConfig)
 
     The trace adds per-iteration columns n_x = N(X), n_y = N(Y) and
     stable_rank of DeltaW; subspace alignment columns are undefined off
-    the manifold and recorded as NaN. Its metadata records gamma as NaN and
-    adds lam, scale_alpha and method.
+    the manifold and recorded as NaN. Its metadata adds lam, scale_alpha
+    and method.
     """
     state = init_adapter_state(target, r, np.random.default_rng(cfg.seed), cfg.alpha)
     method = _PolarLanding(target, cfg, state)
-    return _run(method, state, cfg, math.nan, None, lam=cfg.lam, scale_alpha=cfg.alpha, method=method.name)
+    return _run(method, state, cfg, None, lam=cfg.lam, scale_alpha=cfg.alpha, method=method.name)
 
 
 def train_lora(target: FactorizationTarget, r: int, cfg: LandingConfig) -> tuple[RunTrace, LoraState]:
     """Train the Euclidean two-factor baseline with Adam on the same target, as :func:`train_polar_landing` runs."""
     state = init_lora_state(target, r, np.random.default_rng(cfg.seed), cfg.alpha)
     method = _Lora(target, cfg, state)
-    return _run(method, state, cfg, math.nan, None, lam=cfg.lam, scale_alpha=cfg.alpha, method=method.name)
+    return _run(method, state, cfg, None, lam=cfg.lam, scale_alpha=cfg.alpha, method=method.name)

@@ -38,7 +38,7 @@ class RunTrace:
     """Recorded rows of one optimization run.
 
     ``algorithm`` names the method. ``metadata`` carries at least seed, eta,
-    gamma, m, n, r, r_A and kappa. ``columns`` is the table, column name ->
+    m, n, r, r_A and kappa. ``columns`` is the table, column name ->
     per-row values, in CSV order. ``wall_time`` is the run's wall clock in
     seconds, set by :func:`polarlab.runner.run`.
     """

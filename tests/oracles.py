@@ -55,21 +55,20 @@ from polarlab.stiefel import (
 )
 
 
-def theta_update(target: FactorizationTarget, f: PolarFactors, gamma: float) -> np.ndarray:
-    """Damped closed-form refresh Theta <- (1 - gamma) Theta + gamma X^T A Y."""
-    return (1.0 - gamma) * f.Theta + gamma * (f.X.T @ target.A @ f.Y)
+def theta_update(target: FactorizationTarget, f: PolarFactors) -> np.ndarray:
+    """Closed-form refresh Theta <- X^T A Y."""
+    return f.X.T @ target.A @ f.Y
 
 
-def theta_update_sym(target: FactorizationTarget, f: SymFactors, gamma: float) -> np.ndarray:
-    return (1.0 - gamma) * f.Theta + gamma * (f.X.T @ target.A @ f.X)
+def theta_update_sym(target: FactorizationTarget, f: SymFactors) -> np.ndarray:
+    return f.X.T @ target.A @ f.X
 
 
 def riemannian_grads_asym(target: FactorizationTarget, f: PolarFactors) -> tuple[np.ndarray, np.ndarray]:
     """Projector-form gradients E = -(I - XX^T) A Y Theta^T, F = -(I - YY^T) A^T X Theta.
 
     These equal the Euclidean loss gradients (and are exactly tangent)
-    when Theta has just been refreshed with gamma = 1; for damped Theta
-    use the Euclidean + tangent-projection path of ``_PolarRGD.evaluate``.
+    when Theta has just been refreshed to X^T A Y.
     """
     T1 = (target.A @ f.Y) @ f.Theta.T
     E = f.X @ (f.X.T @ T1) - T1
@@ -123,7 +122,7 @@ class AlignmentGainReport:
 
 
 def alignment_gain_predicate(target: FactorizationTarget, f: PolarFactors, eta: float) -> AlignmentGainReport:
-    """Sufficient condition under which one gamma = 1 RGD step cannot decrease
+    """Sufficient condition under which one RGD step cannot decrease
     the alignment traces Tr(Phi Phi^T), Tr(Psi Psi^T).
 
     With beta = sigma_1(I - Phi Phi^T) and delta = sigma_1(I - Psi Psi^T):
@@ -161,7 +160,7 @@ def loss_alignment_bound(target: FactorizationTarget, f: PolarFactors) -> tuple[
     """(loss, bound) where bound = 2 sigma_1^2 (rho_1 + rho_2) with
     rho_1 = Tr(I - Phi Phi^T), rho_2 = Tr(I - Psi Psi^T).
 
-    The bound dominates the full squared residual at a gamma = 1 state
+    The bound dominates the full squared residual at a refreshed state
     (Theta = X^T A Y), hence also the halved loss reported here.
     """
     phi = target.U.T @ f.X
@@ -332,32 +331,26 @@ def sample_stiefel_uniform_reference(m: int, r: int, rng: np.random.Generator, f
     raise RankDeficientError("Gaussian sample was rank deficient twice in a row")
 
 
-def polar_rgd_evaluate_reference(target: FactorizationTarget, f: PolarFactors | SymFactors, gamma: float):
-    """(Theta, expanded loss, grad norm^2, directions) of one polar-rgd evaluation.
+def polar_rgd_evaluate_reference(target: FactorizationTarget, f: PolarFactors | SymFactors):
+    """(Theta, expanded loss, grad norm^2, directions) of one polar-rgd evaluation, at Theta = X^T A Y.
 
     The directions are (E, F), or for a SymFactors state, Y tied to X, the
-    one direction (E + F,), from A X in place of A^T X; at gamma = 1 its
-    projector form (XX^T - I) A X (Theta^T + Theta) is formed with M = X^T A X.
+    one direction (E + F,), from A X in place of A^T X; its projector form
+    (XX^T - I) A X (Theta^T + Theta) is formed with X^T A X = Theta.
     """
     tied = isinstance(f, SymFactors)
     X = f.X
     Y = X if tied else f.Y
     AY = target.A @ Y
     AtX = AY if tied else target.A.T @ X
-    M = X.T @ AY
-    Theta = M if gamma == 1.0 else (1.0 - gamma) * f.Theta + gamma * M
-    loss = 0.5 * (target.a2 - 2.0 * float(np.sum(Theta * M)) + float(np.sum(Theta * Theta)))
-    if gamma == 1.0 and tied:
-        directions = ((X @ M - AY) @ (Theta.T + Theta),)
-    elif gamma == 1.0:
+    Theta = X.T @ AY
+    loss = 0.5 * (target.a2 - 2.0 * float(np.sum(Theta * Theta)) + float(np.sum(Theta * Theta)))
+    if tied:
+        directions = ((X @ Theta - AY) @ (Theta.T + Theta),)
+    else:
         T1 = AY @ Theta.T
         T2 = AtX @ Theta
         directions = (X @ (X.T @ T1) - T1, Y @ (Y.T @ T2) - T2)
-    else:
-        gX = X @ (Theta @ Theta.T) - AY @ Theta.T
-        gY = Y @ (Theta.T @ Theta) - AtX @ Theta
-        pairs = [(X, gX + gY)] if tied else [(X, gX), (Y, gY)]
-        directions = tuple(tangent_project_reference(Z, g) for Z, g in pairs)
     return Theta, max(loss, 0.0), sum(float(np.sum(D * D)) for D in directions), directions
 
 

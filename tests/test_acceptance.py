@@ -169,15 +169,15 @@ def test_a3_alignment_property_suite():
         target = pl.make_target(8, 6, r_a, kappa, rng, normalize=True)
         U_perp = oracles.orthogonal_complement(target.U)
         V_perp = oracles.orthogonal_complement(target.V)
-        f, method = fx.init_polar_factors(target, r, rng), fx._PolarRGD(target, eta, 1.0)
+        f, method = fx.init_polar_factors(target, r, rng), fx._PolarRGD(target, eta)
         for it in range(50):
             total += 1
             phi, psi = target.U.T @ f.X, target.V.T @ f.Y
             om_x, om_y = U_perp.T @ f.X, V_perp.T @ f.Y
 
             # 2*loss (the full squared residual) may never exceed the
-            # alignment bound at the gamma=1 theta
-            probe = PolarFactors(X=f.X, Theta=oracles.theta_update(target, f, 1.0), Y=f.Y)
+            # alignment bound at the refreshed theta
+            probe = PolarFactors(X=f.X, Theta=oracles.theta_update(target, f), Y=f.Y)
             loss, bound = oracles.loss_alignment_bound(target, probe)
             if 2.0 * loss > bound + 1e-12:
                 viol["bound"] += 1
@@ -250,11 +250,11 @@ def test_a4_gradient_oracle_suite():
         r = int(rng.integers(r_a + 1, 6))
         kappa = 1.0 if r_a == 1 else float(rng.choice([1.0, 3.0]))
 
-        # asym factor gradients at the gamma=1 theta, where the Riemannian
+        # asym factor gradients at the refreshed theta, where the Riemannian
         # and Euclidean gradients coincide
         t = pl.make_target(m, n, r_a, kappa, rng)
         f = fx.init_polar_factors(t, r, rng)
-        f = PolarFactors(X=f.X, Theta=oracles.theta_update(t, f, 1.0), Y=f.Y)
+        f = PolarFactors(X=f.X, Theta=oracles.theta_update(t, f), Y=f.Y)
         E, F = oracles.riemannian_grads_asym(t, f)
         track("E", _rel_err(E, _fd_grad(lambda W: fx.factor_loss(t, PolarFactors(X=W, Theta=f.Theta, Y=f.Y)), f.X)))
         track("F", _rel_err(F, _fd_grad(lambda W: fx.factor_loss(t, PolarFactors(X=f.X, Theta=f.Theta, Y=W)), f.Y)))
@@ -277,7 +277,7 @@ def test_a4_gradient_oracle_suite():
 
         # the tied direction E + F of polar-rgd-sym, the Euclidean gradient at the refreshed theta
         ts = pl.make_sym_target(m, r_a, kappa, rng)
-        fs, _, (D,) = fx._PolarRGD(ts, 1e-3, 1.0, tied=True).evaluate(fx.init_sym_factors(ts, r, rng))
+        fs, _, (D,) = fx._PolarRGD(ts, 1e-3, tied=True).evaluate(fx.init_sym_factors(ts, r, rng))
         track("G", _rel_err(D, _fd_grad(lambda W: fx.factor_loss(ts, SymFactors(X=W, Theta=fs.Theta)), fs.X)))
 
         # landing penalty gradient at a generic off-manifold point

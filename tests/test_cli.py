@@ -118,18 +118,23 @@ def test_unknown_grad_mode_exits_one(tmp_path, capsys, method):
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])
-def test_theta_mode_is_not_a_setting(tmp_path, capsys, source):
-    # Theta is always the full r x r matrix: the flag is unknown to the parser, the key to the schema
-    argv = ["finetune-toy", *FAST_FINETUNE, "--out", str(tmp_path / "r")]
+@pytest.mark.parametrize("command, key, value", [(["finetune-toy", *FAST_FINETUNE], "theta_mode", "full"),
+                                                 (["factorize", *FAST_FACTORIZE], "gamma", "0.5")],
+                         ids=["theta_mode", "gamma"])
+def test_theta_mode_is_not_a_setting(tmp_path, capsys, command, key, value, source):
+    # Theta is always the full r x r matrix X^T A Y, refreshed undamped: the flag is unknown
+    # to the parser, the key to the schema
+    argv = [*command, "--out", str(tmp_path / "r")]
+    flag = f"--{key.replace('_', '-')}"
     if source == "flag":
         with pytest.raises(SystemExit) as exc:
-            main([*argv, "--theta-mode", "full"])
+            main([*argv, flag, value])
         assert exc.value.code == EXIT_ERROR
-        message = "unrecognized arguments: --theta-mode full"
+        message = f"unrecognized arguments: {flag} {value}"
     else:
-        (tmp_path / "run.cfg").write_text("theta_mode=full\n")
+        (tmp_path / "run.cfg").write_text(f"{key}={value}\n")
         assert main([*argv, "--config", str(tmp_path / "run.cfg")]) == EXIT_ERROR
-        message = "unknown config key 'theta_mode' for finetune-toy"
+        message = f"unknown config key {key!r} for {command[0]}"
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
 
@@ -138,6 +143,7 @@ def test_sym_target_needs_n_equal_to_m(tmp_path, capsys):
     argv = ["factorize", "--algo", "polar-rgd-sym", *FAST_FACTORIZE, "--n", "10", "--target-seed", "-1"]
     assert main([*argv, "--out", str(tmp_path / "r")]) == EXIT_ERROR
     assert capsys.readouterr().err.splitlines() == ["error: polar-rgd-sym fits an m x m target, got m = 12 and n = 10"]
+    assert not (tmp_path / "r").exists()
 
 
 @pytest.mark.parametrize("command", [["factorize", *FAST_FACTORIZE], ["finetune-toy", *FAST_FINETUNE]])
@@ -156,13 +162,12 @@ def test_bad_budget_or_cadence_exits_one_with_one_line(tmp_path, capsys, command
     assert rc == EXIT_ERROR
     assert captured.err.splitlines() == [f"error: {message}"]
     assert captured.out == ""
+    assert not (tmp_path / "r").exists()
 
 
 @pytest.mark.parametrize(
     "command, flag, value, message",
     [
-        (["factorize", *FAST_FACTORIZE], "--gamma", "0", "gamma must be finite and positive, got gamma = 0.0"),
-        (["factorize", *FAST_FACTORIZE], "--gamma", "nan", "gamma must be finite and positive, got gamma = nan"),
         (["finetune-toy", *FAST_FINETUNE], "--lam", "inf", "lam must be finite and positive, got lam = inf"),
         (["finetune-toy", *FAST_FINETUNE], "--alpha", "inf", "alpha must be finite and positive, got alpha = inf"),
         (["finetune-toy", *FAST_FINETUNE], "--alpha", "0", "alpha must be finite and positive, got alpha = 0.0"),
@@ -175,7 +180,7 @@ def test_bad_budget_or_cadence_exits_one_with_one_line(tmp_path, capsys, command
         (["finetune-toy", *FAST_FINETUNE], "--seed", "-1", "seed must be >= 0, got -1"),
         (["finetune-toy", *FAST_FINETUNE], "--target-seed", "-1", "target_seed must be >= 0, got -1"),
     ],
-    ids=["factorize-gamma-0", "factorize-gamma-nan", "finetune-toy-lam-inf", "finetune-toy-alpha-inf", "finetune-toy-alpha-0",
+    ids=["finetune-toy-lam-inf", "finetune-toy-alpha-inf", "finetune-toy-alpha-0",
          "finetune-toy-polar-r-0", "finetune-toy-polar-r-above-n", "finetune-toy-lora-r-0", "finetune-toy-lora-r-negative",
          "factorize-seed-negative", "factorize-target-seed-negative", "finetune-toy-seed-negative",
          "finetune-toy-target-seed-negative"],
@@ -189,6 +194,7 @@ def test_bad_step_setting_exits_one_with_one_line(tmp_path, capsys, command, fla
     assert rc == EXIT_ERROR
     assert captured.err.splitlines() == [f"error: {message}"]
     assert captured.out == ""
+    assert not (tmp_path / "r").exists()
 
 
 def test_bm_gd_divergence_names_the_last_loss_and_eta(tmp_path, capsys):
@@ -198,6 +204,7 @@ def test_bm_gd_divergence_names_the_last_loss_and_eta(tmp_path, capsys):
         "error: bm-gd diverged at iteration 1: loss = 3.321e+13; last loss within the limit = 7.852e+03 at iteration 0;"
         " eta = 50"
     ]
+    assert not (tmp_path / "r").exists()
 
 
 @pytest.mark.parametrize("eta", ["nan", "0"])
@@ -240,17 +247,34 @@ def test_finetune_divergence_exits_one_with_one_line(tmp_path, capsys):
     assert int(match[2]) == int(match[1]) - 1
 
 
+# runs the CLI on sys.argv[1:] with X added to the first retraction's direction: X is normal to the
+# tangent space at X, as X^T X + X^T X = 2 I
+_NON_TANGENT_CLI = """
+import sys
+import polarlab.cli
+import polarlab.factorization as fx
+
+retract, calls = fx.polar_retract, []
+
+def skewed(X, D, eta):
+    calls.append(eta)
+    return retract(X, D + X if len(calls) == 1 else D, eta)
+
+fx.polar_retract = skewed
+sys.exit(polarlab.cli.main(sys.argv[1:]))
+"""
+
+
 @pytest.mark.parametrize("flags", [[], ["-O"]])
 def test_non_tangent_step_exits_one_with_one_line(tmp_path, flags):
-    # gamma = 2.5 over-relaxes Theta until rounding leaves the projected
-    # direction off the tangent space; the retraction's check must report it
-    # as an error line, with or without python -O, and print no traceback
+    # the retraction's own check must report a non-tangent direction as an error line,
+    # with or without python -O, and print no traceback
     import polarlab
 
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(polarlab.__file__)))
-    argv = ["factorize", "--gamma", "2.5", "--kappa", "1", "--r-a", "1", "--out", str(tmp_path / "r")]
+    argv = ["factorize", "--max-iters", "10", "--out", str(tmp_path / "r")]
     proc = subprocess.run(
-        [sys.executable, *flags, "-m", "polarlab.cli", *argv], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, *flags, "-c", _NON_TANGENT_CLI, *argv], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == EXIT_ERROR
     lines = proc.stderr.splitlines()
@@ -386,7 +410,6 @@ PINNED_FACTORIZE_SCHEMA = {
     "r_a": (int, 4),
     "kappa": (float, 10.0),
     "eta": (float, 1e-3),
-    "gamma": (float, 1.0),
     "seed": (int, 0),
     "target_seed": (int, 1234),
     "max_iters": (int, 100_000),
@@ -745,4 +768,5 @@ def test_analyze_files_hold_the_trace_columns_and_the_report_values(tmp_path):
 def test_analyze_missing_path_exits_one(tmp_path, capsys):
     rc = main(["analyze", "--path", str(tmp_path / "nothing-here"), "--out", str(tmp_path / "r")])
     assert rc == EXIT_ERROR
-    capsys.readouterr()
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    assert not (tmp_path / "r").exists()

@@ -54,7 +54,7 @@ def _target(seed, m=6, n=5, r_a=2, kappa=2.0, normalize=False):
 
 
 def _refreshed(target, f):
-    return PolarFactors(X=f.X, Theta=theta_update(target, f, 1.0), Y=f.Y)
+    return PolarFactors(X=f.X, Theta=theta_update(target, f), Y=f.Y)
 
 
 def _fd_grad(fun, W, h=1e-6):
@@ -226,22 +226,7 @@ def test_loss_bm_and_sym_match_brute_force():
 def test_theta_update_gamma_one_is_projection():
     t = _target(0)
     f = init_polar_factors(t, 3, np.random.default_rng(3))
-    assert np.allclose(theta_update(t, f, 1.0), f.X.T @ t.A @ f.Y, atol=1e-15)
-
-
-def test_theta_update_damped_from_zero():
-    t = _target(0)
-    f = init_polar_factors(t, 3, np.random.default_rng(3))
-    assert np.allclose(theta_update(t, f, 0.5), 0.5 * (f.X.T @ t.A @ f.Y), atol=1e-15)
-
-
-def test_theta_update_damped_mixes_previous():
-    t = _target(0)
-    prev = np.random.default_rng(7).standard_normal((3, 3))
-    f = init_polar_factors(t, 3, np.random.default_rng(3))
-    f = PolarFactors(X=f.X, Theta=prev, Y=f.Y)
-    got = theta_update(t, f, 0.25)
-    assert np.allclose(got, 0.75 * prev + 0.25 * (f.X.T @ t.A @ f.Y), atol=1e-14)
+    assert np.allclose(theta_update(t, f), f.X.T @ t.A @ f.Y, atol=1e-15)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -251,14 +236,14 @@ def test_theta_gamma_one_solves_least_squares(seed):
     f = init_polar_factors(t, 3, np.random.default_rng(seed + 20))
     K = np.kron(f.Y, f.X)
     vec_opt = np.linalg.lstsq(K, t.A.flatten(order="F"), rcond=None)[0]
-    assert np.allclose(theta_update(t, f, 1.0), vec_opt.reshape((3, 3), order="F"), atol=1e-10)
+    assert np.allclose(theta_update(t, f), vec_opt.reshape((3, 3), order="F"), atol=1e-10)
 
 
 def test_theta_aligned_recovers_spectrum():
     t = _target(4, m=6, n=6, r_a=2)
     X = np.hstack([t.U, orthogonal_complement(t.U)[:, :1]])
     Y = np.hstack([t.V, orthogonal_complement(t.V)[:, :1]])
-    Theta = theta_update(t, PolarFactors(X=X, Theta=np.zeros((3, 3)), Y=Y), 1.0)
+    Theta = theta_update(t, PolarFactors(X=X, Theta=np.zeros((3, 3)), Y=Y))
     expect = np.zeros((3, 3))
     expect[:2, :2] = np.diag(t.sigma)
     assert np.allclose(Theta, expect, atol=1e-12)
@@ -267,7 +252,7 @@ def test_theta_aligned_recovers_spectrum():
 def test_theta_update_sym():
     t = make_sym_target(6, 2, 3.0, np.random.default_rng(0))
     f = init_sym_factors(t, 3, np.random.default_rng(1))
-    assert np.allclose(theta_update_sym(t, f, 1.0), f.X.T @ t.A @ f.X, atol=1e-15)
+    assert np.allclose(theta_update_sym(t, f), f.X.T @ t.A @ f.X, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +334,7 @@ def test_bm_grads_match_fd(seed):
 def test_sym_grads_match_fd_and_riemannian_relation(seed):
     t = make_sym_target(7, 2, 3.0, np.random.default_rng(seed))
     f = init_sym_factors(t, 3, np.random.default_rng(seed + 60))
-    f = SymFactors(X=f.X, Theta=theta_update_sym(t, f, 1.0))
+    f = SymFactors(X=f.X, Theta=theta_update_sym(t, f))
     g = euclid_grad_sym(t, f)
     fd = _fd_grad(lambda W: factor_loss(t, SymFactors(X=W, Theta=f.Theta)), f.X)
     assert _rel_err(g, fd) <= 1e-5
@@ -360,15 +345,14 @@ def test_sym_grads_match_fd_and_riemannian_relation(seed):
     assert np.linalg.norm(f.X.T @ g + g.T @ f.X) <= 1e-8
 
 
-@pytest.mark.parametrize("gamma", [1.0, 0.5])
 @pytest.mark.parametrize("tied", [False, True], ids=["polar-rgd", "polar-rgd-sym"])
-def test_rgd_direction_is_the_riemannian_gradient_of_its_loss(tied, gamma):
+def test_rgd_direction_is_the_riemannian_gradient_of_its_loss(tied):
     # for the Riemannian gradient D of the loss in one factor, the derivative of the loss along D is <D, D>
     rng = np.random.default_rng(0)
     t = make_sym_target(50, 4, 10.0, rng) if tied else make_target(50, 50, 4, 10.0, rng)
     f = (init_sym_factors if tied else init_polar_factors)(t, 20, np.random.default_rng(1))
-    method = fx._PolarRGD(t, 1e-3, gamma, tied=tied)
-    for it in range(3):  # off Theta = 0, so that the damped refresh reads a nonzero Theta
+    method = fx._PolarRGD(t, 1e-3, tied=tied)
+    for it in range(3):  # a few steps into the run, off the initial state
         f = advance(method, f, it)[0]
     state, _, ev = method.evaluate(f)
     h = 1e-6
@@ -386,26 +370,24 @@ def test_step_noop_at_zero_gradient():
     t = _target(1, m=6, n=6, r_a=2)
     X = np.hstack([t.U, orthogonal_complement(t.U)[:, :1]])
     Y = np.hstack([t.V, orthogonal_complement(t.V)[:, :1]])
-    f = advance(fx._PolarRGD(t, 1e-3, 1.0), PolarFactors(X=X, Theta=np.zeros((3, 3)), Y=Y), 0)[0]
+    f = advance(fx._PolarRGD(t, 1e-3), PolarFactors(X=X, Theta=np.zeros((3, 3)), Y=Y), 0)[0]
     assert np.allclose(f.X, X, atol=1e-12)
     assert np.allclose(f.Y, Y, atol=1e-12)
     assert factor_loss(t, f) <= 1e-18
 
 
-@pytest.mark.parametrize("gamma", [1.0, 0.5])
-def test_step_decreases_loss_and_stays_feasible(gamma):
+def test_step_decreases_loss_and_stays_feasible():
     t = _target(6, m=6, n=6, r_a=2)
-    f = init_polar_factors(t, 3, np.random.default_rng(9))
-    f = PolarFactors(X=f.X, Theta=theta_update(t, f, gamma), Y=f.Y)
+    f = _refreshed(t, init_polar_factors(t, 3, np.random.default_rng(9)))
     before = factor_loss(t, f)
-    f2 = advance(fx._PolarRGD(t, 1e-3, gamma), f, 0)[0]
+    f2 = advance(fx._PolarRGD(t, 1e-3), f, 0)[0]
     assert stiefel_error(f2.X) <= 1e-9
     assert stiefel_error(f2.Y) <= 1e-9
     assert factor_loss(t, PolarFactors(X=f2.X, Theta=f.Theta, Y=f2.Y)) <= before
 
 
 def test_gamma_paths_coincide_at_one():
-    # the projector-form fast path and the generic projected path must agree
+    # the shipped projector forms are the tangent projections of the Euclidean gradients
     t = _target(7)
     f = _refreshed(t, init_polar_factors(t, 3, np.random.default_rng(13)))
     E, F = riemannian_grads_asym(t, f)
@@ -435,14 +417,13 @@ def test_bm_step_noop_at_solution():
     assert np.allclose(f.Z2[:, :2], Z2, atol=1e-14)
 
 
-@pytest.mark.parametrize("gamma", [1.0, 0.5])
-def test_tied_step_is_the_untied_step_at_twice_eta(gamma):
+def test_tied_step_is_the_untied_step_at_twice_eta():
     # the symmetric target is a FactorizationTarget with V = U. From Y = X and Theta = 0 the refreshed
     # Theta is symmetric up to rounding, so E = F and the tied direction E + F is 2 E
     ts = make_sym_target(8, 2, 3.0, np.random.default_rng(3))
     X0 = init_sym_factors(ts, 3, np.random.default_rng(4)).X
-    fs = advance(fx._PolarRGD(ts, 1e-2, gamma, tied=True), SymFactors(X=X0, Theta=np.zeros((3, 3))), 0)[0]
-    fa = advance(fx._PolarRGD(ts, 2e-2, gamma), PolarFactors(X=X0, Theta=np.zeros((3, 3)), Y=X0.copy()), 0)[0]
+    fs = advance(fx._PolarRGD(ts, 1e-2, tied=True), SymFactors(X=X0, Theta=np.zeros((3, 3))), 0)[0]
+    fa = advance(fx._PolarRGD(ts, 2e-2), PolarFactors(X=X0, Theta=np.zeros((3, 3)), Y=X0.copy()), 0)[0]
     assert np.abs(fs.X - fa.X).max() <= 1e-12 and np.abs(fs.X - fa.Y).max() <= 1e-12
     assert np.abs(fs.Theta - fa.Theta).max() <= 1e-12
 
@@ -481,7 +462,7 @@ def test_predicate_implies_alignment_trace_gain(seed):
     rng = np.random.default_rng(seed)
     t = make_target(8, 6, 2, 2.0, rng, normalize=True)
     f = init_polar_factors(t, 4, rng)
-    eta, method = 0.1, fx._PolarRGD(t, 0.1, 1.0)
+    eta, method = 0.1, fx._PolarRGD(t, 0.1)
     for it in range(20):
         rep = alignment_gain_predicate(t, f, eta)
         tr_phi = np.sum((t.U.T @ f.X) ** 2)
@@ -497,7 +478,7 @@ def test_predicate_implies_alignment_trace_gain(seed):
 def test_loss_alignment_bound_holds_on_trajectory(seed):
     rng = np.random.default_rng(seed)
     t = make_target(8, 6, 2, 3.0, rng, normalize=True)
-    f, method = init_polar_factors(t, 3, rng), fx._PolarRGD(t, 0.1, 1.0)
+    f, method = init_polar_factors(t, 3, rng), fx._PolarRGD(t, 0.1)
     for it in range(15):
         probe = _refreshed(t, f)
         loss, bound = loss_alignment_bound(t, probe)
@@ -621,24 +602,23 @@ def _count_retractions(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("gamma", [1.0, 0.5])
-def test_runners_retract_only_steps_they_take(monkeypatch, gamma):
+def test_runners_retract_only_steps_they_take(monkeypatch):
     # a budget of N steps retracts each factor N times: the final evaluation
     # and the iteration that hits the threshold take no step
     t = make_target(10, 8, 2, 2.0, np.random.default_rng(2))
     ts = make_sym_target(10, 2, 2.0, np.random.default_rng(4))
     calls = _count_retractions(monkeypatch)
-    run_polar_rgd(t, 4, RGDConfig(eta=0.05, seed=3, gamma=gamma, max_iters=37, loss_threshold=0.0, record_every=10))
+    run_polar_rgd(t, 4, RGDConfig(eta=0.05, seed=3, max_iters=37, loss_threshold=0.0, record_every=10))
     assert len(calls) == 2 * 37
     calls.clear()
-    tr, _ = run_polar_rgd(t, 4, RGDConfig(eta=0.05, seed=3, gamma=gamma, max_iters=50000, loss_threshold=1e-6))
+    tr, _ = run_polar_rgd(t, 4, RGDConfig(eta=0.05, seed=3, max_iters=50000, loss_threshold=1e-6))
     assert tr.metadata["converged"] is True
     assert len(calls) == 2 * tr.metadata["iterations"]
     calls.clear()
-    run_sym_rgd(ts, 4, RGDConfig(eta=0.05, seed=5, gamma=gamma, max_iters=37, loss_threshold=0.0, record_every=10))
+    run_sym_rgd(ts, 4, RGDConfig(eta=0.05, seed=5, max_iters=37, loss_threshold=0.0, record_every=10))
     assert len(calls) == 37
     calls.clear()
-    tr, _ = run_sym_rgd(ts, 4, RGDConfig(eta=0.05, seed=5, gamma=gamma, max_iters=50000, loss_threshold=1e-6))
+    tr, _ = run_sym_rgd(ts, 4, RGDConfig(eta=0.05, seed=5, max_iters=50000, loss_threshold=1e-6))
     assert tr.metadata["converged"] is True
     assert len(calls) == tr.metadata["iterations"]
 

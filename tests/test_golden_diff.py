@@ -60,3 +60,20 @@ def test_token_count_change_or_missing_file_exits_nonzero(tmp_path):
     code, out = _diff(old, missing)
     assert code == 1
     assert out.splitlines()[-1] == "only in OLD (1): run/lora.json"
+
+
+def test_json_is_compared_key_by_key(tmp_path):
+    # a sidecar that loses a key reports the key, not only a token count
+    old = _corpus(tmp_path / "old", sidecar='{\n  "final_loss": 0.5,\n  "gamma": NaN,\n  "method": "lora"\n}\n')
+    new = _corpus(tmp_path / "new", sidecar='{\n  "final_loss": 0.25,\n  "method": "lora",\n  "shape": [2, 2]\n}\n')
+    code, out = _diff(old, new)
+    assert code == 1
+    assert out.splitlines()[:4] == [
+        "run/lora.json",
+        "  only in OLD: gamma",
+        "  only in NEW: shape",
+        "  final_loss: 1 changed, largest relative change 0.5",
+    ]
+    code, out = _diff(old, _corpus(tmp_path / "layout", sidecar=SIDECAR.replace("0.5", "0.5, \"gamma\": NaN")))
+    assert code == 0
+    assert out.splitlines()[:2] == ["run/lora.json", "  every value is equal; only the layout differs"]

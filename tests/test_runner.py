@@ -130,7 +130,7 @@ def test_every_runner_rejects_a_negative_budget_and_a_zero_cadence(name, max_ite
 
 # name -> (kind of the returned state, the trace's metadata keys in order): the keys every run
 # records, then the adapters' own, then those run adds; the RGD runners also pass a loss threshold
-_RUN_KEYS = ("seed", "eta", "gamma", "m", "n", "r", "r_A", "kappa")
+_RUN_KEYS = ("seed", "eta", "m", "n", "r", "r_A", "kappa")
 _FACTOR_KEYS = (*_RUN_KEYS, "max_iters", "record_every", "final_loss", "loss_threshold", "converged", "iterations")
 _ADAPTER_KEYS = (*_RUN_KEYS, "lam", "scale_alpha", "method", "max_iters", "record_every", "final_loss")
 INTERFACE = {
@@ -149,9 +149,9 @@ def test_every_runner_returns_its_trace_then_its_state(name):
     assert isinstance(trace, RunTrace) and trace.algorithm == name
     assert state.kind == kind
     assert tuple(trace.metadata) == keys
-    assert trace.metadata["r"] == state.r == 4
+    assert trace.metadata["r"] == state.r == 4 and "gamma" not in trace.metadata
     if keys == _ADAPTER_KEYS:
-        assert math.isnan(trace.metadata["gamma"]) and trace.metadata["method"] == name
+        assert trace.metadata["method"] == name
 
 
 # (eta, kappa): the RGD losses are bounded on the manifold, so their targets are scaled past the limit
@@ -214,10 +214,10 @@ def _method_and_state(name):
         target = _target()
         if name == "bm-gd":
             return fx._BMGD(target, 1e-2), fx.init_bm_factors(target, 4, rng)
-        return fx._PolarRGD(target, 1e-2, 1.0), fx.init_polar_factors(target, 4, rng)
+        return fx._PolarRGD(target, 1e-2), fx.init_polar_factors(target, 4, rng)
     if name == "polar-rgd-sym":
         target = _sym_target()
-        return fx._PolarRGD(target, 1e-2, 1.0, tied=True), fx.init_sym_factors(target, 4, rng)
+        return fx._PolarRGD(target, 1e-2, tied=True), fx.init_sym_factors(target, 4, rng)
     task, cfg = _task(), LandingConfig(eta=1e-2, max_iters=10)
     init, make = {"landing-polar": (ld.init_adapter_state, ld._PolarLanding), "lora": (ld.init_lora_state, ld._Lora)}[name]
     state = init(task, 4, rng)

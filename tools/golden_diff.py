@@ -7,8 +7,10 @@ OLD and NEW are directories laid out like ``tests/golden/``. For each file
 that is in both and differs, the report gives the number of changed
 entries and the largest relative change |a - b| / max(|a|, |b|) of each
 trace column (a CSV with a header of column names) and of each checkpoint
-matrix (a matrix CSV, whose first line is ``rows,cols``). Any other file,
-such as a JSON sidecar, is compared as one list of tokens. NaN against NaN
+matrix (a matrix CSV, whose first line is ``rows,cols``). A JSON file,
+such as a sidecar, is compared key by key, nested keys joined by ".": the
+keys in one file only, then the largest relative change of each shared
+key. Any other file is compared as one list of tokens. NaN against NaN
 is no change; NaN against a number, or two different words, is an
 infinite change, and so is infinity against a finite number.
 ``tests/test_golden.py`` reads its files, tokens and tolerance through
@@ -16,12 +18,14 @@ infinite change, and so is infinity against a finite number.
 files that are in one directory only.
 
 Exit status: 1 when a differing file has a different number of tokens on
-the two sides, or a file is in one directory only; 2 on a usage error; 0
+the two sides, a JSON key is in one file only or has a different number of
+tokens, or a file is in one directory only; 2 on a usage error; 0
 otherwise.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import sys
 from pathlib import Path
@@ -53,6 +57,33 @@ def _labelled_tokens(path: Path) -> list:
             cells.extend(zip(header + ["(extra)"] * (len(toks) - len(header)), toks))
         return cells
     return [("tokens", tok) for tok in tokens(text)]
+
+
+def _json_keys(path: Path) -> dict:
+    """A JSON file's leaf values, key path -> tokens; the top level of a file that is not an object is "(value)"."""
+    def walk(value, key):
+        if isinstance(value, dict):
+            for name, item in value.items():
+                yield from walk(item, f"{key}.{name}" if key else name)
+        else:
+            yield key or "(value)", tokens(json.dumps(value))
+
+    return dict(walk(json.loads(path.read_text()), ""))
+
+
+def json_changes(a: dict, b: dict) -> tuple[list, bool]:
+    """(report lines, whether a key is on one side only or differs in its token count) of two ``_json_keys``."""
+    lines = [f"  only in {side}: {' '.join(sorted(keys))}"
+             for side, keys in (("OLD", a.keys() - b.keys()), ("NEW", b.keys() - a.keys())) if keys]
+    uneven = bool(lines)
+    for key in (key for key in a if key in b):
+        x, y = a[key], b[key]
+        if len(x) != len(y):
+            lines.append(f"  {key}: token counts differ: {len(x)} vs {len(y)}")
+            uneven = True
+        else:
+            lines.extend(changes([(key, tok) for tok in x], [(key, tok) for tok in y]))
+    return lines, uneven
 
 
 def relative_change(a: str, b: str) -> float:
@@ -92,6 +123,11 @@ def main(argv) -> int:
     for name in sorted(old_files & new_files):
         if (old / name).read_bytes() == (new / name).read_bytes():
             identical.append(name)
+            continue
+        if name.endswith(".json"):
+            lines, uneven = json_changes(_json_keys(old / name), _json_keys(new / name))
+            print(name, *(lines or ["  every value is equal; only the layout differs"]), sep="\n")
+            failed |= uneven
             continue
         a, b = _labelled_tokens(old / name), _labelled_tokens(new / name)
         if len(a) != len(b):
