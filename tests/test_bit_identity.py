@@ -137,15 +137,16 @@ def test_landing_step_kernel_matches_reference(shape):
 
 
 def _stepped(method, f, steps):
-    # a few steps into the run, off the initial state
+    # steps into the run; 0 keeps the initial state, whose Theta = 0 the evaluation must not read
     for it in range(steps):
         f = advance(method, f, it)[0]
     return f
 
 
-def test_polar_rgd_evaluate_matches_reference():
+@pytest.mark.parametrize("m, n", [(50, 50), (60, 40), (40, 60)])
+def test_polar_rgd_evaluate_matches_reference(m, n):
     rng = np.random.default_rng(11)
-    target = make_target(50, 50, 4, 10.0, rng)
+    target = make_target(m, n, 4, 10.0, rng)
     method = _PolarRGD(target, 1e-3)
     f = _stepped(method, init_polar_factors(target, 20, rng), 5)
     state, loss, ev = method.evaluate(f)
@@ -155,11 +156,12 @@ def test_polar_rgd_evaluate_matches_reference():
     assert len(ev) == 2 and all(np.array_equal(D, ref_D) for D, ref_D in zip(ev, ref_ev))
 
 
-def test_sym_rgd_evaluate_matches_reference():
+@pytest.mark.parametrize("steps", [0, 5])
+def test_sym_rgd_evaluate_matches_reference(steps):
     rng = np.random.default_rng(12)
     target = make_sym_target(50, 4, 10.0, rng)
     method = _PolarRGD(target, 1e-4, tied=True)
-    f = _stepped(method, init_sym_factors(target, 20, rng), 5)
+    f = _stepped(method, init_sym_factors(target, 20, rng), steps)
     state, loss, ev = method.evaluate(f)
     Theta, ref_loss, ref_grad_sq, ref_ev = polar_rgd_evaluate_reference(target, f)
     assert isinstance(state, SymFactors) and np.array_equal(state.Theta, Theta)

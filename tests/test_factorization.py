@@ -345,14 +345,16 @@ def test_sym_grads_match_fd_and_riemannian_relation(seed):
     assert np.linalg.norm(f.X.T @ g + g.T @ f.X) <= 1e-8
 
 
+@pytest.mark.parametrize("steps", [0, 3])
 @pytest.mark.parametrize("tied", [False, True], ids=["polar-rgd", "polar-rgd-sym"])
-def test_rgd_direction_is_the_riemannian_gradient_of_its_loss(tied):
-    # for the Riemannian gradient D of the loss in one factor, the derivative of the loss along D is <D, D>
+def test_rgd_direction_is_the_riemannian_gradient_of_its_loss(tied, steps):
+    # for the Riemannian gradient D of the loss in one factor, the derivative of the loss along D is <D, D>,
+    # at the initial state (Theta = 0 on input) and a few steps into the run
     rng = np.random.default_rng(0)
     t = make_sym_target(50, 4, 10.0, rng) if tied else make_target(50, 50, 4, 10.0, rng)
     f = (init_sym_factors if tied else init_polar_factors)(t, 20, np.random.default_rng(1))
     method = fx._PolarRGD(t, 1e-3, tied=tied)
-    for it in range(3):  # a few steps into the run, off the initial state
+    for it in range(steps):
         f = advance(method, f, it)[0]
     state, _, ev = method.evaluate(f)
     h = 1e-6
@@ -376,14 +378,27 @@ def test_step_noop_at_zero_gradient():
     assert factor_loss(t, f) <= 1e-18
 
 
-def test_step_decreases_loss_and_stays_feasible():
-    t = _target(6, m=6, n=6, r_a=2)
+@pytest.mark.parametrize("m, n", [(6, 6), (7, 5)])
+def test_step_decreases_loss_and_stays_feasible(m, n):
+    t = _target(6, m=m, n=n, r_a=2)
     f = _refreshed(t, init_polar_factors(t, 3, np.random.default_rng(9)))
     before = factor_loss(t, f)
     f2 = advance(fx._PolarRGD(t, 1e-3), f, 0)[0]
     assert stiefel_error(f2.X) <= 1e-9
     assert stiefel_error(f2.Y) <= 1e-9
     assert factor_loss(t, PolarFactors(X=f2.X, Theta=f.Theta, Y=f2.Y)) <= before
+
+
+@pytest.mark.parametrize("tied", [False, True], ids=["polar-rgd", "polar-rgd-sym"])
+def test_rgd_evaluate_ignores_the_incoming_theta(tied):
+    # the refresh is closed form, Theta = X^T A Y: the Theta a state carries in changes no output bit
+    t = make_sym_target(8, 2, 3.0, np.random.default_rng(5)) if tied else _target(5, m=8, n=6)
+    f = (init_sym_factors if tied else init_polar_factors)(t, 3, np.random.default_rng(6))
+    method = fx._PolarRGD(t, 1e-2, tied=tied)
+    state, loss, ev = method.evaluate(f)
+    state2, loss2, ev2 = method.evaluate(replace(f, Theta=np.random.default_rng(7).standard_normal((3, 3))))
+    assert np.array_equal(state2.Theta, state.Theta) and loss2 == loss
+    assert len(ev2) == len(ev) and all(np.array_equal(D2, D) for D2, D in zip(ev2, ev))
 
 
 def test_gamma_paths_coincide_at_one():
@@ -417,13 +432,14 @@ def test_bm_step_noop_at_solution():
     assert np.allclose(f.Z2[:, :2], Z2, atol=1e-14)
 
 
-def test_tied_step_is_the_untied_step_at_twice_eta():
+@pytest.mark.parametrize("r", [3, 5])
+def test_tied_step_is_the_untied_step_at_twice_eta(r):
     # the symmetric target is a FactorizationTarget with V = U. From Y = X and Theta = 0 the refreshed
     # Theta is symmetric up to rounding, so E = F and the tied direction E + F is 2 E
     ts = make_sym_target(8, 2, 3.0, np.random.default_rng(3))
-    X0 = init_sym_factors(ts, 3, np.random.default_rng(4)).X
-    fs = advance(fx._PolarRGD(ts, 1e-2, tied=True), SymFactors(X=X0, Theta=np.zeros((3, 3))), 0)[0]
-    fa = advance(fx._PolarRGD(ts, 2e-2), PolarFactors(X=X0, Theta=np.zeros((3, 3)), Y=X0.copy()), 0)[0]
+    X0 = init_sym_factors(ts, r, np.random.default_rng(4)).X
+    fs = advance(fx._PolarRGD(ts, 1e-2, tied=True), SymFactors(X=X0, Theta=np.zeros((r, r))), 0)[0]
+    fa = advance(fx._PolarRGD(ts, 2e-2), PolarFactors(X=X0, Theta=np.zeros((r, r)), Y=X0.copy()), 0)[0]
     assert np.abs(fs.X - fa.X).max() <= 1e-12 and np.abs(fs.X - fa.Y).max() <= 1e-12
     assert np.abs(fs.Theta - fa.Theta).max() <= 1e-12
 
