@@ -17,7 +17,8 @@ error. Output goes to ``--out``, by default ``runs/<subcommand>``. A command
 that finished (exit 0 or 2) echoes the resolved configuration to
 ``<out>/config_resolved.txt``, so a run can be reproduced from its output
 directory alone; a command rejected before its run, or stopped by a
-divergence or a geometry fault, creates no file and no directory.
+divergence or a geometry fault, creates no file and no directory, and so
+does an ``analyze`` that cannot read one of its runs.
 Checkpoints are written and read by ``polarlab.io.save_state`` and
 ``load_state``; the state classes define what a checkpoint holds.
 
@@ -295,13 +296,16 @@ def _analyze_targets(root: str) -> list:
     return targets
 
 
-def _analyze_one(label: str, ckpt: str | None, trace_csv: str | None, cfg: dict, out_dir: str) -> dict:
+def _analyze_one(label: str, ckpt: str | None, trace_csv: str | None, cfg: dict, out_dir: str) -> tuple:
+    """(report, writes) of one run: ``writes`` lists the (writer, path, data) of its files in ``out_dir``,
+    which nothing has written yet."""
     import numpy as np
 
     from . import io as pio
     from .stiefel import distance_to_stiefel, pairwise_direction_distances, stable_rank
 
     report: dict = {"label": label}
+    writes = []
     if ckpt is not None:
         state, _ = pio.load_state(ckpt)
         W = state.delta_w()
@@ -325,7 +329,7 @@ def _analyze_one(label: str, ckpt: str | None, trace_csv: str | None, cfg: dict,
                     "n_excluded_rows": len(spread.excluded_rows),
                 }
             )
-            pio.save_matrix_csv(os.path.join(out_dir, f"pairwise_distances_{label}.csv"), spread.distances)
+            writes.append((pio.save_matrix_csv, os.path.join(out_dir, f"pairwise_distances_{label}.csv"), spread.distances))
         else:
             report["zero_update"] = True
         for key, name in zip(("n_left", "n_right"), state.factors):
@@ -337,17 +341,21 @@ def _analyze_one(label: str, ckpt: str | None, trace_csv: str | None, cfg: dict,
         if "n_x" in columns and "n_y" in columns:
             # feasibility curve: squared distance to the Stiefel manifold per iterate
             feas_path = os.path.join(out_dir, f"feasibility_{label}.csv")
-            write_table(feas_path, {name: columns[name] for name in ("iter", "n_x", "n_y")})
+            writes.append((write_table, feas_path, {name: columns[name] for name in ("iter", "n_x", "n_y")}))
             report["feasibility_csv"] = feas_path
-    return report
+    return report, writes
 
 
 def _cmd_analyze(cfg: dict, out_dir: str) -> int:
     if cfg["top_k"] < 0:
         raise CliError(f"top_k must be >= 0, got {cfg['top_k']}")
     targets = _analyze_targets(cfg["path"])
+    # every run is read before anything is written, so a bad run leaves no partial --out
+    analyzed = [_analyze_one(label, ckpt, trace, cfg, out_dir) for label, ckpt, trace in targets]
     os.makedirs(out_dir, exist_ok=True)
-    reports = [_analyze_one(label, ckpt, trace, cfg, out_dir) for label, ckpt, trace in targets]
+    for write, path, data in (w for _, writes in analyzed for w in writes):
+        write(path, data)
+    reports = [report for report, _ in analyzed]
 
     ranked = [rep for rep in reports if "stable_rank" in rep]
     if ranked:

@@ -16,7 +16,9 @@ so neither holds the base weight. Their array fields (X, Theta, Y or Z1, Z2)
 are packed in field order into one vector that one elementwise Adam
 transform per step moves, bit for bit as one Adam per parameter would. The
 stepped state's arrays are views of that vector, so the next step reads
-them without repacking. A trace row's stable rank of DeltaW needs no SVD.
+them without repacking. A trace row reads the stable rank of DeltaW from an
+r x r core of the factors' Gram matrices, with no SVD; it forms DeltaW only
+where the Cholesky factor of the first Gram matrix fails.
 
 The loss is ||DeltaW - A||_F^2 on a
 :class:`~polarlab.factorization.FactorizationTarget`, as
@@ -45,7 +47,8 @@ import numpy as np
 
 from .config import LandingConfig
 from .factorization import BMFactors, FactorizationTarget, PolarFactors, _run
-# stable_rank is not called here; the name stays because benchmark/layers.py traces polarlab.landing.stable_rank
+# distance_to_stiefel and stable_rank are not called here; the names stay because benchmark/layers.py
+# traces polarlab.landing.distance_to_stiefel and polarlab.landing.stable_rank
 from .stiefel import distance_to_stiefel, sample_stiefel_uniform, stable_rank
 from .trace import RunTrace
 
@@ -180,7 +183,7 @@ def whitened_task_grads(target: FactorizationTarget, state: AdapterState) -> tup
     diff = np.dot(XT, state.Y.T)
     diff *= s
     diff -= target.A
-    loss = float((diff * diff).sum())
+    loss = float(np.vdot(diff, diff))
     diff *= 2.0  # the gradient in DeltaW; each product below is scaled by s in place
     grads = np.dot(diff, np.dot(state.Y, state.Theta.T)), np.dot(np.dot(state.X.T, diff), state.Y), np.dot(diff.T, XT)
     for G in grads:
@@ -194,7 +197,7 @@ def lora_grads(target: FactorizationTarget, state: LoraState) -> tuple[np.ndarra
     diff = np.dot(state.Z1, state.Z2.T)
     diff *= s
     diff -= target.A
-    loss = float((diff * diff).sum())
+    loss = float(np.vdot(diff, diff))
     diff *= 2.0
     G1, G2 = np.dot(diff, state.Z2), np.dot(diff.T, state.Z1)
     G1 *= s
@@ -207,16 +210,33 @@ def lora_grads(target: FactorizationTarget, state: LoraState) -> tuple[np.ndarra
 
 
 def _adapter_columns(state) -> dict:
-    """Trace columns of either adapter: N of its two ``factors`` and the stable rank of W = DeltaW as
-    trace(B) / lambda_max(B) = ||W||_F^2 / lambda_max(B), B the smaller of W^T W and W W^T: no SVD, equal
-    to rounding. NaN where ||W||_F^2 is 0 or not finite, as for LoRA's DeltaW = 0 at initialization."""
-    W = state.delta_w()
-    fro2 = float(np.vdot(W, W))  # checked before B is formed, so a W holding inf or nan warns nowhere
-    sr = math.nan
-    if math.isfinite(fro2) and fro2 > 0.0:
-        sr = fro2 / float(np.linalg.eigvalsh(np.dot(W.T, W) if W.shape[0] >= W.shape[1] else np.dot(W, W.T))[-1])
+    """Trace columns of either adapter: N of its two ``factors`` and the stable rank of W = DeltaW.
+
+    Each factor's Gram matrix is formed once, and N is read from it after I is subtracted in place,
+    with the bits of ``distance_to_stiefel``. W = s F1 C F2^T, with C = Theta for the polar adapter and
+    I for LoRA, shares its nonzero squared singular values, over s^2, with the r x r core
+    B = L^T (C G2 C^T) L, where G1 = F1^T F1 = L L^T and G2 = F2^T F2. So the stable rank is
+    trace(B) / lambda_max(B): no SVD and no min(m, n) Gram matrix, equal to rounding. Where Cholesky
+    fails on G1, as on a LoRA Z1 that has lost rank, B is the smaller of W^T W and W W^T instead.
+    NaN where trace(B) is 0 or not finite, as for DeltaW = 0 at initialization, checked before the
+    eigensolve; a state with an inf or nan entry reads NaN or inf with no numpy warning."""
     left, right = (getattr(state, name) for name in state.factors)
-    return {"n_x": distance_to_stiefel(left), "n_y": distance_to_stiefel(right), "stable_rank": sr}
+    with np.errstate(invalid="ignore", over="ignore"):  # inf * 0 in the products of a non-finite state
+        grams = np.dot(left.T, left), np.dot(right.T, right)
+        try:
+            core = np.linalg.cholesky(grams[0])
+        except np.linalg.LinAlgError:
+            W = state.delta_w()
+            B = np.dot(W.T, W) if W.shape[0] >= W.shape[1] else np.dot(W, W.T)
+            trace = float(np.vdot(W, W))
+        else:
+            inner = grams[1] if isinstance(state, LoraState) else np.dot(np.dot(state.Theta, grams[1]), state.Theta.T)
+            B = np.dot(np.dot(core.T, inner), core)
+            trace = float(B.trace())
+    sr = trace / float(np.linalg.eigvalsh(B)[-1]) if math.isfinite(trace) and trace > 0.0 else math.nan
+    for gap in grams:
+        gap.ravel()[:: gap.shape[0] + 1] -= 1.0
+    return {"n_x": float((grams[0] * grams[0]).sum()), "n_y": float((grams[1] * grams[1]).sum()), "stable_rank": sr}
 
 
 class _PackedAdam:
@@ -254,7 +274,7 @@ class _PackedAdam:
         # the norm of the directions a step handed to Adam, summed in the order of ev["taken"],
         # which the subclass's step sets; the state after the last step takes none
         taken = ev.get("taken")
-        grad_norm = math.nan if taken is None else float(np.sqrt(sum((d**2).sum() for d in taken)))
+        grad_norm = math.nan if taken is None else math.sqrt(sum(np.vdot(d, d) for d in taken))
         return {"grad_norm": grad_norm, **_adapter_columns(state)}
 
 

@@ -274,7 +274,9 @@ def stable_rank(W) -> SpectrumSummary:
     Always lies in [1, #nonzero singular values]. Undefined (raises) for
     the zero matrix. The spectrum needs the SVD: eigenvalues of a Gram matrix
     lose the singular values below about sqrt(eps) * s_1. The adapter trace
-    rows need only the ratio and read it from the Gram matrix.
+    rows need only the ratio and read it from an r x r core of the factors'
+    Gram matrices, or from W's smaller Gram matrix where that core cannot be
+    formed.
     """
     W = require_matrix(W, "W")
     s = np.linalg.svd(W, compute_uv=False)

@@ -194,7 +194,7 @@ def whitened_form(m: int, n: int, n_cols: int, r_a: int, rng: np.random.Generato
 def whitened_task_loss(target: FactorizationTarget, delta_w) -> float:
     """||delta_w - A||_F^2, the task loss as the trainers report it, without c."""
     diff = delta_w - target.A
-    return float(np.sum(diff * diff))
+    return float(np.vdot(diff, diff))
 
 
 def whitened_direct_loss(W0, D, labels, delta_w) -> float:
@@ -380,7 +380,7 @@ def whitened_task_grads_reference(task, state):
     s = state.scale_alpha / state.r
     XT = state.X @ state.Theta
     diff = (XT @ state.Y.T) * s - task.A
-    loss = float(np.sum(diff * diff))
+    loss = float(np.vdot(diff, diff))
     G = 2.0 * diff
     return (G @ (state.Y @ state.Theta.T)) * s, (state.X.T @ G @ state.Y) * s, (G.T @ XT) * s, loss
 
@@ -389,21 +389,34 @@ def lora_grads_reference(task, state):
     """(G_Z1, G_Z2, loss) of the factored task loss at a LoRA state."""
     s = state.scale_alpha / state.r
     diff = (state.Z1 @ state.Z2.T) * s - task.A
-    loss = float(np.sum(diff * diff))
+    loss = float(np.vdot(diff, diff))
     G = 2.0 * diff
     return (G @ state.Z2) * s, (G.T @ state.Z1) * s, loss
 
 
 def adapter_columns_reference(state) -> dict:
-    """n_x, n_y and the stable rank of DeltaW from its smaller Gram matrix, as an adapter trace row has them."""
-    s = state.scale_alpha / state.r
-    W = s * ((state.X @ state.Theta) @ state.Y.T) if state.kind == "polar-adapter" else s * (state.Z1 @ state.Z2.T)
-    gram = W.T @ W if W.shape[0] >= W.shape[1] else W @ W.T
-    gaps = [F.T @ F - np.eye(F.shape[1]) for F in (getattr(state, name) for name in state.factors)]
+    """n_x, n_y and the stable rank of DeltaW as an adapter trace row has them: each factor's Gram
+    matrix G1, G2 formed once, B = L^T (C G2 C^T) L with G1 = L L^T and C = Theta (the polar adapter)
+    or I (LoRA), and trace(B) / lambda_max(B); where Cholesky fails on G1, B is DeltaW's smaller Gram
+    matrix and trace(B) = ||DeltaW||_F^2."""
+    F1, F2 = (getattr(state, name) for name in state.factors)
+    G1, G2 = F1.T @ F1, F2.T @ F2
+    try:
+        L = np.linalg.cholesky(G1)
+    except np.linalg.LinAlgError:
+        s = state.scale_alpha / state.r
+        W = s * ((state.X @ state.Theta) @ state.Y.T) if state.kind == "polar-adapter" else s * (state.Z1 @ state.Z2.T)
+        B = W.T @ W if W.shape[0] >= W.shape[1] else W @ W.T
+        trace = float(np.vdot(W, W))
+    else:
+        inner = (state.Theta @ G2) @ state.Theta.T if state.kind == "polar-adapter" else G2
+        B = (L.T @ inner) @ L
+        trace = float(np.trace(B))
+    gaps = [G - np.eye(G.shape[0]) for G in (G1, G2)]
     return {
         "n_x": float(np.sum(gaps[0] * gaps[0])),
         "n_y": float(np.sum(gaps[1] * gaps[1])),
-        "stable_rank": float(np.vdot(W, W)) / float(np.linalg.eigvalsh(gram)[-1]),
+        "stable_rank": trace / float(np.linalg.eigvalsh(B)[-1]),
     }
 
 

@@ -703,6 +703,20 @@ def test_analyze_ragged_trace_exits_one_with_one_line(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == [f"error: {csv_path}:8: 4 cells, the header has 10"]
 
 
+def test_analyze_grid_with_a_ragged_second_trace_leaves_no_out(tmp_path, capsys):
+    # the first run reads cleanly; its files must not be written when the second one fails
+    grid = tmp_path / "grid"
+    for name, seed in (("a", 0), ("b", 1)):
+        shutil.copytree(GOLDEN / f"landing-polar-seed{seed}", grid / name)
+    csv_path = grid / "b" / "landing-polar_4_4_1.csv"
+    lines = csv_path.read_text().splitlines()
+    csv_path.write_text("\n".join([*lines[:-1], ",".join(lines[-1].split(",")[:4])]) + "\n")
+    out = tmp_path / "analysis"
+    assert main(["analyze", "--path", str(grid), "--out", str(out)]) == EXIT_ERROR
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    assert not out.exists()
+
+
 def test_analyze_run_with_two_traces_exits_one_with_one_line(tmp_path, capsys):
     # analyze reads one trace per run; a second one would be skipped without a word
     run = tmp_path / "run"

@@ -6,9 +6,9 @@ finite differences; the training steps are checked for the single
 backward pass contract and the runners for determinism.
 """
 
+import math
 import warnings
 from dataclasses import fields, replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -667,14 +667,15 @@ def test_component_orthogonality_along_run():
         state, _ = advance(stepper, state, step)
 
 
-def _row_stable_rank(W):
-    """The stable_rank a trace row records for an adapter whose DeltaW is W."""
-    return _adapter_columns(SimpleNamespace(delta_w=lambda: W, factors=("F", "F"), F=np.eye(2)))["stable_rank"]
-
-
-def _spectrum_matrix(m, n, sigma, rng):
+def _spectrum_states(m, n, sigma, rng):
+    """A polar and a LoRA adapter state of rank r = sigma.size whose DeltaW has the singular values
+    sigma: Haar U, V and an r x r rotation Q mix the directions into X = U Q, Theta and Z1, Z2 = V Q."""
     k = sigma.size
-    return (sample_stiefel_uniform(m, k, rng) * sigma) @ sample_stiefel_uniform(n, k, rng).T
+    U, V, Q = sample_stiefel_uniform(m, k, rng), sample_stiefel_uniform(n, k, rng), sample_stiefel_uniform(k, k, rng)
+    s = 32.0 / k  # the alpha / r of the default scale_alpha
+    polar = AdapterState(X=U @ Q, Theta=(Q.T * sigma) / s, Y=V)
+    lora = LoraState(Z1=((U * sigma) @ Q) / s, Z2=V @ Q)
+    return polar, lora
 
 
 @pytest.mark.parametrize("shape", [(40, 12), (12, 40), (20, 20)])
@@ -689,19 +690,55 @@ def test_trace_row_stable_rank_matches_the_svd(shape, spectrum):
         "kappa 1e6": lambda: np.geomspace(1.0, 1e-6, k),
     }[spectrum]()
     for _ in range(3):
-        W = _spectrum_matrix(*shape, sigma, rng)
-        want = stable_rank(W).stable_rank
-        assert abs(_row_stable_rank(W) - want) <= 1e-13 * want
+        for state in _spectrum_states(*shape, sigma, rng):
+            want = stable_rank(state.delta_w()).stable_rank
+            assert abs(_adapter_columns(state)["stable_rank"] - want) <= 1e-13 * want
 
 
 @pytest.mark.parametrize("entry", [0.0, np.nan, np.inf, -np.inf])
 def test_trace_row_stable_rank_is_nan_for_zero_or_non_finite(entry):
-    W = np.zeros((6, 4))
-    W[2, 1] = entry  # the other entries stay 0, so the Gram product would meet inf * 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert np.isnan(_row_stable_rank(W))
-        assert np.isnan(_row_stable_rank(W.T))
+    # LoRA at its initialization (Z2 = 0) and the polar adapter at its own (Theta = 0), each with one
+    # entry of Z2, Z1 or Theta set to ``entry``: the other entries stay, so the products meet inf * 0
+    rng = np.random.default_rng(36)
+    for m, n in ((6, 4), (4, 6)):
+        Z1, Z2 = rng.standard_normal((m, 3)), np.zeros((n, 3))
+        X, Y = sample_stiefel_uniform(m, 3, rng), sample_stiefel_uniform(n, 3, rng)
+        states = [LoraState(Z1=Z1, Z2=Z2.copy()), LoraState(Z1=Z1.copy(), Z2=Z2), AdapterState(X=X, Theta=np.zeros((3, 3)), Y=Y)]
+        states[0].Z2[2, 1] = states[1].Z1[2, 1] = states[2].Theta[2, 1] = entry
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for state in states:
+                assert np.isnan(_adapter_columns(state)["stable_rank"])
+
+
+def test_trace_row_falls_back_to_the_delta_w_gram_where_cholesky_fails():
+    # a repeated column leaves Z1^T Z1 singular, as LoRA's Z1 loses rank on the A6 benchmark runs; the
+    # row then reads the ratio from DeltaW's smaller Gram matrix, bit for bit
+    rng = np.random.default_rng(37)
+    for m, n in ((40, 12), (12, 40)):
+        Z1 = rng.standard_normal((m, 6))
+        Z1[:, 4] = Z1[:, 1]
+        state = LoraState(Z1=Z1, Z2=rng.standard_normal((n, 6)))
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(np.dot(Z1.T, Z1))
+        W = state.delta_w()
+        gram = np.dot(W.T, W) if W.shape[0] >= W.shape[1] else np.dot(W, W.T)
+        row = _adapter_columns(state)["stable_rank"]
+        assert row == float(np.vdot(W, W)) / float(np.linalg.eigvalsh(gram)[-1])
+        want = stable_rank(W).stable_rank
+        assert abs(row - want) <= 1e-13 * want
+
+
+def test_trace_row_stable_rank_far_off_the_manifold_matches_the_svd():
+    # the r x r core path at N(X) of order 1e3, the excursions of a landing run at a constant step
+    rng = np.random.default_rng(38)
+    X = (sample_stiefel_uniform(40, 4, rng) * np.array([1.0, 2.0, 4.0, 5.6])) @ sample_stiefel_uniform(4, 4, rng)
+    state = AdapterState(X=X, Theta=rng.standard_normal((4, 4)), Y=sample_stiefel_uniform(12, 4, rng))
+    np.linalg.cholesky(np.dot(X.T, X))  # the core path, no fallback
+    row = _adapter_columns(state)
+    want = stable_rank(state.delta_w()).stable_rank
+    assert 1e3 <= row["n_x"] <= 2e3
+    assert abs(row["stable_rank"] - want) <= 1e-13 * want
 
 
 @pytest.mark.parametrize("train", [train_polar_landing, train_lora])
@@ -718,9 +755,8 @@ def test_last_trace_row_stable_rank_is_the_final_states(train):
 )
 def test_trace_rows_keep_the_bits_of_the_per_parameter_oracle(method, modes):
     # grad_norm is the norm of the directions the oracle hands to Adam at each recorded iteration
-    # (the polar adapter's X, Y and Theta, LoRA's Z1 and Z2, in that order), with the plain
-    # np.sum(d**2) expression, and NaN on the last row, which takes no step; n_x and n_y are
-    # distance_to_stiefel's
+    # (the polar adapter's X, Y and Theta, LoRA's Z1 and Z2, in that order), summed as np.vdot(d, d),
+    # and NaN on the last row, which takes no step; n_x and n_y are distance_to_stiefel's
     t = _task(34)
     init, make = {"polar": (init_adapter_state, _PolarLanding), "lora": (init_lora_state, _Lora)}[method]
     state = ref = init(t, 4, np.random.default_rng(35))
@@ -739,7 +775,7 @@ def test_trace_rows_keep_the_bits_of_the_per_parameter_oracle(method, modes):
                     terms = (d["X"], d["Y"], d["Theta"])
                 else:
                     terms = lora_grads_reference(t, ref)[:2]
-                want = float(np.sqrt(sum(np.sum(g**2) for g in terms)))
+                want = math.sqrt(sum(np.vdot(g, g) for g in terms))
                 assert tr.columns["grad_norm"][rows[it]] == want
         if it < cfg.max_iters:
             step = polar_step_reference if method == "polar" else lora_step_reference
