@@ -353,8 +353,9 @@ def _cmd_analyze(cfg: dict, out_dir: str) -> int:
     # every run is read before anything is written, so a bad run leaves no partial --out
     analyzed = [_analyze_one(label, ckpt, trace, cfg, out_dir) for label, ckpt, trace in targets]
     os.makedirs(out_dir, exist_ok=True)
-    for write, path, data in (w for _, writes in analyzed for w in writes):
-        write(path, data)
+    for _, writes in analyzed:
+        for write, path, data in writes:
+            write(path, data)
     reports = [report for report, _ in analyzed]
 
     ranked = [rep for rep in reports if "stable_rank" in rep]

@@ -210,16 +210,13 @@ def lora_grads(target: FactorizationTarget, state: LoraState) -> tuple[np.ndarra
 
 
 def _adapter_columns(state) -> dict:
-    """Trace columns of either adapter: N of its two ``factors`` and the stable rank of W = DeltaW.
-
-    Each factor's Gram matrix is formed once, and N is read from it after I is subtracted in place,
-    with the bits of ``distance_to_stiefel``. W = s F1 C F2^T, with C = Theta for the polar adapter and
-    I for LoRA, shares its nonzero squared singular values, over s^2, with the r x r core
-    B = L^T (C G2 C^T) L, where G1 = F1^T F1 = L L^T and G2 = F2^T F2. So the stable rank is
-    trace(B) / lambda_max(B): no SVD and no min(m, n) Gram matrix, equal to rounding. Where Cholesky
-    fails on G1, as on a LoRA Z1 that has lost rank, B is the smaller of W^T W and W W^T instead.
-    NaN where trace(B) is 0 or not finite, as for DeltaW = 0 at initialization, checked before the
-    eigensolve; a state with an inf or nan entry reads NaN or inf with no numpy warning."""
+    """Trace columns of either adapter: N of its two ``factors``, read with the bits of
+    ``distance_to_stiefel`` from their Gram matrices G1, G2, and the stable rank of W = DeltaW. Over
+    s^2, W = s F1 C F2^T (C = Theta, or I for LoRA) shares its nonzero squared singular values with
+    the r x r core B = L^T (C G2 C^T) L, G1 = L L^T, so it is trace(B) / lambda_max(B), equal to
+    rounding; where Cholesky fails on G1, as on a LoRA Z1 that lost rank, B is the smaller of W^T W
+    and W W^T. NaN where trace(B) is 0 or not finite, as for DeltaW = 0 at initialization; a state
+    with an inf or nan entry reads NaN or inf with no numpy warning."""
     left, right = (getattr(state, name) for name in state.factors)
     with np.errstate(invalid="ignore", over="ignore"):  # inf * 0 in the products of a non-finite state
         grams = np.dot(left.T, left), np.dot(right.T, right)
