@@ -111,8 +111,11 @@ FINETUNE_SCHEMA = _schema(
 
 ANALYZE_SCHEMA = {
     "path": (str, None),
-    "top_k": (int, 10),
 }
+
+# the leading singular values an analyze report lists
+_TOP_K = 10
+
 
 class CliError(Exception):
     pass
@@ -296,7 +299,7 @@ def _analyze_targets(root: str) -> list:
     return targets
 
 
-def _analyze_one(label: str, ckpt: str | None, trace_csv: str | None, cfg: dict, out_dir: str) -> tuple:
+def _analyze_one(label: str, ckpt: str | None, trace_csv: str | None, out_dir: str) -> tuple:
     """(report, writes) of one run: ``writes`` lists the (writer, path, data) of its files in ``out_dir``,
     which nothing has written yet."""
     import numpy as np
@@ -324,7 +327,7 @@ def _analyze_one(label: str, ckpt: str | None, trace_csv: str | None, cfg: dict,
                 {
                     "stable_rank": summary.stable_rank,
                     "spectral_norm": summary.spectral,
-                    "top_singular_values": [float(s) for s in summary.singular_values[: cfg["top_k"]]],
+                    "top_singular_values": [float(s) for s in summary.singular_values[:_TOP_K]],
                     "mean_pairwise_distance": spread.mean_distance,
                     "n_excluded_rows": len(spread.excluded_rows),
                 }
@@ -347,11 +350,9 @@ def _analyze_one(label: str, ckpt: str | None, trace_csv: str | None, cfg: dict,
 
 
 def _cmd_analyze(cfg: dict, out_dir: str) -> int:
-    if cfg["top_k"] < 0:
-        raise CliError(f"top_k must be >= 0, got {cfg['top_k']}")
     targets = _analyze_targets(cfg["path"])
     # every run is read before anything is written, so a bad run leaves no partial --out
-    analyzed = [_analyze_one(label, ckpt, trace, cfg, out_dir) for label, ckpt, trace in targets]
+    analyzed = [_analyze_one(label, ckpt, trace, out_dir) for label, ckpt, trace in targets]
     os.makedirs(out_dir, exist_ok=True)
     for _, writes in analyzed:
         for write, path, data in writes:

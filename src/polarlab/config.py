@@ -65,11 +65,11 @@ class LandingConfig:
 
     ``schedule`` is "constant", a step of ``eta`` throughout, or "linear",
     a step of ``eta * (1 - t / max_iters)`` at iteration t, positive for
-    t < max_iters. ``alpha`` scales the adapter update by alpha / r.
-    ``grad_mode="euclidean"`` replaces the landing field by the raw loss
-    gradient plus the same penalty; the LoRA trainer has no field and
-    ignores it. Adam uses ADAM_BETA1, ADAM_BETA2 and ADAM_EPS of
-    ``polarlab.landing``.
+    t < max_iters. ``grad_mode="euclidean"`` replaces the landing field by
+    the raw loss gradient plus the same penalty; the LoRA trainer has no
+    field and ignores it. Adam uses ADAM_BETA1, ADAM_BETA2 and ADAM_EPS of
+    ``polarlab.landing``, and both adapters scale DeltaW by its constant
+    ADAPTER_ALPHA / r.
     """
 
     lam: float = 1e-3
@@ -77,13 +77,11 @@ class LandingConfig:
     schedule: str = "constant"
     max_iters: int = 2000
     seed: int = 0
-    alpha: float = 32.0
     record_every: int = 10
     grad_mode: str = "landing"
 
     def __post_init__(self):
         _check_positive("lam", self.lam)
-        _check_positive("alpha", self.alpha)
         if self.schedule not in ("constant", "linear"):
             raise ValueError(f"unknown schedule {self.schedule!r} (expected constant or linear)")
         if self.schedule == "linear" and self.max_iters < 1:

@@ -110,11 +110,8 @@ def make_target(
 
     Singular values are evenly spaced on [1, kappa]; ``normalize`` rescales
     them to [1/kappa, 1]. Requires r_a <= min(m, n) / 2 (overparameterization
-    headroom). If m < n the target is built transposed so that the stored A
-    always has m >= n.
+    headroom). A is m x n as given, tall, square or wide.
     """
-    if m < n:
-        m, n = n, m
     if not (1 <= r_a <= min(m, n) / 2):
         raise ValueError(f"need 1 <= r_a <= min(m, n)/2, got r_a={r_a}, m={m}, n={n}")
     return _planted(m, n, spaced_spectrum(r_a, float(kappa), normalize), kappa, rng)

@@ -3,18 +3,22 @@
 Matrix CSV layout (documented contract): a header line ``rows,cols``, a
 second line with the two integer dimensions, then one CSV line per matrix
 row in row-major order. Floats are written with ``repr`` so that reading
-the file back reproduces the exact float64 values and identical inputs
-produce byte-identical files.
+the file back reproduces the exact float64 values (a NaN of any sign or
+payload reads back as the quiet NaN) and identical inputs produce
+byte-identical files.
 
-State checkpoint contract: a directory holding one matrix CSV per array
-field of the state, named ``<field>.csv``, and a ``meta.json`` with the
-state class's ``kind``, its scalar fields and the caller's metadata. The
-five state classes are listed in ``STATE_CLASSES``; each declares its
+State checkpoint contract: a directory holding one matrix CSV per field
+of the state, all of them arrays, named ``<field>.csv``, and a
+``meta.json`` with the state class's ``kind`` and the caller's metadata.
+The five state classes are listed in ``STATE_CLASSES``; each declares its
 ``kind``, its two ``factors`` and ``delta_w()``. The two adapter states
-extend ``PolarFactors`` and ``BMFactors`` and hold no base weight. Loading
-looks the kind up there and reads only that class's files, so other files
-in the directory are ignored, such as the ``W0.csv`` of an older adapter
-checkpoint.
+extend ``PolarFactors`` and ``BMFactors``, hold no base weight and scale
+DeltaW by the constant alpha of ``polarlab.landing``. Loading looks the
+kind up there and reads only that class's files, so other files in the
+directory are ignored, such as the ``W0.csv`` of an older adapter
+checkpoint. An older adapter ``meta.json`` also records the
+``scale_alpha`` its run used; one other than the constant is rejected,
+since its DeltaW would be read at the wrong scale.
 """
 
 from __future__ import annotations
@@ -56,8 +60,9 @@ def load_matrix_csv(path) -> np.ndarray:
             raise ValueError(f"{path}: expected two integer dimensions on line 2, got {dims!r}") from None
         data = []
         for lineno, line in enumerate(fh, start=3):
+            cells = line.strip()  # a row of a matrix with no columns is an empty line
             try:
-                row = [float(cell) for cell in line.strip().split(",")]
+                row = [float(cell) for cell in cells.split(",")] if cells else []
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
             if len(row) != cols:
@@ -79,18 +84,11 @@ def save_checkpoint(directory, matrices: dict, meta: dict) -> None:
         fh.write("\n")
 
 
-def _is_scalar(field) -> bool:
-    return field.type in ("float", float)
-
-
 def save_state(directory, state, meta: dict) -> None:
-    """Write ``state`` as a checkpoint: its array fields as matrix CSVs, and
-    ``meta``, its kind and its scalar fields in meta.json, where the state's
-    own entries win over keys of the same name in ``meta``."""
-    fields = dataclasses.fields(state)
-    arrays = {f.name: getattr(state, f.name) for f in fields if not _is_scalar(f)}
-    scalars = {f.name: getattr(state, f.name) for f in fields if _is_scalar(f)}
-    save_checkpoint(directory, arrays, {**meta, "kind": state.kind, **scalars})
+    """Write ``state`` as a checkpoint: its fields as matrix CSVs, and ``meta``
+    and its kind in meta.json, where the kind wins over a ``kind`` in ``meta``."""
+    arrays = {f.name: getattr(state, f.name) for f in dataclasses.fields(state)}
+    save_checkpoint(directory, arrays, {**meta, "kind": state.kind})
 
 
 def load_state(directory):
@@ -103,14 +101,9 @@ def load_state(directory):
     cls = _BY_KIND.get(meta.get("kind"))
     if cls is None:
         raise ValueError(f"{directory}: unknown checkpoint kind {meta.get('kind')!r}")
-    missing = [f.name for f in dataclasses.fields(cls) if _is_scalar(f) and f.name not in meta]
-    if missing:
-        raise ValueError(f"{directory}: meta.json of a {cls.kind!r} checkpoint lacks {', '.join(missing)}")
-    values = {f.name: load_matrix_csv(os.path.join(directory, f"{f.name}.csv"))
-              for f in dataclasses.fields(cls) if not _is_scalar(f)}
-    for f in filter(_is_scalar, dataclasses.fields(cls)):
-        try:
-            values[f.name] = float(meta[f.name])
-        except (TypeError, ValueError):
-            raise ValueError(f"{directory}: meta.json of a {cls.kind!r} checkpoint has a non-numeric {f.name}") from None
+    alpha = getattr(cls, "scale_alpha", None)
+    if alpha is not None and meta.get("scale_alpha", alpha) != alpha:
+        raise ValueError(f"{directory}: meta.json of a {cls.kind!r} checkpoint has scale_alpha "
+                         f"{meta['scale_alpha']!r}, not the fixed {alpha}")
+    values = {f.name: load_matrix_csv(os.path.join(directory, f"{f.name}.csv")) for f in dataclasses.fields(cls)}
     return cls(**values), meta

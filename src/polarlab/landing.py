@@ -8,15 +8,18 @@ Stiefel manifolds not by retraction but by descending the landing field
 
 whose two components are Frobenius-orthogonal by construction. All three
 parameter updates of one step use gradients evaluated at the pre-step
-state (one backward pass). ``AdapterState`` extends
+state (one backward pass). alpha is the constant ``ADAPTER_ALPHA``: the
+scale of DeltaW lies in Theta (or in Z1, Z2), and under Adam tuning alpha
+is roughly tuning the step, which is why LoRA (Hu et al., arXiv:2106.09685)
+fixes it. ``AdapterState`` extends
 :class:`~polarlab.factorization.PolarFactors` and ``LoraState``
-:class:`~polarlab.factorization.BMFactors` by ``scale_alpha``, a checkpoint
-``kind`` and the alpha / r scale of ``delta_w()``; only DeltaW is trained,
-so neither holds the base weight. Their array fields (X, Theta, Y or Z1, Z2)
-are packed in field order into one vector that one elementwise Adam
-transform per step moves, bit for bit as one Adam per parameter would. The
-stepped state's arrays are views of that vector, so the next step reads
-them without repacking. A trace row reads the stable rank of DeltaW from an
+:class:`~polarlab.factorization.BMFactors` by a checkpoint ``kind`` and the
+alpha / r scale of ``delta_w()``; only DeltaW is trained, so neither holds
+the base weight. Their fields (X, Theta, Y or Z1, Z2), all arrays, are
+packed in field order into one vector that one elementwise Adam transform
+per step moves, bit for bit as one Adam per parameter would. The stepped
+state is made of views of that vector, so the next step reads them without
+repacking. A trace row reads the stable rank of DeltaW from an
 r x r core of the factors' Gram matrices, with no SVD; it forms DeltaW only
 where the Cholesky factor of the first Gram matrix fails.
 
@@ -56,54 +59,49 @@ from .trace import RunTrace
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# alpha of the adapters' DeltaW scale alpha / r
+ADAPTER_ALPHA = 32.0
 
 # ---------------------------------------------------------------------------
 # states
 
 
-@dataclass
 class AdapterState(PolarFactors):
     """The polar-parameterized update of a frozen base weight, DeltaW = (scale_alpha / r) X Theta Y^T."""
 
-    scale_alpha: float = 32.0
+    scale_alpha: ClassVar[float] = ADAPTER_ALPHA
     kind: ClassVar[str] = "polar-adapter"
 
     def delta_w(self) -> np.ndarray:
         return (self.scale_alpha / self.r) * super().delta_w()
 
 
-@dataclass
 class LoraState(BMFactors):
     """Two-factor Euclidean baseline, DeltaW = (scale_alpha / r) Z1 Z2^T."""
 
-    scale_alpha: float = 32.0
+    scale_alpha: ClassVar[float] = ADAPTER_ALPHA
     kind: ClassVar[str] = "lora"
 
     def delta_w(self) -> np.ndarray:
         return (self.scale_alpha / self.r) * super().delta_w()
 
 
-def _params(state) -> list:
-    """The names of a state's array fields in field order, the parameters one Adam moves."""
-    return [f.name for f in fields(state) if isinstance(getattr(state, f.name), np.ndarray)]
-
-
-def init_adapter_state(target: FactorizationTarget, r: int, rng: np.random.Generator, scale_alpha: float = 32.0) -> AdapterState:
+def init_adapter_state(target: FactorizationTarget, r: int, rng: np.random.Generator) -> AdapterState:
     """Uniform Stiefel X, Y and Theta = 0 for the (m, n) ``target``, so DeltaW = 0; needs 1 <= r <= min(m, n)."""
     m, n = target.m, target.n
     if not (1 <= r <= min(m, n)):
         raise ValueError(f"need 1 <= r <= min(m, n), got r={r}, m={m}, n={n}")
     X, Y = sample_stiefel_uniform(m, r, rng), sample_stiefel_uniform(n, r, rng)
-    return AdapterState(X=X, Theta=np.zeros((r, r)), Y=Y, scale_alpha=float(scale_alpha))
+    return AdapterState(X=X, Theta=np.zeros((r, r)), Y=Y)
 
 
-def init_lora_state(target: FactorizationTarget, r: int, rng: np.random.Generator, scale_alpha: float = 32.0) -> LoraState:
+def init_lora_state(target: FactorizationTarget, r: int, rng: np.random.Generator) -> LoraState:
     """Standard LoRA init for the (m, n) ``target``: Z1 Gaussian, Z2 = 0, so DeltaW = 0; needs r >= 1."""
     m, n = target.m, target.n
     if r < 1:
         raise ValueError(f"need r >= 1, got r={r}, m={m}, n={n}")
     Z1 = (1.0 / np.sqrt(max(m, n))) * rng.standard_normal((m, r))
-    return LoraState(Z1=Z1, Z2=np.zeros((n, r)), scale_alpha=float(scale_alpha))
+    return LoraState(Z1=Z1, Z2=np.zeros((n, r)))
 
 
 @dataclass
@@ -238,7 +236,7 @@ def _adapter_columns(state) -> dict:
 
 class _PackedAdam:
     """The step and the trace columns both adapters share. ``layout`` maps each
-    array field of the state, in field order, to its slice and shape in one
+    field of the state, in field order, to its slice and shape in one
     packed vector, whose Adam state ``opt`` starts at zero; a step moves the
     packed parameters p to p - eta_t * d, with d the Adam transform of
     ``directions``, one per field, which it packs in the same order into a
@@ -246,14 +244,13 @@ class _PackedAdam:
     returned, whose arrays are views of it: a step from that state reads p
     there, from any other it packs p afresh. The new parameters go into the
     fresh array Adam returns, so a step never writes the arrays of the state it
-    steps from. The stepped state is built from the old one's fields, so
-    scale_alpha stays the same object."""
+    steps from; the stepped state is made of the views alone."""
 
     def __init__(self, target: FactorizationTarget, cfg: LandingConfig, state):
         self.target, self.cfg, self.layout, stop = target, cfg, {}, 0
-        for name in _params(state):
-            a = getattr(state, name)
-            self.layout[name], stop = (slice(stop, stop + a.size), a.shape), stop + a.size
+        for f in fields(state):
+            a = getattr(state, f.name)
+            self.layout[f.name], stop = (slice(stop, stop + a.size), a.shape), stop + a.size
         self.opt = AdamState(m=np.zeros(stop), v=np.zeros(stop))
         self._directions, self._packed, self._views = np.empty(stop), None, (None,) * len(self.layout)
 
@@ -265,7 +262,7 @@ class _PackedAdam:
         d *= eta_t
         self._packed = np.subtract(p, d, out=d)
         self._views = tuple(d[s].reshape(shape) for s, shape in self.layout.values())
-        return type(state)(**{**vars(state), **dict(zip(self.layout, self._views))})
+        return type(state)(**dict(zip(self.layout, self._views)))
 
     def record(self, state, ev: dict) -> dict:
         # the norm of the directions a step handed to Adam, summed in the order of ev["taken"],
@@ -319,16 +316,15 @@ def train_polar_landing(target: FactorizationTarget, r: int, cfg: LandingConfig)
 
     The trace adds per-iteration columns n_x = N(X), n_y = N(Y) and
     stable_rank of DeltaW; subspace alignment columns are undefined off
-    the manifold and recorded as NaN. Its metadata adds lam, scale_alpha
-    and method.
+    the manifold and recorded as NaN. Its metadata adds lam and method.
     """
-    state = init_adapter_state(target, r, np.random.default_rng(cfg.seed), cfg.alpha)
+    state = init_adapter_state(target, r, np.random.default_rng(cfg.seed))
     method = _PolarLanding(target, cfg, state)
-    return _run(method, state, cfg, None, lam=cfg.lam, scale_alpha=cfg.alpha, method=method.name)
+    return _run(method, state, cfg, None, lam=cfg.lam, method=method.name)
 
 
 def train_lora(target: FactorizationTarget, r: int, cfg: LandingConfig) -> tuple[RunTrace, LoraState]:
     """Train the Euclidean two-factor baseline with Adam on the same target, as :func:`train_polar_landing` runs."""
-    state = init_lora_state(target, r, np.random.default_rng(cfg.seed), cfg.alpha)
+    state = init_lora_state(target, r, np.random.default_rng(cfg.seed))
     method = _Lora(target, cfg, state)
-    return _run(method, state, cfg, None, lam=cfg.lam, scale_alpha=cfg.alpha, method=method.name)
+    return _run(method, state, cfg, None, lam=cfg.lam, method=method.name)

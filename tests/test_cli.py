@@ -119,11 +119,14 @@ def test_unknown_grad_mode_exits_one(tmp_path, capsys, method):
 
 @pytest.mark.parametrize("source", ["flag", "config"])
 @pytest.mark.parametrize("command, key, value", [(["finetune-toy", *FAST_FINETUNE], "theta_mode", "full"),
-                                                 (["factorize", *FAST_FACTORIZE], "gamma", "0.5")],
-                         ids=["theta_mode", "gamma"])
+                                                 (["factorize", *FAST_FACTORIZE], "gamma", "0.5"),
+                                                 (["finetune-toy", *FAST_FINETUNE], "alpha", "16"),
+                                                 (["analyze", "--path", str(GOLDEN / "lora-seed0")], "top_k", "3")],
+                         ids=["theta_mode", "gamma", "alpha", "top_k"])
 def test_theta_mode_is_not_a_setting(tmp_path, capsys, command, key, value, source):
-    # Theta is always the full r x r matrix X^T A Y, refreshed undamped: the flag is unknown
-    # to the parser, the key to the schema
+    # Theta is always the full r x r matrix X^T A Y, refreshed undamped, the adapters scale DeltaW
+    # by the constant 32 / r and analyze lists 10 singular values: the flag is unknown to the
+    # parser, the key to the schema
     argv = [*command, "--out", str(tmp_path / "r")]
     flag = f"--{key.replace('_', '-')}"
     if source == "flag":
@@ -144,6 +147,18 @@ def test_sym_target_needs_n_equal_to_m(tmp_path, capsys):
     assert main([*argv, "--out", str(tmp_path / "r")]) == EXIT_ERROR
     assert capsys.readouterr().err.splitlines() == ["error: polar-rgd-sym fits an m x m target, got m = 12 and n = 10"]
     assert not (tmp_path / "r").exists()
+
+
+def test_factorize_fits_the_wide_target_it_echoes(tmp_path):
+    # m < n is fitted as given, so the echo, the sidecar and the checkpoint agree on the shape
+    out = tmp_path / "r"
+    argv = ["factorize", *FAST_FACTORIZE, "--m", "8", "--n", "12", "--max-iters", "50", "--out", str(out)]
+    assert main(argv) in (EXIT_OK, EXIT_BUDGET)
+    echo = _read_config_echo(out)
+    (sidecar,) = out.glob("*.json")
+    meta = json.loads(sidecar.read_text())
+    assert (int(echo["m"]), int(echo["n"])) == (meta["m"], meta["n"]) == (8, 12)
+    assert pio.load_state(out / "checkpoint")[0].delta_w().shape == (8, 12)
 
 
 @pytest.mark.parametrize("command", [["factorize", *FAST_FACTORIZE], ["finetune-toy", *FAST_FINETUNE]])
@@ -169,8 +184,6 @@ def test_bad_budget_or_cadence_exits_one_with_one_line(tmp_path, capsys, command
     "command, flag, value, message",
     [
         (["finetune-toy", *FAST_FINETUNE], "--lam", "inf", "lam must be finite and positive, got lam = inf"),
-        (["finetune-toy", *FAST_FINETUNE], "--alpha", "inf", "alpha must be finite and positive, got alpha = inf"),
-        (["finetune-toy", *FAST_FINETUNE], "--alpha", "0", "alpha must be finite and positive, got alpha = 0.0"),
         (["finetune-toy", *FAST_FINETUNE], "--r", "0", "need 1 <= r <= min(m, n), got r=0, m=24, n=16"),
         (["finetune-toy", *FAST_FINETUNE], "--r", "20", "need 1 <= r <= min(m, n), got r=20, m=24, n=16"),
         (["finetune-toy", *FAST_FINETUNE, "--method", "lora"], "--r", "0", "need r >= 1, got r=0, m=24, n=16"),
@@ -180,8 +193,7 @@ def test_bad_budget_or_cadence_exits_one_with_one_line(tmp_path, capsys, command
         (["finetune-toy", *FAST_FINETUNE], "--seed", "-1", "seed must be >= 0, got -1"),
         (["finetune-toy", *FAST_FINETUNE], "--target-seed", "-1", "target_seed must be >= 0, got -1"),
     ],
-    ids=["finetune-toy-lam-inf", "finetune-toy-alpha-inf", "finetune-toy-alpha-0",
-         "finetune-toy-polar-r-0", "finetune-toy-polar-r-above-n", "finetune-toy-lora-r-0", "finetune-toy-lora-r-negative",
+    ids=["finetune-toy-lam-inf", "finetune-toy-polar-r-0", "finetune-toy-polar-r-above-n", "finetune-toy-lora-r-0", "finetune-toy-lora-r-negative",
          "factorize-seed-negative", "factorize-target-seed-negative", "finetune-toy-seed-negative",
          "finetune-toy-target-seed-negative"],
 )
@@ -425,7 +437,6 @@ PINNED_FINETUNE_SCHEMA = {
     "r_a": (int, 4),
     "kappa": (float, 10.0),
     "r": (int, 8),
-    "alpha": (float, 32.0),
     "eta": (float, 1e-2),
     "lam": (float, 1e-3),
     "schedule": (str, "constant"),
@@ -569,7 +580,7 @@ def test_calls_in_one_process_match_fresh_processes(tmp_path, capsys):
     calls = [
         ["factorize", "--m", "not-an-int"],
         ["factorize", *FAST_FACTORIZE, "--algo", "bm-gd", "--eta", "0.02", "--max-iters", "300"],
-        ["finetune-toy", *FAST_FINETUNE, "--method", "lora", "--schedule", "linear", "--alpha", "16"],
+        ["finetune-toy", *FAST_FINETUNE, "--method", "lora", "--schedule", "linear", "--lam", "2e-3"],
         ["factorize", "--max-iters", "40", "--record-every", "10"],
     ]
     run = tmp_path / "r"
@@ -675,19 +686,6 @@ def test_analyze_empty_directory_exits_one(tmp_path, capsys):
     rc = main(["analyze", "--path", str(empty), "--out", str(tmp_path / "r")])
     assert rc == EXIT_ERROR
     assert "no checkpoint or trace" in capsys.readouterr().err
-
-
-def test_analyze_negative_top_k_exits_one_with_one_line(tmp_path, capsys):
-    # a negative top_k would drop the smallest singular values instead of keeping the largest
-    run = str(tmp_path / "run")
-    shutil.copytree(GOLDEN / "landing-polar-seed0", run)
-    out = tmp_path / "analysis"
-    assert main(["analyze", "--path", run, "--top-k", "-3", "--out", str(out)]) == EXIT_ERROR
-    captured = capsys.readouterr()
-    assert captured.err.splitlines() == ["error: top_k must be >= 0, got -3"]
-    assert captured.out == "" and not (out / "report.json").exists()
-    assert main(["analyze", "--path", run, "--top-k", "0", "--out", str(out)]) == EXIT_OK
-    assert json.loads((out / "report.json").read_text())["top_singular_values"] == []
 
 
 def test_analyze_ragged_trace_exits_one_with_one_line(tmp_path, capsys):

@@ -107,9 +107,9 @@ def test_target_reconstructs_from_factors(seed):
     assert np.allclose((t.U * t.sigma) @ t.V.T, t.A, atol=1e-12)
 
 
-def test_target_transposes_wide_input():
+def test_target_keeps_a_wide_shape():
     t = make_target(5, 8, 2, 2.0, np.random.default_rng(0))
-    assert t.A.shape == (8, 5)
+    assert t.A.shape == (5, 8)
 
 
 def test_make_target_validates():

@@ -3,7 +3,7 @@
 ``tests/golden/`` holds, for each run below, the trace CSV, its JSON
 sidecar without ``total_wall_time`` (the one field outside the determinism
 contract) and the checkpoint, plus ``fingerprint.json``, the numpy and BLAS
-build that wrote them. The test regenerates the corpus in a subprocess
+build that wrote them and the OpenBLAS core that ran. The test regenerates the corpus in a subprocess
 with every BLAS thread variable pinned to 1. On the same fingerprint every
 file must be byte-equal. On another one, numbers are compared at the
 relative tolerance in ``tests/golden/tolerance.json`` and everything else
@@ -30,10 +30,17 @@ from pathlib import Path
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SRC = Path(__file__).resolve().parents[1] / "src"
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "golden_diff.py"
-_spec = importlib.util.spec_from_file_location("golden_diff", TOOL)
-golden_diff = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(golden_diff)
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+def _tool(name: str):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+golden_diff, collect_bench = _tool("golden_diff"), _tool("collect_bench")
 
 THREAD_ENV_VARS = (
     "OMP_NUM_THREADS",
@@ -64,13 +71,15 @@ SEEDS = {"factorize": (0, 1, 2), "finetune-toy": (0, 1)}
 
 
 def fingerprint() -> dict:
-    """What decides the bits of a run besides the code: numpy and its BLAS."""
+    """What decides the bits of a run besides the code: numpy, its BLAS and the kernel set
+    OpenBLAS picked at load time from the CPU and OPENBLAS_CORETYPE."""
     import numpy as np
 
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
         "numpy": np.__version__,
         "blas": {"name": blas.get("name", "unknown"), "version": blas.get("version", "unknown")},
+        "openblas_core": collect_bench.blas_runtime(collect_bench.numpy_libs())["openblas_core"],
         "machine": platform.machine(),
     }
 

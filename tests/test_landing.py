@@ -21,6 +21,7 @@ from polarlab.landing import (
     _Lora,
     _PolarLanding,
     ADAM_BETA1,
+    ADAPTER_ALPHA,
     AdamState,
     AdapterState,
     LandingConfig,
@@ -334,24 +335,25 @@ def test_init_lora_scale_and_zero_update():
 
 def test_delta_w_scaling():
     rng = np.random.default_rng(2)
-    state = AdapterState(X=rng.standard_normal((6, 3)), Theta=np.eye(3), Y=rng.standard_normal((5, 3)), scale_alpha=12.0)
-    assert np.allclose(state.delta_w(), 4.0 * state.X @ state.Y.T, atol=1e-14)
+    state = AdapterState(X=rng.standard_normal((6, 3)), Theta=np.eye(3), Y=rng.standard_normal((5, 3)))
+    assert np.allclose(state.delta_w(), (32.0 / 3) * state.X @ state.Y.T, atol=1e-14)
 
 
 def test_adapter_states_extend_the_factor_states():
-    # each adapter adds scale_alpha, its kind and the alpha / r scale; it holds no base weight
+    # each adapter adds its kind and the alpha / r scale, alpha fixed at 32; it holds no base weight
     g = np.random.default_rng(3).standard_normal
     X, Theta, Y, Z1, Z2 = g((6, 3)), g((3, 3)), g((5, 3)), g((6, 3)), g((5, 3))
-    polar = AdapterState(X=X, Theta=Theta, Y=Y, scale_alpha=12.0)
-    lora = LoraState(Z1=Z1, Z2=Z2, scale_alpha=12.0)
+    polar = AdapterState(X=X, Theta=Theta, Y=Y)
+    lora = LoraState(Z1=Z1, Z2=Z2)
     assert isinstance(polar, PolarFactors) and isinstance(lora, BMFactors)
     assert (polar.kind, lora.kind) == ("polar-adapter", "lora")
-    assert [f.name for f in fields(polar)] == ["X", "Theta", "Y", "scale_alpha"]
-    assert [f.name for f in fields(lora)] == ["Z1", "Z2", "scale_alpha"]
+    assert [f.name for f in fields(polar)] == ["X", "Theta", "Y"]
+    assert [f.name for f in fields(lora)] == ["Z1", "Z2"]
+    assert polar.scale_alpha == lora.scale_alpha == ADAPTER_ALPHA == 32.0
     assert not hasattr(polar, "params") and not hasattr(lora, "params")
     # the bits of the expressions each state evaluated when it declared its own factors
-    assert np.array_equal(polar.delta_w(), (12.0 / 3) * ((X @ Theta) @ Y.T))
-    assert np.array_equal(lora.delta_w(), (12.0 / 3) * (Z1 @ Z2.T))
+    assert np.array_equal(polar.delta_w(), (32.0 / 3) * ((X @ Theta) @ Y.T))
+    assert np.array_equal(lora.delta_w(), (32.0 / 3) * (Z1 @ Z2.T))
 
 
 def test_config_validates_and_schedules():
@@ -591,15 +593,14 @@ def test_linear_schedule_needs_a_budget():
 
 
 @pytest.mark.parametrize("method", ["polar", "lora"])
-def test_step_keeps_the_non_param_fields(method):
+def test_step_returns_views_of_the_packed_vector(method):
     t = _task(27)
     init, make = {"polar": (init_adapter_state, _PolarLanding), "lora": (init_lora_state, _Lora)}[method]
-    state = init(t, 4, np.random.default_rng(28), scale_alpha=8.0)
+    state = init(t, 4, np.random.default_rng(28))
     stepper = make(t, LandingConfig(eta=1e-2, max_iters=10), state)
     for it in range(3):  # the first step packs afresh, the later ones reuse the packed vector
         new, _ = advance(stepper, state, it)
         assert type(new) is type(state)
-        assert new.scale_alpha is state.scale_alpha
         assert all(getattr(new, name) is view for name, view in zip(PARAMS[new.kind], stepper._views))
         state = new
 
@@ -672,7 +673,7 @@ def _spectrum_states(m, n, sigma, rng):
     sigma: Haar U, V and an r x r rotation Q mix the directions into X = U Q, Theta and Z1, Z2 = V Q."""
     k = sigma.size
     U, V, Q = sample_stiefel_uniform(m, k, rng), sample_stiefel_uniform(n, k, rng), sample_stiefel_uniform(k, k, rng)
-    s = 32.0 / k  # the alpha / r of the default scale_alpha
+    s = 32.0 / k  # the alpha / r of both adapters
     polar = AdapterState(X=U @ Q, Theta=(Q.T * sigma) / s, Y=V)
     lora = LoraState(Z1=((U * sigma) @ Q) / s, Z2=V @ Q)
     return polar, lora
@@ -821,7 +822,7 @@ def test_adapter_checkpoint_roundtrip(tmp_path):
 
 
 def test_checkpoint_rejects_unknown_kind(tmp_path):
-    io.save_checkpoint(tmp_path / "bad", {"W0": np.eye(2)}, {"kind": "mystery", "scale_alpha": 1.0})
+    io.save_checkpoint(tmp_path / "bad", {"W0": np.eye(2)}, {"kind": "mystery"})
     with pytest.raises(ValueError, match="unknown checkpoint kind"):
         io.load_state(tmp_path / "bad")
     with pytest.raises(TypeError):

@@ -132,7 +132,7 @@ def test_every_runner_rejects_a_negative_budget_and_a_zero_cadence(name, max_ite
 # records, then the adapters' own, then those run adds; the RGD runners also pass a loss threshold
 _RUN_KEYS = ("seed", "eta", "m", "n", "r", "r_A", "kappa")
 _FACTOR_KEYS = (*_RUN_KEYS, "max_iters", "record_every", "final_loss", "loss_threshold", "converged", "iterations")
-_ADAPTER_KEYS = (*_RUN_KEYS, "lam", "scale_alpha", "method", "max_iters", "record_every", "final_loss")
+_ADAPTER_KEYS = (*_RUN_KEYS, "lam", "method", "max_iters", "record_every", "final_loss")
 INTERFACE = {
     "polar-rgd": ("polar-factors", _FACTOR_KEYS),
     "bm-gd": ("bm-factors", _FACTOR_KEYS),

@@ -17,7 +17,7 @@ from polarlab.trace import (
 
 
 def _trace(**metadata):
-    md = {"seed": 0, "eta": 1e-3, "gamma": 1.0, "m": 4, "n": 4, "r": 2, "r_A": 1, "kappa": 10.0}
+    md = {"seed": 0, "eta": 1e-3, "m": 4, "n": 4, "r": 2, "r_A": 1, "kappa": 10.0}
     md.update(metadata)
     return RunTrace(algorithm="polar-rgd", metadata=md)
 
