@@ -193,8 +193,8 @@ def test_bad_budget_or_cadence_exits_one_with_one_line(tmp_path, capsys, command
         (["finetune-toy", *FAST_FINETUNE], "--seed", "-1", "seed must be >= 0, got -1"),
         (["finetune-toy", *FAST_FINETUNE], "--target-seed", "-1", "target_seed must be >= 0, got -1"),
     ],
-    ids=["finetune-toy-lam-inf", "finetune-toy-polar-r-0", "finetune-toy-polar-r-above-n", "finetune-toy-lora-r-0", "finetune-toy-lora-r-negative",
-         "factorize-seed-negative", "factorize-target-seed-negative", "finetune-toy-seed-negative",
+    ids=["finetune-toy-lam-inf", "finetune-toy-polar-r-0", "finetune-toy-polar-r-above-n", "finetune-toy-lora-r-0",
+         "finetune-toy-lora-r-negative", "factorize-seed-negative", "factorize-target-seed-negative", "finetune-toy-seed-negative",
          "finetune-toy-target-seed-negative"],
 )
 def test_bad_step_setting_exits_one_with_one_line(tmp_path, capsys, command, flag, value, message):

@@ -3,11 +3,12 @@
 ``tests/golden/`` holds, for each run below, the trace CSV, its JSON
 sidecar without ``total_wall_time`` (the one field outside the determinism
 contract) and the checkpoint, plus ``fingerprint.json``, the numpy and BLAS
-build that wrote them and the OpenBLAS core that ran. The test regenerates the corpus in a subprocess
-with every BLAS thread variable pinned to 1. On the same fingerprint every
-file must be byte-equal. On another one, numbers are compared at the
-relative tolerance in ``tests/golden/tolerance.json`` and everything else
-must still match exactly.
+build that wrote them and the OpenBLAS core that ran. The test regenerates
+the corpus in a subprocess with every BLAS thread variable pinned to 1. On
+the same fingerprint every file must be byte-equal. On another one,
+numbers are compared at the relative tolerance in
+``tests/golden/tolerance.json`` and everything else must still match
+exactly.
 
 A change that alters numerics on purpose regenerates the corpus in the
 same commit and reports the largest relative change per column, with a
