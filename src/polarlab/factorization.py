@@ -3,10 +3,11 @@
 Two methods on synthetic targets with controlled spectrum:
 
 * ``polar-rgd``: overparameterized X Theta Y^T with X, Y on Stiefel
-  manifolds, Theta refreshed in closed form as X^T A Y, X and Y
-  moved by Riemannian gradient descent with the polar retraction. On a
-  symmetric PSD target, ``polar-rgd-sym`` is the same method with Y tied
-  to X: X Theta X^T, with X retracted along the sum of both directions,
+  manifolds, Theta refreshed in closed form as X^T A Y, X and Y moved by
+  Riemannian gradient descent with the polar retraction along
+  (X Theta - A Y) Theta^T and (Y Theta^T - A^T X) Theta, two products each.
+  On a symmetric PSD target, ``polar-rgd-sym`` is the same method with Y
+  tied to X: X Theta X^T, with X retracted along the sum of both directions,
 * ``bm-gd``: plain gradient descent on the two-factor form Z1 Z2^T.
 
 Each fits a :class:`FactorizationTarget` with a :func:`spaced_spectrum`
@@ -273,7 +274,9 @@ class _PolarRGD:
         self.name = "polar-rgd-sym" if tied else "polar-rgd"
 
     def evaluate(self, f: PolarFactors | SymFactors):
-        """The refreshed state, Theta = X^T A Y, its loss and the Riemannian gradients (E, F), or (E + F,) when tied."""
+        """The refreshed state, Theta = X^T A Y, its loss and the Riemannian gradients (E, F), or (E + F,) when tied.
+        Since X^T A Y = Theta, E = (XX^T - I) A Y Theta^T is (X Theta - A Y) Theta^T and F = (YY^T - I) A^T X Theta
+        is (Y Theta^T - A^T X) Theta, two products each; tied, E + F = (X Theta - A X)(Theta^T + Theta)."""
         target, tied, X = self.target, self.tied, f.X
         Y = X if tied else f.Y
         AY = np.dot(target.A, Y)
@@ -282,17 +285,9 @@ class _PolarRGD:
         # 0.5||X Theta Y^T - A||^2 expanded under X^T X = Y^T Y = I; a2 - theta_m would round differently
         theta_m = float((Theta * Theta).sum())
         loss = 0.5 * (target.a2 - 2.0 * theta_m + theta_m)
-        if tied:
-            # E + F = (XX^T - I) A X (Theta^T + Theta), formed as (X Theta - A X)(Theta^T + Theta) since X^T A X = Theta
-            E = np.dot(np.dot(X, Theta) - AY, Theta.T + Theta)
-        else:
-            # projector forms (XX^T - I) A Y Theta^T and (YY^T - I) A^T X Theta
-            T1 = np.dot(AY, Theta.T)
-            E = np.dot(X, np.dot(X.T, T1))
-            E -= T1
-            T2 = np.dot(AtX, Theta)
-            F = np.dot(Y, np.dot(Y.T, T2))
-            F -= T2
+        E = np.dot(np.dot(X, Theta) - AY, Theta.T + Theta if tied else Theta.T)
+        if not tied:
+            F = np.dot(np.dot(Y, Theta.T) - AtX, Theta)
         state = SymFactors(X=X, Theta=Theta) if tied else PolarFactors(X=X, Theta=Theta, Y=Y)
         return state, max(loss, 0.0), (E,) if tied else (E, F)
 
@@ -317,7 +312,7 @@ class _BMGD:
     def evaluate(self, f: BMFactors):
         resid = f.delta_w()
         resid -= self.target.A
-        return f, 0.5 * float((resid * resid).sum()), (np.dot(resid, f.Z2), np.dot(resid.T, f.Z1))
+        return f, 0.5 * float(np.vdot(resid, resid)), (np.dot(resid, f.Z2), np.dot(resid.T, f.Z1))
 
     def step(self, f: BMFactors, ev, it: int) -> BMFactors:
         # Z - eta G as Z + (-eta G): -fl(eta g) is exact and z + (-t) rounds like z - t. G is

@@ -7,18 +7,19 @@ the file back reproduces the exact float64 values (a NaN of any sign or
 payload reads back as the quiet NaN) and identical inputs produce
 byte-identical files.
 
-State checkpoint contract: a directory holding one matrix CSV per field
-of the state, all of them arrays, named ``<field>.csv``, and a
-``meta.json`` with the state class's ``kind`` and the caller's metadata.
-The five state classes are listed in ``STATE_CLASSES``; each declares its
-``kind``, its two ``factors`` and ``delta_w()``. The two adapter states
-extend ``PolarFactors`` and ``BMFactors``, hold no base weight and scale
-DeltaW by the constant alpha of ``polarlab.landing``. Loading looks the
-kind up there and reads only that class's files, so other files in the
-directory are ignored, such as the ``W0.csv`` of an older adapter
-checkpoint. An older adapter ``meta.json`` also records the
-``scale_alpha`` its run used; one other than the constant is rejected,
-since its DeltaW would be read at the wrong scale.
+State checkpoint contract: a directory holding one matrix CSV per field of
+the state, all of them arrays, named ``<field>.csv``, and a ``meta.json``
+object with the state class's ``kind`` and the caller's metadata. The five
+state classes are listed in ``STATE_CLASSES``; each declares its ``kind``,
+its two ``factors`` and ``delta_w()``. The two adapter states extend
+``PolarFactors`` and ``BMFactors``, hold no base weight and scale DeltaW
+by the constant alpha of ``polarlab.landing``. Loading looks the kind up
+there and reads only that class's files, so other files in the directory
+are ignored, such as the ``W0.csv`` of an older adapter checkpoint. Every
+field must have the r columns of the first factor, and Theta must be
+square. An older adapter ``meta.json`` also records the ``scale_alpha``
+its run used; one other than the constant is rejected, since its DeltaW
+would be read at the wrong scale.
 """
 
 from __future__ import annotations
@@ -98,6 +99,8 @@ def load_state(directory):
         raise FileNotFoundError(f"{directory} has no meta.json; not a checkpoint")
     with open(meta_path) as fh:
         meta = json.load(fh)
+    if not isinstance(meta, dict) or not isinstance(meta.get("kind", ""), str):
+        raise ValueError(f"{directory}: meta.json must hold a JSON object whose 'kind' is a string")
     cls = _BY_KIND.get(meta.get("kind"))
     if cls is None:
         raise ValueError(f"{directory}: unknown checkpoint kind {meta.get('kind')!r}")
@@ -106,4 +109,8 @@ def load_state(directory):
         raise ValueError(f"{directory}: meta.json of a {cls.kind!r} checkpoint has scale_alpha "
                          f"{meta['scale_alpha']!r}, not the fixed {alpha}")
     values = {f.name: load_matrix_csv(os.path.join(directory, f"{f.name}.csv")) for f in dataclasses.fields(cls)}
+    r = values[cls.factors[0]].shape[1]  # every field has r columns, and Theta is r x r
+    for name, W in values.items():
+        if W.shape[1] != r or (name == "Theta" and W.shape[0] != r):
+            raise ValueError(f"{os.path.join(directory, name)}.csv: shape {W.shape} does not fit r = {r} of {cls.factors[0]}.csv")
     return cls(**values), meta

@@ -52,7 +52,7 @@ from .config import LandingConfig
 from .factorization import BMFactors, FactorizationTarget, PolarFactors, _run
 # distance_to_stiefel and stable_rank are not called here; the names stay because benchmark/layers.py
 # traces polarlab.landing.distance_to_stiefel and polarlab.landing.stable_rank
-from .stiefel import distance_to_stiefel, sample_stiefel_uniform, stable_rank
+from .stiefel import _eye, distance_to_stiefel, sample_stiefel_uniform, stable_rank
 from .trace import RunTrace
 
 # Adam's moment decay rates and denominator guard, the same for every parameter
@@ -139,9 +139,7 @@ def adam_transform(state: AdamState, g: np.ndarray) -> np.ndarray:
 def grad_distance_to_stiefel(X) -> np.ndarray:
     """Gradient of N(X) = ||X^T X - I||_F^2, namely 4 X (X^T X - I)."""
     X = np.asarray(X, dtype=np.float64)
-    gap = np.dot(X.T, X)
-    gap.ravel()[:: X.shape[1] + 1] -= 1.0
-    return 4.0 * np.dot(X, gap)
+    return 4.0 * np.dot(X, np.dot(X.T, X) - _eye(X.shape[1]))
 
 
 def landing_field(X, grad_x, lam: float) -> np.ndarray:
@@ -165,7 +163,7 @@ def landing_field(X, grad_x, lam: float) -> np.ndarray:
         raise ValueError(f"shape mismatch: X {X.shape} vs grad {grad_x.shape}")
     A = np.dot(X.T, X)
     out = np.dot(grad_x, 0.5 * A)
-    A.ravel()[:: A.shape[0] + 1] -= 1.0  # A - I, in place
+    np.subtract(A, _eye(A.shape[0]), out=A)  # A - I, in place
     out += np.dot(X, (4.0 * lam) * A - 0.5 * np.dot(grad_x.T, X))
     return out
 
@@ -230,7 +228,7 @@ def _adapter_columns(state) -> dict:
             trace = float(B.trace())
     sr = trace / float(np.linalg.eigvalsh(B)[-1]) if math.isfinite(trace) and trace > 0.0 else math.nan
     for gap in grams:
-        gap.ravel()[:: gap.shape[0] + 1] -= 1.0
+        np.subtract(gap, _eye(gap.shape[0]), out=gap)
     return {"n_x": float((grams[0] * grams[0]).sum()), "n_y": float((grams[1] * grams[1]).sum()), "stable_rank": sr}
 
 

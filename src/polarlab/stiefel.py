@@ -9,11 +9,14 @@ Conventions used throughout the package:
   which runs the same BLAS routine as ``@`` (gemm, or syrk for A^T A) with
   less dispatch, so the bits are the same; products over stacked arrays,
   such as one kernel run for several seeds at once, use ``np.matmul``,
-  which broadcasts and shares its dispatch across the stack.
+  which broadcasts and shares its dispatch across the stack,
+* I is subtracted from a Gram matrix with the one read-only identity per
+  rank, ``_eye(r)``, bit for bit as a strided update of the diagonal.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -73,9 +76,17 @@ def require_matrix(a, name: str = "matrix") -> np.ndarray:
     return out
 
 
+@functools.cache
+def _eye(r: int) -> np.ndarray:
+    """The r x r identity, read-only, shared by every caller at rank r."""
+    eye = np.eye(r)
+    eye.flags.writeable = False
+    return eye
+
+
 def _gram_error(gram: np.ndarray) -> float:
-    """||gram - I||_F of a C-contiguous Gram matrix, subtracting I from it in place."""
-    gram.ravel()[:: gram.shape[0] + 1] -= 1.0
+    """||gram - I||_F of a square Gram matrix, subtracting I from it in place."""
+    np.subtract(gram, _eye(gram.shape[0]), out=gram)
     return math.sqrt(np.vdot(gram, gram))
 
 
@@ -121,11 +132,10 @@ def sample_stiefel_uniform(m: int, r: int, rng: np.random.Generator) -> np.ndarr
     """
     if not (1 <= r <= m):
         raise ValueError(f"need 1 <= r <= m, got m={m}, r={r}")
-    eye = np.eye(r)
 
     def newton_schulz(X):  # X, its polish factor 1.5 I - 0.5 X^T X and ||X^T X - I||_F, from one Gram
         gram = X.T @ X
-        return X, 1.5 * eye - 0.5 * gram, _gram_error(gram)
+        return X, 1.5 * _eye(r) - 0.5 * gram, _gram_error(gram)
 
     for attempt in range(2):
         Z = rng.standard_normal((m, r))
@@ -199,9 +209,10 @@ def polar_retract(X, D, eta: float) -> np.ndarray:
     truncated at the smallest order n whose tail bound c_n x^n / (1 - x)
     is at most the unit roundoff (see :func:`retract_series_order`). x is
     ||K||_F, or min(||K||_F, ||K||_1) where ||K||_F selects no order; both
-    bound ||K||_2. At n = 1 the factor is I and no product is formed. When
-    x >= 1/2, or n would exceed ``RETRACT_SERIES_MAX_ORDER`` = 12, it comes
-    from the eigendecomposition of D^T D instead.
+    bound ||K||_2. At n = 1 the factor is I and no product is formed, and at
+    n = 2 it is I - K/2. When x >= 1/2, or n would exceed
+    ``RETRACT_SERIES_MAX_ORDER`` = 12, it comes from the eigendecomposition
+    of D^T D instead.
 
     X and D must be 2-D of one tall shape and eta finite and >= 0, else
     ``ValueError``. D must be tangent at X: ||X^T D + D^T X||_F <= 1e-8
@@ -217,7 +228,7 @@ def polar_retract(X, D, eta: float) -> np.ndarray:
         raise ValueError(f"eta must be finite and nonnegative, got eta = {eta}")
     K = np.dot(D.T, D)
     sym = np.dot(X.T, D)
-    sym += sym.T  # X^T D + D^T X, zero for tangent D
+    sym = np.add(sym, sym.T)  # X^T D + D^T X, zero for tangent D; in place, numpy would copy sym.T
     err = math.sqrt(np.vdot(sym, sym))
     tol = TANGENCY_TOL * max(1.0, math.sqrt(K.trace()))
     if not err <= tol:
@@ -236,6 +247,8 @@ def polar_retract(X, D, eta: float) -> np.ndarray:
         out = np.dot(step, np.dot(Q * scale, Q.T))
     elif n == 1:
         out = step
+    elif n == 2:  # I - K/2, the first two terms
+        out = np.dot(step, np.subtract(_eye(K.shape[0]), np.multiply(K, 0.5, out=K), out=K))
     else:
         out = np.dot(step, _binomial_inv_sqrt(K, n))
     err = _gram_error(np.dot(out.T, out))
@@ -254,8 +267,7 @@ def tangent_project(X: np.ndarray, G: np.ndarray) -> np.ndarray:
 def distance_to_stiefel(X) -> float:
     """Squared feasibility gap N(X) = ||X^T X - I_r||_F^2."""
     X = require_matrix(X, "X")
-    gap = np.dot(X.T, X)
-    gap.ravel()[:: X.shape[1] + 1] -= 1.0
+    gap = np.dot(X.T, X) - _eye(X.shape[1])
     return float((gap * gap).sum())
 
 

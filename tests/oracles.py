@@ -335,8 +335,10 @@ def polar_rgd_evaluate_reference(target: FactorizationTarget, f: PolarFactors | 
     """(Theta, expanded loss, grad norm^2, directions) of one polar-rgd evaluation, at Theta = X^T A Y.
 
     The directions are (E, F), or for a SymFactors state, Y tied to X, the
-    one direction (E + F,), from A X in place of A^T X; its projector form
-    (XX^T - I) A X (Theta^T + Theta) is formed with X^T A X = Theta.
+    one direction (E + F,), from A X in place of A^T X. Their projector forms
+    (XX^T - I) A Y Theta^T and (YY^T - I) A^T X Theta are formed with
+    X^T A Y = Theta as (X Theta - A Y) Theta^T and (Y Theta^T - A^T X) Theta,
+    and tied as (X Theta - A X)(Theta^T + Theta).
     """
     tied = isinstance(f, SymFactors)
     X = f.X
@@ -348,16 +350,14 @@ def polar_rgd_evaluate_reference(target: FactorizationTarget, f: PolarFactors | 
     if tied:
         directions = ((X @ Theta - AY) @ (Theta.T + Theta),)
     else:
-        T1 = AY @ Theta.T
-        T2 = AtX @ Theta
-        directions = (X @ (X.T @ T1) - T1, Y @ (Y.T @ T2) - T2)
+        directions = ((X @ Theta - AY) @ Theta.T, (Y @ Theta.T - AtX) @ Theta)
     return Theta, max(loss, 0.0), sum(float(np.sum(D * D)) for D in directions), directions
 
 
 def bm_gd_evaluate_reference(target: FactorizationTarget, f: BMFactors):
     """(loss, G1, G2) of one bm-gd evaluation."""
     resid = f.Z1 @ f.Z2.T - target.A
-    return 0.5 * float(np.sum(resid * resid)), resid @ f.Z2, resid.T @ f.Z1
+    return 0.5 * float(np.vdot(resid, resid)), resid @ f.Z2, resid.T @ f.Z1
 
 
 def bm_gd_step_reference(f: BMFactors, G1: np.ndarray, G2: np.ndarray, eta: float):
