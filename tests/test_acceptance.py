@@ -15,7 +15,14 @@ m x r x r products and r x r binomial series make it superlinear, while the
 m x m skew product of the materialized op makes its cost near-linear in r.
 Each rank's ops are timed back to back, so slow drift of the machine's
 speed falls on both sides of a comparison alike.
+
+When the environment variable ``POLARLAB_CLAIMS_OUT`` names a file, each
+check also appends its line to it as one JSON object, ``{"check", "ok",
+"detail"}``, for ``tools/collect_bench.py --claims``.
 """
+
+import json
+import os
 
 import numpy as np
 import pytest
@@ -44,6 +51,10 @@ import oracles
 
 def _report(label: str, ok: bool, detail: str) -> bool:
     print(f"[{'PASS' if ok else 'FAIL'}] {label}: {detail}")
+    path = os.environ.get("POLARLAB_CLAIMS_OUT")
+    if path:
+        with open(path, "a") as fh:
+            fh.write(json.dumps({"check": label, "ok": bool(ok), "detail": detail}) + "\n")
     return ok
 
 

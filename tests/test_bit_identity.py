@@ -156,6 +156,23 @@ def test_polar_rgd_evaluate_matches_reference(m, n):
     assert len(ev) == 2 and all(np.array_equal(D, ref_D) for D, ref_D in zip(ev, ref_ev))
 
 
+@pytest.mark.parametrize("m, n", [(50, 50), (60, 40), (40, 60)])
+def test_polar_rgd_directions_equal_the_projector_forms(m, n):
+    # an independent check of X^T A Y = Theta: on a feasible state the two-product directions are
+    # (XX^T - I) A Y Theta^T and (YY^T - I) A^T X Theta, up to rounding
+    rng = np.random.default_rng(11)
+    target = make_target(m, n, 4, 10.0, rng)
+    method = _PolarRGD(target, 1e-3)
+    for steps in (0, 5):
+        f = _stepped(method, init_polar_factors(target, 20, rng), steps)
+        state, _, (E, F) = method.evaluate(f)
+        X, Theta, Y, A = state.X, state.Theta, state.Y, target.A
+        ref_E = (X @ X.T - np.eye(m)) @ A @ Y @ Theta.T
+        ref_F = (Y @ Y.T - np.eye(n)) @ A.T @ X @ Theta
+        for D, ref in ((E, ref_E), (F, ref_F)):
+            assert np.linalg.norm(D - ref) <= 1e-14 * np.linalg.norm(ref)
+
+
 @pytest.mark.parametrize("steps", [0, 5])
 def test_sym_rgd_evaluate_matches_reference(steps):
     rng = np.random.default_rng(12)

@@ -751,6 +751,25 @@ def test_analyze_non_numeric_matrix_cell_exits_one_with_one_line(tmp_path, capsy
     assert capsys.readouterr().err.splitlines() == [f"error: {matrix}:3: could not convert string to float: 'abc'"]
 
 
+@pytest.mark.parametrize("case", ["not-an-object", "list-kind", "theta-3x3"])
+def test_analyze_malformed_checkpoint_exits_one_with_one_line(tmp_path, capsys, case):
+    # a meta.json that is not an object with a string kind, or a Theta that does not fit the
+    # 12 x 5 factors, is named in one error line instead of a traceback or numpy's shape message
+    run = tmp_path / "run"
+    shutil.copytree(GOLDEN / "polar-rgd-seed0", run)
+    ckpt = run / "checkpoint"
+    if case == "theta-3x3":
+        pio.save_matrix_csv(ckpt / "Theta.csv", np.eye(3))
+        expected = f"error: {ckpt / 'Theta.csv'}: shape (3, 3) does not fit r = 5 of X.csv"
+    else:
+        (ckpt / "meta.json").write_text("[]\n" if case == "not-an-object" else '{"kind": ["polar-factors"]}\n')
+        expected = f"error: {ckpt}: meta.json must hold a JSON object whose 'kind' is a string"
+    out = tmp_path / "analysis"
+    assert main(["analyze", "--path", str(run), "--out", str(out)]) == EXIT_ERROR
+    assert capsys.readouterr().err.splitlines() == [expected]
+    assert not out.exists()
+
+
 def test_analyze_files_hold_the_trace_columns_and_the_report_values(tmp_path):
     from polarlab.config import LandingConfig
     from polarlab.factorization import make_whitened_task

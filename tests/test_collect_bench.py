@@ -73,6 +73,50 @@ def test_collects_medians_iqr_and_pair_wins(tmp_path, collect_bench):
     assert step["change"]["iqr"] == step["change"]["q3"] - step["change"]["q1"] > 0
     assert (step["pairs"], step["change_wins"]) == (4, 3)
     assert (metrics["lora.x_ref"]["change_wins"], metrics["setup_s"]["change_wins"]) == (3, 0)
+    assert "claims" not in bench  # only with --claims
+
+
+def _bench_argv(tmp_path, *extra):
+    for side, step_cost in (("parent", 1.5), ("change", 1.3)):
+        _write_run(tmp_path / side, 0, step_cost, 2 * step_cost)
+    return [str(tmp_path / "parent"), str(tmp_path / "change"), "--parent-commit", "a", "--change-commit", "b",
+            "--tier1-seconds", "1", "--out", str(tmp_path / "BENCH.json"), *extra]
+
+
+def test_claims_section_holds_both_sides_per_check(tmp_path, monkeypatch, collect_bench):
+    # the lines come from the acceptance checks' own reporter, one file per commit
+    import test_acceptance
+
+    for side, lines in {
+        "parent": [("A1a", True, "10110 iterations"), ("A1b", True, "ratio 2.224e5"), ("A7a", False, "r=64 slow")],
+        "change": [("A1a", True, "10110 iterations"), ("A1b", True, "ratio 2.203e5"), ("A7a", True, "r=64 fast"),
+                   ("A7a", True, "r=64 fast again"), ("A9", True, "new check")],
+    }.items():
+        monkeypatch.setenv("POLARLAB_CLAIMS_OUT", str(tmp_path / f"{side}.jsonl"))
+        for check, ok, detail in lines:
+            assert test_acceptance._report(check, ok, detail) is ok
+    argv = _bench_argv(tmp_path, "--claims", str(tmp_path / "parent.jsonl"), str(tmp_path / "change.jsonl"))
+    assert collect_bench.main(argv) == 0
+    claims = json.loads((tmp_path / "BENCH.json").read_text())["claims"]
+    assert list(claims) == ["A1a", "A1b", "A7a", "A9"]
+    assert claims["A1a"] == {"parent": [{"ok": True, "detail": "10110 iterations"}],
+                             "change": [{"ok": True, "detail": "10110 iterations"}], "same": True}
+    assert claims["A1b"]["same"] is False and claims["A1b"]["change"] == [{"ok": True, "detail": "ratio 2.203e5"}]
+    assert [line["detail"] for line in claims["A7a"]["change"]] == ["r=64 fast", "r=64 fast again"]
+    assert claims["A7a"]["parent"] == [{"ok": False, "detail": "r=64 slow"}]
+    assert claims["A9"] == {"parent": [], "change": [{"ok": True, "detail": "new check"}], "same": False}
+
+
+@pytest.mark.parametrize("text", ["not json\n", '{"ok": true}\n', None])
+def test_unreadable_claims_file_exits_one_with_one_line(tmp_path, capsys, collect_bench, text):
+    good, bad = tmp_path / "good.jsonl", tmp_path / "bad.jsonl"
+    good.write_text('{"check": "A1a", "ok": true, "detail": "x"}\n')
+    if text is not None:  # None leaves the file missing
+        bad.write_text(text)
+    assert collect_bench.main(_bench_argv(tmp_path, "--claims", str(good), str(bad))) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: cannot read the claims files {good}, {bad}: ")
+    assert not (tmp_path / "BENCH.json").exists()
 
 
 @pytest.mark.parametrize("seed", range(10))

@@ -233,3 +233,33 @@ def test_load_state_rejects_unknown_kind(tmp_path, meta):
     save_checkpoint(tmp_path / "ckpt", {"X": np.eye(2)}, meta)
     with pytest.raises(ValueError, match="unknown checkpoint kind"):
         load_state(tmp_path / "ckpt")
+
+
+@pytest.mark.parametrize("text", ["[]", '"lora"', '{"kind": ["lora"]}', '{"kind": 3}', '{"kind": null}'])
+def test_load_state_rejects_a_meta_json_that_is_not_an_object_with_a_string_kind(tmp_path, text):
+    save_state(tmp_path / "ckpt", _states()["lora"], {})
+    (tmp_path / "ckpt" / "meta.json").write_text(text + "\n")
+    with pytest.raises(ValueError) as info:
+        load_state(tmp_path / "ckpt")
+    assert str(info.value) == f"{tmp_path / 'ckpt'}: meta.json must hold a JSON object whose 'kind' is a string"
+
+
+# kind -> (field, shape): a field whose shape does not fit the r = 3 columns of the first factor
+_MISFIT = {
+    "polar-factors": ("Theta", (2, 2)),
+    "bm-factors": ("Z2", (5, 2)),
+    "sym-factors": ("Theta", (4, 3)),
+    "polar-adapter": ("Y", (5, 4)),
+    "lora": ("Z2", (5, 4)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_MISFIT))
+def test_load_state_names_a_field_whose_shape_does_not_fit(tmp_path, kind):
+    field, shape = _MISFIT[kind]
+    state = _states()[kind]
+    save_state(tmp_path / "ckpt", state, {})
+    save_matrix_csv(tmp_path / "ckpt" / f"{field}.csv", np.ones(shape))
+    with pytest.raises(ValueError) as info:
+        load_state(tmp_path / "ckpt")
+    assert str(info.value) == f"{tmp_path / 'ckpt' / field}.csv: shape {shape} does not fit r = 3 of {state.factors[0]}.csv"

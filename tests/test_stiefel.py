@@ -19,6 +19,7 @@ from polarlab.stiefel import (
     _BINOMIAL_COEFFS,
     RETRACT_SERIES_MAX_ORDER,
     UNIT_ROUNDOFF,
+    _eye,
     alignment,
     distance_to_stiefel,
     pairwise_direction_distances,
@@ -69,6 +70,29 @@ def test_gram_residuals_match_the_identity_matrix_forms(seed):
             gap = X.T @ X - np.eye(r)
             assert stiefel_error(X) == float(np.linalg.norm(gap))
             assert distance_to_stiefel(X) == float(np.sum(gap * gap))
+
+
+def test_identity_per_rank_is_shared_and_refuses_writes():
+    eye = _eye(5)
+    assert _eye(5) is eye and np.array_equal(eye, np.eye(5))
+    with pytest.raises(ValueError, match="read-only"):
+        eye[0, 0] = 2.0
+    with pytest.raises(ValueError, match="read-only"):
+        np.subtract(eye, eye, out=eye)
+
+
+@pytest.mark.parametrize("r", [1, 4, 9])
+def test_identity_subtraction_keeps_the_bits_of_a_strided_update(r):
+    # off the diagonal g - 0.0 returns g's bits, -0.0, inf and a NaN's sign and payload included
+    rng = np.random.default_rng(r)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1.0, -1.0, 5e-324, 1e308])
+    for _ in range(20):
+        G = np.where(rng.random((r, r)) < 0.6, rng.choice(special, (r, r)), rng.standard_normal((r, r)))
+        strided = G.copy()
+        strided.ravel()[:: r + 1] -= 1.0
+        subtracted = G.copy()
+        np.subtract(subtracted, _eye(r), out=subtracted)
+        assert subtracted.tobytes() == strided.tobytes()
 
 
 # ---------------------------------------------------------------------------

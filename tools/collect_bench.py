@@ -2,7 +2,8 @@
 """Collect the benchmark runs of a parent commit and a change into one BENCH file.
 
     python3 tools/collect_bench.py PARENT_RESULTS CHANGE_RESULTS \
-        --parent-commit SHA --change-commit SHA --tier1-seconds 140 --out BENCH_11.json
+        --parent-commit SHA --change-commit SHA --tier1-seconds 140 --out BENCH_11.json \
+        [--claims PARENT_CLAIMS CHANGE_CLAIMS]
 
 PARENT_RESULTS and CHANGE_RESULTS are ``.bench_results/`` directories
 written by ``benchmark/run.py --trace 0`` in a checkout of each commit.
@@ -24,6 +25,12 @@ configuration that numpy's bundled OpenBLAS reports in the collecting
 process ("unknown" when it cannot be read). Run
 it on the machine and with the environment that ran the benchmark, since
 OpenBLAS picks its core at load time from the CPU and OPENBLAS_CORETYPE.
+
+With ``--claims``, the file also gets a ``claims`` section from the two
+files that ``tests/test_acceptance.py`` appended to, one JSON object per
+check and line, when ``POLARLAB_CLAIMS_OUT`` named them at each commit:
+per check, the ``{ok, detail}`` of every line of each side in file order,
+and ``same``, whether the two sides' lists are equal.
 """
 
 from __future__ import annotations
@@ -182,6 +189,23 @@ def machine(records: list) -> dict:
     return prints[0]
 
 
+def load_claims(path: Path) -> dict:
+    """check -> [{ok, detail}, ...] in line order, from a file of ``{check, ok, detail}`` JSON lines."""
+    claims = {}
+    for line in path.read_text().splitlines():
+        if line.strip():
+            entry = json.loads(line)
+            claims.setdefault(entry["check"], []).append({"ok": entry["ok"], "detail": entry["detail"]})
+    return claims
+
+
+def compare_claims(parent: dict, change: dict) -> dict:
+    """check -> both sides' lines and whether they are the same, over the checks of either side."""
+    return {check: {"parent": parent.get(check, []), "change": change.get(check, []),
+                    "same": parent.get(check) == change.get(check)}
+            for check in sorted(set(parent) | set(change))}
+
+
 def collect(parent: dict, change: dict, lower_is_better: dict) -> dict:
     workloads = {}
     for workload in sorted(set(parent) & set(change)):
@@ -220,10 +244,16 @@ def main(argv=None) -> int:
     parser.add_argument("--change-commit", required=True)
     parser.add_argument("--tier1-seconds", type=float, required=True, help="tier-1 wall time at the change")
     parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument("--claims", nargs=2, type=Path, metavar=("PARENT_CLAIMS", "CHANGE_CLAIMS"))
     args = parser.parse_args(argv)
     parent, change = load_runs(args.parent), load_runs(args.change)
     if not set(parent) & set(change):
         print(f"error: no workload has untraced runs on both sides ({args.parent}, {args.change})", file=sys.stderr)
+        return 1
+    try:
+        claims = compare_claims(*map(load_claims, args.claims)) if args.claims else None
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        print(f"error: cannot read the claims files {args.claims[0]}, {args.claims[1]}: {exc!r}", file=sys.stderr)
         return 1
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     lower_is_better = {m["name"]: m["better"] == "lower" for m in spec["end_to_end"]}
@@ -240,6 +270,8 @@ def main(argv=None) -> int:
         "blas_runtime": blas_runtime(numpy_libs()),
         "workloads": collect(parent, change, lower_is_better),
     }
+    if claims is not None:
+        bench["claims"] = claims
     args.out.write_text(json.dumps(bench, indent=2, sort_keys=True) + "\n")
     for workload, entry in bench["workloads"].items():
         for name in ("step_cost.geomean", "setup_s", "peak_rss_mb"):
