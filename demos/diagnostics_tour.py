@@ -10,7 +10,8 @@ the alignment cosines climb toward 1 along a converging run.
 
 import numpy as np
 
-import polarlab as pl
+from polarlab.config import RGDConfig
+from polarlab.factorization import make_target, run_polar_rgd
 from polarlab.stiefel import (
     pairwise_direction_distances,
     sample_stiefel_uniform,
@@ -38,10 +39,10 @@ def main():
         print(f"  {name:<24} mean pairwise distance {rep.mean_distance:.3f}")
 
     print("\n== subspace alignment along a run ==")
-    target = pl.make_target(30, 24, 3, 5.0, np.random.default_rng(0))
+    target = make_target(30, 24, 3, 5.0, np.random.default_rng(0))
     # a zero loss threshold runs the whole budget: the loss is below the default 1e-8 before iteration 1200
-    cfg = pl.RGDConfig(eta=0.01, seed=1, max_iters=1200, record_every=300, loss_threshold=0.0)
-    trace, _ = pl.run_polar_rgd(target, 9, cfg)
+    cfg = RGDConfig(eta=0.01, seed=1, max_iters=1200, record_every=300, loss_threshold=0.0)
+    trace, _ = run_polar_rgd(target, 9, cfg)
     cols = trace.columns
     for it, left, right, phi in zip(cols["iter"], cols["sigma_min_phi"], cols["sigma_min_psi"], cols["trace_phi"]):
         print(f"  iter {it:>4}: smallest left cosine {left:.4f}, "

@@ -15,13 +15,14 @@ import time
 
 import numpy as np
 
-import polarlab as pl
+from polarlab.config import RGDConfig
+from polarlab.factorization import make_target, run_bm_gd, run_polar_rgd
 from polarlab.trace import write_trace
 
 
 def run(label, runner, target, r, **kw):
     t0 = time.perf_counter()
-    trace, _ = runner(target, r, pl.RGDConfig(**kw))
+    trace, _ = runner(target, r, RGDConfig(**kw))
     md = trace.metadata
     status = f"converged at {md['iterations']}" if md["converged"] else f"stopped at {md['iterations']}"
     print(f"  {label:<28} loss {trace.final_loss:.3e}  ({status}, {time.perf_counter() - t0:.1f}s)")
@@ -36,25 +37,25 @@ def main():
     budget = 20_000 if args.quick else 100_000
 
     print("== well-conditioned target (kappa=10), eta=1e-3 ==")
-    target = pl.make_target(50, 50, 4, 10.0, np.random.default_rng(1234))
-    tr_polar = run("polar RGD, r=20", pl.run_polar_rgd, target, 20,
+    target = make_target(50, 50, 4, 10.0, np.random.default_rng(1234))
+    tr_polar = run("polar RGD, r=20", run_polar_rgd, target, 20,
                    eta=1e-3, seed=0, max_iters=budget, loss_threshold=1e-8, record_every=500)
-    tr_bm = run("two-factor GD, r=20", pl.run_bm_gd, target, 20,
+    tr_bm = run("two-factor GD, r=20", run_bm_gd, target, 20,
                 eta=1e-3, seed=0, max_iters=budget, loss_threshold=1e-8, record_every=500)
 
     print("== ill-conditioned target (kappa=100), matched budget, eta=1e-4 ==")
-    hard = pl.make_target(50, 50, 4, 100.0, np.random.default_rng(1234))
-    tr_polar_h = run("polar RGD, r=20", pl.run_polar_rgd, hard, 20,
+    hard = make_target(50, 50, 4, 100.0, np.random.default_rng(1234))
+    tr_polar_h = run("polar RGD, r=20", run_polar_rgd, hard, 20,
                      eta=1e-4, seed=0, max_iters=budget, loss_threshold=0.0, record_every=500)
-    tr_bm_h = run("two-factor GD, r=20", pl.run_bm_gd, hard, 20,
+    tr_bm_h = run("two-factor GD, r=20", run_bm_gd, hard, 20,
                   eta=1e-4, seed=0, max_iters=budget, loss_threshold=0.0, record_every=500)
     ratio = tr_bm_h.final_loss / max(tr_polar_h.final_loss, 1e-300)
     print(f"  ill-conditioned margin: baseline loss / polar loss = {ratio:.1e}")
 
     print("== rank headroom at kappa=10: first to 1e-6 ==")
-    tr_r20 = run("polar RGD, r=20 (5x rank)", pl.run_polar_rgd, target, 20,
+    tr_r20 = run("polar RGD, r=20 (5x rank)", run_polar_rgd, target, 20,
                  eta=1e-3, seed=0, max_iters=budget, loss_threshold=1e-6, record_every=500)
-    tr_r9 = run("polar RGD, r=9  (rank+5)", pl.run_polar_rgd, target, 9,
+    tr_r9 = run("polar RGD, r=9  (rank+5)", run_polar_rgd, target, 9,
                 eta=1e-3, seed=0, max_iters=budget, loss_threshold=1e-6, record_every=500)
     if tr_r20.metadata["converged"] and tr_r9.metadata["converged"]:
         print(f"  headroom speedup: {tr_r9.metadata['iterations'] / tr_r20.metadata['iterations']:.2f}x fewer iterations")

@@ -13,9 +13,10 @@ import os
 
 import numpy as np
 
+from polarlab.config import LandingConfig
 from polarlab.factorization import make_whitened_task
 from polarlab.io import save_state
-from polarlab.landing import LandingConfig, train_lora, train_polar_landing
+from polarlab.landing import train_lora, train_polar_landing
 from polarlab.stiefel import distance_to_stiefel, pairwise_direction_distances, stable_rank
 from polarlab.trace import write_trace
 

@@ -183,8 +183,9 @@ def _echo_config(out_dir: str, cfg: dict) -> None:
 
     os.makedirs(out_dir, exist_ok=True)
     lines = [f"{key}={cfg[key]}" for key in sorted(cfg)]
-    lines.append(f"out={out_dir}")
-    lines.append(f"polarlab_version={__version__}")
+    # comments to the config parser, so the file replays as a --config
+    lines.append(f"# out={out_dir}")
+    lines.append(f"# polarlab_version={__version__}")
     with open(os.path.join(out_dir, "config_resolved.txt"), "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -194,6 +195,8 @@ def _echo_config(out_dir: str, cfg: dict) -> None:
 
 
 def _cmd_factorize(cfg: dict, out_dir: str) -> int:
+    import numpy as np
+
     from . import factorization as fx
     from . import io as pio
     from .trace import write_trace
@@ -209,7 +212,8 @@ def _cmd_factorize(cfg: dict, out_dir: str) -> int:
         target = fx.make_sym_target(cfg["m"], cfg["r_a"], cfg["kappa"], target_rng)
     else:
         target = fx.make_target(cfg["m"], cfg["n"], cfg["r_a"], cfg["kappa"], target_rng)
-    trace, factors = runner(target, cfg["r"], _config(RGDConfig, cfg))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing run ends in a typed error
+        trace, factors = runner(target, cfg["r"], _config(RGDConfig, cfg))
     csv_path = write_trace(trace, out_dir)
     pio.save_state(os.path.join(out_dir, "checkpoint"), factors, trace.metadata)
     converged = bool(trace.metadata.get("converged", False))
@@ -222,6 +226,8 @@ def _cmd_factorize(cfg: dict, out_dir: str) -> int:
 
 
 def _cmd_finetune_toy(cfg: dict, out_dir: str) -> int:
+    import numpy as np
+
     from . import io as pio
     from . import landing as ld
     from .factorization import make_whitened_task
@@ -234,7 +240,8 @@ def _cmd_finetune_toy(cfg: dict, out_dir: str) -> int:
     check_loss_threshold(cfg["loss_threshold"])  # a key of this command, not of LandingConfig
     task_rng = _target_rng(cfg)
     target = make_whitened_task(cfg["m"], cfg["n"], cfg["n_cols"], cfg["r_a"], task_rng, kappa=cfg["kappa"])
-    trace, state = trainer(target, cfg["r"], _config(LandingConfig, cfg))
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace, state = trainer(target, cfg["r"], _config(LandingConfig, cfg))
     csv_path = write_trace(trace, out_dir)
     pio.save_state(os.path.join(out_dir, "checkpoint"), state, {"method": method})
     converged = trace.final_loss <= cfg["loss_threshold"]
@@ -350,9 +357,14 @@ def _analyze_one(label: str, ckpt: str | None, trace_csv: str | None, out_dir: s
 
 
 def _cmd_analyze(cfg: dict, out_dir: str) -> int:
-    targets = _analyze_targets(cfg["path"])
     # every run is read before anything is written, so a bad run leaves no partial --out
-    analyzed = [_analyze_one(label, ckpt, trace, out_dir) for label, ckpt, trace in targets]
+    analyzed = []
+    for label, ckpt, trace in _analyze_targets(cfg["path"]):
+        run = os.path.dirname(trace) if trace else ckpt
+        try:
+            analyzed.append(_analyze_one(label, ckpt, trace, out_dir))
+        except ValueError as exc:  # an error that names no file is prefixed with the run's path
+            raise CliError(str(exc) if str(exc).startswith(run) else f"{run}: {exc}") from None
     os.makedirs(out_dir, exist_ok=True)
     for _, writes in analyzed:
         for write, path, data in writes:

@@ -121,7 +121,8 @@ def write_trace(trace: RunTrace, out_dir) -> str:
 
 def read_trace_csv(path) -> dict:
     """Read a trace CSV into the shape of ``RunTrace.columns``: column name ->
-    list, ints for iter and floats elsewhere. A ragged row raises ValueError."""
+    list, ints for iter and floats elsewhere. A ragged row or a cell that is
+    not a number raises ValueError naming the file and the line."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         columns = {name: [] for name in header}
@@ -129,8 +130,11 @@ def read_trace_csv(path) -> dict:
             parts = line.strip().split(",")
             if len(parts) != len(header):
                 raise ValueError(f"{path}:{lineno}: {len(parts)} cells, the header has {len(header)}")
-            for name, val in zip(header, parts):
-                columns[name].append(float(val))
+            try:
+                for name, val in zip(header, parts):
+                    columns[name].append(float(val))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     if "iter" in columns:
         columns["iter"] = [int(v) for v in columns["iter"]]
     return columns

@@ -27,13 +27,12 @@ import os
 import numpy as np
 import pytest
 
-import polarlab as pl
 from polarlab import factorization as fx
+from polarlab.config import LandingConfig, RGDConfig
 from polarlab.factorization import PolarFactors, SymFactors, make_whitened_task
 from polarlab.landing import (
     _PolarLanding,
     AdapterState,
-    LandingConfig,
     LoraState,
     grad_distance_to_stiefel,
     init_adapter_state,
@@ -78,9 +77,9 @@ def _rel_err(A, B):
 
 
 def test_a1a_asym_rgd_reaches_deep_threshold():
-    target = pl.make_target(50, 50, 4, 10.0, np.random.default_rng(1234))
-    tr, _ = pl.run_polar_rgd(
-        target, 20, pl.RGDConfig(eta=1e-3, seed=0, max_iters=100_000, loss_threshold=1e-8, record_every=1000)
+    target = fx.make_target(50, 50, 4, 10.0, np.random.default_rng(1234))
+    tr, _ = fx.run_polar_rgd(
+        target, 20, RGDConfig(eta=1e-3, seed=0, max_iters=100_000, loss_threshold=1e-8, record_every=1000)
     )
     ok = bool(tr.metadata["converged"]) and tr.final_loss <= 1e-8
     assert _report(
@@ -93,12 +92,12 @@ def test_a1a_asym_rgd_reaches_deep_threshold():
 
 def test_a1b_asym_rgd_margin_over_bm_when_ill_conditioned():
     # matched 1e5-iteration budget at kappa=100, eta=1e-4 for both methods
-    target = pl.make_target(50, 50, 4, 100.0, np.random.default_rng(1234))
-    trp, _ = pl.run_polar_rgd(
-        target, 20, pl.RGDConfig(eta=1e-4, seed=0, max_iters=100_000, loss_threshold=0.0, record_every=5000)
+    target = fx.make_target(50, 50, 4, 100.0, np.random.default_rng(1234))
+    trp, _ = fx.run_polar_rgd(
+        target, 20, RGDConfig(eta=1e-4, seed=0, max_iters=100_000, loss_threshold=0.0, record_every=5000)
     )
-    trb, _ = pl.run_bm_gd(
-        target, 20, pl.RGDConfig(eta=1e-4, seed=0, max_iters=100_000, loss_threshold=0.0, record_every=5000)
+    trb, _ = fx.run_bm_gd(
+        target, 20, RGDConfig(eta=1e-4, seed=0, max_iters=100_000, loss_threshold=0.0, record_every=5000)
     )
     ratio = trb.final_loss / max(trp.final_loss, 1e-300)
     ok = ratio >= 1e3
@@ -112,12 +111,12 @@ def test_a1b_asym_rgd_margin_over_bm_when_ill_conditioned():
 
 def test_a1c_extra_rank_headroom_converges_faster():
     # r = 5*r_a against r = r_a + 5 on the same target and seed, first to 1e-6
-    target = pl.make_target(50, 50, 4, 10.0, np.random.default_rng(1234))
-    tr20, _ = pl.run_polar_rgd(
-        target, 20, pl.RGDConfig(eta=1e-3, seed=0, max_iters=100_000, loss_threshold=1e-6, record_every=1000)
+    target = fx.make_target(50, 50, 4, 10.0, np.random.default_rng(1234))
+    tr20, _ = fx.run_polar_rgd(
+        target, 20, RGDConfig(eta=1e-3, seed=0, max_iters=100_000, loss_threshold=1e-6, record_every=1000)
     )
-    tr9, _ = pl.run_polar_rgd(
-        target, 9, pl.RGDConfig(eta=1e-3, seed=0, max_iters=100_000, loss_threshold=1e-6, record_every=1000)
+    tr9, _ = fx.run_polar_rgd(
+        target, 9, RGDConfig(eta=1e-3, seed=0, max_iters=100_000, loss_threshold=1e-6, record_every=1000)
     )
     it20, it9 = tr20.metadata["iterations"], tr9.metadata["iterations"]
     ok = bool(tr20.metadata["converged"]) and bool(tr9.metadata["converged"]) and it20 < it9
@@ -129,9 +128,9 @@ def test_a1c_extra_rank_headroom_converges_faster():
 
 
 def test_a2a_sym_rgd_reaches_deep_threshold():
-    target = pl.make_sym_target(50, 4, 10.0, np.random.default_rng(1234))
-    tr, _ = pl.run_sym_rgd(
-        target, 20, pl.RGDConfig(eta=1e-3, seed=0, max_iters=100_000, loss_threshold=1e-8, record_every=1000)
+    target = fx.make_sym_target(50, 4, 10.0, np.random.default_rng(1234))
+    tr, _ = fx.run_sym_rgd(
+        target, 20, RGDConfig(eta=1e-3, seed=0, max_iters=100_000, loss_threshold=1e-8, record_every=1000)
     )
     ok = bool(tr.metadata["converged"]) and tr.final_loss <= 1e-8
     assert _report(
@@ -145,9 +144,9 @@ def test_a2a_sym_rgd_reaches_deep_threshold():
 def test_a2b_sym_rgd_linear_tail_when_ill_conditioned():
     # over the last 20% of a fixed budget the log-loss must keep dropping
     # at a strictly positive per-iteration rate
-    target = pl.make_sym_target(50, 4, 100.0, np.random.default_rng(1234))
-    tr, _ = pl.run_sym_rgd(
-        target, 20, pl.RGDConfig(eta=1e-5, seed=0, max_iters=200_000, loss_threshold=0.0, record_every=1000)
+    target = fx.make_sym_target(50, 4, 100.0, np.random.default_rng(1234))
+    tr, _ = fx.run_sym_rgd(
+        target, 20, RGDConfig(eta=1e-5, seed=0, max_iters=200_000, loss_threshold=0.0, record_every=1000)
     )
     loss = np.array(tr.columns["loss"])
     iters = np.array(tr.columns["iter"], dtype=float)
@@ -177,7 +176,7 @@ def test_a3_alignment_property_suite():
         r = int(rng.integers(r_a + 1, 7))
         kappa = float(rng.choice([1.0, 2.0, 5.0])) if r_a > 1 else 1.0
         eta = float(rng.choice([0.05, 0.1, 0.3]))
-        target = pl.make_target(8, 6, r_a, kappa, rng, normalize=True)
+        target = fx.make_target(8, 6, r_a, kappa, rng, normalize=True)
         U_perp = oracles.orthogonal_complement(target.U)
         V_perp = oracles.orthogonal_complement(target.V)
         f, method = fx.init_polar_factors(target, r, rng), fx._PolarRGD(target, eta)
@@ -224,15 +223,15 @@ def test_a3_alignment_property_suite():
             # the misalignment Gram never gains an eigenvalue ...
             ev_x = np.linalg.eigvalsh(om_x2 @ om_x2.T - om_x @ om_x.T).max()
             ev_y = np.linalg.eigvalsh(om_y2 @ om_y2.T - om_y @ om_y.T).max()
-            viol["psd_x"] += ev_x > 1e-9
-            viol["psd_y"] += ev_y > 1e-9
+            viol["psd_x"] += int(ev_x > 1e-9)
+            viol["psd_y"] += int(ev_y > 1e-9)
             worst["psd"] = max(worst["psd"], ev_x, ev_y)
 
             # ... so the smallest principal cosine is non-decreasing
             d_sx = np.linalg.svd(phi, compute_uv=False)[-1] ** 2 - np.linalg.svd(phi2, compute_uv=False)[-1] ** 2
             d_sy = np.linalg.svd(psi, compute_uv=False)[-1] ** 2 - np.linalg.svd(psi2, compute_uv=False)[-1] ** 2
-            viol["smin_x"] += d_sx > 1e-9
-            viol["smin_y"] += d_sy > 1e-9
+            viol["smin_x"] += int(d_sx > 1e-9)
+            viol["smin_y"] += int(d_sy > 1e-9)
             worst["smin"] = max(worst["smin"], d_sx, d_sy)
             f = f2
     ok = not any(viol.values())
@@ -263,7 +262,7 @@ def test_a4_gradient_oracle_suite():
 
         # asym factor gradients at the refreshed theta, where the Riemannian
         # and Euclidean gradients coincide
-        t = pl.make_target(m, n, r_a, kappa, rng)
+        t = fx.make_target(m, n, r_a, kappa, rng)
         f = fx.init_polar_factors(t, r, rng)
         f = PolarFactors(X=f.X, Theta=oracles.theta_update(t, f), Y=f.Y)
         E, F = oracles.riemannian_grads_asym(t, f)
@@ -287,7 +286,7 @@ def test_a4_gradient_oracle_suite():
         track("bm_z2", _rel_err(G2, _fd_grad(lambda Z: fx.factor_loss(t, fx.BMFactors(Z1=fb.Z1, Z2=Z)), fb.Z2)))
 
         # the tied direction E + F of polar-rgd-sym, the Euclidean gradient at the refreshed theta
-        ts = pl.make_sym_target(m, r_a, kappa, rng)
+        ts = fx.make_sym_target(m, r_a, kappa, rng)
         fs, _, (D,) = fx._PolarRGD(ts, 1e-3, tied=True).evaluate(fx.init_sym_factors(ts, r, rng))
         track("G", _rel_err(D, _fd_grad(lambda W: fx.factor_loss(ts, SymFactors(X=W, Theta=fs.Theta)), fs.X)))
 

@@ -37,8 +37,9 @@ FAST_FINETUNE = [
 
 
 def _read_config_echo(out_dir):
+    # the keys, and the out and polarlab_version of its two trailing "# " lines
     with open(os.path.join(out_dir, "config_resolved.txt")) as fh:
-        pairs = [line.strip().partition("=") for line in fh if line.strip()]
+        pairs = [line.strip().removeprefix("# ").partition("=") for line in fh if line.strip()]
     return {key: val for key, _, val in pairs}
 
 
@@ -335,6 +336,23 @@ def test_non_finite_eta_exits_one_with_one_line(tmp_path, algo, eta):
     assert proc.stderr == f"error: eta must be finite and positive, got eta = {float(eta)}\n"
 
 
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("factorize", ("--eta", "1e200", "--max-iters", "3")),
+        ("factorize", ("--eta", "1e308", "--max-iters", "3")),
+        ("factorize", ("--algo", "bm-gd", "--eta", "1e300")),
+        ("finetune-toy", ("--eta", "1e300",)),
+    ],
+)
+def test_overflowing_step_exits_one_with_one_line(tmp_path, command, flags):
+    # the retraction's certificate or the divergence rule stops each run; numpy's overflow
+    # warnings on the way there do not reach stderr
+    proc = _cli_subprocess(tmp_path, command, *flags)
+    assert proc.returncode == EXIT_ERROR
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: "), proc.stderr
+
+
 def test_finetune_records_the_kappa_it_was_given(tmp_path):
     # kappa = 1e5 plants sigma_1 / sigma_r_a = 99999.99999999999; both commands record 1e5 itself
     main(["finetune-toy", *FAST_FINETUNE, "--kappa", "1e5", "--max-iters", "2", "--out", str(tmp_path / "ft")])
@@ -503,6 +521,22 @@ def test_config_resolved_is_self_describing(tmp_path):
     with open(os.path.join(out, "config_resolved.txt")) as fh:
         keys = [line.partition("=")[0] for line in fh if line.strip()]
     assert keys[:-2] == sorted(keys[:-2])
+    assert keys[-2:] == ["# out", "# polarlab_version"]  # comments, so the echo replays as a --config
+
+
+@pytest.mark.parametrize("command", [["factorize", *FAST_FACTORIZE], ["finetune-toy", *FAST_FINETUNE]])
+def test_config_echo_replays_the_run(tmp_path, command):
+    # the echo alone, given as --config, reproduces the trace and the checkpoint byte for byte
+    first, replay = tmp_path / "first", tmp_path / "replay"
+    code = main([*command, "--max-iters", "50", "--out", str(first)])
+    assert main([command[0], "--config", str(first / "config_resolved.txt"), "--out", str(replay)]) == code
+
+    def written(out):
+        return sorted(path.relative_to(out) for path in [*out.glob("*.csv"), *(out / "checkpoint").iterdir()])
+
+    assert written(replay) == written(first)
+    for name in written(first):
+        assert (replay / name).read_bytes() == (first / name).read_bytes(), name
 
 
 def test_unknown_config_key_exits_one(tmp_path, capsys):
@@ -749,6 +783,33 @@ def test_analyze_non_numeric_matrix_cell_exits_one_with_one_line(tmp_path, capsy
     matrix.write_text("\n".join(lines) + "\n")
     assert main(["analyze", "--path", str(run), "--out", str(tmp_path / "analysis")]) == EXIT_ERROR
     assert capsys.readouterr().err.splitlines() == [f"error: {matrix}:3: could not convert string to float: 'abc'"]
+
+
+def test_analyze_non_numeric_trace_cell_names_the_file_and_line(tmp_path, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(GOLDEN / "landing-polar-seed0", run)
+    csv_path = run / "landing-polar_4_4_0.csv"
+    lines = csv_path.read_text().splitlines()
+    first, _, *rest = lines[2].split(",")
+    lines[2] = ",".join([first, "abc", *rest])
+    csv_path.write_text("\n".join(lines) + "\n")
+    assert main(["analyze", "--path", str(run), "--out", str(tmp_path / "analysis")]) == EXIT_ERROR
+    assert capsys.readouterr().err.splitlines() == [f"error: {csv_path}:3: could not convert string to float: 'abc'"]
+
+
+def test_analyze_non_finite_checkpoint_names_its_run(tmp_path, capsys):
+    # in a seed grid, the run whose checkpoint holds a NaN is named, not only the failed check
+    grid = tmp_path / "grid"
+    for seed in (0, 1):
+        shutil.copytree(GOLDEN / f"polar-rgd-seed{seed}", grid / f"seed{seed}")
+    matrix = grid / "seed1" / "checkpoint" / "X.csv"
+    lines = matrix.read_text().splitlines()
+    lines[2] = ",".join(["nan", *lines[2].split(",")[1:]])
+    matrix.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "analysis"
+    assert main(["analyze", "--path", str(grid), "--out", str(out)]) == EXIT_ERROR
+    assert capsys.readouterr().err.splitlines() == [f"error: {grid / 'seed1'}: W contains non-finite entries"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("case", ["not-an-object", "list-kind", "theta-3x3"])

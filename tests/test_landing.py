@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from polarlab import io
+from polarlab.config import LandingConfig
 from polarlab.exceptions import DivergenceError
 from polarlab.factorization import BMFactors, PolarFactors, make_whitened_task
 from polarlab.landing import (
@@ -24,7 +25,6 @@ from polarlab.landing import (
     ADAPTER_ALPHA,
     AdamState,
     AdapterState,
-    LandingConfig,
     LoraState,
     adam_transform,
     grad_distance_to_stiefel,
