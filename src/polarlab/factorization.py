@@ -178,7 +178,7 @@ class PolarFactors:
         return self.X.shape[1]
 
     def delta_w(self) -> np.ndarray:
-        return np.dot(np.dot(self.X, self.Theta), self.Y.T)
+        return self.X.dot(self.Theta).dot(self.Y.T)
 
 
 @dataclass
@@ -193,7 +193,7 @@ class BMFactors:
         return self.Z1.shape[1]
 
     def delta_w(self) -> np.ndarray:
-        return np.dot(self.Z1, self.Z2.T)
+        return self.Z1.dot(self.Z2.T)
 
 
 @dataclass
@@ -208,7 +208,7 @@ class SymFactors:
         return self.X.shape[1]
 
     def delta_w(self) -> np.ndarray:
-        return np.dot(np.dot(self.X, self.Theta), self.X.T)
+        return self.X.dot(self.Theta).dot(self.X.T)
 
 
 def init_polar_factors(target: FactorizationTarget, r: int, rng: np.random.Generator) -> PolarFactors:
@@ -279,15 +279,15 @@ class _PolarRGD:
         is (Y Theta^T - A^T X) Theta, two products each; tied, E + F = (X Theta - A X)(Theta^T + Theta)."""
         target, tied, X = self.target, self.tied, f.X
         Y = X if tied else f.Y
-        AY = np.dot(target.A, Y)
-        AtX = AY if tied else np.dot(target.A.T, X)
-        Theta = np.dot(X.T, AY)
+        AY = target.A.dot(Y)
+        AtX = AY if tied else target.A.T.dot(X)
+        Theta = X.T.dot(AY)
         # 0.5||X Theta Y^T - A||^2 expanded under X^T X = Y^T Y = I; a2 - theta_m would round differently
         theta_m = float((Theta * Theta).sum())
         loss = 0.5 * (target.a2 - 2.0 * theta_m + theta_m)
-        E = np.dot(np.dot(X, Theta) - AY, Theta.T + Theta if tied else Theta.T)
+        E = (X.dot(Theta) - AY).dot(Theta.T + Theta if tied else Theta.T)
         if not tied:
-            F = np.dot(np.dot(Y, Theta.T) - AtX, Theta)
+            F = (Y.dot(Theta.T) - AtX).dot(Theta)
         state = SymFactors(X=X, Theta=Theta) if tied else PolarFactors(X=X, Theta=Theta, Y=Y)
         return state, max(loss, 0.0), (E,) if tied else (E, F)
 
@@ -312,7 +312,7 @@ class _BMGD:
     def evaluate(self, f: BMFactors):
         resid = f.delta_w()
         resid -= self.target.A
-        return f, 0.5 * float(np.vdot(resid, resid)), (np.dot(resid, f.Z2), np.dot(resid.T, f.Z1))
+        return f, 0.5 * float(np.vdot(resid, resid)), (resid.dot(f.Z2), resid.T.dot(f.Z1))
 
     def step(self, f: BMFactors, ev, it: int) -> BMFactors:
         # Z - eta G as Z + (-eta G): -fl(eta g) is exact and z + (-t) rounds like z - t. G is

@@ -139,7 +139,7 @@ def adam_transform(state: AdamState, g: np.ndarray) -> np.ndarray:
 def grad_distance_to_stiefel(X) -> np.ndarray:
     """Gradient of N(X) = ||X^T X - I||_F^2, namely 4 X (X^T X - I)."""
     X = np.asarray(X, dtype=np.float64)
-    return 4.0 * np.dot(X, np.dot(X.T, X) - _eye(X.shape[1]))
+    return 4.0 * X.dot(X.T.dot(X) - _eye(X.shape[1]))
 
 
 def landing_field(X, grad_x, lam: float) -> np.ndarray:
@@ -161,10 +161,10 @@ def landing_field(X, grad_x, lam: float) -> np.ndarray:
     grad_x = np.asarray(grad_x, dtype=np.float64)
     if X.shape != grad_x.shape:
         raise ValueError(f"shape mismatch: X {X.shape} vs grad {grad_x.shape}")
-    A = np.dot(X.T, X)
-    out = np.dot(grad_x, 0.5 * A)
+    A = X.T.dot(X)
+    out = grad_x.dot(0.5 * A)
     np.subtract(A, _eye(A.shape[0]), out=A)  # A - I, in place
-    out += np.dot(X, (4.0 * lam) * A - 0.5 * np.dot(grad_x.T, X))
+    out += X.dot((4.0 * lam) * A - 0.5 * grad_x.T.dot(X))
     return out
 
 
@@ -175,13 +175,13 @@ def landing_field(X, grad_x, lam: float) -> np.ndarray:
 def whitened_task_grads(target: FactorizationTarget, state: AdapterState) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """(G_X, G_Theta, G_Y, loss) of the task loss ||DeltaW - A||_F^2 at the adapter state."""
     s = state.scale_alpha / state.r
-    XT = np.dot(state.X, state.Theta)
-    diff = np.dot(XT, state.Y.T)
+    XT = state.X.dot(state.Theta)
+    diff = XT.dot(state.Y.T)
     diff *= s
     diff -= target.A
     loss = float(np.vdot(diff, diff))
     diff *= 2.0  # the gradient in DeltaW; each product below is scaled by s in place
-    grads = np.dot(diff, np.dot(state.Y, state.Theta.T)), np.dot(np.dot(state.X.T, diff), state.Y), np.dot(diff.T, XT)
+    grads = diff.dot(state.Y.dot(state.Theta.T)), state.X.T.dot(diff).dot(state.Y), diff.T.dot(XT)
     for G in grads:
         G *= s
     return (*grads, loss)
@@ -190,12 +190,12 @@ def whitened_task_grads(target: FactorizationTarget, state: AdapterState) -> tup
 def lora_grads(target: FactorizationTarget, state: LoraState) -> tuple[np.ndarray, np.ndarray, float]:
     """(G_Z1, G_Z2, loss) of the task loss at the LoRA state, loss as in :func:`whitened_task_grads`."""
     s = state.scale_alpha / state.r
-    diff = np.dot(state.Z1, state.Z2.T)
+    diff = state.Z1.dot(state.Z2.T)
     diff *= s
     diff -= target.A
     loss = float(np.vdot(diff, diff))
     diff *= 2.0
-    G1, G2 = np.dot(diff, state.Z2), np.dot(diff.T, state.Z1)
+    G1, G2 = diff.dot(state.Z2), diff.T.dot(state.Z1)
     G1 *= s
     G2 *= s
     return G1, G2, loss
@@ -215,16 +215,16 @@ def _adapter_columns(state) -> dict:
     with an inf or nan entry reads NaN or inf with no numpy warning."""
     left, right = (getattr(state, name) for name in state.factors)
     with np.errstate(invalid="ignore", over="ignore"):  # inf * 0 in the products of a non-finite state
-        grams = np.dot(left.T, left), np.dot(right.T, right)
+        grams = left.T.dot(left), right.T.dot(right)
         try:
             core = np.linalg.cholesky(grams[0])
         except np.linalg.LinAlgError:
             W = state.delta_w()
-            B = np.dot(W.T, W) if W.shape[0] >= W.shape[1] else np.dot(W, W.T)
+            B = W.T.dot(W) if W.shape[0] >= W.shape[1] else W.dot(W.T)
             trace = float(np.vdot(W, W))
         else:
-            inner = grams[1] if isinstance(state, LoraState) else np.dot(np.dot(state.Theta, grams[1]), state.Theta.T)
-            B = np.dot(np.dot(core.T, inner), core)
+            inner = grams[1] if isinstance(state, LoraState) else state.Theta.dot(grams[1]).dot(state.Theta.T)
+            B = core.T.dot(inner).dot(core)
             trace = float(B.trace())
     sr = trace / float(np.linalg.eigvalsh(B)[-1]) if math.isfinite(trace) and trace > 0.0 else math.nan
     for gap in grams:

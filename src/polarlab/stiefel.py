@@ -5,11 +5,12 @@ Conventions used throughout the package:
 * matrices are dense 2-D float64 numpy arrays,
 * St(m, r) = {X in R^{m x r} : X^T X = I_r} with m >= r,
 * randomness always flows through an explicit ``numpy.random.Generator``,
-* 2-D products on the step path and the trace-row path call ``np.dot``,
-  which runs the same BLAS routine as ``@`` (gemm, or syrk for A^T A) with
-  less dispatch, so the bits are the same; products over stacked arrays,
-  such as one kernel run for several seeds at once, use ``np.matmul``,
-  which broadcasts and shares its dispatch across the stack,
+* 2-D products on the step path and the trace-row path are ``a.dot(b)``
+  on an array ``a``: the C routine and BLAS call of ``np.dot`` and ``@``
+  (gemm, or syrk for A^T A), so the same bits, without ``np.dot``'s
+  ``__array_function__`` dispatch or ``@``'s matmul gufunc; products over
+  stacked arrays, such as one kernel run for several seeds at once, use
+  ``np.matmul``, which broadcasts and shares its dispatch across the stack,
 * I is subtracted from a Gram matrix with the one read-only identity per
   rank, ``_eye(r)``, bit for bit as a strided update of the diagonal.
 """
@@ -97,7 +98,7 @@ def _off_stiefel(name: str, shape, err: float, tol: float, where: str = "") -> F
 def stiefel_error(X) -> float:
     """Frobenius norm of X^T X - I."""
     X = np.asarray(X, dtype=np.float64)
-    return _gram_error(np.dot(X.T, X))
+    return _gram_error(X.T.dot(X))
 
 
 def require_stiefel(X, tol: float = SAMPLE_FEASIBILITY_TOL, name: str = "X") -> np.ndarray:
@@ -180,7 +181,7 @@ def _binomial_inv_sqrt(K: np.ndarray, n: int) -> np.ndarray:
     S = np.multiply(K, -_BINOMIAL_COEFFS[n - 1])
     S.ravel()[diag] += _BINOMIAL_COEFFS[n - 2]
     for c in reversed(_BINOMIAL_COEFFS[: n - 2]):
-        S = np.dot(K, S)
+        S = K.dot(S)
         np.negative(S, out=S)
         S.ravel()[diag] += c
     return S
@@ -217,8 +218,10 @@ def polar_retract(X, D, eta: float) -> np.ndarray:
     X and D must be 2-D of one tall shape and eta finite and >= 0, else
     ``ValueError``. D must be tangent at X: ||X^T D + D^T X||_F <= 1e-8
     max(1, ||D||_F), checked on every call (also under ``python -O``), else
-    ``FeasibilityError``. The output is certified on St(m, r) at 1e-9 from
-    its one Gram matrix, which a non-finite entry fails. Both errors name eta.
+    ``FeasibilityError``; ||D||_F is read only when the residual is above
+    1e-8, the least value of that bound. The output is certified on
+    St(m, r) at 1e-9 from its one Gram matrix, which a non-finite entry
+    fails. Both errors name eta.
     """
     X = np.asarray(X, dtype=np.float64)
     D = np.asarray(D, dtype=np.float64)
@@ -226,12 +229,12 @@ def polar_retract(X, D, eta: float) -> np.ndarray:
         raise ValueError(f"X and D must be 2-D of one tall shape (m >= r), got X {X.shape} and D {D.shape}")
     if not (math.isfinite(eta) and eta >= 0):
         raise ValueError(f"eta must be finite and nonnegative, got eta = {eta}")
-    K = np.dot(D.T, D)
-    sym = np.dot(X.T, D)
+    K = D.T.dot(D)
+    sym = X.T.dot(D)
     sym = np.add(sym, sym.T)  # X^T D + D^T X, zero for tangent D; in place, numpy would copy sym.T
     err = math.sqrt(np.vdot(sym, sym))
-    tol = TANGENCY_TOL * max(1.0, math.sqrt(K.trace()))
-    if not err <= tol:
+    # the bound is at least 1e-8, so ||D||_F is read only where err exceeds that
+    if not err <= TANGENCY_TOL and not err <= (tol := TANGENCY_TOL * max(1.0, math.sqrt(K.trace()))):
         raise FeasibilityError(
             f"retraction direction is not tangent: ||X'D + D'X||_F = {err:.3e} > {tol:.3e}"
             f" = {TANGENCY_TOL:.0e} max(1, ||D||_F) at eta = {eta:g}"
@@ -242,16 +245,16 @@ def polar_retract(X, D, eta: float) -> np.ndarray:
     step = np.multiply(D, -eta)
     step += X
     if n is None:
-        w, Q = np.linalg.eigh(np.dot(D.T, D))
+        w, Q = np.linalg.eigh(D.T.dot(D))
         scale = 1.0 / np.sqrt(np.maximum(1.0 + eta * eta * w, EIG_FLOOR))
-        out = np.dot(step, np.dot(Q * scale, Q.T))
+        out = step.dot((Q * scale).dot(Q.T))
     elif n == 1:
         out = step
     elif n == 2:  # I - K/2, the first two terms
-        out = np.dot(step, np.subtract(_eye(K.shape[0]), np.multiply(K, 0.5, out=K), out=K))
+        out = step.dot(np.subtract(_eye(K.shape[0]), np.multiply(K, 0.5, out=K), out=K))
     else:
-        out = np.dot(step, _binomial_inv_sqrt(K, n))
-    err = _gram_error(np.dot(out.T, out))
+        out = step.dot(_binomial_inv_sqrt(K, n))
+    err = _gram_error(out.T.dot(out))
     if not err <= RETRACT_FEASIBILITY_TOL:
         raise _off_stiefel("retracted X", out.shape, err, RETRACT_FEASIBILITY_TOL, f" at eta = {eta:g}")
     return out
@@ -259,15 +262,15 @@ def polar_retract(X, D, eta: float) -> np.ndarray:
 
 def tangent_project(X: np.ndarray, G: np.ndarray) -> np.ndarray:
     """Projection of G onto the tangent space of St at X: G - X sym(X^T G)."""
-    M = np.dot(X.T, G)
-    out = np.dot(X, 0.5 * (M + M.T))
+    M = X.T.dot(G)
+    out = X.dot(0.5 * (M + M.T))
     return np.subtract(G, out, out=out)
 
 
 def distance_to_stiefel(X) -> float:
     """Squared feasibility gap N(X) = ||X^T X - I_r||_F^2."""
     X = require_matrix(X, "X")
-    gap = np.dot(X.T, X) - _eye(X.shape[1])
+    gap = X.T.dot(X) - _eye(X.shape[1])
     return float((gap * gap).sum())
 
 
@@ -324,7 +327,7 @@ def alignment(U, X) -> AlignmentReport:
     r_a, r = U.shape[1], X.shape[1]
     if r_a > r:
         raise ValueError(f"need r_A <= r, got r_A={r_a}, r={r}")
-    phi = np.dot(U.T, X)
+    phi = U.T.dot(X)
     s = np.linalg.svd(phi, compute_uv=False)
     return AlignmentReport(
         trace_phi=float(np.sum(phi * phi)),

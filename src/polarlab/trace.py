@@ -121,8 +121,9 @@ def write_trace(trace: RunTrace, out_dir) -> str:
 
 def read_trace_csv(path) -> dict:
     """Read a trace CSV into the shape of ``RunTrace.columns``: column name ->
-    list, ints for iter and floats elsewhere. A ragged row or a cell that is
-    not a number raises ValueError naming the file and the line."""
+    list, ints for iter and floats elsewhere. A ragged row, a cell that is not
+    a number or an iter cell that is not a nonnegative integer raises
+    ValueError naming the file and the line."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         columns = {name: [] for name in header}
@@ -132,9 +133,10 @@ def read_trace_csv(path) -> dict:
                 raise ValueError(f"{path}:{lineno}: {len(parts)} cells, the header has {len(header)}")
             try:
                 for name, val in zip(header, parts):
-                    columns[name].append(float(val))
+                    value = float(val)
+                    if name == "iter" and not (value >= 0 and value.is_integer()):
+                        raise ValueError(f"iter {val!r} is not a nonnegative integer")
+                    columns[name].append(int(value) if name == "iter" else value)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
-    if "iter" in columns:
-        columns["iter"] = [int(v) for v in columns["iter"]]
     return columns

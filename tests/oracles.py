@@ -18,8 +18,9 @@ the in-place kernels in ``polarlab.stiefel`` and ``polarlab.factorization``,
 which must reproduce them bit for bit. So must the bm-gd evaluation and
 step, the landing field, both adapters' gradients and an adapter trace
 row, whose references form every product with ``@`` in the library's
-operation order. The polar factor and the orthogonal
-complement beside them are the textbook SVD and QR constructions. The
+operation order. The tangency residual beside the retraction is the plain
+||X^T D + D^T X||_F that its tangency check is held to. The polar factor
+and the orthogonal complement are the textbook SVD and QR constructions. The
 matrix CSV writer, which formats whole rows at once, must give the bytes
 of the entry-by-entry formula at the end.
 """
@@ -292,6 +293,11 @@ def polar_retract_reference(X, D, eta: float) -> np.ndarray:
     else:
         out = step @ binomial_inv_sqrt_reference(K, n)
     return require_stiefel(out, RETRACT_FEASIBILITY_TOL, "retracted X")
+
+
+def tangency_residual_reference(X, D) -> float:
+    """||X^T D + D^T X||_F, zero for a D tangent to St at X; a normal part X S, S symmetric, adds 2 S."""
+    return float(np.linalg.norm(X.T @ D + D.T @ X))
 
 
 def tangent_project_reference(X: np.ndarray, G: np.ndarray) -> np.ndarray:

@@ -1,7 +1,8 @@
 """The in-place retraction, projection, sampler, RGD and BM-GD evaluations,
 landing-step kernel, adapter gradients and adapter trace row reproduce their
 plain-expression references bit for bit, and the retraction's certificate
-still fails on a non-finite output."""
+still fails on a non-finite output. ``a.dot(b)``, ``np.dot(a, b)`` and
+``a @ b`` agree bit for bit on the step path's product forms."""
 
 import numpy as np
 import pytest
@@ -251,3 +252,30 @@ def test_adapter_trace_row_matches_reference(kind, m, n, r):
     assert _adapter_columns(state) == adapter_columns_reference(state)
     _, state = _adapter(kind, n, m, r)  # the wide DeltaW, whose smaller Gram matrix is W W^T
     assert _adapter_columns(state) == adapter_columns_reference(state)
+
+
+# the ten product forms of the step path, over A, B of shape (m, r) and S, T of shape (r, r)
+PRODUCT_FORMS = {
+    "A^T B": lambda A, B, S, T: (A.T, B),
+    "A^T A": lambda A, B, S, T: (A.T, A),
+    "A S": lambda A, B, S, T: (A, S),
+    "A B^T": lambda A, B, S, T: (A, B.T),
+    "A A^T": lambda A, B, S, T: (A, A.T),
+    "S T": lambda A, B, S, T: (S, T),
+    "S S": lambda A, B, S, T: (S, S),
+    "S^T S": lambda A, B, S, T: (S.T, S),
+    "S S^T": lambda A, B, S, T: (S, S.T),
+    "A S^T": lambda A, B, S, T: (A, S.T),
+}
+
+
+@pytest.mark.parametrize("form", PRODUCT_FORMS)
+@pytest.mark.parametrize("m, r", [(1, 1), (5, 2), (50, 20), (257, 32), (4096, 32)])
+def test_dot_method_np_dot_and_matmul_agree_bit_for_bit(form, m, r):
+    # the step path's a.dot(b) stands for np.dot(a, b) and a @ b; a numpy that routed one of
+    # them to another kernel (gemm against syrk, say) would change the golden traces
+    rng = np.random.default_rng([m, r])
+    a, b = PRODUCT_FORMS[form](*(rng.standard_normal(shape) for shape in ((m, r), (m, r), (r, r), (r, r))))
+    bits = a.dot(b).view(np.uint64)
+    assert np.array_equal(np.dot(a, b).view(np.uint64), bits)
+    assert np.array_equal((a @ b).view(np.uint64), bits)

@@ -797,6 +797,20 @@ def test_analyze_non_numeric_trace_cell_names_the_file_and_line(tmp_path, capsys
     assert capsys.readouterr().err.splitlines() == [f"error: {csv_path}:3: could not convert string to float: 'abc'"]
 
 
+def test_analyze_non_finite_iter_cell_names_the_file_and_line(tmp_path, capsys):
+    # int(float("inf")) raised OverflowError, which main does not catch
+    run = tmp_path / "run"
+    shutil.copytree(GOLDEN / "landing-polar-seed0", run)
+    csv_path = run / "landing-polar_4_4_0.csv"
+    lines = csv_path.read_text().splitlines()
+    lines[2] = ",".join(["inf", *lines[2].split(",")[1:]])
+    csv_path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "analysis"
+    assert main(["analyze", "--path", str(run), "--out", str(out)]) == EXIT_ERROR
+    assert capsys.readouterr().err.splitlines() == [f"error: {csv_path}:3: iter 'inf' is not a nonnegative integer"]
+    assert not out.exists()
+
+
 def test_analyze_non_finite_checkpoint_names_its_run(tmp_path, capsys):
     # in a seed grid, the run whose checkpoint holds a NaN is named, not only the failed check
     grid = tmp_path / "grid"

@@ -1,6 +1,6 @@
 """The package's layout: the root imports nothing, and no module imports a
-name it never reads. The step path forms its 2-D products with ``np.dot``,
-not ``@``."""
+name it never reads. The step path forms its 2-D products with the method
+``a.dot(b)``, neither with ``@`` nor with ``np.dot``."""
 
 import ast
 import importlib
@@ -94,7 +94,7 @@ def _functions(module: str) -> dict:
 @pytest.mark.parametrize("module", STEP_PATH)
 def test_step_path_forms_no_product_with_matmul_operator(module):
     # @ dispatches through the matmul gufunc, which costs more per call at the step's small
-    # shapes than np.dot for the same BLAS routine and the same bits
+    # shapes than a.dot(b) for the same BLAS routine and the same bits
     functions = _functions(module)
     missing = [name for name in STEP_PATH[module] if name not in functions]
     assert not missing, f"no such function in polarlab.{module}: {missing}"
@@ -105,3 +105,18 @@ def test_step_path_forms_no_product_with_matmul_operator(module):
         if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
     ]
     assert not stray, f"@ on the step path: {', '.join(stray)}"
+
+
+@pytest.mark.parametrize("module", STEP_PATH)
+def test_step_path_calls_no_np_dot(module):
+    # np.dot goes through numpy's __array_function__ dispatcher before the C routine that
+    # a.dot(b) calls directly, with the same BLAS call and the same bits
+    functions = _functions(module)
+    stray = [
+        f"polarlab.{module}.{name} line {node.lineno}"
+        for name in STEP_PATH[module]
+        for node in ast.walk(functions[name])
+        if isinstance(node, ast.Attribute) and node.attr == "dot"
+        and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")
+    ]
+    assert not stray, f"np.dot on the step path: {', '.join(stray)}"

@@ -160,6 +160,27 @@ def test_read_trace_csv_rejects_a_row_of_another_width(tmp_path, cells):
     assert str(info.value) == f"{csv_path}:6: {cells} cells, the header has 8"
 
 
+@pytest.mark.parametrize("cell", ["inf", "-inf", "nan", "-1", "2.5", "1e400"])
+def test_read_trace_csv_rejects_an_iter_cell_that_is_not_a_nonnegative_integer(tmp_path, cell):
+    # int() of inf or nan would raise OverflowError or a message naming no file
+    csv_path = write_trace(_filled_trace(include_extras=True), tmp_path)
+    lines = open(csv_path).read().splitlines()
+    lines[3] = ",".join([cell, *lines[3].split(",")[1:]])
+    with open(csv_path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as info:
+        read_trace_csv(csv_path)
+    assert str(info.value) == f"{csv_path}:4: iter {cell!r} is not a nonnegative integer"
+
+
+@pytest.mark.parametrize("cell, it", [("7", 7), ("7.0", 7), ("1e3", 1000), ("-0", 0)])
+def test_read_trace_csv_reads_an_integral_iter_cell_as_an_int(tmp_path, cell, it):
+    csv_path = tmp_path / "t.csv"
+    csv_path.write_text(f"iter,loss\n{cell},0.5\n")
+    columns = read_trace_csv(csv_path)
+    assert columns == {"iter": [it], "loss": [0.5]} and type(columns["iter"][0]) is int
+
+
 def test_write_trace_header_excludes_wall_time_by_default(tmp_path):
     csv_path = write_trace(_filled_trace(), tmp_path)
     header = open(csv_path).readline().strip().split(",")
