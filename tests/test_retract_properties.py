@@ -35,15 +35,23 @@ from polarlab.stiefel import (  # noqa: E402
 PROPERTY = settings(max_examples=200, deadline=None, database=None)
 # half-width, in decades, of the band around the bound that the property leaves out
 BAND_DECADES = 0.02
-# (log10 ||T||_F, log10 of the residual over 1e-8 max(1, ||T||_F)) on one side of the bound, with a
-# margin for ||D||_F >= ||T||_F: above it, at most it but above 1e-8, where the check reads ||D||_F,
-# or at most 1e-8
+# decades that a drawn residual keeps off the edges of its side; wider than the band, as ||D||_F >= ||T||_F
 MARGIN = 1.5 * BAND_DECADES
-SIZES = st.one_of(
-    st.tuples(st.floats(-3.0, 6.0), st.floats(MARGIN, 3.0)),
-    st.floats(2 * MARGIN, 6.0).flatmap(lambda n: st.tuples(st.just(n), st.floats(max(-3.0, MARGIN - n), -MARGIN))),
-    st.floats(-3.0, 6.0).flatmap(lambda n: st.tuples(st.just(n), st.floats(-3.0 - max(n, 0.0), -MARGIN - max(n, 0.0)))),
-)
+
+
+@st.composite
+def _sizes(draw):
+    """(log10 ||T||_F, log10 of the residual over 1e-8 max(1, ||T||_F)), on one side: above the bound,
+    at most the bound but above 1e-8, where the check reads ||D||_F, or at most 1e-8."""
+    side = draw(st.sampled_from(["above", "band", "at most 1e-8"]))
+    if side == "band":
+        log_norm = draw(st.floats(2 * MARGIN, 6.0))
+        return log_norm, draw(st.floats(max(-3.0, MARGIN - log_norm), -MARGIN))
+    log_norm = draw(st.floats(-3.0, 6.0))
+    if side == "above":
+        return log_norm, draw(st.floats(MARGIN, 3.0))
+    top = -max(log_norm, 0.0)
+    return log_norm, draw(st.floats(top - 3.0, top - MARGIN))
 
 
 def _direction(m, r, tangent_norm, ratio, seed):
@@ -71,7 +79,7 @@ def _eta(X, D, path, log_x):
 @given(
     r=st.integers(1, 10),
     extra_rows=st.integers(0, 50),
-    sizes=SIZES,
+    sizes=_sizes(),
     # series: ||K||_F at most 0.045, where an order <= 12 qualifies; eigh: ||K||_F >= sqrt(r),
     # so ||K||_1 >= ||K||_2 >= ||K||_F / sqrt(r) >= 1 > 1/2 as well
     path_log_x=st.one_of(
