@@ -17,11 +17,14 @@ fixes it. ``AdapterState`` extends
 alpha / r scale of ``delta_w()``; only DeltaW is trained, so neither holds
 the base weight. Their fields (X, Theta, Y or Z1, Z2), all arrays, are
 packed in field order into one vector that one elementwise Adam transform
-per step moves, bit for bit as one Adam per parameter would. The stepped
-state is made of views of that vector, so the next step reads them without
-repacking. A trace row reads the stable rank of DeltaW from an
-r x r core of the factors' Gram matrices, with no SVD; it forms DeltaW only
-where the Cholesky factor of the first Gram matrix fails.
+per step moves, bit for bit as one Adam per parameter would. Adam reads a
+direction buffer the trainer owns and reuses a scratch array its state owns.
+The landing field and both task gradients each have one unchecked body,
+``_*_into``, which a step points at views of that buffer and the public
+function, after its checks, at fresh arrays. The stepped state is made of
+views of the packed vector, so the next step reads them without repacking. A
+trace row reads the stable rank of DeltaW from an r x r core of the factors'
+Gram matrices, with no SVD; it forms DeltaW only where Cholesky fails on the first.
 
 The loss is ||DeltaW - A||_F^2 on a
 :class:`~polarlab.factorization.FactorizationTarget`, as
@@ -106,19 +109,22 @@ def init_lora_state(target: FactorizationTarget, r: int, rng: np.random.Generato
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators of one array, e.g. a state's packed array fields."""
+    """First/second moment accumulators of one array, e.g. a state's packed array fields, and a scratch array."""
 
     m: np.ndarray
     v: np.ndarray
     t: int = 0
 
+    def __post_init__(self):
+        self.scratch = np.empty_like(self.m)
+
 
 def adam_transform(state: AdamState, g: np.ndarray) -> np.ndarray:
-    """Bias-corrected Adam direction m_hat / (sqrt(v_hat) + eps) in a fresh array. Advances the
-    state, updating ``m`` and ``v`` in place through one scratch array, in the plain expressions' order.
-    From t = 356 on, 1 - beta1^t rounds to 1.0, so m_hat is ``m`` itself: x / 1.0 == x, the bits stay."""
+    """Bias-corrected Adam direction m_hat / (sqrt(v_hat) + eps) in a fresh array; ``g`` is only read. Advances the
+    state, updating ``m`` and ``v`` in place through the scratch array it owns and each call reuses, in the plain
+    expressions' order. From t = 356 on, 1 - beta1^t rounds to 1.0, so m_hat is ``m``: x / 1.0 == x, the bits stay."""
     state.t += 1
-    scratch = (1.0 - ADAM_BETA1) * g
+    scratch = np.multiply(g, 1.0 - ADAM_BETA1, out=state.scratch)
     state.m *= ADAM_BETA1
     state.m += scratch
     np.multiply(g, g, out=scratch)
@@ -161,8 +167,12 @@ def landing_field(X, grad_x, lam: float) -> np.ndarray:
     grad_x = np.asarray(grad_x, dtype=np.float64)
     if X.shape != grad_x.shape:
         raise ValueError(f"shape mismatch: X {X.shape} vs grad {grad_x.shape}")
+    return _landing_field_into(X, grad_x, lam, np.empty(X.shape))
+
+
+def _landing_field_into(X: np.ndarray, grad_x: np.ndarray, lam: float, out: np.ndarray) -> np.ndarray:
     A = X.T.dot(X)
-    out = grad_x.dot(0.5 * A)
+    grad_x.dot(0.5 * A, out=out)
     np.subtract(A, _eye(A.shape[0]), out=A)  # A - I, in place
     out += X.dot((4.0 * lam) * A - 0.5 * grad_x.T.dot(X))
     return out
@@ -174,6 +184,10 @@ def landing_field(X, grad_x, lam: float) -> np.ndarray:
 
 def whitened_task_grads(target: FactorizationTarget, state: AdapterState) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """(G_X, G_Theta, G_Y, loss) of the task loss ||DeltaW - A||_F^2 at the adapter state."""
+    return _whitened_task_grads_into(target, state, np.empty(state.Theta.shape))
+
+
+def _whitened_task_grads_into(target: FactorizationTarget, state: AdapterState, g_theta: np.ndarray) -> tuple:
     s = state.scale_alpha / state.r
     XT = state.X.dot(state.Theta)
     diff = XT.dot(state.Y.T)
@@ -181,7 +195,7 @@ def whitened_task_grads(target: FactorizationTarget, state: AdapterState) -> tup
     diff -= target.A
     loss = float(np.vdot(diff, diff))
     diff *= 2.0  # the gradient in DeltaW; each product below is scaled by s in place
-    grads = diff.dot(state.Y.dot(state.Theta.T)), state.X.T.dot(diff).dot(state.Y), diff.T.dot(XT)
+    grads = diff.dot(state.Y.dot(state.Theta.T)), state.X.T.dot(diff).dot(state.Y, out=g_theta), diff.T.dot(XT)
     for G in grads:
         G *= s
     return (*grads, loss)
@@ -189,16 +203,19 @@ def whitened_task_grads(target: FactorizationTarget, state: AdapterState) -> tup
 
 def lora_grads(target: FactorizationTarget, state: LoraState) -> tuple[np.ndarray, np.ndarray, float]:
     """(G_Z1, G_Z2, loss) of the task loss at the LoRA state, loss as in :func:`whitened_task_grads`."""
+    return _lora_grads_into(target, state, np.empty(state.Z1.shape), np.empty(state.Z2.shape))
+
+
+def _lora_grads_into(target: FactorizationTarget, state: LoraState, g1: np.ndarray, g2: np.ndarray) -> tuple:
     s = state.scale_alpha / state.r
     diff = state.Z1.dot(state.Z2.T)
     diff *= s
     diff -= target.A
     loss = float(np.vdot(diff, diff))
     diff *= 2.0
-    G1, G2 = diff.dot(state.Z2), diff.T.dot(state.Z1)
-    G1 *= s
-    G2 *= s
-    return G1, G2, loss
+    for G in diff.dot(state.Z2, out=g1), diff.T.dot(state.Z1, out=g2):
+        G *= s
+    return g1, g2, loss
 
 
 # ---------------------------------------------------------------------------
@@ -236,13 +253,14 @@ class _PackedAdam:
     """The step and the trace columns both adapters share. ``layout`` maps each
     field of the state, in field order, to its slice and shape in one
     packed vector, whose Adam state ``opt`` starts at zero; a step moves the
-    packed parameters p to p - eta_t * d, with d the Adam transform of
-    ``directions``, one per field, which it packs in the same order into a
-    buffer it owns. It also keeps the packed vector of the state it last
-    returned, whose arrays are views of it: a step from that state reads p
-    there, from any other it packs p afresh. The new parameters go into the
-    fresh array Adam returns, so a step never writes the arrays of the state it
-    steps from; the stepped state is made of the views alone."""
+    packed parameters p to p - eta_t * d, with d the Adam transform of a buffer
+    the method owns and lends to no caller, into whose views ``_into`` the
+    subclass writes each field's direction. It also keeps the packed vector of the
+    state it last returned, whose arrays are views of it: a step from that state
+    reads p there, from any other it packs p afresh. The new parameters go into
+    the fresh array Adam returns, so a step never writes the arrays of the state
+    it steps from, and no state shares the buffer or Adam's scratch; the stepped
+    state is made of the views, by position."""
 
     def __init__(self, target: FactorizationTarget, cfg: LandingConfig, state):
         self.target, self.cfg, self.layout, stop = target, cfg, {}, 0
@@ -251,20 +269,22 @@ class _PackedAdam:
             self.layout[f.name], stop = (slice(stop, stop + a.size), a.shape), stop + a.size
         self.opt = AdamState(m=np.zeros(stop), v=np.zeros(stop))
         self._directions, self._packed, self._views = np.empty(stop), None, (None,) * len(self.layout)
+        self._into = tuple(self._directions[s].reshape(shape) for s, shape in self.layout.values())
 
-    def step(self, state, directions: tuple, it: int):
+    def step(self, state, ev: dict, it: int):
+        ev.setdefault("taken", self._into)  # a subclass may set its own order of grad_norm's sum
         eta_t = self.cfg.eta_at(it)
         reuse = all(getattr(state, name) is view for name, view in zip(self.layout, self._views))
         p = self._packed if reuse else np.concatenate([getattr(state, name).ravel() for name in self.layout])
-        d = adam_transform(self.opt, np.concatenate([g.ravel() for g in directions], out=self._directions))
+        d = adam_transform(self.opt, self._directions)
         d *= eta_t
         self._packed = np.subtract(p, d, out=d)
         self._views = tuple(d[s].reshape(shape) for s, shape in self.layout.values())
-        return type(state)(**dict(zip(self.layout, self._views)))
+        return type(state)(*self._views)
 
     def record(self, state, ev: dict) -> dict:
         # the norm of the directions a step handed to Adam, summed in the order of ev["taken"],
-        # which the subclass's step sets; the state after the last step takes none
+        # which the step sets; the state after the last step takes none
         taken = ev.get("taken")
         grad_norm = math.nan if taken is None else math.sqrt(sum(np.vdot(d, d) for d in taken))
         return {"grad_norm": grad_norm, **_adapter_columns(state)}
@@ -279,20 +299,18 @@ class _PolarLanding(_PackedAdam):
     name = "landing-polar"
 
     def evaluate(self, state: AdapterState):
-        G_X, G_Theta, G_Y, loss = whitened_task_grads(self.target, state)
-        return state, loss, {"grads": (G_X, G_Theta, G_Y)}
+        G_X, _, G_Y, loss = _whitened_task_grads_into(self.target, state, self._into[1])
+        return state, loss, {"grads": (G_X, G_Y)}
 
     def step(self, state: AdapterState, ev: dict, it: int) -> AdapterState:
-        cfg = self.cfg
-        G_X, G_Theta, G_Y = ev["grads"]
-        if cfg.grad_mode == "landing":
-            dir_X = landing_field(state.X, G_X, cfg.lam)
-            dir_Y = landing_field(state.Y, G_Y, cfg.lam)
-        else:
-            dir_X = G_X + cfg.lam * grad_distance_to_stiefel(state.X)
-            dir_Y = G_Y + cfg.lam * grad_distance_to_stiefel(state.Y)
-        ev["taken"] = (dir_X, dir_Y, G_Theta)  # the factors' first, the order of grad_norm's sum
-        return super().step(state, (dir_X, G_Theta, dir_Y), it)
+        cfg, (dir_X, _, dir_Y) = self.cfg, self._into
+        for F, G, out in ((state.X, ev["grads"][0], dir_X), (state.Y, ev["grads"][1], dir_Y)):
+            if cfg.grad_mode == "landing":
+                _landing_field_into(F, G, cfg.lam, out)
+            else:
+                np.add(G, cfg.lam * grad_distance_to_stiefel(F), out=out)
+        ev["taken"] = (dir_X, dir_Y, self._into[1])  # the factors' first, the order of grad_norm's sum
+        return super().step(state, ev, it)
 
 
 class _Lora(_PackedAdam):
@@ -301,12 +319,7 @@ class _Lora(_PackedAdam):
     name = "lora"
 
     def evaluate(self, state: LoraState):
-        G1, G2, loss = lora_grads(self.target, state)
-        return state, loss, {"grads": (G1, G2)}
-
-    def step(self, state: LoraState, ev: dict, it: int) -> LoraState:
-        ev["taken"] = ev["grads"]
-        return super().step(state, ev["taken"], it)
+        return state, _lora_grads_into(self.target, state, *self._into)[2], {"grads": self._into}
 
 
 def train_polar_landing(target: FactorizationTarget, r: int, cfg: LandingConfig) -> tuple[RunTrace, AdapterState]:

@@ -221,7 +221,8 @@ def polar_retract(X, D, eta: float) -> np.ndarray:
     ``FeasibilityError``; ||D||_F is read only when the residual is above
     1e-8, the least value of that bound. The output is certified on
     St(m, r) at 1e-9 from its one Gram matrix, which a non-finite entry
-    fails. Both errors name eta.
+    fails. Both errors name eta; the certificate's also names a nonzero
+    tangency residual and its bound.
     """
     X = np.asarray(X, dtype=np.float64)
     D = np.asarray(D, dtype=np.float64)
@@ -254,9 +255,10 @@ def polar_retract(X, D, eta: float) -> np.ndarray:
         out = step.dot(np.subtract(_eye(K.shape[0]), np.multiply(K, 0.5, out=K), out=K))
     else:
         out = step.dot(_binomial_inv_sqrt(K, n))
-    err = _gram_error(out.T.dot(out))
-    if not err <= RETRACT_FEASIBILITY_TOL:
-        raise _off_stiefel("retracted X", out.shape, err, RETRACT_FEASIBILITY_TOL, f" at eta = {eta:g}")
+    off = _gram_error(out.T.dot(out))
+    if not off <= RETRACT_FEASIBILITY_TOL:  # naming a normal part of D that passed the tangency check
+        normal = f"; ||X'D + D'X||_F = {err:.3e} <= {TANGENCY_TOL * max(1.0, math.sqrt(np.vdot(D, D))):.3e}" if err else ""
+        raise _off_stiefel("retracted X", out.shape, off, RETRACT_FEASIBILITY_TOL, f" at eta = {eta:g}{normal}")
     return out
 
 

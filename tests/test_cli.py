@@ -366,14 +366,15 @@ def test_finetune_records_the_kappa_it_was_given(tmp_path):
 
 
 def test_failed_retraction_names_method_iteration_and_eta(tmp_path):
-    # at eta = 10 a retracted factor misses the 1e-9 certificate within 50 steps
+    # at eta = 10 a retracted factor misses the 1e-9 certificate within 50 steps, on a direction
+    # whose nonzero normal part passed the tangency check; the error names it and its bound
     proc = _cli_subprocess(tmp_path, "factorize", "--algo", "polar-rgd", "--eta", "10", "--max-iters", "50")
     assert proc.returncode == EXIT_ERROR
     lines = proc.stderr.splitlines()
     assert len(lines) == 1, proc.stderr
     assert re.fullmatch(
-        r"error: retracted X is off St\(50,9\): \|\|X'X - I\|\|_F = \S+ > 1\.0e-09 at eta = 10 "
-        r"\(polar-rgd, iteration \d+\)",
+        r"error: retracted X is off St\(50,9\): \|\|X'X - I\|\|_F = \S+ > 1\.0e-09 at eta = 10"
+        r"; \|\|X'D \+ D'X\|\|_F = \S+ <= \S+ \(polar-rgd, iteration \d+\)",
         lines[0],
     )
 

@@ -495,18 +495,28 @@ def test_packed_adam_matches_the_oracle_past_the_bias_correction_crossover(metho
         assert np.array_equal(getattr(state, name), getattr(ref, name))
 
 
-@pytest.mark.parametrize("method", ["polar", "lora"])
-def test_step_leaves_the_state_it_steps_from_unchanged(method):
+@pytest.mark.parametrize(
+    "method, modes", [("polar", {}), ("polar", {"grad_mode": "euclidean"}), ("lora", {})], ids=["polar", "euclidean", "lora"]
+)
+def test_step_leaves_the_state_it_steps_from_unchanged(method, modes):
+    # the method writes every direction into a buffer it owns and Adam works through a scratch
+    # array it keeps; neither may leak into a returned state, which later steps would overwrite
     t = _task(15)
     init, make = {"polar": (init_adapter_state, _PolarLanding), "lora": (init_lora_state, _Lora)}[method]
     state = init(t, 4, np.random.default_rng(16))
-    stepper = make(t, LandingConfig(eta=1e-2, max_iters=10), state)
-    for it in range(3):  # after the first step the parameters are views of one packed vector
+    stepper = make(t, LandingConfig(eta=1e-2, max_iters=10, **modes), state)
+    owned = (stepper._directions, stepper.opt.scratch, stepper.opt.m, stepper.opt.v)
+    returned = []  # each state advance returned, with a copy of its parameters
+    for it in range(9):  # after the first step the parameters are views of one packed vector
         before = {name: getattr(state, name).copy() for name in PARAMS[state.kind]}
         new, _ = advance(stepper, state, it)
         for name, array in before.items():
             assert np.array_equal(getattr(state, name), array)
             assert not np.shares_memory(getattr(new, name), getattr(state, name))
+        assert not any(np.shares_memory(getattr(new, name), a) for name in PARAMS[new.kind] for a in owned)
+        returned.append((new, {name: getattr(new, name).copy() for name in PARAMS[new.kind]}))
+        for kept, copies in returned:  # the first 3 states outlive 6 later steps
+            assert all(np.array_equal(getattr(kept, name), copies[name]) for name in PARAMS[kept.kind])
         state = new
 
 

@@ -68,13 +68,17 @@ STEP_PATH = {
         "adam_transform",
         "grad_distance_to_stiefel",
         "landing_field",
+        "_landing_field_into",
         "whitened_task_grads",
+        "_whitened_task_grads_into",
         "lora_grads",
+        "_lora_grads_into",
         "_adapter_columns",
         "_PackedAdam.step",
         "_PackedAdam.record",
+        "_PolarLanding.evaluate",
         "_PolarLanding.step",
-        "_Lora.step",
+        "_Lora.evaluate",
     ),
 }
 

@@ -18,6 +18,7 @@ from polarlab.exceptions import FeasibilityError, RankDeficientError
 from polarlab.stiefel import (
     _BINOMIAL_COEFFS,
     RETRACT_SERIES_MAX_ORDER,
+    TANGENCY_TOL,
     UNIT_ROUNDOFF,
     _eye,
     alignment,
@@ -32,7 +33,7 @@ from polarlab.stiefel import (
     tangent_project,
 )
 
-from oracles import polar_factor
+from oracles import polar_factor, tangency_residual_reference
 
 SEEDS = [0, 1, 2, 3, 4, 5, 6, 7]
 
@@ -323,6 +324,37 @@ def test_polar_retract_rejects_non_tangent_direction():
         polar_retract(X, D + 1e-6 * X, 0.1)
     with pytest.raises(FeasibilityError, match="not tangent"):
         polar_retract(X, np.full_like(X, np.nan), 0.1)
+
+
+@pytest.mark.parametrize("tangent_norm, eta", [(1.0, 1.0), (1e3, 1e-3)])
+def test_certificate_error_names_the_tangency_residual_that_passed(tangent_norm, eta):
+    # a normal part X S with ||X'D + D'X||_F = ||2 S||_F half the bound 1e-8 max(1, ||D||_F) passes
+    # the tangency check, and at eta ||D||_F = 1 it moves the output off St by more than 1e-9
+    rng = np.random.default_rng(0)
+    X = sample_stiefel_uniform(12, 3, rng)
+    T = tangent_project(X, rng.standard_normal((12, 3)))
+    T *= tangent_norm / np.linalg.norm(T)
+    S = rng.standard_normal((3, 3))
+    S += S.T
+    S *= 0.5 * TANGENCY_TOL * tangent_norm / (2.0 * np.linalg.norm(S))
+    D = T + X @ S
+    residual, bound = tangency_residual_reference(X, D), TANGENCY_TOL * max(1.0, float(np.linalg.norm(D)))
+    assert 0.0 < residual <= bound
+    with pytest.raises(FeasibilityError) as info:
+        polar_retract(X, D, eta)
+    head, tail = str(info.value).split(f" at eta = {eta:g}")
+    assert head.startswith("retracted X is off St(12,3): ||X'X - I||_F = ")
+    assert tail == f"; ||X'D + D'X||_F = {residual:.3e} <= {bound:.3e}"
+
+
+def test_certificate_error_of_a_tangent_direction_names_no_residual():
+    # D = 0 is tangent with residual 0, so the output is X, here 1e-6 off St: the error names eta alone
+    X = np.eye(5, 2)
+    X[0, 0] += 1e-6
+    with pytest.raises(FeasibilityError) as info:
+        polar_retract(X, np.zeros((5, 2)), 0.5)
+    assert str(info.value).startswith("retracted X is off St(5,2): ")
+    assert str(info.value).endswith("> 1.0e-09 at eta = 0.5")
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]])
