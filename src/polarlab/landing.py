@@ -303,13 +303,13 @@ class _PolarLanding(_PackedAdam):
         return state, loss, {"grads": (G_X, G_Y)}
 
     def step(self, state: AdapterState, ev: dict, it: int) -> AdapterState:
-        cfg, (dir_X, _, dir_Y) = self.cfg, self._into
-        for F, G, out in ((state.X, ev["grads"][0], dir_X), (state.Y, ev["grads"][1], dir_Y)):
+        cfg, (dir_X, G_Theta, dir_Y) = self.cfg, self._into
+        for F, G, out in zip((state.X, state.Y), ev["grads"], (dir_X, dir_Y)):
             if cfg.grad_mode == "landing":
                 _landing_field_into(F, G, cfg.lam, out)
             else:
                 np.add(G, cfg.lam * grad_distance_to_stiefel(F), out=out)
-        ev["taken"] = (dir_X, dir_Y, self._into[1])  # the factors' first, the order of grad_norm's sum
+        ev["taken"] = (dir_X, dir_Y, G_Theta)  # the factors' first, the order of grad_norm's sum
         return super().step(state, ev, it)
 
 
